@@ -10,11 +10,15 @@ with jackknife standard errors over contiguous particle blocks.
 
 Two geometries:
 
-* Slab: two parallel planes n.r in [d1, d2].  Specular reflection off a
-  plane only alters the normal coordinate, so the normal component is
-  folded exactly (a triangle wave in the unfolded coordinate); this is
-  the closed-form limit of bisecting to each crossing and reflecting.
-  Quantitatively trustworthy: the tensor is position independent.
+* Slab: two parallel planes n.r in [d1, d2].  Reflection off a plane only
+  folds the normal coordinate with the triangle wave T of period 2 gap.
+  Because T(T(a) + xi) = T(+-a + xi) and each step xi is symmetric, the
+  final normal coordinate of the walk has exactly the law of T(s0 + a),
+  where a is the sum of the normal increments; the in-plane increments are
+  independent of it.  So each walker is sampled exactly from one isotropic
+  Gaussian 3-vector with per-axis variance 2 D0 T: the estimate depends on
+  dt and n_steps only through T.  Quantitatively trustworthy: the tensor is
+  position independent.
 * SurfacePair: general curved surfaces.  Crossings are detected by the
   sign change of z - z_i(x, y) along each step, located by bisection,
   and the remaining displacement is reflected about the local surface
@@ -22,16 +26,13 @@ Two geometries:
   position-dependent tensor, so results are report-only.
 
 Randomness: one stream per particle, derived from (seed, particle index)
-via numpy SeedSequence spawn keys.  Chunk sizes are a pure function of the
-job, so repeated runs are byte-identical; the walks themselves are
-chunk-invariant and independent of any worker count (displacement
-accumulators agree across chunkings up to float summation order).
+via numpy SeedSequence spawn keys, so repeated runs are byte-identical and
+independent of how walkers are chunked.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +43,6 @@ MAX_BOUNCES = 8
 DOUBLE_CROSS_LIMIT = 1e-3    # abort above this fraction of steps
 REPROJECT_TOL = 1e-12
 _CHUNK_BUDGET = 24_000_000   # buffered increments (doubles) per chunk
-
-try:
-    from numba import njit
-
-    _NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - depends on environment
-    _NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-USE_FOLD_KERNEL = _NUMBA_AVAILABLE and \
-    os.environ.get("EFFDIFF_NUMBA", "1").lower() not in ("0", "false", "no")
 
 
 class BrownianError(Exception):
@@ -116,10 +100,10 @@ class McJob:
     jackknife_blocks: int = 25
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise BrownianError("dt must be positive")
-        if self.d0 <= 0:
-            raise BrownianError("D0 must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise BrownianError("dt must be positive and finite")
+        if not (self.d0 > 0 and math.isfinite(self.d0)):
+            raise BrownianError("D0 must be positive and finite")
         if self.n_particles < 2 or self.n_steps < 1:
             raise BrownianError("need at least 2 particles and 1 step")
         if self.jackknife_blocks < 2 or self.jackknife_blocks > self.n_particles:
@@ -171,21 +155,23 @@ def mc_projected_tensor(job: McJob) -> McResult:
     """Monte Carlo estimate of the projected diffusion tensor.
 
     Aborts with StepTooLargeError when more than 0.1% of steps cross
-    both surfaces within a single time step.
+    both surfaces within a single time step.  For a slab that fraction is
+    the closed-form stationary probability, checked before sampling; for
+    curved surfaces it is counted along the walks.
     """
     if isinstance(job.geometry, Slab):
-        disp, stats = _run_slab(job)
+        disp, frac = _run_slab(job)
+        stats = {"rejected": 0, "max_overshoot": 0.0}
     elif isinstance(job.geometry, SurfacePair):
         disp, stats = _run_surfaces(job)
+        total_steps = job.n_particles * job.n_steps
+        frac = stats["double_cross"] / total_steps
+        if frac > DOUBLE_CROSS_LIMIT:
+            raise StepTooLargeError(
+                f"{stats['double_cross']} of {total_steps} steps "
+                f"({100 * frac:.2f}%) crossed both surfaces; reduce dt")
     else:
         raise BrownianError(f"unsupported geometry {type(job.geometry).__name__}")
-
-    total_steps = job.n_particles * job.n_steps
-    frac = stats["double_cross"] / total_steps
-    if frac > DOUBLE_CROSS_LIMIT:
-        raise StepTooLargeError(
-            f"{stats['double_cross']} of {total_steps} steps "
-            f"({100 * frac:.2f}%) crossed both surfaces; reduce dt")
 
     total_time = job.n_steps * job.dt
     estimate, se = _jackknife(disp, total_time, job.jackknife_blocks)
@@ -195,80 +181,31 @@ def mc_projected_tensor(job: McJob) -> McResult:
 
 
 # ---------------------------------------------------------------------------
-# slab geometry: exact folding of the normal coordinate
+# slab geometry: exact sampling of the folded walk
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _fold_block(ds, buf, s, corr, d1, d2, gap):
-    """Sequentially fold the normal coordinate of every walker through a
-    block of steps.  Arithmetic matches _fold_block_numpy bit for bit."""
-    k, span = ds.shape
-    double_cross = 0
-    rejected = 0
-    for i in range(k):
-        si = s[i]
-        ci = corr[i]
-        for t in range(span):
-            raw = si + ds[i, t]
-            if raw >= d1 and raw <= d2:
-                si = raw
-                continue
-            u = (raw - d1) / gap
-            folds = abs(math.floor(u))
-            if folds >= 2:
-                double_cross += 1
-            if folds > MAX_BOUNCES:
-                rejected += 1
-                buf[i, t, 0] = 0.0
-                buf[i, t, 1] = 0.0
-                buf[i, t, 2] = 0.0
-                continue
-            v = u - 2.0 * math.floor(u / 2.0)
-            folded = v if v <= 1.0 else 2.0 - v
-            snew = d1 + gap * folded
-            if snew < d1:
-                snew = d1
-            elif snew > d2:
-                snew = d2
-            ci += snew - raw
-            si = snew
-        s[i] = si
-        corr[i] = ci
-    return double_cross, rejected
+def double_cross_probability(gap, sigma):
+    """Probability that one Gaussian step of per-axis deviation sigma,
+    taken from a point uniform across a slab of width gap, crosses both
+    walls: P(|floor((s + xi - d1) / gap)| >= 2).
+
+    With a = gap / sigma, Q the upper normal tail and
+    F(u) = u Q(u) - phi(u) (an antiderivative of Q), this is
+    (2 / a) (F(2a) - F(a)).
+    """
+    a = gap / sigma
+
+    def f(u):
+        return (0.5 * u * math.erfc(u / math.sqrt(2.0))
+                - math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+
+    return 2.0 / a * (f(2.0 * a) - f(a))
 
 
-def _fold_block_numpy(ds, buf, s, corr, d1, d2, gap):
-    """Vectorized equivalent of _fold_block (fallback without numba)."""
-    span = ds.shape[1]
-    double_cross = 0
-    rejected = 0
-    for t in range(span):
-        raw = s + ds[:, t]
-        crossed = (raw < d1) | (raw > d2)
-        s = raw
-        if not crossed.any():
-            continue
-        idx = np.nonzero(crossed)[0]
-        sub = raw[idx]
-        u = (sub - d1) / gap
-        folds = np.abs(np.floor(u))
-        double_cross += int(np.count_nonzero(folds >= 2))
-        v = np.mod(u, 2.0)
-        folded = np.where(v <= 1.0, v, 2.0 - v)
-        s_new = np.clip(d1 + gap * folded, d1, d2)
-        overflow = folds > MAX_BOUNCES
-        corr_inc = s_new - sub
-        if overflow.any():
-            # reject the whole move for these walkers: revert the
-            # coordinate and drop the raw increment entirely
-            rejected += int(np.count_nonzero(overflow))
-            prev = sub - ds[idx, t]
-            s_new = np.where(overflow, prev, s_new)
-            corr_inc = np.where(overflow, 0.0, corr_inc)
-            buf[idx[overflow], t, :] = 0.0
-        corr[idx] += corr_inc
-        s[idx] = s_new
-    return s, corr, double_cross, rejected
+def _fold(s, d1, gap):
+    """Triangle wave of period 2 gap mapping s into [d1, d1 + gap]."""
+    v = np.mod((s - d1) / gap, 2.0)
+    return d1 + gap * np.where(v <= 1.0, v, 2.0 - v)
 
 
 def _run_slab(job):
@@ -281,48 +218,18 @@ def _run_slab(job):
         raise BrownianError(f"start coordinate {s0:.6g} is not strictly "
                             f"inside [{slab.d1:.6g}, {slab.d2:.6g}]")
 
-    sigma = math.sqrt(2.0 * job.d0 * job.dt)
-    n_steps = job.n_steps
-    chunk = min(job.n_particles, 8192)
-    slab_len = max(1, min(n_steps, _CHUNK_BUDGET // (3 * chunk)))
+    frac = double_cross_probability(gap, math.sqrt(2.0 * job.d0 * job.dt))
+    if frac > DOUBLE_CROSS_LIMIT:
+        raise StepTooLargeError(
+            f"a step crosses both surfaces with probability {frac:.3g} "
+            f"(limit {DOUBLE_CROSS_LIMIT:g}); reduce dt")
 
-    disp = np.empty((job.n_particles, 2))
-    double_cross = 0
-    rejected = 0
-
-    for lo in range(0, job.n_particles, chunk):
-        hi = min(lo + chunk, job.n_particles)
-        k = hi - lo
-        gens = [_particle_stream(job.seed, i) for i in range(lo, hi)]
-        s = np.full(k, s0)
-        raw_sum = np.zeros((k, 3))
-        corr = np.zeros(k)
-
-        done = 0
-        buf = np.empty((k, slab_len, 3))
-        while done < n_steps:
-            span = min(slab_len, n_steps - done)
-            block = buf[:, :span, :] if span < slab_len else buf
-            for i, g in enumerate(gens):
-                g.standard_normal(out=block[i])
-            block *= sigma
-            ds_all = block @ n
-            if USE_FOLD_KERNEL:
-                dc, rej = _fold_block(ds_all, block, s, corr,
-                                      slab.d1, slab.d2, gap)
-            else:
-                s, corr, dc, rej = _fold_block_numpy(ds_all, block, s, corr,
-                                                     slab.d1, slab.d2, gap)
-            double_cross += dc
-            rejected += rej
-            raw_sum += block.sum(axis=1)
-            done += span
-
-        delta = raw_sum + corr[:, None] * n
-        disp[lo:hi] = delta[:, :2]
-
-    return disp, {"double_cross": double_cross, "rejected": rejected,
-                  "max_overshoot": 0.0}
+    raw = np.stack([_particle_stream(job.seed, i).standard_normal(3)
+                    for i in range(job.n_particles)])
+    raw *= math.sqrt(2.0 * job.d0 * job.n_steps * job.dt)
+    unfolded = s0 + raw @ n
+    delta = raw + (_fold(unfolded, slab.d1, gap) - unfolded)[:, None] * n
+    return delta[:, :2], frac
 
 
 # ---------------------------------------------------------------------------

@@ -154,26 +154,32 @@ def _need(cfg, key):
     return cfg[key]
 
 
-def _get_float(cfg, key, default=None):
+def _get_float(cfg, key, default=None, positive=False):
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required config key '{key}'")
         return default
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ConfigError(f"{key} must be a number, got '{cfg[key]}'") from None
+    if positive and not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"{key} must be positive and finite, got '{cfg[key]}'")
+    return value
 
 
-def _get_int(cfg, key, default=None):
+def _get_int(cfg, key, default=None, minimum=None):
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required config key '{key}'")
         return default
     try:
-        return int(cfg[key])
+        value = int(cfg[key])
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got '{cfg[key]}'") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+    return value
 
 
 def load_grid_field(path):
@@ -182,7 +188,8 @@ def load_grid_field(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            rows = [line.strip() for line in fh if line.strip()]
+            rows = [(lineno, line.strip()) for lineno, line in enumerate(fh, 2)
+                    if line.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read grid file: {exc}") from None
     if not header.startswith("# grid"):
@@ -193,8 +200,20 @@ def load_grid_field(path):
         spacing = _parse_floats(fields["spacing"], 2, "spacing")
     except KeyError as exc:
         raise ConfigError(f"{path}: header lacks {exc}") from None
-    values = np.array([[float(v) for v in row.split(",")] for row in rows])
-    return GridField(origin, spacing, values)
+    values = []
+    for lineno, row in rows:
+        try:
+            samples = [float(v) for v in row.split(",")]
+            if not all(map(math.isfinite, samples)):
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: samples must be finite "
+                              f"numbers, got '{row}'") from None
+        if values and len(samples) != len(values[0]):
+            raise ConfigError(f"{path}:{lineno}: expected {len(values[0])} "
+                              f"samples, got {len(samples)}")
+        values.append(samples)
+    return GridField(origin, spacing, np.array(values))
 
 
 def _surface_field(cfg, name):
@@ -268,7 +287,7 @@ TENSOR_COLUMNS = ["x", "y", "w", "psi", "m1", "m2", "D11", "D12", "D21", "D22",
 
 def cmd_tensor(cfg):
     pair = _surface_pair(cfg)
-    med = MediumParams(_get_float(cfg, "d0"))
+    med = MediumParams(_get_float(cfg, "d0", positive=True))
     nx, ny = _parse_resolution(_need(cfg, "resolution"))
     xs, ys = pair.domain.lattice(nx, ny)
 
@@ -311,7 +330,7 @@ def cmd_tensor(cfg):
 
 
 def _plane_report(cfg):
-    med = MediumParams(_get_float(cfg, "d0"))
+    med = MediumParams(_get_float(cfg, "d0", positive=True))
     if "n1" in cfg or "n2" in cfg:
         n1 = _parse_floats(_need(cfg, "n1"), 3, "n1")
         n2 = _parse_floats(_need(cfg, "n2"), 3, "n2")
@@ -385,7 +404,7 @@ def _oracle_case(psi, m1, m2, med, points, fd_step, eval_point):
 
 
 def cmd_oracle(cfg):
-    med = MediumParams(_get_float(cfg, "d0"))
+    med = MediumParams(_get_float(cfg, "d0", positive=True))
     points = _get_int(cfg, "quad_points", 128)
     fd_step = _get_float(cfg, "fd_step", 1e-5)
     eval_point = (_get_float(cfg, "eval_x", 1.0), _get_float(cfg, "eval_y", 0.0))
@@ -433,12 +452,15 @@ def cmd_oracle(cfg):
 
 
 def cmd_mc(cfg):
-    d0 = _get_float(cfg, "d0")
-    dt = _get_float(cfg, "dt", 1e-3)
-    steps = _get_int(cfg, "steps", 1000)
-    particles = _get_int(cfg, "particles", 10000)
+    d0 = _get_float(cfg, "d0", positive=True)
+    dt = _get_float(cfg, "dt", 1e-3, positive=True)
+    steps = _get_int(cfg, "steps", 1000, minimum=1)
+    particles = _get_int(cfg, "particles", 10000, minimum=2)
     seed = _get_int(cfg, "seed", 0)
-    blocks = _get_int(cfg, "blocks", 25)
+    blocks = _get_int(cfg, "blocks", 25, minimum=2)
+    if blocks > particles:
+        raise ConfigError(f"blocks must not exceed particles ({particles}), "
+                          f"got {blocks}")
 
     if ("z1" in cfg or "z2" in cfg) and "mu" not in cfg and "gap" not in cfg:
         pair = _surface_pair(cfg)
@@ -478,7 +500,7 @@ def cmd_mc(cfg):
 
 
 def cmd_solve(cfg):
-    med = MediumParams(_get_float(cfg, "d0"))
+    med = MediumParams(_get_float(cfg, "d0", positive=True))
     nx, ny = _parse_resolution(_need(cfg, "resolution"))
     mode = cfg.get("mode", "finite")
     if mode not in ("finite", "infinite"):
@@ -495,9 +517,9 @@ def cmd_solve(cfg):
 
     grid = PdeGrid.from_surfaces(pair, med, nx, ny, p0=p0)
     bound = stability_bound(grid, infinite_rate=(mode == "infinite"))
-    dt = _get_float(cfg, "dt", 0.5 * bound)
-    steps = _get_int(cfg, "steps", 100)
-    snap_every = _get_int(cfg, "snap_every", max(1, steps // 4))
+    dt = _get_float(cfg, "dt", 0.5 * bound, positive=True)
+    steps = _get_int(cfg, "steps", 100, minimum=0)
+    snap_every = _get_int(cfg, "snap_every", max(1, steps // 4), minimum=1)
     prefix = cfg.get("out", "solve")
 
     written = []
@@ -526,7 +548,7 @@ def cmd_solve(cfg):
 
 
 def cmd_recover_channel(cfg):
-    med = MediumParams(_get_float(cfg, "d0"))
+    med = MediumParams(_get_float(cfg, "d0", positive=True))
     x0 = _get_float(cfg, "x0", 0.0)
     x1 = _get_float(cfg, "x1", _TWO_PI)
     samples = _get_int(cfg, "samples", 100)

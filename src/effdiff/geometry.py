@@ -131,8 +131,10 @@ class GridField(ScalarField):
 
     def _locate(self, x, y):
         tolx, toly = 1e-9 * self.hx, 1e-9 * self.hy
-        if np.any(x < self.x0 - tolx) or np.any(x > self.x1 + tolx) \
-                or np.any(y < self.y0 - toly) or np.any(y > self.y1 + toly):
+        # written as "all inside" so that NaN coordinates fail the test
+        inside = (x >= self.x0 - tolx) & (x <= self.x1 + tolx) \
+            & (y >= self.y0 - toly) & (y <= self.y1 + toly)
+        if not np.all(inside):
             raise OutsideDomainError("query point outside grid hull")
         fx = np.clip((x - self.x0) / self.hx, 0.0, self.nx - 1.0)
         fy = np.clip((y - self.y0) / self.hy, 0.0, self.ny - 1.0)

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-import effdiff.brownian as brownian
 from effdiff.brownian import (
-    BrownianError, McJob, Slab, StepTooLargeError, mc_projected_tensor,
+    BrownianError, McJob, Slab, StepTooLargeError, double_cross_probability,
+    mc_projected_tensor,
 )
 from effdiff.geometry import ScalarField, SurfacePair
 
@@ -20,7 +22,7 @@ def test_flat_slab_is_isotropic_within_errors():
     for i in (0, 1):
         assert abs(res.estimate[i, i] - 1.0) <= 3.0 * res.stderr[i, i]
     assert abs(res.estimate[0, 1]) <= 3.0 * res.stderr[0, 1]
-    assert res.double_cross_fraction == 0.0
+    assert res.double_cross_fraction <= 1e-100
     assert res.rejected_steps == 0
 
 
@@ -37,42 +39,30 @@ def test_seed_reproducibility():
     assert np.array_equal(a.stderr, b.stderr)
 
 
-def test_fold_kernel_paths_are_bitwise_identical():
-    job = slab_job(1.0, n_particles=3000, n_steps=300)
-    flag = brownian.USE_FOLD_KERNEL
-    try:
-        brownian.USE_FOLD_KERNEL = False
-        plain = mc_projected_tensor(job)
-        if not brownian._NUMBA_AVAILABLE:
-            pytest.skip("numba not installed; single path only")
-        brownian.USE_FOLD_KERNEL = True
-        fast = mc_projected_tensor(job)
-    finally:
-        brownian.USE_FOLD_KERNEL = flag
-    assert np.array_equal(plain.estimate, fast.estimate)
-    assert np.array_equal(plain.stderr, fast.stderr)
-
-
-def test_chunking_does_not_change_results():
-    job = slab_job(0.5, n_particles=2000, n_steps=400)
-    base = mc_projected_tensor(job)
-    budget = brownian._CHUNK_BUDGET
-    try:
-        brownian._CHUNK_BUDGET = 90_000  # forces many small slabs/chunks
-        small = mc_projected_tensor(job)
-    finally:
-        brownian._CHUNK_BUDGET = budget
-    # per-particle streams make the walk identical; only the float
-    # summation order of the displacement accumulators changes
-    assert np.allclose(base.estimate, small.estimate, atol=1e-10)
-
-
 def test_stderr_scales_like_inverse_sqrt_particles():
-    small = mc_projected_tensor(slab_job(0.0, seed=1, n_particles=2500, n_steps=300))
-    big = mc_projected_tensor(slab_job(0.0, seed=1, n_particles=10000, n_steps=300))
-    for i in (0, 1):
-        ratio = small.stderr[i, i] / big.stderr[i, i]
-        assert 1.6 <= ratio <= 2.4
+    # a 25-block jackknife error is itself ~14% noisy, so one ratio leaves
+    # [1.6, 2.4] about half the time; the mean of 16 has spread ~0.09
+    ratios = []
+    for seed in range(1, 9):
+        small = mc_projected_tensor(slab_job(0.0, seed=seed, n_particles=2500,
+                                             n_steps=300))
+        big = mc_projected_tensor(slab_job(0.0, seed=seed, n_particles=10000,
+                                           n_steps=300))
+        ratios += [small.stderr[i, i] / big.stderr[i, i] for i in (0, 1)]
+    assert 1.6 <= np.mean(ratios) <= 2.4
+
+
+@pytest.mark.parametrize("sigma_over_gap", [0.45, 0.78])
+def test_slab_double_cross_closed_form(sigma_over_gap):
+    # one step from a point uniform across the gap, counted the way a
+    # step-by-step fold counts a double crossing
+    d1, gap, n = -0.3, 1.7, 2_000_000
+    rng = np.random.default_rng(11)
+    s = d1 + gap * rng.random(n)
+    end = s + rng.normal(0.0, sigma_over_gap * gap, n)
+    measured = np.mean(np.abs(np.floor((end - d1) / gap)) >= 2)
+    p = double_cross_probability(gap, sigma_over_gap * gap)
+    assert abs(measured - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n)
 
 
 def test_oversized_steps_abort():
@@ -109,6 +99,10 @@ def test_curved_path_affine_slab_matches_parallel_plane_value():
     res = mc_projected_tensor(job)
     assert res.estimate[0, 0] == pytest.approx(0.5, abs=4 * res.stderr[0, 0])
     assert res.estimate[1, 1] == pytest.approx(1.0, abs=4 * res.stderr[1, 1])
+    # the same slab through the exact sampler agrees with the stepper
+    slab = mc_projected_tensor(replace(job, geometry=Slab.from_slope(1.0)))
+    se = np.hypot(slab.stderr[0, 0], res.stderr[0, 0])
+    assert abs(slab.estimate[0, 0] - res.estimate[0, 0]) < 4 * se
 
 
 def test_curved_reflection_keeps_walkers_confined():

@@ -280,3 +280,41 @@ def test_non_positive_width_is_numerical_error(tmp_path):
     cfg = write_cfg(tmp_path, "bad.cfg", z1="1", z2="x",
                     domain="-1,1,-1,1", resolution="4x4")
     assert run(tmp_path, "tensor", "--config", cfg) == 3
+
+
+_BAD_NUMBER_BASE = {
+    "mc": dict(mu="0", particles="200", steps="10"),
+    "solve": dict(z1="0", z2="1", domain="0,1,0,1", resolution="4x4",
+                  steps="4"),
+    "tensor": dict(z1="0", domain="0,1,0,1", resolution="4x4"),
+}
+
+
+@pytest.mark.parametrize("command,settings,named", [
+    ("mc", {"d0": "-1"}, "d0"),
+    ("mc", {"blocks": "1"}, "blocks"),
+    ("mc", {"blocks": "201", "particles": "200"}, "blocks"),
+    ("mc", {"particles": "1"}, "particles"),
+    ("mc", {"steps": "0"}, "steps"),
+    ("mc", {"dt": "0"}, "dt"),
+    ("mc", {"dt": "nan"}, "dt"),
+    ("solve", {"dt": "-1e-4"}, "dt"),
+    ("solve", {"steps": "-1"}, "steps"),
+    ("solve", {"snap_every": "0"}, "snap_every"),
+    ("tensor", {"z2_grid": "1,1,1\n1,1\n1,1,1\n"}, "z2.grid:3"),
+    ("tensor", {"z2_grid": "1,1,1\n1,x,1\n1,1,1\n"}, "z2.grid:3"),
+    ("tensor", {"z2_grid": "1,1,1\n1,1,1\n1,nan,1\n"}, "z2.grid:4"),
+])
+def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
+                                                     settings, named):
+    cfg = dict(_BAD_NUMBER_BASE[command], **settings)
+    if "z2_grid" in cfg:
+        grid = tmp_path / "z2.grid"
+        grid.write_text("# grid origin=0,0 spacing=0.5,0.5\n" + cfg["z2_grid"])
+        cfg["z2_grid"] = str(grid)
+    path = write_cfg(tmp_path, "bad.cfg", **cfg)
+    assert run(tmp_path, command, "--config", path,
+               "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert "Traceback" not in err and err.count("\n") == 1

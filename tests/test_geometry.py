@@ -285,6 +285,8 @@ def test_grid_field_bilinear_value_and_hull():
     assert grid.value((0.53, 0.71)) == pytest.approx(0.53 * 0.71, abs=1e-12)
     with pytest.raises(OutsideDomainError):
         grid.value((1.5, 0.5))
+    with pytest.raises(OutsideDomainError):
+        grid.value((float("nan"), 0.5))
 
 
 def test_grid_backed_surface_pair_frames():
