@@ -4,13 +4,14 @@ the projected diffusion equation."""
 
 from .expr import (
     EvalDomainError, Expr, ExprError, ParseError,
-    differentiate, evaluate, parse, to_text,
+    differentiate, evaluate, evaluate_masked, parse, to_text,
 )
 from .geometry import (
     DegenerateConfigError, Domain, ExpressionField, FrameData, GeometryError,
     GridField, OutsideDomainError, PlaneConfig, PlaneFrame, ScalarField,
-    SurfacePair, SurfaceValidationError, frame_for_planes, frame_for_surfaces,
-    frame_from_gradients, surface_normals, width,
+    SurfacePair, SurfaceValidationError, frame_field, frame_for_planes,
+    frame_for_surfaces, frame_from_gradients, frame_from_slopes,
+    surface_normals, width,
 )
 from .tensor import (
     EffectiveTensor, EllipsoidData, ExtremeTiltError, MediumParams,

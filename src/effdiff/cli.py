@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 numerical/degeneracy error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -20,18 +21,22 @@ import numpy as np
 
 from . import __version__
 from .brownian import BrownianError, McJob, Slab, mc_projected_tensor
-from .expr import EvalDomainError, ExprError
+from .expr import ExprError
 from .geometry import (
-    DegenerateConfigError, Domain, FrameData, GeometryError, GridField,
-    PlaneConfig, ScalarField, SurfacePair, frame_for_planes,
-    frame_from_gradients,
+    DegenerateConfigError, Domain, GeometryError, GridField, PlaneConfig,
+    ScalarField, SurfacePair, SurfaceValidationError, frame_field,
+    frame_for_planes, frame_from_slopes,
 )
-from .pde import PdeError, PdeGrid, evolve, stability_bound
+from .pde import PdeError, PdeGrid, evolve
 from .quadrature import OracleError, WedgeQuadratureJob, quadrature_tensor
 from .tensor import (
     ExtremeTiltError, MediumParams, TensorError, channel_recovery,
     effective_tensor, extreme_tilt_tensor, polar_decompose, rho_omega,
 )
+# Not called here; bound by name so that perfbench/spans.py can trace them
+# through this module.
+from .geometry import frame_from_gradients  # noqa: F401
+from .pde import stability_bound  # noqa: F401
 
 
 class ConfigError(Exception):
@@ -200,6 +205,11 @@ def load_grid_field(path):
         spacing = _parse_floats(fields["spacing"], 2, "spacing")
     except KeyError as exc:
         raise ConfigError(f"{path}: header lacks {exc}") from None
+    if not all(map(math.isfinite, origin)):
+        raise ConfigError(f"{path}: origin must be finite, got {fields['origin']}")
+    if not all(h > 0 and math.isfinite(h) for h in spacing):
+        raise ConfigError(f"{path}: spacing must be positive and finite, "
+                          f"got {fields['spacing']}")
     values = []
     for lineno, row in rows:
         try:
@@ -213,6 +223,9 @@ def load_grid_field(path):
             raise ConfigError(f"{path}:{lineno}: expected {len(values[0])} "
                               f"samples, got {len(samples)}")
         values.append(samples)
+    if len(values) < 3 or len(values[0]) < 3:
+        raise ConfigError(f"{path}: needs at least 3 rows of at least 3 "
+                          f"samples, got {len(values)} rows")
     return GridField(origin, spacing, np.array(values))
 
 
@@ -240,6 +253,11 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _fmts(values):
+    """_fmt of every element of an array, in C order."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
 def _header_lines(cfg):
     lines = [f"# effdiff {__version__}"]
     for key in sorted(cfg):
@@ -250,9 +268,9 @@ def _header_lines(cfg):
 def write_csv(path, cfg, columns, rows, extra_header=()):
     out = _header_lines(cfg) + list(extra_header)
     out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join(row))
-    text = "\n".join(out) + "\n"
+    out.extend(map(",".join, rows))
+    out.append("")  # the final newline, without copying the text again
+    text = "\n".join(out)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -286,46 +304,46 @@ TENSOR_COLUMNS = ["x", "y", "w", "psi", "m1", "m2", "D11", "D12", "D21", "D22",
 
 
 def cmd_tensor(cfg):
+    """Tensor field CSV, one row per lattice node, scanlines y outer and x
+    fastest.  A node where the width or a gradient is undefined (see
+    SurfacePair.sample) gets the domain_error flag and no numbers; a node
+    with an undefined tensor gets w and psi and the extreme_tilt flag."""
     pair = _surface_pair(cfg)
     med = MediumParams(_get_float(cfg, "d0", positive=True))
     nx, ny = _parse_resolution(_need(cfg, "resolution"))
     xs, ys = pair.domain.lattice(nx, ny)
+    y, x = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))
 
-    rows = []
-    for j in range(ny):          # scanlines: y outer, x fastest
-        for i in range(nx):
-            x, y = float(xs[i]), float(ys[j])
-            prefix = [_fmt(x), _fmt(y)]
-            try:
-                w = pair.width((x, y))
-                fd = frame_from_gradients(w, pair.z1.gradient((x, y)),
-                                          pair.z2.gradient((x, y)))
-            except (EvalDomainError, GeometryError):
-                rows.append(prefix + [""] * 16 + ["domain_error"])
-                continue
-            flags = []
-            if fd.degenerate_frame:
-                flags.append("degenerate_frame")
-            if fd.extreme_tilt:
-                flags.append("extreme_tilt")
-                rows.append(prefix + [_fmt(w), _fmt(fd.psi), "", ""]
-                            + [""] * 12 + [";".join(flags)])
-                continue
-            tensor = effective_tensor(fd, med)
-            ell = polar_decompose(tensor)
-            basis = np.array([[fd.xhat[0], fd.yhat[0]],
-                              [fd.xhat[1], fd.yhat[1]]])
-            f1g = basis @ ell.f1
-            e1g, e2g = basis @ ell.e1, basis @ ell.e2
-            rows.append(prefix + [
-                _fmt(w), _fmt(fd.psi), _fmt(fd.m1), _fmt(fd.m2),
-                _fmt(tensor.coeffs[0, 0]), _fmt(tensor.coeffs[0, 1]),
-                _fmt(tensor.coeffs[1, 0]), _fmt(tensor.coeffs[1, 1]),
-                _fmt(ell.lambda1), _fmt(ell.lambda2),
-                _fmt(f1g[0]), _fmt(f1g[1]),
-                _fmt(e1g[0]), _fmt(e1g[1]), _fmt(e2g[0]), _fmt(e2g[1]),
-                ";".join(flags)])
-    write_csv(cfg.get("out"), cfg, TENSOR_COLUMNS, rows)
+    w, g1, g2, bad = pair.sample(x, y)
+    rows = np.flatnonzero(~bad)
+    fd = frame_field(w[rows], tuple(c[rows] for c in g1),
+                     tuple(c[rows] for c in g2))
+    tensor = effective_tensor(fd, med)
+    fine = ~tensor.extreme_tilt
+    ell = polar_decompose(tensor.coeffs[fine])
+    # B = [xhat yhat] as columns; a matrix product, as to_cartesian uses
+    basis = np.stack([np.stack(fd.xhat, -1), np.stack(fd.yhat, -1)], -1)[fine]
+
+    def frame_to_global(v):
+        return (basis @ v[..., None])[..., 0]
+
+    cells = np.full((x.size, len(TENSOR_COLUMNS)), "", dtype=object)
+    cells[:, 0] = _fmts(x)
+    cells[:, 1] = _fmts(y)
+    cells[rows, 2] = _fmts(w[rows])
+    cells[rows, 3] = _fmts(fd.psi)
+    values = np.column_stack([
+        fd.m1[fine], fd.m2[fine], tensor.coeffs[fine].reshape(-1, 4),
+        ell.lambda1, ell.lambda2, frame_to_global(ell.f1),
+        frame_to_global(ell.e1), frame_to_global(ell.e2)])
+    cells[rows[fine], 4:18] = np.reshape(_fmts(values), values.shape)
+    extreme = tensor.extreme_tilt
+    cells[rows, 18] = np.where(
+        fd.degenerate_frame,
+        np.where(extreme, "degenerate_frame;extreme_tilt", "degenerate_frame"),
+        np.where(extreme, "extreme_tilt", ""))
+    cells[bad, 18] = "domain_error"
+    write_csv(cfg.get("out"), cfg, TENSOR_COLUMNS, cells.tolist())
     return 0
 
 
@@ -338,11 +356,7 @@ def _plane_report(cfg):
         plane_cfg = PlaneConfig(np.array(n1), np.array(n2), np.array(zdir))
         fr = frame_for_planes(plane_cfg)
         rho, omega = rho_omega(fr.m1, fr.m2)
-        fd = FrameData(1.0, (1.0, 0.0), (0.0, 1.0),
-                       (float(fr.xhat[0]), float(fr.xhat[1])),
-                       (float(fr.yhat[0]), float(fr.yhat[1])),
-                       fr.psi, fr.m1, fr.m2, 0.5 * (fr.m1 + fr.m2))
-        tensor = effective_tensor(fd, med)
+        tensor = effective_tensor(frame_from_slopes(fr.psi, fr.m1, fr.m2), med)
         ell = polar_decompose(tensor)
         return {
             "psi": fr.psi, "m1": fr.m1, "m2": fr.m2,
@@ -387,9 +401,7 @@ def cmd_planes(cfg):
 
 
 def _oracle_case(psi, m1, m2, med, points, fd_step, eval_point):
-    fd = FrameData(1.0, (1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0),
-                   psi, m1, m2, 0.5 * (m1 + m2))
-    closed = effective_tensor(fd, med).coeffs
+    closed = effective_tensor(frame_from_slopes(psi, m1, m2), med).coeffs
     quad = quadrature_tensor(
         WedgeQuadratureJob(psi, m1, m2, eval_point=eval_point, points=points,
                            fd_step=fd_step), med)
@@ -405,8 +417,8 @@ def _oracle_case(psi, m1, m2, med, points, fd_step, eval_point):
 
 def cmd_oracle(cfg):
     med = MediumParams(_get_float(cfg, "d0", positive=True))
-    points = _get_int(cfg, "quad_points", 128)
-    fd_step = _get_float(cfg, "fd_step", 1e-5)
+    points = _get_int(cfg, "quad_points", 128, minimum=1)
+    fd_step = _get_float(cfg, "fd_step", 1e-5, positive=True)
     eval_point = (_get_float(cfg, "eval_x", 1.0), _get_float(cfg, "eval_y", 0.0))
     count = _get_int(cfg, "count", 0)
 
@@ -473,7 +485,9 @@ def cmd_mc(cfg):
         mode = "surfaces (report only)"
     else:
         mu = _get_float(cfg, "mu", 0.0)
-        gap = _get_float(cfg, "gap", 1.0)
+        if not math.isfinite(mu):
+            raise ConfigError(f"mu must be finite, got '{cfg['mu']}'")
+        gap = _get_float(cfg, "gap", 1.0, positive=True)
         slab = Slab.from_slope(mu, gap)
         start = _parse_floats(cfg["start"], 3, "start") if "start" in cfg \
             else tuple(slab.midpoint_start())
@@ -516,23 +530,21 @@ def cmd_solve(cfg):
         p0 = lambda x, y: field.value_array(x, y)  # noqa: E731
 
     grid = PdeGrid.from_surfaces(pair, med, nx, ny, p0=p0)
-    bound = stability_bound(grid, infinite_rate=(mode == "infinite"))
-    dt = _get_float(cfg, "dt", 0.5 * bound, positive=True)
+    # no dt: evolve takes half the stability bound
+    dt = _get_float(cfg, "dt", positive=True) if "dt" in cfg else None
     steps = _get_int(cfg, "steps", 100, minimum=0)
     snap_every = _get_int(cfg, "snap_every", max(1, steps // 4), minimum=1)
     prefix = cfg.get("out", "solve")
 
     written = []
+    # rows in scanline order (y outer, x fastest); x, y and w never change
+    fixed = [f"{x},{y},{w}" for (y, x), w in zip(
+        itertools.product(_fmts(grid.yc), _fmts(grid.xc)), _fmts(grid.w.T))]
 
     def snapshot(step, g):
         path = f"{prefix}_{step:06d}.csv"
-        rows = []
-        for j in range(g.ny):
-            for i in range(g.nx):
-                rows.append([_fmt(g.xc[i]), _fmt(g.yc[j]),
-                             _fmt(g.w[i, j]), _fmt(g.p[i, j])])
-        write_csv(path, cfg, ["x", "y", "w", "p"], rows,
-                  extra_header=[f"# step={step}", f"# time={_fmt(step * dt)}"])
+        write_csv(path, cfg, ["x", "y", "w", "p"], zip(fixed, _fmts(g.p.T)),
+                  extra_header=[f"# step={step}", f"# time={_fmt(g.t)}"])
         written.append(path)
 
     snapshot(0, grid)
@@ -551,31 +563,38 @@ def cmd_recover_channel(cfg):
     med = MediumParams(_get_float(cfg, "d0", positive=True))
     x0 = _get_float(cfg, "x0", 0.0)
     x1 = _get_float(cfg, "x1", _TWO_PI)
-    samples = _get_int(cfg, "samples", 100)
+    if not (math.isfinite(x0) and math.isfinite(x1) and x1 > x0):
+        raise ConfigError(f"x0 and x1 must be finite with x1 > x0, "
+                          f"got {x0!r} and {x1!r}")
+    samples = _get_int(cfg, "samples", 100, minimum=1)
     z1 = _surface_field(cfg, "z1")
     z2 = _surface_field(cfg, "z2")
     margin = 0.05 * (x1 - x0)
     pair = SurfacePair(z1, z2, Domain(x0 - margin, x1 + margin, -1.0, 1.0))
 
-    rows = []
-    worst = 0.0
-    for x in np.linspace(x0, x1, samples):
-        x = float(x)
-        fd = frame_from_gradients(pair.width((x, 0.0)),
-                                  z1.gradient((x, 0.0)), z2.gradient((x, 0.0)))
-        pipeline = effective_tensor(fd, med).coeffs
-        formula = channel_recovery(z1, z2, x, med)
-        err = float(np.abs(pipeline - formula).max())
-        worst = max(worst, err)
-        rows.append([_fmt(x),
-                     _fmt(z1.gradient((x, 0.0))[0]), _fmt(z2.gradient((x, 0.0))[0]),
-                     _fmt(pipeline[0, 0]), _fmt(pipeline[0, 1]),
-                     _fmt(pipeline[1, 0]), _fmt(pipeline[1, 1]),
-                     _fmt(formula[0, 0]), _fmt(err)])
+    x = np.linspace(x0, x1, samples)
+    y = np.zeros_like(x)
+    w = z2.value_array(x, y) - z1.value_array(x, y)
+    if not np.all(w > 0):
+        k = int(np.argmin(w > 0))
+        raise SurfaceValidationError(
+            f"non-positive width {w[k]:.6g} at {(float(x[k]), 0.0)}")
+    g1 = z1.gradient_array(x, y)
+    g2 = z2.gradient_array(x, y)
+    tensor = effective_tensor(frame_field(w, g1, g2), med)
+    if np.any(tensor.extreme_tilt):
+        k = int(np.argmax(tensor.extreme_tilt))
+        raise ExtremeTiltError(
+            f"undefined frame (extreme tilt) at x = {float(x[k])!r}")
+    pipeline = tensor.coeffs
+    formula = channel_recovery(z1, z2, x, med)
+    err = np.abs(pipeline - formula).max(axis=(-2, -1))
+    columns = [x, g1[0], g2[0], *pipeline.reshape(-1, 4).T, formula[:, 0, 0], err]
+    rows = zip(*map(_fmts, columns))
     write_csv(cfg.get("out"), cfg,
               ["x", "z1p", "z2p", "D11_surface", "D12_surface", "D21_surface",
                "D22_surface", "D11_channel", "max_abs_err"], rows,
-              extra_header=[f"# worst_abs_err={_fmt(worst)}"])
+              extra_header=[f"# worst_abs_err={_fmt(max(0.0, err.max()))}"])
     return 0
 
 

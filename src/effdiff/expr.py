@@ -263,25 +263,18 @@ _UNARY_IMPL = {
 }
 
 
-def _check_finite(value, node):
-    if not np.all(np.isfinite(value)):
-        raise EvalDomainError("non-finite value", to_text(node))
-    return value
-
-
-def _eval(node, x, y):
+def _eval(node, x, y, failed):
+    """Value of `node`; every node whose value is non-finite anywhere is
+    appended to `failed` with its mask, children before parents."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return x if node.name == "x" else y
     if isinstance(node, Unary):
-        arg = _eval(node.arg, x, y)
-        with np.errstate(all="ignore"):
-            out = _UNARY_IMPL[node.fn](arg)
-        return _check_finite(out, node)
-    left = _eval(node.left, x, y)
-    right = _eval(node.right, x, y)
-    with np.errstate(all="ignore"):
+        out = _UNARY_IMPL[node.fn](_eval(node.arg, x, y, failed))
+    else:
+        left = _eval(node.left, x, y, failed)
+        right = _eval(node.right, x, y, failed)
         if node.op == "+":
             out = np.add(left, right)
         elif node.op == "-":
@@ -292,7 +285,27 @@ def _eval(node, x, y):
             out = np.divide(left, right)
         else:
             out = np.power(left, right)
-    return _check_finite(out, node)
+    finite = np.isfinite(out)
+    if not finite.all():
+        failed.append((node, ~finite))
+    return out
+
+
+def _run(e, point):
+    x, y = point
+    scalar = np.isscalar(x) and np.isscalar(y)
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    failed = []
+    with np.errstate(all="ignore"):
+        out = _eval(e, xa, ya, failed)
+    if scalar:
+        return float(out), failed
+    shape = np.broadcast_shapes(xa.shape, ya.shape)
+    res = np.asarray(out, dtype=float)
+    if res.shape != shape:
+        res = np.broadcast_to(res, shape).copy()
+    return res, failed
 
 
 def evaluate(e: Expr, point):
@@ -301,18 +314,21 @@ def evaluate(e: Expr, point):
     Raises EvalDomainError, naming the offending sub-expression, whenever
     any element leaves the real domain (no silent NaN propagation).
     """
-    x, y = point
-    scalar = np.isscalar(x) and np.isscalar(y)
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    out = _eval(e, xa, ya)
-    if scalar:
-        return float(out)
-    shape = np.broadcast_shapes(xa.shape, ya.shape)
-    res = np.asarray(out, dtype=float)
-    if res.shape != shape:
-        res = np.broadcast_to(res, shape).copy()
+    res, failed = _run(e, point)
+    if failed:
+        raise EvalDomainError("non-finite value", to_text(failed[0][0]))
     return res
+
+
+def evaluate_masked(e: Expr, point):
+    """Evaluate at point=(x, y) without raising: returns (values, bad),
+    where the boolean array `bad` marks the elements at which `evaluate`
+    would raise.  Values at those elements are meaningless."""
+    res, failed = _run(e, point)
+    bad = np.zeros(np.shape(res), dtype=bool)
+    for _, mask in failed:
+        bad |= mask
+    return res, bad
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ and the slopes of the two bounding tangent planes
 
     m_i = grad(z_i).grad(w) / ( (grad(z_i).gradperp(w)) sin(psi) + |grad w| cos(psi) ).
 
+frame_field evaluates these on arrays of points and flags the points where
+they are undefined; frame_from_gradients is its one-point form, and
+SurfacePair.sample supplies its inputs together with a mask of the points
+where the width or a gradient cannot be evaluated.
+
 The same quantities are available for a pure two-plane configuration given by
 unit normals (frame_for_planes); there the tilt is the angle between the
 plane intersection line and the projection plane.
@@ -21,7 +26,7 @@ plane intersection line and the projection plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -78,6 +83,12 @@ class ScalarField:
     def gradient_array(self, x, y):
         raise NotImplementedError
 
+    def sample(self, x, y):
+        """Value, x- and y-derivative on arrays of points, plus a boolean
+        mask of the points where `value_array` or `gradient_array` would
+        raise.  The values there are meaningless."""
+        raise NotImplementedError
+
     @staticmethod
     def from_expression(source) -> "ExpressionField":
         return ExpressionField(source)
@@ -101,6 +112,12 @@ class ExpressionField(ScalarField):
 
     def gradient_array(self, x, y):
         return _expr.evaluate(self.dx, (x, y)), _expr.evaluate(self.dy, (x, y))
+
+    def sample(self, x, y):
+        value, bad = _expr.evaluate_masked(self.tree, (x, y))
+        gx, bad_x = _expr.evaluate_masked(self.dx, (x, y))
+        gy, bad_y = _expr.evaluate_masked(self.dy, (x, y))
+        return value, gx, gy, bad | bad_x | bad_y
 
 
 class GridField(ScalarField):
@@ -129,21 +146,27 @@ class GridField(ScalarField):
         d[-1] = 1.5 * v[-1] - 2.0 * v[-2] + 0.5 * v[-3]
         return d if axis == 0 else d.T
 
-    def _locate(self, x, y):
+    def _inside(self, x, y):
         tolx, toly = 1e-9 * self.hx, 1e-9 * self.hy
-        # written as "all inside" so that NaN coordinates fail the test
-        inside = (x >= self.x0 - tolx) & (x <= self.x1 + tolx) \
+        # written as "inside" so that NaN coordinates count as outside
+        return (x >= self.x0 - tolx) & (x <= self.x1 + tolx) \
             & (y >= self.y0 - toly) & (y <= self.y1 + toly)
-        if not np.all(inside):
-            raise OutsideDomainError("query point outside grid hull")
+
+    def _cell(self, x, y):
         fx = np.clip((x - self.x0) / self.hx, 0.0, self.nx - 1.0)
         fy = np.clip((y - self.y0) / self.hy, 0.0, self.ny - 1.0)
         ix = np.minimum(fx.astype(int), self.nx - 2)
         iy = np.minimum(fy.astype(int), self.ny - 2)
         return ix, iy, fx - ix, fy - iy
 
-    def _bilinear(self, table, x, y):
-        ix, iy, tx, ty = self._locate(x, y)
+    def _locate(self, x, y):
+        if not np.all(self._inside(x, y)):
+            raise OutsideDomainError("query point outside grid hull")
+        return self._cell(x, y)
+
+    @staticmethod
+    def _bilinear(table, cell):
+        ix, iy, tx, ty = cell
         v00 = table[ix, iy]
         v10 = table[ix + 1, iy]
         v01 = table[ix, iy + 1]
@@ -152,10 +175,18 @@ class GridField(ScalarField):
                 + (1 - tx) * ty * v01 + tx * ty * v11)
 
     def value_array(self, x, y):
-        return self._bilinear(self.values, x, y)
+        return self._bilinear(self.values, self._locate(x, y))
 
     def gradient_array(self, x, y):
-        return self._bilinear(self._dx, x, y), self._bilinear(self._dy, x, y)
+        cell = self._locate(x, y)
+        return self._bilinear(self._dx, cell), self._bilinear(self._dy, cell)
+
+    def sample(self, x, y):
+        outside = ~self._inside(x, y)
+        cell = self._cell(np.where(outside, self.x0, x),
+                          np.where(outside, self.y0, y))
+        return (self._bilinear(self.values, cell), self._bilinear(self._dx, cell),
+                self._bilinear(self._dy, cell), outside)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +205,11 @@ class Domain:
             raise GeometryError("domain rectangle is empty")
 
     def contains(self, p):
+        """Whether p = (x, y) lies in the rectangle; elementwise on arrays."""
         tol = 1e-9 * max(self.x1 - self.x0, self.y1 - self.y0)
-        return (self.x0 - tol <= p[0] <= self.x1 + tol
-                and self.y0 - tol <= p[1] <= self.y1 + tol)
+        x, y = p
+        return ((self.x0 - tol <= x) & (x <= self.x1 + tol)
+                & (self.y0 - tol <= y) & (y <= self.y1 + tol))
 
     def lattice(self, nx, ny):
         return (np.linspace(self.x0, self.x1, nx),
@@ -212,6 +245,23 @@ class SurfacePair:
             raise SurfaceValidationError(f"non-positive width {w:.6g} at {p}")
         return w
 
+    def sample(self, x, y):
+        """Width and both surface gradients on arrays of points.
+
+        Returns (w, (g1x, g1y), (g2x, g2y), bad).  The mask `bad` marks the
+        points where `width` or a gradient would raise: outside the domain,
+        outside a grid's hull, an expression undefined there, or w <= 0.
+        The other values are meaningless at those points.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        z1, g1x, g1y, bad1 = self.z1.sample(x, y)
+        z2, g2x, g2y, bad2 = self.z2.sample(x, y)
+        with np.errstate(invalid="ignore"):
+            w = z2 - z1
+            bad = ~self.domain.contains((x, y)) | bad1 | bad2 | ~(w > 0)
+        return w, (g1x, g1y), (g2x, g2y), bad
+
 
 def width(pair: SurfacePair, p) -> float:
     return pair.width(p)
@@ -223,7 +273,12 @@ def width(pair: SurfacePair, p) -> float:
 
 @dataclass(frozen=True)
 class FrameData:
-    """Per-point geometric bundle for a surface pair."""
+    """Geometric bundle of a surface pair at one point or at many.
+
+    At one point the fields are floats, pairs of floats and bools.  From
+    frame_field they are arrays of one common shape (pairs of arrays for
+    the vectors), and the two flags are boolean masks.
+    """
 
     w: float
     gradw: tuple
@@ -335,58 +390,91 @@ def frame_for_planes(cfg: PlaneConfig) -> PlaneFrame:
                       parallel=parallel)
 
 
-def frame_from_gradients(w, g1, g2, eps_grad=EPS_GRAD) -> FrameData:
-    """Frame bundle from precomputed surface gradients at one point.
+def _unit_clip(v):
+    """max(-1, min(1, v)) elementwise, NaN mapping to 1 as it does there."""
+    v = np.where(v < 1.0, v, 1.0)
+    return np.where(v > -1.0, v, -1.0)
 
-    This is the kernel behind frame_for_surfaces; it is also used by
-    batched grid evaluation.
+
+def frame_field(w, g1, g2, eps_grad=EPS_GRAD) -> FrameData:
+    """Frame bundles from surface gradients g1 = (g1x, g1y), g2 = (g2x, g2y)
+    and widths w, given as arrays of one shape (or broadcastable to one).
+
+    Where |grad w| < eps_grad the generic frame is undefined.  If the
+    tangent planes are parallel there (|grad z1 . gradperp z2| within a
+    relative 1e-10), the frame is built from grad z1, or is the x axis when
+    that vanishes too, with psi = 0: flagged degenerate_frame.  Otherwise
+    the point is flagged degenerate_frame and extreme_tilt, with NaN frame
+    and slopes.  A zero slope denominator flags extreme_tilt with NaN
+    slopes.
     """
-    g1x, g1y = float(g1[0]), float(g1[1])
-    g2x, g2y = float(g2[0]), float(g2[1])
-    gwx, gwy = g2x - g1x, g2y - g1y
-    gperp = (-gwy, gwx)
-    norm_gw = math.hypot(gwx, gwy)
+    w = np.asarray(w, dtype=float)
+    g1x, g1y = (np.asarray(c, dtype=float) for c in g1)
+    g2x, g2y = (np.asarray(c, dtype=float) for c in g2)
+    with np.errstate(all="ignore"):
+        gwx, gwy = g2x - g1x, g2y - g1y
+        gperp = (-gwy, gwx)
+        norm_gw = np.hypot(gwx, gwy)
 
-    cross12 = g1x * (-g2y) + g1y * g2x          # grad(z1).gradperp(z2)
-    s1 = math.sqrt(1.0 + g1x * g1x + g1y * g1y)
-    s2 = math.sqrt(1.0 + g2x * g2x + g2y * g2y)
-    sinpsi = max(-1.0, min(1.0, cross12 / (s1 * s2)))
-    psi = math.asin(sinpsi)
+        cross12 = g1x * (-g2y) + g1y * g2x          # grad(z1).gradperp(z2)
+        s1 = np.sqrt(1.0 + g1x * g1x + g1y * g1y)
+        s2 = np.sqrt(1.0 + g2x * g2x + g2y * g2y)
+        sinpsi = _unit_clip(cross12 / (s1 * s2))
+        psi = np.arcsin(sinpsi)
 
-    if norm_gw < eps_grad:
-        # gradients (nearly) cancel: generic frame undefined
-        par_tol = 1e-10 * max(1.0, math.hypot(g1x, g1y) * math.hypot(g2x, g2y))
-        if abs(cross12) <= par_tol:
-            # parallel tangent planes: common slope, frame from grad z1
-            n1 = math.hypot(g1x, g1y)
-            if n1 > eps_grad:
-                xhat = (g1x / n1, g1y / n1)
-            else:
-                xhat = (1.0, 0.0)
-            yhat = (-xhat[1], xhat[0])
-            m1 = g1x * xhat[0] + g1y * xhat[1]
-            m2 = g2x * xhat[0] + g2y * xhat[1]
-            return FrameData(w, (gwx, gwy), gperp, xhat, yhat, 0.0,
-                             m1, m2, 0.5 * (m1 + m2), degenerate_frame=True)
-        nan = float("nan")
-        return FrameData(w, (gwx, gwy), gperp, (nan, nan), (nan, nan), psi,
-                         nan, nan, nan, degenerate_frame=True, extreme_tilt=True)
+        # generic frame along grad w
+        xhat = (gwx / norm_gw, gwy / norm_gw)
+        yhat = (gperp[0] / norm_gw, gperp[1] / norm_gw)
+        cp = np.cos(psi)
+        slopes, zero_den = [], False
+        for gx, gy in ((g1x, g1y), (g2x, g2y)):
+            num = gx * gwx + gy * gwy
+            den = (gx * gperp[0] + gy * gperp[1]) * sinpsi + norm_gw * cp
+            zero_den = zero_den | (den == 0.0)
+            slopes.append(num / den)
 
-    xhat = (gwx / norm_gw, gwy / norm_gw)
-    yhat = (gperp[0] / norm_gw, gperp[1] / norm_gw)
-    sp, cp = sinpsi, math.cos(psi)
-    slopes = []
-    for gx, gy in ((g1x, g1y), (g2x, g2y)):
-        num = gx * gwx + gy * gwy
-        den = (gx * gperp[0] + gy * gperp[1]) * sp + norm_gw * cp
-        if den == 0.0:
-            nan = float("nan")
-            return FrameData(w, (gwx, gwy), gperp, xhat, yhat, psi,
-                             nan, nan, nan, extreme_tilt=True)
-        slopes.append(num / den)
-    m1, m2 = slopes
+        # gradients (nearly) cancel: parallel tangent planes share a slope
+        # and take their frame from grad z1
+        cancel = norm_gw < eps_grad
+        n1 = np.hypot(g1x, g1y)
+        prod = n1 * np.hypot(g2x, g2y)
+        par_tol = 1e-10 * np.where(prod > 1.0, prod, 1.0)
+        parallel = cancel & (np.abs(cross12) <= par_tol)
+        along_g1 = n1 > eps_grad
+        pxhat = (np.where(along_g1, g1x / n1, 1.0),
+                 np.where(along_g1, g1y / n1, 0.0))
+        pyhat = (-pxhat[1], pxhat[0])
+        pslopes = [gx * pxhat[0] + gy * pxhat[1]
+                   for gx, gy in ((g1x, g1y), (g2x, g2y))]
+
+    undefined = cancel & ~parallel
+    extreme = undefined | (~cancel & zero_den)
+    nan = np.nan
+    xhat = tuple(np.where(parallel, p, np.where(undefined, nan, g))
+                 for p, g in zip(pxhat, xhat))
+    yhat = tuple(np.where(parallel, p, np.where(undefined, nan, g))
+                 for p, g in zip(pyhat, yhat))
+    m1, m2 = (np.where(parallel, p, np.where(extreme, nan, g))
+              for p, g in zip(pslopes, slopes))
+    psi = np.where(parallel, 0.0, psi)
     return FrameData(w, (gwx, gwy), gperp, xhat, yhat, psi, m1, m2,
-                     0.5 * (m1 + m2))
+                     0.5 * (m1 + m2), degenerate_frame=cancel,
+                     extreme_tilt=extreme)
+
+
+def frame_from_gradients(w, g1, g2, eps_grad=EPS_GRAD) -> FrameData:
+    """Frame bundle at one point: frame_field on scalars."""
+    fd = frame_field(w, g1, g2, eps_grad)
+    return FrameData(*(tuple(c.item() for c in v) if isinstance(v, tuple)
+                       else v.item()
+                       for v in (getattr(fd, f.name) for f in fields(fd))))
+
+
+def frame_from_slopes(psi, m1, m2) -> FrameData:
+    """Frame bundle of a plane pair given directly by its tilt and slopes,
+    in the unit frame (xhat, yhat) = (x axis, y axis) at unit width."""
+    return FrameData(1.0, (1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0),
+                     psi, m1, m2, 0.5 * (m1 + m2))
 
 
 def frame_for_surfaces(pair: SurfacePair, p) -> FrameData:

@@ -18,6 +18,9 @@ part is the average of the centered in-cell gradients on either side
 (one-sided at the outer rows/columns).  Outer boundary faces carry zero
 flux, so total mass telescopes exactly.
 
+The face coefficients w_face D_face do not change in time; evolve builds
+them, and checks the time step against the stability bound, once per run.
+
 Stability (explicit scheme): dt <= 0.2 min(hx, hy)^2 / max ||D||.
 Off-diagonal tensors get no positivity fix; strongly anisotropic cells
 can undershoot (documented limitation).
@@ -30,13 +33,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Domain, SurfacePair, frame_from_gradients
+from .geometry import Domain, SurfacePair, frame_field, frame_from_gradients
 from .tensor import MediumParams, effective_tensor, to_cartesian
 
+# frame_from_gradients, effective_tensor and to_cartesian are re-exported:
+# perfbench/spans.py traces them through this module by name.
 __all__ = [
     "PdeGrid", "PdeError", "StabilityError", "ConfigurationError",
     "step_finite_rate", "step_infinite_rate", "evolve", "stability_bound",
-    "to_cartesian",
+    "frame_from_gradients", "effective_tensor", "to_cartesian",
 ]
 
 
@@ -54,7 +59,8 @@ class ConfigurationError(PdeError):
 
 @dataclass(frozen=True)
 class PdeGrid:
-    """Cell-centered state: density p, width w, Cartesian tensor field."""
+    """Cell-centered state at time t: density p, width w, Cartesian tensor
+    field."""
 
     domain: Domain
     nx: int
@@ -67,6 +73,7 @@ class PdeGrid:
     dten: np.ndarray        # (nx, ny, 2, 2), global components
     p: np.ndarray           # (nx, ny)
     d0: float
+    t: float = 0.0
 
     def mass(self) -> float:
         return float(self.p.sum()) * self.hx * self.hy
@@ -102,8 +109,8 @@ class PdeGrid:
                       p0=None) -> "PdeGrid":
         """Sample w and the Cartesian effective tensor at cell centers.
 
-        Cells with an undefined frame (extreme tilt) are a hard error:
-        the solver never invents tensor values.
+        Cells with an undefined frame (extreme tilt) are a hard error that
+        names the first such cell: the solver never invents tensor values.
         """
         dom = pair.domain
         xc, yc, hx, hy = _cells(dom, nx, ny)
@@ -116,17 +123,13 @@ class PdeGrid:
         if not np.all(w > 0):
             raise ConfigurationError("width is not positive on all cells")
 
-        dten = np.empty((nx, ny, 2, 2))
-        for i in range(nx):
-            for j in range(ny):
-                fd = frame_from_gradients(w[i, j],
-                                          (g1x[i, j], g1y[i, j]),
-                                          (g2x[i, j], g2y[i, j]))
-                if fd.extreme_tilt:
-                    raise ConfigurationError(
-                        f"cell ({xc[i]:.6g}, {yc[j]:.6g}) has an undefined "
-                        f"frame (extreme tilt); mask or refine the domain")
-                dten[i, j] = to_cartesian(effective_tensor(fd, med))
+        tensor = effective_tensor(frame_field(w, (g1x, g1y), (g2x, g2y)), med)
+        if np.any(tensor.extreme_tilt):
+            i, j = np.unravel_index(np.argmax(tensor.extreme_tilt), w.shape)
+            raise ConfigurationError(
+                f"cell ({xc[i]:.6g}, {yc[j]:.6g}) has an undefined "
+                f"frame (extreme tilt); mask or refine the domain")
+        dten = to_cartesian(tensor)
         p = _initial_density(p0, xc, yc, w)
         return PdeGrid(dom, nx, ny, hx, hy, xc, yc, w, dten, p, med.d0)
 
@@ -187,62 +190,83 @@ def _cell_gradients(u, hx, hy):
     return gx, gy
 
 
-def _step(grid, dt, dten):
+def _faces(grid, infinite_rate):
+    """Flux coefficients -w_face D_face on the x-faces (between cells i and
+    i+1) and the y-faces (between j and j+1); D is D0 I at infinite rate."""
+    dten = grid.dten
+    if infinite_rate:
+        dten = np.zeros_like(dten)
+        dten[..., 0, 0] = grid.d0
+        dten[..., 1, 1] = grid.d0
+    wx = -0.5 * (grid.w[:-1, :] + grid.w[1:, :])
+    dx = 0.5 * (dten[:-1, :] + dten[1:, :])
+    wy = -0.5 * (grid.w[:, :-1] + grid.w[:, 1:])
+    dy = 0.5 * (dten[:, :-1] + dten[:, 1:])
+    return (wx * dx[..., 0, 0], wx * dx[..., 0, 1],
+            wy * dy[..., 1, 1], wy * dy[..., 1, 0])
+
+
+def _step(grid, dt, faces):
+    """Density after one explicit Euler step with face coefficients `faces`."""
+    a11, a12, a22, a21 = faces
     hx, hy = grid.hx, grid.hy
     u = grid.p / grid.w
     gx_cell, gy_cell = _cell_gradients(u, hx, hy)
 
-    # x-faces between cells i and i+1
-    wf = 0.5 * (grid.w[:-1, :] + grid.w[1:, :])
-    d11 = 0.5 * (dten[:-1, :, 0, 0] + dten[1:, :, 0, 0])
-    d12 = 0.5 * (dten[:-1, :, 0, 1] + dten[1:, :, 0, 1])
-    un = (u[1:, :] - u[:-1, :]) / hx
-    ut = 0.5 * (gy_cell[:-1, :] + gy_cell[1:, :])
-    fx = -wf * (d11 * un + d12 * ut)
+    # face fluxes: normal difference plus averaged transverse gradient
+    fx = (a11 * ((u[1:, :] - u[:-1, :]) / hx)
+          + a12 * (0.5 * (gy_cell[:-1, :] + gy_cell[1:, :])))
+    fy = (a22 * ((u[:, 1:] - u[:, :-1]) / hy)
+          + a21 * (0.5 * (gx_cell[:, :-1] + gx_cell[:, 1:])))
 
-    # y-faces between cells j and j+1
-    wf = 0.5 * (grid.w[:, :-1] + grid.w[:, 1:])
-    d21 = 0.5 * (dten[:, :-1, 1, 0] + dten[:, 1:, 1, 0])
-    d22 = 0.5 * (dten[:, :-1, 1, 1] + dten[:, 1:, 1, 1])
-    un = (u[:, 1:] - u[:, :-1]) / hy
-    ut = 0.5 * (gx_cell[:, :-1] + gx_cell[:, 1:])
-    fy = -wf * (d22 * un + d21 * ut)
-
+    fx /= hx
+    fy /= hy
     div = np.zeros_like(grid.p)
-    div[:-1, :] += fx / hx
-    div[1:, :] -= fx / hx
-    div[:, :-1] += fy / hy
-    div[:, 1:] -= fy / hy
-    return grid.with_density(grid.p - dt * div)
+    div[:-1, :] += fx
+    div[1:, :] -= fx
+    div[:, :-1] += fy
+    div[:, 1:] -= fy
+    return grid.p - dt * div
+
+
+def _check_dt(grid, dt, infinite_rate):
+    """dt, or half the stability bound when dt is None; raises
+    StabilityError when dt exceeds the bound."""
+    bound = stability_bound(grid, infinite_rate=infinite_rate)
+    if dt is None:
+        return 0.5 * bound
+    if dt > bound * (1 + 1e-12):
+        raise StabilityError(
+            f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
+    return dt
 
 
 def step_finite_rate(grid: PdeGrid, dt: float) -> PdeGrid:
     """One explicit Euler step of dp/dt = div(w D grad(p/w))."""
-    if dt > stability_bound(grid) * (1 + 1e-12):
-        raise StabilityError(
-            f"dt = {dt:.3g} exceeds the stability bound "
-            f"{stability_bound(grid):.3g}")
-    return _step(grid, dt, grid.dten)
+    dt = _check_dt(grid, dt, False)
+    return replace(grid, p=_step(grid, dt, _faces(grid, False)), t=grid.t + dt)
 
 
 def step_infinite_rate(grid: PdeGrid, dt: float) -> PdeGrid:
     """One explicit Euler step of dp/dt = div(w grad(p/w)) * D0."""
-    if dt > stability_bound(grid, infinite_rate=True) * (1 + 1e-12):
-        raise StabilityError(
-            f"dt = {dt:.3g} exceeds the stability bound "
-            f"{stability_bound(grid, infinite_rate=True):.3g}")
-    iso = np.zeros_like(grid.dten)
-    iso[..., 0, 0] = grid.d0
-    iso[..., 1, 1] = grid.d0
-    return _step(grid, dt, iso)
+    dt = _check_dt(grid, dt, True)
+    return replace(grid, p=_step(grid, dt, _faces(grid, True)), t=grid.t + dt)
 
 
-def evolve(grid: PdeGrid, dt: float, n_steps: int, mode="finite",
+def evolve(grid: PdeGrid, dt, n_steps: int, mode="finite",
            callback=None) -> PdeGrid:
-    """Run n_steps of the chosen mode; callback(k, grid) after each step."""
-    step = step_finite_rate if mode == "finite" else step_infinite_rate
-    for k in range(n_steps):
-        grid = step(grid, dt)
+    """Run n_steps of the chosen mode; callback(k, grid) after each step.
+
+    dt=None takes half the stability bound.  The step is checked against
+    the bound, and the face coefficients are built, once per call; the
+    grid after step k has time t0 + k dt.
+    """
+    infinite_rate = mode != "finite"
+    dt = _check_dt(grid, dt, infinite_rate)
+    faces = _faces(grid, infinite_rate)
+    t0 = grid.t
+    for k in range(1, n_steps + 1):
+        grid = replace(grid, p=_step(grid, dt, faces), t=t0 + k * dt)
         if callback is not None:
-            callback(k + 1, grid)
+            callback(k, grid)
     return grid

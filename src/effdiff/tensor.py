@@ -23,6 +23,11 @@ At tilt +-pi/2 the matrix degenerates to the rank-1 pair
 with eigenvalues {0, D0 (mu rho + omega)}.  The image of the unit circle
 under a non-degenerate D is an ellipse whose axes come from the symmetric
 factor of the polar decomposition D = S R (S symmetric PSD, R orthogonal).
+
+effective_tensor takes a one-point frame bundle or a frame_field bundle of
+arrays; polar_decompose and to_cartesian take one 2x2 matrix or a
+(..., 2, 2) stack.  At one point an undefined tensor raises; on arrays it
+is NaN and flagged per point.
 """
 
 from __future__ import annotations
@@ -61,7 +66,11 @@ class MediumParams:
 
 @dataclass(frozen=True)
 class EffectiveTensor:
-    """2x2 operator matrix in the (xhat, yhat) frame, flux = coeffs @ grad."""
+    """2x2 operator matrix in the (xhat, yhat) frame, flux = coeffs @ grad.
+
+    Built from a frame_field bundle, coeffs is a (..., 2, 2) stack, the
+    other fields are those of the bundle and extreme_tilt is a mask.
+    """
 
     coeffs: np.ndarray
     xhat: tuple
@@ -79,7 +88,8 @@ class EllipsoidData:
 
     lambda1 >= lambda2 >= 0 are the semi-axes, f1/f2 the axis directions
     (eigenvectors of S) and e_i = R^T f_i the principal response
-    directions: gradients along e_i map onto the ellipse axes.
+    directions: gradients along e_i map onto the ellipse axes.  For a stack
+    of matrices every field is stacked along the leading axes.
     """
 
     S: np.ndarray
@@ -97,21 +107,32 @@ class EllipsoidData:
 # scalar building blocks
 # ---------------------------------------------------------------------------
 
-def rho_omega(m1: float, m2: float) -> tuple:
+def _rho_omega(m1, m2):
+    """rho_omega without the finiteness check; NaN slopes give NaN."""
+    dm = m2 - m1
+    mu = 0.5 * (m1 + m2)
+    den = 1.0 + mu * mu
+    close = np.abs(dm) <= EPS_M * (1.0 + np.abs(m1) + np.abs(m2))
+    dm_far = np.where(close, 1.0, dm)     # dm == 0 only where close
+    omega = np.arctan2(dm, 1.0 + m1 * m2) / dm_far
+    rho = 0.5 * np.log((1.0 + m2 * m2) / (1.0 + m1 * m1)) / dm_far
+    return np.where(close, mu / den, rho), np.where(close, 1.0 / den, omega)
+
+
+def rho_omega(m1, m2) -> tuple:
     """Real and imaginary parts of log((1+i m2)/(1+i m1))/(m2-m1).
 
     Below |m2-m1| <= eps_m (1+|m1|+|m2|) the coincident-slope limit
-    (mu/(1+mu^2), 1/(1+mu^2)) with mu = (m1+m2)/2 is returned.
+    (mu/(1+mu^2), 1/(1+mu^2)) with mu = (m1+m2)/2 is returned.  Scalars
+    give floats, arrays give arrays.
     """
-    if not (math.isfinite(m1) and math.isfinite(m2)):
+    m1 = np.asarray(m1, dtype=float)
+    m2 = np.asarray(m2, dtype=float)
+    if not (np.isfinite(m1).all() and np.isfinite(m2).all()):
         raise TensorError(f"slopes must be finite, got ({m1}, {m2})")
-    dm = m2 - m1
-    if abs(dm) <= EPS_M * (1.0 + abs(m1) + abs(m2)):
-        mu = 0.5 * (m1 + m2)
-        den = 1.0 + mu * mu
-        return mu / den, 1.0 / den
-    omega = math.atan2(dm, 1.0 + m1 * m2) / dm
-    rho = 0.5 * math.log((1.0 + m2 * m2) / (1.0 + m1 * m1)) / dm
+    rho, omega = _rho_omega(m1, m2)
+    if rho.ndim == 0:
+        return float(rho), float(omega)
     return rho, omega
 
 
@@ -129,26 +150,42 @@ def zero_tilt_omega(f1p: float, f2p: float, gz: float) -> float:
 # ---------------------------------------------------------------------------
 
 def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
-    """Effective diffusion matrix in the frame carried by `fd`."""
-    if fd.extreme_tilt:
-        raise ExtremeTiltError(
-            "frame is flagged extreme; use extreme_tilt_tensor(m1, m2, sign)")
-    if math.pi / 2 - abs(fd.psi) < EPS_PSI:
-        raise ExtremeTiltError(
-            f"tilt {fd.psi:.12g} is within {EPS_PSI} of pi/2")
-    if not (math.isfinite(fd.m1) and math.isfinite(fd.m2)):
+    """Effective diffusion matrix in the frame carried by `fd`.
+
+    On a frame_field bundle the coefficients are a (..., 2, 2) stack; points
+    flagged extreme_tilt, or within EPS_PSI of |psi| = pi/2, get NaN
+    coefficients and the extreme_tilt flag.  At one point those cases raise
+    ExtremeTiltError instead.
+    """
+    psi = np.asarray(fd.psi, dtype=float)
+    near_pole = np.pi / 2 - np.abs(psi) < EPS_PSI
+    extreme = np.asarray(fd.extreme_tilt, dtype=bool) | near_pole
+    if psi.ndim == 0:
+        if fd.extreme_tilt:
+            raise ExtremeTiltError(
+                "frame is flagged extreme; use extreme_tilt_tensor(m1, m2, sign)")
+        if near_pole:
+            raise ExtremeTiltError(
+                f"tilt {fd.psi:.12g} is within {EPS_PSI} of pi/2")
+    m1 = np.asarray(fd.m1, dtype=float)
+    m2 = np.asarray(fd.m2, dtype=float)
+    if not (extreme | (np.isfinite(m1) & np.isfinite(m2))).all():
         raise TensorError("frame carries non-finite slopes")
     d0 = med.d0
-    rho, omega = rho_omega(fd.m1, fd.m2)
+    rho, omega = _rho_omega(m1, m2)
     mu = fd.mu
-    sp = math.sin(fd.psi)
-    cp = math.cos(fd.psi)
-    coeffs = np.array([
-        [d0 * omega, -d0 * omega * mu * sp],
-        [-d0 * rho * sp, d0 * (cp * cp + mu * rho * sp * sp)],
-    ])
+    sp = np.sin(psi)
+    cp = np.cos(psi)
+    coeffs = np.empty(np.broadcast(psi, rho, mu).shape + (2, 2))
+    coeffs[..., 0, 0] = d0 * omega
+    coeffs[..., 0, 1] = -d0 * omega * mu * sp
+    coeffs[..., 1, 0] = -d0 * rho * sp
+    coeffs[..., 1, 1] = d0 * (cp * cp + mu * rho * sp * sp)
+    if psi.ndim:
+        coeffs[extreme] = np.nan
     return EffectiveTensor(coeffs, fd.xhat, fd.yhat, fd.psi, fd.m1, fd.m2,
-                           degenerate_frame=fd.degenerate_frame)
+                           degenerate_frame=fd.degenerate_frame,
+                           extreme_tilt=extreme if psi.ndim else False)
 
 
 def extreme_tilt_tensor(m1: float, m2: float, sign: str, med: MediumParams):
@@ -178,90 +215,98 @@ def extreme_tilt_tensor(m1: float, m2: float, sign: str, med: MediumParams):
     return tensor, endpoints
 
 
-def channel_recovery(z1, z2, x: float, med: MediumParams) -> np.ndarray:
+def channel_recovery(z1, z2, x, med: MediumParams) -> np.ndarray:
     """Planar-channel matrix for surfaces depending on x only:
 
         D = D0 diag( (arctan z2' - arctan z1')/(z2' - z1'), 1 ),
 
-    with the 1/(1 + z1'^2) limit at the points where z2' = z1'."""
-    if z2.value((x, 0.0)) <= z1.value((x, 0.0)):
-        raise TensorError(f"channel is not open at x = {x}")
-    z1p = z1.gradient((x, 0.0))[0]
-    z2p = z2.gradient((x, 0.0))[0]
-    omega = rho_omega(z1p, z2p)[1]
-    return med.d0 * np.array([[omega, 0.0], [0.0, 1.0]])
+    with the 1/(1 + z1'^2) limit at the points where z2' = z1'.  A scalar
+    x gives a 2x2 matrix, an array of x a (..., 2, 2) stack."""
+    x = np.asarray(x, dtype=float)
+    y = np.zeros_like(x)
+    shut = z2.value_array(x, y) <= z1.value_array(x, y)
+    if np.any(shut):
+        raise TensorError(f"channel is not open at x = {float(x[shut][0])}")
+    omega = rho_omega(z1.gradient_array(x, y)[0], z2.gradient_array(x, y)[0])[1]
+    d = np.zeros(x.shape + (2, 2))
+    d[..., 0, 0] = med.d0 * omega
+    d[..., 1, 1] = med.d0
+    return d
 
 
 # ---------------------------------------------------------------------------
 # polar decomposition and the diffusion ellipse
 # ---------------------------------------------------------------------------
 
-def _sym_eigen_2x2(a, b, c):
-    """Eigen-decomposition of [[a, b], [b, c]]: (l1, l2, v1) with l1 >= l2
-    and v1 the unit eigenvector of l1."""
-    mid = 0.5 * (a + c)
-    half_gap = math.hypot(0.5 * (a - c), b)
-    l1, l2 = mid + half_gap, mid - half_gap
-    # pick the better conditioned eigenvector expression
-    v_a = (b, l1 - a)
-    v_b = (l1 - c, b)
-    v = v_a if math.hypot(*v_a) >= math.hypot(*v_b) else v_b
-    norm = math.hypot(*v)
-    if norm == 0.0:  # already diagonal with equal eigenvalues
-        return l1, l2, np.array([1.0, 0.0])
-    return l1, l2, np.array([v[0] / norm, v[1] / norm])
+def _t(a):
+    return np.swapaxes(a, -1, -2)
 
 
-def _rot90(v):
-    return np.array([-v[1], v[0]])
+def _pair(a, b):
+    return np.stack([a, b], axis=-1)
 
 
 def polar_decompose(tensor) -> EllipsoidData:
     """Polar factors of a 2x2 matrix: D = S R with S = (D D^T)^(1/2)
     symmetric PSD and R orthogonal (a rotation when det D >= 0).
 
-    Accepts an EffectiveTensor or a plain 2x2 array.  For rank-deficient
-    input the pseudo-inverse branch completes R to a rotation and the
-    result is flagged degenerate.
+    Accepts an EffectiveTensor or an array, one 2x2 matrix or a (..., 2, 2)
+    stack; a stack gives stacked factors, vectors and flags.  For
+    rank-deficient input the pseudo-inverse branch completes R to a
+    rotation and the result is flagged degenerate.
     """
     d = tensor.coeffs if isinstance(tensor, EffectiveTensor) else np.asarray(tensor, float)
-    if d.shape != (2, 2) or not np.all(np.isfinite(d)):
-        raise TensorError("need a finite 2x2 matrix")
+    if d.shape[-2:] != (2, 2) or not np.all(np.isfinite(d)):
+        raise TensorError("need a finite 2x2 matrix or a stack of them")
 
-    m = d @ d.T
-    l1sq, l2sq, f1 = _sym_eigen_2x2(m[0, 0], m[0, 1], m[1, 1])
-    lam1 = math.sqrt(max(l1sq, 0.0))
-    lam2 = math.sqrt(max(l2sq, 0.0))
-    f2 = _rot90(f1)
+    # eigen-decomposition of the symmetric D D^T = [[a, b], [b, c]]
+    m = d @ _t(d)
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
+    half_gap = np.hypot(0.5 * (a - c), b)
+    l1sq = 0.5 * (a + c) + half_gap
+    l2sq = 0.5 * (a + c) - half_gap
+    # pick the better conditioned eigenvector expression for l1sq
+    v_a = (b, l1sq - a)
+    v_b = (l1sq - c, b)
+    use_a = np.hypot(*v_a) >= np.hypot(*v_b)
+    v = _pair(np.where(use_a, v_a[0], v_b[0]), np.where(use_a, v_a[1], v_b[1]))
+    norm = np.hypot(v[..., 0], v[..., 1])[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # norm == 0: already diagonal with equal eigenvalues
+        f1 = np.where(norm == 0.0, [1.0, 0.0], v / norm)
+    lam1 = np.sqrt(np.maximum(l1sq, 0.0))
+    lam2 = np.sqrt(np.maximum(l2sq, 0.0))
+    f2 = _pair(-f1[..., 1], f1[..., 0])
 
-    s = lam1 * np.outer(f1, f1) + lam2 * np.outer(f2, f2)
-    s[1, 0] = s[0, 1]  # stored exactly symmetric
+    s = (lam1[..., None, None] * (f1[..., :, None] * f1[..., None, :])
+         + lam2[..., None, None] * (f2[..., :, None] * f2[..., None, :]))
+    s[..., 1, 0] = s[..., 0, 1]  # stored exactly symmetric
 
     degenerate = lam2 <= EPS_DEGENERATE * lam1
-    if lam1 == 0.0:
-        r = np.eye(2)
-        g1, g2 = f1.copy(), f2.copy()
-    else:
-        g1 = d.T @ f1
-        g1 = g1 / float(np.linalg.norm(g1))
-        det = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]
-        if degenerate or det == 0.0:
-            orient = 1.0  # rank-1: complete with a proper rotation
-        else:
-            orient = math.copysign(1.0, det)
-        g2 = orient * _rot90(g1)
-        r = np.outer(f1, g1) + np.outer(f2, g2)
+    zero = lam1 == 0.0
+    g1 = (_t(d) @ f1[..., None])[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g1 = g1 / np.sqrt(g1[..., 0] ** 2 + g1[..., 1] ** 2)[..., None]
+    det = d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]
+    # rank-1: complete with a proper rotation
+    orient = np.where(degenerate | (det == 0.0), 1.0, np.copysign(1.0, det))
+    g2 = orient[..., None] * _pair(-g1[..., 1], g1[..., 0])
+    r = f1[..., :, None] * g1[..., None, :] + f2[..., :, None] * g2[..., None, :]
+    r = np.where(zero[..., None, None], np.eye(2), r)
 
-    e1 = r.T @ f1
-    e2 = r.T @ f2
+    e1 = (_t(r) @ f1[..., None])[..., 0]
+    e2 = (_t(r) @ f2[..., None])[..., 0]
+    if d.ndim == 2:
+        return EllipsoidData(s, r, float(lam1), float(lam2), f1, f2, e1, e2,
+                             bool(degenerate))
     return EllipsoidData(s, r, lam1, lam2, f1, f2, e1, e2, degenerate)
 
 
 def to_cartesian(tensor: EffectiveTensor) -> np.ndarray:
     """Operator matrix in global (x, y) components: B M B^T with
-    B = [xhat yhat] as columns.  Fails on an undefined frame."""
-    b = np.array([[tensor.xhat[0], tensor.yhat[0]],
-                  [tensor.xhat[1], tensor.yhat[1]]])
+    B = [xhat yhat] as columns; a (..., 2, 2) stack for a stacked tensor.
+    Fails on an undefined frame."""
+    b = np.stack([np.stack(tensor.xhat, -1), np.stack(tensor.yhat, -1)], -1)
     if not np.all(np.isfinite(b)):
         raise TensorError("frame is degenerate; no Cartesian components")
-    return b @ tensor.coeffs @ b.T
+    return b @ tensor.coeffs @ _t(b)

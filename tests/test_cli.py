@@ -45,6 +45,24 @@ def test_tensor_radial_field(tmp_path):
         assert float(row[9]) == 1.0                 # D22 = D0 exactly
 
 
+def test_tensor_domain_error_row_is_per_point(tmp_path):
+    # the radial surfaces use r = sqrt(x^2+y^2), whose gradient is undefined
+    # at the origin: only that row is flagged, and it carries no numbers
+    out = tmp_path / "radial3.csv"
+    assert run(tmp_path, "tensor", "--example", "radial", "--resolution",
+               "3x3", "--out", str(out)) == 0
+    header, data = read_csv(out)
+    assert len(data) == 9
+    flagged = [row for row in data if row[-1]]
+    assert len(flagged) == 1
+    row = flagged[0]
+    assert (row[0], row[1], row[-1]) == ("0.0", "0.0", "domain_error")
+    assert row[2:-1] == [""] * 16
+    for row in data:
+        if row is not flagged[0]:
+            assert all(row[2:-1]) and float(row[header.index("D22")]) == 1.0
+
+
 def test_tensor_waves_tilt_vanishes_on_axis_lines(tmp_path):
     out = tmp_path / "waves.csv"
     assert run(tmp_path, "tensor", "--example", "waves", "--out", str(out)) == 0
@@ -287,6 +305,8 @@ _BAD_NUMBER_BASE = {
     "solve": dict(z1="0", z2="1", domain="0,1,0,1", resolution="4x4",
                   steps="4"),
     "tensor": dict(z1="0", domain="0,1,0,1", resolution="4x4"),
+    "oracle": dict(psi="0", m1="0", m2="1", quad_points="16"),
+    "recover-channel": dict(z1="0", z2="1+x/10", samples="5"),
 }
 
 
@@ -304,13 +324,31 @@ _BAD_NUMBER_BASE = {
     ("tensor", {"z2_grid": "1,1,1\n1,1\n1,1,1\n"}, "z2.grid:3"),
     ("tensor", {"z2_grid": "1,1,1\n1,x,1\n1,1,1\n"}, "z2.grid:3"),
     ("tensor", {"z2_grid": "1,1,1\n1,1,1\n1,nan,1\n"}, "z2.grid:4"),
+    ("tensor", {"z2_grid": "1,1,1\n1,1,1\n"}, "z2.grid"),
+    ("tensor", {"z2_grid": "1,1\n1,1\n1,1\n"}, "z2.grid"),
+    ("tensor", {"z2_grid": "# grid origin=0,0 spacing=0,0.5\n"
+                           "1,1,1\n1,1,1\n1,1,1\n"}, "z2.grid"),
+    ("tensor", {"z2_grid": "# grid origin=0,0 spacing=0.5,-1\n"
+                           "1,1,1\n1,1,1\n1,1,1\n"}, "spacing"),
+    ("mc", {"mu": "nan"}, "mu"),
+    ("mc", {"gap": "0"}, "gap"),
+    ("mc", {"gap": "inf"}, "gap"),
+    ("oracle", {"quad_points": "0"}, "quad_points"),
+    ("oracle", {"fd_step": "0"}, "fd_step"),
+    ("oracle", {"fd_step": "nan"}, "fd_step"),
+    ("recover-channel", {"samples": "0"}, "samples"),
+    ("recover-channel", {"x0": "1", "x1": "-1"}, "x1 > x0"),
+    ("recover-channel", {"x1": "inf"}, "x1"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):
     cfg = dict(_BAD_NUMBER_BASE[command], **settings)
     if "z2_grid" in cfg:
         grid = tmp_path / "z2.grid"
-        grid.write_text("# grid origin=0,0 spacing=0.5,0.5\n" + cfg["z2_grid"])
+        text = cfg["z2_grid"]
+        if not text.startswith("# grid"):
+            text = "# grid origin=0,0 spacing=0.5,0.5\n" + text
+        grid.write_text(text)
         cfg["z2_grid"] = str(grid)
     path = write_cfg(tmp_path, "bad.cfg", **cfg)
     assert run(tmp_path, command, "--config", path,

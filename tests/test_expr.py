@@ -6,7 +6,7 @@ import pytest
 
 from effdiff.expr import (
     Const, EvalDomainError, ParseError, Unary,
-    differentiate, evaluate, parse, to_text,
+    differentiate, evaluate, evaluate_masked, parse, to_text,
 )
 
 
@@ -106,6 +106,26 @@ def test_evaluate_vectorized_domain_error():
     e = parse("log(x)")
     with pytest.raises(EvalDomainError):
         evaluate(e, (np.array([1.0, -1.0]), np.array([0.0, 0.0])))
+
+
+def test_evaluate_masked_marks_exactly_the_failing_elements():
+    xs = np.array([2.0, 0.0, -1.0, 1.0, 0.5])
+    ys = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+    # log(0) = -inf and 0^0 = 1: the mask keeps an element bad even where a
+    # later node makes its value finite again
+    e = parse("(log(x))^y + sqrt(1-y)")
+    values, bad = evaluate_masked(e, (xs, ys))
+    assert bad.tolist() == [False, True, True, False, False]
+    for k in np.flatnonzero(~bad):
+        assert values[k] == evaluate(e, (float(xs[k]), float(ys[k])))
+    with pytest.raises(EvalDomainError) as err:
+        evaluate(e, (xs, ys))
+    assert err.value.expr_text == "log(x)"
+    # constant subtrees broadcast their failure to every element
+    values, bad = evaluate_masked(parse("x + log(0)"), (xs, ys))
+    assert bad.shape == xs.shape and bad.all()
+    values, bad = evaluate_masked(parse("x*y"), (1.5, 2.0))
+    assert (values, bad.tolist()) == (3.0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from effdiff.expr import EvalDomainError
 from effdiff.geometry import (
-    DegenerateConfigError, Domain, GridField, OutsideDomainError, PlaneConfig,
+    DegenerateConfigError, Domain, GeometryError, GridField,
+    OutsideDomainError, PlaneConfig,
     ScalarField, SurfacePair, SurfaceValidationError, frame_for_planes,
     frame_for_surfaces, surface_normals, width,
 )
@@ -287,6 +289,35 @@ def test_grid_field_bilinear_value_and_hull():
         grid.value((1.5, 0.5))
     with pytest.raises(OutsideDomainError):
         grid.value((float("nan"), 0.5))
+
+
+def test_grid_field_sample_masks_points_outside_the_hull():
+    _, grid = _sampled("x*y", 0, 1, 0, 1, 11)
+    x = np.array([0.53, 1.5, float("nan"), 1.0])
+    y = np.array([0.71, 0.5, 0.5, 0.0])
+    value, gx, gy, bad = grid.sample(x, y)
+    assert bad.tolist() == [False, True, True, False]
+    for k in (0, 3):
+        p = (x[k], y[k])
+        assert value[k] == grid.value(p)
+        assert (gx[k], gy[k]) == grid.gradient(p)
+
+
+def test_surface_pair_sample_masks_each_pointwise_failure():
+    pair = make_pair("log(x+2.9)-1.5", "sqrt(4-y)-1", domain=(-3, 3, -3, 3),
+                     validation=0)
+    # outside the domain, log of a non-positive number, w <= 0, NaN, fine
+    x = np.array([3.5, -2.95, 2.9, float("nan"), 0.5])
+    y = np.array([0.0, 0.0, 2.9, 0.0, -1.0])
+    w, g1, g2, bad = pair.sample(x, y)
+    assert bad.tolist() == [True, True, True, True, False]
+    p = (0.5, -1.0)
+    assert w[4] == pair.width(p)
+    assert (g1[0][4], g1[1][4]) == pair.z1.gradient(p)
+    assert (g2[0][4], g2[1][4]) == pair.z2.gradient(p)
+    for k in range(4):
+        with pytest.raises((GeometryError, EvalDomainError)):
+            pair.width((x[k], y[k]))
 
 
 def test_grid_backed_surface_pair_frames():

@@ -144,3 +144,41 @@ def test_bad_initial_density_rejected():
     with pytest.raises(ConfigurationError):
         PdeGrid.flat_slab((0, 1, 0, 1), 8, 8, MED,
                           p0=lambda x, y: np.sin(x) - 2.0)
+
+
+def test_evolve_checks_the_stability_bound_once(monkeypatch):
+    import effdiff.pde as pde
+    calls = []
+    bound = pde.stability_bound
+
+    def counting(grid, infinite_rate=False):
+        calls.append(infinite_rate)
+        return bound(grid, infinite_rate=infinite_rate)
+
+    monkeypatch.setattr(pde, "stability_bound", counting)
+    grid = PdeGrid.from_surfaces(radial_pair(), MED, 16, 16,
+                                 p0=lambda x, y: np.exp(-0.1 * (x * x + y * y)))
+    out = evolve(grid, None, 40, mode="finite")
+    assert calls == [False]
+    dt = 0.5 * bound(grid)
+    assert out.t == 40 * dt
+    out = evolve(grid, dt, 25, mode="infinite")
+    assert calls == [False, True]
+    with pytest.raises(StabilityError):
+        evolve(grid, 3 * dt, 25, mode="finite")
+    assert calls == [False, True, False]
+
+
+def test_evolve_matches_single_steps_and_reports_time():
+    grid = PdeGrid.from_surfaces(radial_pair(), MED, 16, 12,
+                                 p0=lambda x, y: np.exp(-0.1 * (x * x + y * y)))
+    dt = 0.4 * stability_bound(grid)
+    seen = []
+    out = evolve(grid, dt, 30, callback=lambda k, g: seen.append((k, g.t)))
+    assert seen == [(k, k * dt) for k in range(1, 31)]
+    one = grid
+    for _ in range(30):
+        one = step_finite_rate(one, dt)
+    assert np.max(np.abs(one.p - out.p)) <= 1e-15 * grid.p.max()
+    assert one.t == pytest.approx(out.t, rel=1e-14)
+    assert grid.t == 0.0

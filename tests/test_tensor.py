@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from effdiff.geometry import ScalarField, SurfacePair, frame_for_surfaces
+from effdiff.geometry import (
+    ScalarField, SurfacePair, frame_field, frame_for_surfaces,
+    frame_from_gradients, frame_from_slopes,
+)
 from effdiff.tensor import (
     EffectiveTensor, ExtremeTiltError, MediumParams, TensorError,
     channel_recovery, effective_tensor, extreme_tilt_tensor, polar_decompose,
@@ -322,3 +325,193 @@ def test_to_cartesian_frames():
     s = 1 / math.sqrt(2)
     t = EffectiveTensor(np.diag([1.0, 0.0]), (s, s), (-s, s), 0.0, 0, 0)
     assert np.allclose(to_cartesian(t), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the array kernel against a per-point reference written with `math`
+# ---------------------------------------------------------------------------
+
+def _reference_point(g1, g2, d0=1.0, eps_grad=1e-10):
+    """Frame, tilt, slopes and tensor coefficients of one point, branch by
+    branch: (psi, m1, m2, xhat, yhat, degenerate, extreme, coeffs).  coeffs
+    is None where the tensor is undefined (flagged, or |psi| within 1e-9 of
+    pi/2)."""
+    nan = float("nan")
+    g1x, g1y = g1
+    g2x, g2y = g2
+    gwx, gwy = g2x - g1x, g2y - g1y
+    norm_gw = math.hypot(gwx, gwy)
+    cross12 = g1x * (-g2y) + g1y * g2x
+    s1 = math.sqrt(1.0 + g1x * g1x + g1y * g1y)
+    s2 = math.sqrt(1.0 + g2x * g2x + g2y * g2y)
+    sinpsi = max(-1.0, min(1.0, cross12 / (s1 * s2)))
+    psi = math.asin(sinpsi)
+    degenerate = extreme = False
+    if norm_gw < eps_grad:
+        degenerate = True
+        par_tol = 1e-10 * max(1.0, math.hypot(g1x, g1y) * math.hypot(g2x, g2y))
+        if abs(cross12) <= par_tol:
+            n1 = math.hypot(g1x, g1y)
+            xhat = (g1x / n1, g1y / n1) if n1 > eps_grad else (1.0, 0.0)
+            yhat = (-xhat[1], xhat[0])
+            psi = 0.0
+            m1 = g1x * xhat[0] + g1y * xhat[1]
+            m2 = g2x * xhat[0] + g2y * xhat[1]
+        else:
+            xhat = yhat = (nan, nan)
+            m1 = m2 = nan
+            extreme = True
+    else:
+        xhat = (gwx / norm_gw, gwy / norm_gw)
+        yhat = (-gwy / norm_gw, gwx / norm_gw)
+        slopes = []
+        for gx, gy in ((g1x, g1y), (g2x, g2y)):
+            den = (gx * -gwy + gy * gwx) * sinpsi + norm_gw * math.cos(psi)
+            if den == 0.0:
+                extreme = True
+                slopes = [nan, nan]
+                break
+            slopes.append((gx * gwx + gy * gwy) / den)
+        m1, m2 = slopes
+    coeffs = None
+    if not extreme and math.pi / 2 - abs(psi) >= 1e-9:
+        mu = 0.5 * (m1 + m2)
+        dm = m2 - m1
+        if abs(dm) <= 1e-7 * (1.0 + abs(m1) + abs(m2)):
+            rho, omega = mu / (1.0 + mu * mu), 1.0 / (1.0 + mu * mu)
+        else:
+            omega = math.atan2(dm, 1.0 + m1 * m2) / dm
+            rho = 0.5 * math.log((1.0 + m2 * m2) / (1.0 + m1 * m1)) / dm
+        sp, cp = math.sin(psi), math.cos(psi)
+        coeffs = [[d0 * omega, -d0 * omega * mu * sp],
+                  [-d0 * rho * sp, d0 * (cp * cp + mu * rho * sp * sp)]]
+    return psi, m1, m2, xhat, yhat, degenerate, extreme, coeffs
+
+
+def _gradient_cases():
+    rng = np.random.default_rng(21)
+    cases = [tuple(map(tuple, rng.normal(0.0, 3.0, size=(2, 2))))
+             for _ in range(400)]
+    for _ in range(40):
+        g = tuple(rng.normal(0.0, 3.0, size=2))
+        cases.append((g, g))                                    # parallel
+        cases.append((g, tuple(g + 1e-12 * rng.normal(size=2))))  # nearly
+    cases += [((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (3e-11, 0.0)),
+              ((2.0, 0.0), (2.0, 1e-11)), ((1e-12, 0.0), (0.0, 1e-12))]
+    for a in np.logspace(0.0, 12.0, 49):                        # psi -> pi/2
+        cases += [((a, 0.0), (0.0, a)), ((0.0, -a), (a, 0.0)),
+                  ((a, 0.5), (-0.25, a))]
+    # non-finite gradients: every mask must still follow the same branches
+    inf, nan = float("inf"), float("nan")
+    cases += [((inf, 0.0), (0.0, 1.0)), ((nan, 1.0), (1.0, 2.0)),
+              ((1e300, 1e300), (-1e300, 1e300)), ((inf, inf), (inf, inf))]
+    return cases
+
+
+def _close(got, want):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    both_nan = np.isnan(got) & np.isnan(want)
+    ok = both_nan | (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    ok |= got == want  # equal infinities
+    return bool(np.all(ok))
+
+
+@pytest.mark.parametrize("eps_grad", [1e-10, 2.0])
+def test_frame_and_tensor_kernel_match_the_per_point_reference(eps_grad):
+    # With finite gradients and the default eps_grad neither frame-level
+    # extreme_tilt branch is reachable: cancelling gradients below 1e-10
+    # are always parallel within par_tol, and both slope denominators equal
+    # cross12^2/(s1 s2) + |grad w| cos(psi) > 0.  A large eps_grad reaches
+    # the cancelling, non-parallel branch; the |psi| -> pi/2 guard and the
+    # non-finite cases are reached at the default.
+    cases = _gradient_cases()
+    g1 = np.array([c[0] for c in cases])
+    g2 = np.array([c[1] for c in cases])
+    d0 = 1.7
+    refs = [_reference_point(a, b, d0, eps_grad) for a, b in cases]
+    fd = frame_field(np.ones(len(cases)), g1.T, g2.T, eps_grad)
+    t = effective_tensor(fd, MediumParams(d0))
+    assert fd.degenerate_frame.tolist() == [r[5] for r in refs]
+    assert fd.extreme_tilt.tolist() == [r[6] for r in refs]
+    assert t.extreme_tilt.tolist() == [r[7] is None for r in refs]
+    assert fd.degenerate_frame.sum() >= 80
+    assert (t.extreme_tilt & ~fd.extreme_tilt).sum() >= 5
+    assert fd.extreme_tilt.sum() >= (30 if eps_grad > 1 else 0)
+    for k, name in enumerate(("psi", "m1", "m2")):
+        assert _close(getattr(fd, name), [r[k] for r in refs]), name
+    for k, name in ((3, "xhat"), (4, "yhat")):
+        for axis in (0, 1):
+            assert _close(getattr(fd, name)[axis], [r[k][axis] for r in refs])
+    defined = ~t.extreme_tilt
+    want = np.array([r[7] for r in refs if r[7] is not None])
+    assert _close(t.coeffs[defined], want)
+    assert np.all(np.isnan(t.coeffs[~defined]))
+
+
+def test_scalar_calls_are_one_element_kernel_calls():
+    cases = _gradient_cases()[::7]
+    g1 = np.array([c[0] for c in cases])
+    g2 = np.array([c[1] for c in cases])
+    fd = frame_field(np.ones(len(cases)), g1.T, g2.T)
+    t = effective_tensor(fd, MED)
+    for k, (a, b) in enumerate(cases):
+        one = frame_from_gradients(1.0, a, b)
+        assert isinstance(one.psi, float) and isinstance(one.extreme_tilt, bool)
+        assert one.extreme_tilt == fd.extreme_tilt[k]
+        assert one.degenerate_frame == fd.degenerate_frame[k]
+        assert _close([one.psi, one.m1, one.m2, *one.xhat, *one.yhat],
+                      [fd.psi[k], fd.m1[k], fd.m2[k], fd.xhat[0][k],
+                       fd.xhat[1][k], fd.yhat[0][k], fd.yhat[1][k]])
+        if t.extreme_tilt[k]:
+            with pytest.raises(ExtremeTiltError):
+                effective_tensor(one, MED)
+        else:
+            assert _close(effective_tensor(one, MED).coeffs, t.coeffs[k])
+
+
+def test_frame_from_slopes_is_the_unit_frame():
+    fd = frame_from_slopes(0.3, -1.0, 2.0)
+    assert (fd.xhat, fd.yhat, fd.w, fd.mu) == ((1.0, 0.0), (0.0, 1.0), 1.0, 0.5)
+    assert np.array_equal(effective_tensor(fd, MED).coeffs,
+                          effective_tensor(frame(0.3, -1.0, 2.0), MED).coeffs)
+
+
+def test_polar_decompose_of_a_stack_matches_per_matrix_calls():
+    rng = np.random.default_rng(22)
+    mats = list(rng.uniform(-2.0, 2.0, size=(300, 2, 2)))
+    u = rng.normal(size=(20, 2))
+    v = rng.normal(size=(20, 2))
+    mats += list(u[:, :, None] * v[:, None, :])           # rank 1
+    mats += [np.zeros((2, 2)), np.eye(2), np.diag([3.0, 0.0]),
+             np.array([[0.0, 1.0], [0.0, 0.0]]), -np.eye(2),
+             extreme_tilt_tensor(0.0, 1.0, "+", MED)[0].coeffs]
+    stack = np.array(mats).reshape(-1, 2, 2)
+    batch = polar_decompose(stack)
+    assert batch.degenerate.sum() >= 4
+    for k, d in enumerate(mats):
+        one = polar_decompose(d)
+        assert isinstance(one.lambda1, float) and isinstance(one.degenerate, bool)
+        assert one.degenerate == batch.degenerate[k]
+        scale = max(1.0, float(np.abs(d).max()))
+        for name in ("S", "R", "lambda1", "lambda2", "f1", "f2", "e1", "e2"):
+            np.testing.assert_allclose(getattr(batch, name)[k], getattr(one, name),
+                                       rtol=0, atol=1e-14 * scale, err_msg=name)
+    zero = polar_decompose(np.zeros((2, 2)))
+    assert zero.degenerate and np.array_equal(zero.R, np.eye(2))
+    assert zero.lambda1 == zero.lambda2 == 0.0
+
+
+def test_polar_and_cartesian_accept_stacks_of_any_shape():
+    rng = np.random.default_rng(23)
+    d = rng.uniform(-1.0, 1.0, size=(3, 4, 2, 2))
+    ell = polar_decompose(d)
+    assert ell.S.shape == ell.R.shape == (3, 4, 2, 2)
+    assert ell.lambda1.shape == ell.degenerate.shape == (3, 4)
+    assert np.allclose(ell.S @ ell.R, d, atol=1e-12)
+    angle = rng.uniform(0.0, 2 * math.pi, size=(3, 4))
+    c, s = np.cos(angle), np.sin(angle)
+    t = EffectiveTensor(d, (c, s), (-s, c), 0.0, 0.0, 0.0)
+    b = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    assert np.allclose(to_cartesian(t), b @ d @ np.swapaxes(b, -1, -2), atol=1e-15)
+    with pytest.raises(TensorError):
+        polar_decompose(np.full((2, 2, 2), np.nan))
