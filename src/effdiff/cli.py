@@ -24,14 +24,14 @@ from .brownian import BrownianError, McJob, Slab, mc_projected_tensor
 from .expr import ExprError
 from .geometry import (
     DegenerateConfigError, Domain, GeometryError, GridField, PlaneConfig,
-    ScalarField, SurfacePair, SurfaceValidationError, frame_field,
-    frame_for_planes, frame_from_slopes,
+    ScalarField, SurfacePair, frame_field, frame_for_planes, frame_from_slopes,
 )
 from .pde import PdeError, PdeGrid, evolve
 from .quadrature import OracleError, WedgeQuadratureJob, quadrature_tensor
 from .tensor import (
     ExtremeTiltError, MediumParams, TensorError, channel_recovery,
     effective_tensor, extreme_tilt_tensor, polar_decompose, rho_omega,
+    sample_tensor,
 )
 # Not called here; bound by name so that perfbench/spans.py can trace them
 # through this module.
@@ -337,11 +337,9 @@ def cmd_tensor(cfg):
         ell.lambda1, ell.lambda2, frame_to_global(ell.f1),
         frame_to_global(ell.e1), frame_to_global(ell.e2)])
     cells[rows[fine], 4:18] = np.reshape(_fmts(values), values.shape)
-    extreme = tensor.extreme_tilt
     cells[rows, 18] = np.where(
-        fd.degenerate_frame,
-        np.where(extreme, "degenerate_frame;extreme_tilt", "degenerate_frame"),
-        np.where(extreme, "extreme_tilt", ""))
+        fd.degenerate_frame, "degenerate_frame",
+        np.where(tensor.extreme_tilt, "extreme_tilt", ""))
     cells[bad, 18] = "domain_error"
     write_csv(cfg.get("out"), cfg, TENSOR_COLUMNS, cells.tolist())
     return 0
@@ -573,19 +571,7 @@ def cmd_recover_channel(cfg):
     pair = SurfacePair(z1, z2, Domain(x0 - margin, x1 + margin, -1.0, 1.0))
 
     x = np.linspace(x0, x1, samples)
-    y = np.zeros_like(x)
-    w = z2.value_array(x, y) - z1.value_array(x, y)
-    if not np.all(w > 0):
-        k = int(np.argmin(w > 0))
-        raise SurfaceValidationError(
-            f"non-positive width {w[k]:.6g} at {(float(x[k]), 0.0)}")
-    g1 = z1.gradient_array(x, y)
-    g2 = z2.gradient_array(x, y)
-    tensor = effective_tensor(frame_field(w, g1, g2), med)
-    if np.any(tensor.extreme_tilt):
-        k = int(np.argmax(tensor.extreme_tilt))
-        raise ExtremeTiltError(
-            f"undefined frame (extreme tilt) at x = {float(x[k])!r}")
+    _, g1, g2, tensor = sample_tensor(pair, x, np.zeros_like(x), med)
     pipeline = tensor.coeffs
     formula = channel_recovery(z1, z2, x, med)
     err = np.abs(pipeline - formula).max(axis=(-2, -1))

@@ -14,7 +14,7 @@ and the slopes of the two bounding tangent planes
     m_i = grad(z_i).grad(w) / ( (grad(z_i).gradperp(w)) sin(psi) + |grad w| cos(psi) ).
 
 frame_field evaluates these on arrays of points and flags the points where
-they are undefined; frame_from_gradients is its one-point form, and
+grad w vanishes; frame_from_gradients is its one-point form, and
 SurfacePair.sample supplies its inputs together with a mask of the points
 where the width or a gradient cannot be evaluated.
 
@@ -92,10 +92,6 @@ class ScalarField:
     @staticmethod
     def from_expression(source) -> "ExpressionField":
         return ExpressionField(source)
-
-    @staticmethod
-    def from_grid(origin, spacing, values) -> "GridField":
-        return GridField(origin, spacing, values)
 
 
 class ExpressionField(ScalarField):
@@ -263,10 +259,6 @@ class SurfacePair:
         return w, (g1x, g1y), (g2x, g2y), bad
 
 
-def width(pair: SurfacePair, p) -> float:
-    return pair.width(p)
-
-
 # ---------------------------------------------------------------------------
 # Frames
 # ---------------------------------------------------------------------------
@@ -275,9 +267,9 @@ def width(pair: SurfacePair, p) -> float:
 class FrameData:
     """Geometric bundle of a surface pair at one point or at many.
 
-    At one point the fields are floats, pairs of floats and bools.  From
+    At one point the fields are floats, pairs of floats and a bool.  From
     frame_field they are arrays of one common shape (pairs of arrays for
-    the vectors), and the two flags are boolean masks.
+    the vectors), and the flag is a boolean mask.
     """
 
     w: float
@@ -290,7 +282,6 @@ class FrameData:
     m2: float
     mu: float
     degenerate_frame: bool = False
-    extreme_tilt: bool = False
 
 
 @dataclass(frozen=True)
@@ -396,17 +387,16 @@ def _unit_clip(v):
     return np.where(v > -1.0, v, -1.0)
 
 
-def frame_field(w, g1, g2, eps_grad=EPS_GRAD) -> FrameData:
+def frame_field(w, g1, g2) -> FrameData:
     """Frame bundles from surface gradients g1 = (g1x, g1y), g2 = (g2x, g2y)
     and widths w, given as arrays of one shape (or broadcastable to one).
 
-    Where |grad w| < eps_grad the generic frame is undefined.  If the
-    tangent planes are parallel there (|grad z1 . gradperp z2| within a
-    relative 1e-10), the frame is built from grad z1, or is the x axis when
-    that vanishes too, with psi = 0: flagged degenerate_frame.  Otherwise
-    the point is flagged degenerate_frame and extreme_tilt, with NaN frame
-    and slopes.  A zero slope denominator flags extreme_tilt with NaN
-    slopes.
+    Where |grad w| < EPS_GRAD the frame along grad w is unreliable; the
+    tangent planes are parallel there, so the frame is built from grad z1,
+    or is the x axis when that vanishes too, with psi = 0: flagged
+    degenerate_frame.  Elsewhere both slope denominators equal
+    cross12^2/(s1 s2) + |grad w| cos(psi) > 0.  Whether the tensor is
+    defined is decided by effective_tensor from psi alone.
     """
     w = np.asarray(w, dtype=float)
     g1x, g1y = (np.asarray(c, dtype=float) for c in g1)
@@ -426,45 +416,34 @@ def frame_field(w, g1, g2, eps_grad=EPS_GRAD) -> FrameData:
         xhat = (gwx / norm_gw, gwy / norm_gw)
         yhat = (gperp[0] / norm_gw, gperp[1] / norm_gw)
         cp = np.cos(psi)
-        slopes, zero_den = [], False
+        slopes = []
         for gx, gy in ((g1x, g1y), (g2x, g2y)):
             num = gx * gwx + gy * gwy
             den = (gx * gperp[0] + gy * gperp[1]) * sinpsi + norm_gw * cp
-            zero_den = zero_den | (den == 0.0)
             slopes.append(num / den)
 
         # gradients (nearly) cancel: parallel tangent planes share a slope
         # and take their frame from grad z1
-        cancel = norm_gw < eps_grad
+        parallel = norm_gw < EPS_GRAD
         n1 = np.hypot(g1x, g1y)
-        prod = n1 * np.hypot(g2x, g2y)
-        par_tol = 1e-10 * np.where(prod > 1.0, prod, 1.0)
-        parallel = cancel & (np.abs(cross12) <= par_tol)
-        along_g1 = n1 > eps_grad
+        along_g1 = n1 > EPS_GRAD
         pxhat = (np.where(along_g1, g1x / n1, 1.0),
                  np.where(along_g1, g1y / n1, 0.0))
         pyhat = (-pxhat[1], pxhat[0])
         pslopes = [gx * pxhat[0] + gy * pxhat[1]
                    for gx, gy in ((g1x, g1y), (g2x, g2y))]
 
-    undefined = cancel & ~parallel
-    extreme = undefined | (~cancel & zero_den)
-    nan = np.nan
-    xhat = tuple(np.where(parallel, p, np.where(undefined, nan, g))
-                 for p, g in zip(pxhat, xhat))
-    yhat = tuple(np.where(parallel, p, np.where(undefined, nan, g))
-                 for p, g in zip(pyhat, yhat))
-    m1, m2 = (np.where(parallel, p, np.where(extreme, nan, g))
-              for p, g in zip(pslopes, slopes))
+    xhat = tuple(np.where(parallel, p, g) for p, g in zip(pxhat, xhat))
+    yhat = tuple(np.where(parallel, p, g) for p, g in zip(pyhat, yhat))
+    m1, m2 = (np.where(parallel, p, g) for p, g in zip(pslopes, slopes))
     psi = np.where(parallel, 0.0, psi)
     return FrameData(w, (gwx, gwy), gperp, xhat, yhat, psi, m1, m2,
-                     0.5 * (m1 + m2), degenerate_frame=cancel,
-                     extreme_tilt=extreme)
+                     0.5 * (m1 + m2), degenerate_frame=parallel)
 
 
-def frame_from_gradients(w, g1, g2, eps_grad=EPS_GRAD) -> FrameData:
+def frame_from_gradients(w, g1, g2) -> FrameData:
     """Frame bundle at one point: frame_field on scalars."""
-    fd = frame_field(w, g1, g2, eps_grad)
+    fd = frame_field(w, g1, g2)
     return FrameData(*(tuple(c.item() for c in v) if isinstance(v, tuple)
                        else v.item()
                        for v in (getattr(fd, f.name) for f in fields(fd))))

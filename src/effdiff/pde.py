@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Domain, SurfacePair, frame_field, frame_from_gradients
-from .tensor import MediumParams, effective_tensor, to_cartesian
+from .geometry import Domain, SurfacePair, frame_from_gradients
+from .tensor import MediumParams, effective_tensor, sample_tensor, to_cartesian
 
 # frame_from_gradients, effective_tensor and to_cartesian are re-exported:
 # perfbench/spans.py traces them through this module by name.
@@ -78,12 +78,6 @@ class PdeGrid:
     def mass(self) -> float:
         return float(self.p.sum()) * self.hx * self.hy
 
-    def with_density(self, p) -> "PdeGrid":
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.nx, self.ny):
-            raise ConfigurationError(f"density must have shape ({self.nx}, {self.ny})")
-        return replace(self, p=p)
-
     def variance(self, axis: int) -> float:
         """Centered second moment of p along a coordinate axis."""
         coords = self.xc[:, None] if axis == 0 else self.yc[None, :]
@@ -109,26 +103,14 @@ class PdeGrid:
                       p0=None) -> "PdeGrid":
         """Sample w and the Cartesian effective tensor at cell centers.
 
-        Cells with an undefined frame (extreme tilt) are a hard error that
-        names the first such cell: the solver never invents tensor values.
+        A cell whose width, gradients or tensor is undefined is a hard
+        error that names it (see tensor.sample_tensor): the solver never
+        invents tensor values.
         """
         dom = pair.domain
         xc, yc, hx, hy = _cells(dom, nx, ny)
         gx, gy = np.meshgrid(xc, yc, indexing="ij")
-        z1v = pair.z1.value_array(gx, gy)
-        z2v = pair.z2.value_array(gx, gy)
-        g1x, g1y = pair.z1.gradient_array(gx, gy)
-        g2x, g2y = pair.z2.gradient_array(gx, gy)
-        w = z2v - z1v
-        if not np.all(w > 0):
-            raise ConfigurationError("width is not positive on all cells")
-
-        tensor = effective_tensor(frame_field(w, (g1x, g1y), (g2x, g2y)), med)
-        if np.any(tensor.extreme_tilt):
-            i, j = np.unravel_index(np.argmax(tensor.extreme_tilt), w.shape)
-            raise ConfigurationError(
-                f"cell ({xc[i]:.6g}, {yc[j]:.6g}) has an undefined "
-                f"frame (extreme tilt); mask or refine the domain")
+        w, _, _, tensor = sample_tensor(pair, gx, gy, med)
         dten = to_cartesian(tensor)
         p = _initial_density(p0, xc, yc, w)
         return PdeGrid(dom, nx, ny, hx, hy, xc, yc, w, dten, p, med.d0)
@@ -229,40 +211,32 @@ def _step(grid, dt, faces):
     return grid.p - dt * div
 
 
-def _check_dt(grid, dt, infinite_rate):
-    """dt, or half the stability bound when dt is None; raises
-    StabilityError when dt exceeds the bound."""
-    bound = stability_bound(grid, infinite_rate=infinite_rate)
-    if dt is None:
-        return 0.5 * bound
-    if dt > bound * (1 + 1e-12):
-        raise StabilityError(
-            f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
-    return dt
-
-
 def step_finite_rate(grid: PdeGrid, dt: float) -> PdeGrid:
     """One explicit Euler step of dp/dt = div(w D grad(p/w))."""
-    dt = _check_dt(grid, dt, False)
-    return replace(grid, p=_step(grid, dt, _faces(grid, False)), t=grid.t + dt)
+    return evolve(grid, dt, 1)
 
 
 def step_infinite_rate(grid: PdeGrid, dt: float) -> PdeGrid:
     """One explicit Euler step of dp/dt = div(w grad(p/w)) * D0."""
-    dt = _check_dt(grid, dt, True)
-    return replace(grid, p=_step(grid, dt, _faces(grid, True)), t=grid.t + dt)
+    return evolve(grid, dt, 1, mode="infinite")
 
 
 def evolve(grid: PdeGrid, dt, n_steps: int, mode="finite",
            callback=None) -> PdeGrid:
     """Run n_steps of the chosen mode; callback(k, grid) after each step.
 
-    dt=None takes half the stability bound.  The step is checked against
-    the bound, and the face coefficients are built, once per call; the
-    grid after step k has time t0 + k dt.
+    dt=None takes half the stability bound; a dt above the bound raises
+    StabilityError.  The step is checked against the bound, and the face
+    coefficients are built, once per call; the grid after step k has time
+    t0 + k dt.
     """
     infinite_rate = mode != "finite"
-    dt = _check_dt(grid, dt, infinite_rate)
+    bound = stability_bound(grid, infinite_rate=infinite_rate)
+    if dt is None:
+        dt = 0.5 * bound
+    elif dt > bound * (1 + 1e-12):
+        raise StabilityError(
+            f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
     faces = _faces(grid, infinite_rate)
     t0 = grid.t
     for k in range(1, n_steps + 1):

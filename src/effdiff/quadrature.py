@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PlaneConfig, frame_for_planes
-from .tensor import EPS_M, MediumParams
+from .tensor import EPS_M, EPS_PSI, MediumParams
 
 APEX_THRESHOLD = 1e-6
 
@@ -63,12 +63,6 @@ class WedgeQuadratureJob:
         return WedgeQuadratureJob(fr.psi, fr.m1, fr.m2, **kw)
 
 
-def _gauss_legendre_integral(f, a, b, nodes, weights):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(weights, f(mid + half * nodes)))
-
-
 def quadrature_tensor(job: WedgeQuadratureJob,
                       med: MediumParams = MediumParams(1.0)) -> np.ndarray:
     """Effective tensor of the wedge, reconstructed numerically.
@@ -80,110 +74,89 @@ def quadrature_tensor(job: WedgeQuadratureJob,
     psi, m1, m2 = job.psi, job.m1, job.m2
     if not all(map(math.isfinite, (psi, m1, m2))):
         raise OracleError("non-finite wedge parameters")
-    if math.pi / 2 - abs(psi) < 1e-9:
+    if math.pi / 2 - abs(psi) < EPS_PSI:
         raise OracleError("extreme tilt: wedge coordinates are undefined")
 
-    if abs(m2 - m1) <= EPS_M * (1.0 + abs(m1) + abs(m2)):
-        return _parallel_slab_tensor(0.5 * (m1 + m2), job, med)
-
     x, y = float(job.eval_point[0]), float(job.eval_point[1])
-    if x < APEX_THRESHOLD * max(1.0, abs(y)):
-        raise ApexProximityError(f"evaluation point x = {x:.3g} is too close to the apex")
-    if (m2 - m1) * x <= 0:
-        raise OracleError("evaluation point is outside the wedge interior")
+    if abs(m2 - m1) <= EPS_M * (1.0 + abs(m1) + abs(m2)):
+        family, z_bounds = _slab_family(0.5 * (m1 + m2))
+    else:
+        if x < APEX_THRESHOLD * max(1.0, abs(y)):
+            raise ApexProximityError(
+                f"evaluation point x = {x:.3g} is too close to the apex")
+        if (m2 - m1) * x <= 0:
+            raise OracleError("evaluation point is outside the wedge interior")
+        family, z_bounds = _wedge_family(psi, m1, m2)
+    nodes, weights = np.polynomial.legendre.leggauss(job.points)
 
+    def integral(f, px, py):
+        """Gauss-Legendre integral of f(px, py, z) over z1 <= z <= z2."""
+        z1, z2 = z_bounds(px, py)
+        mid = 0.5 * (z1 + z2)
+        half = 0.5 * (z2 - z1)
+        return half * float(np.dot(weights, f(px, py, mid + half * nodes)))
+
+    def q_over_w(q, px, py):
+        z1, z2 = z_bounds(px, py)
+        return integral(q, px, py) / (z2 - z1)
+
+    z1, z2 = z_bounds(x, y)
+    h = job.fd_step * max(1.0, abs(x), abs(y))
+    us, vs = [], []
+    for q, dqdx, dqdy in family:
+        us.append(np.array([integral(dqdx, x, y), integral(dqdy, x, y)])
+                  * (med.d0 / (z2 - z1)))
+        vs.append(np.array([
+            (q_over_w(q, x + h, y) - q_over_w(q, x - h, y)) / (2 * h),
+            (q_over_w(q, x, y + h) - q_over_w(q, x, y - h)) / (2 * h),
+        ]))
+    umat = np.column_stack(us)
+    vmat = np.column_stack(vs)
+    det = vmat[0, 0] * vmat[1, 1] - vmat[0, 1] * vmat[1, 0]
+    scale = np.linalg.norm(vs[0]) * np.linalg.norm(vs[1])
+    if abs(det) <= 1e-10 * max(scale, 1e-30):
+        raise SingularSystemError("gradient columns are linearly dependent")
+    return umat @ np.linalg.inv(vmat)
+
+
+def _wedge_family(psi, m1, m2):
+    """Members w = 0 and w = pi/2 of the harmonic family, each as
+    (Q, dQ/dx, dQ/dy) of (x, y, z), and the z-bounds of the wedge."""
     sp, cp = math.sin(psi), math.cos(psi)
     sec = 1.0 / cp
-    nodes, weights = np.polynomial.legendre.leggauss(job.points)
+
+    def member(omega):
+        cw, sw = math.cos(omega), math.sin(omega)
+
+        def q(px, py, z):
+            zz = -py * sp + z * cp
+            yy = py * cp + z * sp
+            return cw * 0.5 * np.log(px * px + zz * zz) + sw * yy
+
+        def dqdx(px, py, z):
+            zz = -py * sp + z * cp
+            return cw * px / (px * px + zz * zz)
+
+        def dqdy(px, py, z):
+            zz = -py * sp + z * cp
+            return -cw * zz * sp / (px * px + zz * zz) + sw * cp
+
+        return q, dqdx, dqdy
 
     def z_bounds(px, py):
         z1 = (m1 * px + py * sp) * sec
         z2 = (m2 * px + py * sp) * sec
         return z1, z2
 
-    def column(omega):
-        cw, sw = math.cos(omega), math.sin(omega)
-
-        def dqdx(px, py):
-            def f(z):
-                zz = -py * sp + z * cp
-                return cw * px / (px * px + zz * zz)
-            return f
-
-        def dqdy(px, py):
-            def f(z):
-                zz = -py * sp + z * cp
-                return -cw * zz * sp / (px * px + zz * zz) + sw * cp
-            return f
-
-        def q_over_w(px, py):
-            z1, z2 = z_bounds(px, py)
-
-            def f(z):
-                zz = -py * sp + z * cp
-                yy = py * cp + z * sp
-                return cw * 0.5 * np.log(px * px + zz * zz) + sw * yy
-            return _gauss_legendre_integral(f, z1, z2, nodes, weights) / (z2 - z1)
-
-        z1, z2 = z_bounds(x, y)
-        width = z2 - z1
-        ix = _gauss_legendre_integral(dqdx(x, y), z1, z2, nodes, weights)
-        iy = _gauss_legendre_integral(dqdy(x, y), z1, z2, nodes, weights)
-        u = np.array([ix, iy]) * (med.d0 / width)
-
-        h = job.fd_step * max(1.0, abs(x), abs(y))
-        v = np.array([
-            (q_over_w(x + h, y) - q_over_w(x - h, y)) / (2 * h),
-            (q_over_w(x, y + h) - q_over_w(x, y - h)) / (2 * h),
-        ])
-        return u, v
-
-    u0, v0 = column(0.0)
-    u1, v1 = column(math.pi / 2)
-    umat = np.column_stack([u0, u1])
-    vmat = np.column_stack([v0, v1])
-    det = vmat[0, 0] * vmat[1, 1] - vmat[0, 1] * vmat[1, 0]
-    scale = np.linalg.norm(v0) * np.linalg.norm(v1)
-    if abs(det) <= 1e-10 * max(scale, 1e-30):
-        raise SingularSystemError("gradient columns are linearly dependent")
-    return umat @ np.linalg.inv(vmat)
+    return (member(0.0), member(math.pi / 2)), z_bounds
 
 
-def _parallel_slab_tensor(mu, job, med):
-    """Oracle for the parallel fallback: slab between z = mu x and
-    z = mu x + 1, probed with the linear family Q_a = x + mu z, Q_b = y."""
-    x, y = float(job.eval_point[0]), float(job.eval_point[1])
-    nodes, weights = np.polynomial.legendre.leggauss(job.points)
-
-    def z_bounds(px):
-        return mu * px, mu * px + 1.0
-
-    def column(fn, dfdx, dfdy):
-        def q_over_w(px, py):
-            z1, z2 = z_bounds(px)
-            val = _gauss_legendre_integral(lambda z: fn(px, py, z),
-                                           z1, z2, nodes, weights)
-            return val / (z2 - z1)
-
-        z1, z2 = z_bounds(x)
-        width = z2 - z1
-        ix = _gauss_legendre_integral(lambda z: dfdx(x, y, z), z1, z2, nodes, weights)
-        iy = _gauss_legendre_integral(lambda z: dfdy(x, y, z), z1, z2, nodes, weights)
-        u = np.array([ix, iy]) * (med.d0 / width)
-        h = job.fd_step * max(1.0, abs(x), abs(y))
-        v = np.array([
-            (q_over_w(x + h, y) - q_over_w(x - h, y)) / (2 * h),
-            (q_over_w(x, y + h) - q_over_w(x, y - h)) / (2 * h),
-        ])
-        return u, v
-
+def _slab_family(mu):
+    """The linear family Q_a = x + mu z, Q_b = y, each as (Q, dQ/dx, dQ/dy)
+    of (x, y, z), and the z-bounds of the slab between z = mu x and
+    z = mu x + 1."""
     ones = lambda px, py, z: np.ones_like(np.asarray(z, float))
     zeros = lambda px, py, z: np.zeros_like(np.asarray(z, float))
-    u0, v0 = column(lambda px, py, z: px + mu * z, ones, zeros)
-    u1, v1 = column(lambda px, py, z: py + 0.0 * z, zeros, ones)
-    umat = np.column_stack([u0, u1])
-    vmat = np.column_stack([v0, v1])
-    det = vmat[0, 0] * vmat[1, 1] - vmat[0, 1] * vmat[1, 0]
-    if abs(det) <= 1e-12:
-        raise SingularSystemError("slab gradient columns are linearly dependent")
-    return umat @ np.linalg.inv(vmat)
+    family = ((lambda px, py, z: px + mu * z, ones, zeros),
+              (lambda px, py, z: py + 0.0 * z, zeros, ones))
+    return family, lambda px, py: (mu * px, mu * px + 1.0)

@@ -27,7 +27,8 @@ factor of the polar decomposition D = S R (S symmetric PSD, R orthogonal).
 effective_tensor takes a one-point frame bundle or a frame_field bundle of
 arrays; polar_decompose and to_cartesian take one 2x2 matrix or a
 (..., 2, 2) stack.  At one point an undefined tensor raises; on arrays it
-is NaN and flagged per point.
+is NaN and flagged per point.  sample_tensor runs sample, frame and tensor
+for a surface pair and refuses the first undefined point by name.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FrameData
+from .geometry import FrameData, GeometryError, frame_field
 
 EPS_M = 1e-7        # relative switch to the coincident-slope limit
 EPS_PSI = 1e-9      # margin on pi/2 - |psi| for the extreme-tilt guard
@@ -153,20 +154,14 @@ def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
     """Effective diffusion matrix in the frame carried by `fd`.
 
     On a frame_field bundle the coefficients are a (..., 2, 2) stack; points
-    flagged extreme_tilt, or within EPS_PSI of |psi| = pi/2, get NaN
-    coefficients and the extreme_tilt flag.  At one point those cases raise
-    ExtremeTiltError instead.
+    within EPS_PSI of |psi| = pi/2 get NaN coefficients and the
+    extreme_tilt flag.  At one point that case raises ExtremeTiltError
+    instead.
     """
     psi = np.asarray(fd.psi, dtype=float)
-    near_pole = np.pi / 2 - np.abs(psi) < EPS_PSI
-    extreme = np.asarray(fd.extreme_tilt, dtype=bool) | near_pole
-    if psi.ndim == 0:
-        if fd.extreme_tilt:
-            raise ExtremeTiltError(
-                "frame is flagged extreme; use extreme_tilt_tensor(m1, m2, sign)")
-        if near_pole:
-            raise ExtremeTiltError(
-                f"tilt {fd.psi:.12g} is within {EPS_PSI} of pi/2")
+    extreme = np.pi / 2 - np.abs(psi) < EPS_PSI
+    if psi.ndim == 0 and extreme:
+        raise ExtremeTiltError(f"tilt {fd.psi:.12g} is within {EPS_PSI} of pi/2")
     m1 = np.asarray(fd.m1, dtype=float)
     m2 = np.asarray(fd.m2, dtype=float)
     if not (extreme | (np.isfinite(m1) & np.isfinite(m2))).all():
@@ -186,6 +181,29 @@ def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
     return EffectiveTensor(coeffs, fd.xhat, fd.yhat, fd.psi, fd.m1, fd.m2,
                            degenerate_frame=fd.degenerate_frame,
                            extreme_tilt=extreme if psi.ndim else False)
+
+
+def _refuse_first(mask, x, y, error, what):
+    if np.any(mask):
+        k = np.unravel_index(np.argmax(mask), mask.shape)
+        raise error(f"{what} at ({x[k]:.6g}, {y[k]:.6g})")
+
+
+def sample_tensor(pair, x, y, med: MediumParams):
+    """Width, surface gradients and effective tensor of a SurfacePair on
+    arrays of points x, y: (w, g1, g2, EffectiveTensor).
+
+    Refuses undefined points by name: first the points that
+    SurfacePair.sample masks (GeometryError), then those within EPS_PSI of
+    |psi| = pi/2 (ExtremeTiltError).
+    """
+    w, g1, g2, bad = pair.sample(x, y)
+    _refuse_first(bad, x, y, GeometryError,
+                  "width or surface gradient undefined")
+    tensor = effective_tensor(frame_field(w, g1, g2), med)
+    _refuse_first(tensor.extreme_tilt, x, y, ExtremeTiltError,
+                  "tensor undefined (extreme tilt)")
+    return w, g1, g2, tensor
 
 
 def extreme_tilt_tensor(m1: float, m2: float, sign: str, med: MediumParams):
@@ -264,7 +282,6 @@ def polar_decompose(tensor) -> EllipsoidData:
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
     half_gap = np.hypot(0.5 * (a - c), b)
     l1sq = 0.5 * (a + c) + half_gap
-    l2sq = 0.5 * (a + c) - half_gap
     # pick the better conditioned eigenvector expression for l1sq
     v_a = (b, l1sq - a)
     v_b = (l1sq - c, b)
@@ -275,7 +292,12 @@ def polar_decompose(tensor) -> EllipsoidData:
         # norm == 0: already diagonal with equal eigenvalues
         f1 = np.where(norm == 0.0, [1.0, 0.0], v / norm)
     lam1 = np.sqrt(np.maximum(l1sq, 0.0))
-    lam2 = np.sqrt(np.maximum(l2sq, 0.0))
+    zero = lam1 == 0.0
+    det = d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]
+    # lambda2 from |det D| = lambda1 lambda2 stays accurate down to rank 1,
+    # where the smaller root of D D^T cancels; clamp the ulp by which the
+    # quotient can exceed lambda1 when the two are nearly equal
+    lam2 = np.minimum(np.abs(det) / np.where(zero, 1.0, lam1), lam1)
     f2 = _pair(-f1[..., 1], f1[..., 0])
 
     s = (lam1[..., None, None] * (f1[..., :, None] * f1[..., None, :])
@@ -283,11 +305,9 @@ def polar_decompose(tensor) -> EllipsoidData:
     s[..., 1, 0] = s[..., 0, 1]  # stored exactly symmetric
 
     degenerate = lam2 <= EPS_DEGENERATE * lam1
-    zero = lam1 == 0.0
     g1 = (_t(d) @ f1[..., None])[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         g1 = g1 / np.sqrt(g1[..., 0] ** 2 + g1[..., 1] ** 2)[..., None]
-    det = d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]
     # rank-1: complete with a proper rotation
     orient = np.where(degenerate | (det == 0.0), 1.0, np.copysign(1.0, det))
     g2 = orient[..., None] * _pair(-g1[..., 1], g1[..., 0])

@@ -356,3 +356,23 @@ def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,settings,named", [
+    ("solve", dict(z1="log(abs(x-0.375))-5", z2="1", domain="0,1,0,1",
+                   resolution="4x4", steps="1"),
+     "width or surface gradient undefined at (0.375, 0.125)"),
+    ("solve", dict(z1="1e10*x", z2="1e10*y+1e11", domain="0,1,0,1",
+                   resolution="4x4", steps="1"),
+     "tensor undefined (extreme tilt) at (0.125, 0.125)"),
+    ("recover-channel", dict(z1="log(abs(x-1))-5", z2="1", x0="0", x1="2",
+                             samples="3"),
+     "width or surface gradient undefined at (1, 0)"),
+], ids=["solve-masked", "solve-extreme-tilt", "recover-channel-masked"])
+def test_solve_and_recover_channel_name_the_first_undefined_point(
+        tmp_path, capsys, command, settings, named):
+    path = write_cfg(tmp_path, "bad.cfg", **settings)
+    assert run(tmp_path, command, "--config", path,
+               "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {named}\n"

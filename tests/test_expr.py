@@ -3,9 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from effdiff.expr import (
-    Const, EvalDomainError, ParseError, Unary,
+    Binary, Const, EvalDomainError, ParseError, Unary, Var,
     differentiate, evaluate, evaluate_masked, parse, to_text,
 )
 
@@ -271,3 +272,53 @@ def test_print_parse_round_trip():
                     evaluate(e2, p)
                 continue
             assert evaluate(e2, p) == a
+
+
+# parse() yields non-negative constants (a minus sign is a "neg" node), so
+# these are the trees that to_text must give back exactly
+_PARSED_LEAVES = st.one_of(
+    st.sampled_from([Var("x"), Var("y")]),
+    st.floats(min_value=0.0, allow_infinity=False).filter(
+        lambda v: math.copysign(1.0, v) > 0).map(Const))
+
+
+def _parsed_nodes(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(
+            ["sin", "cos", "tan", "asin", "acos", "atan", "exp", "log",
+             "sqrt", "abs", "neg"]), children),
+        st.builds(Binary, st.sampled_from("+-*/^"), children, children))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.recursive(_PARSED_LEAVES, _parsed_nodes, max_leaves=12))
+def test_parse_gives_back_every_printed_tree(e):
+    assert parse(to_text(e)) == e
+
+
+def _smooth_nodes(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(["sin", "cos", "atan", "exp", "neg"]),
+                  children),
+        st.builds(Binary, st.sampled_from("+-*/"), children, children),
+        st.builds(lambda base, n: Binary("^", base, Const(n)), children,
+                  st.sampled_from([2.0, 3.0])))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.recursive(
+           st.one_of(st.sampled_from([Var("x"), Var("y")]),
+                     st.floats(0.0, 3.0).map(Const)),
+           _smooth_nodes, max_leaves=8),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.sampled_from("xy"))
+def test_symbolic_derivative_agrees_with_central_differences(e, x, y, var):
+    try:
+        sym = evaluate(differentiate(e, var), (x, y))
+        fd6 = central_diff(e, (x, y), var, h=1e-6)
+        fd5 = central_diff(e, (x, y), var, h=1e-5)
+    except EvalDomainError:
+        assume(False)   # not finite at the point or on the stencil
+    # no pole on or near the stencil (a stencil straddling one can agree
+    # with itself), and the difference quotient has converged
+    assume(abs(sym) <= 1e3 and abs(fd6 - fd5) <= 1e-7 * max(1.0, abs(fd6)))
+    assert abs(sym - fd6) <= 1e-6 * max(1.0, abs(sym)), to_text(e)

@@ -8,7 +8,7 @@ from effdiff.geometry import (
     DegenerateConfigError, Domain, GeometryError, GridField,
     OutsideDomainError, PlaneConfig,
     ScalarField, SurfacePair, SurfaceValidationError, frame_for_planes,
-    frame_for_surfaces, surface_normals, width,
+    frame_for_surfaces, surface_normals,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -123,7 +123,7 @@ def test_surfaces_tilted_upper_plane():
 def test_surfaces_flat_parallel_fallback():
     pair = make_pair("-1", "1")
     fd = frame_for_surfaces(pair, (0.7, 0.7))
-    assert fd.degenerate_frame and not fd.extreme_tilt
+    assert fd.degenerate_frame
     assert fd.psi == 0.0
     assert fd.m1 == 0.0 and fd.m2 == 0.0
 
@@ -131,7 +131,7 @@ def test_surfaces_flat_parallel_fallback():
 def test_surfaces_sloped_parallel_fallback():
     pair = make_pair("x", "x+1", domain=(-0.4, 0.4, -0.4, 0.4))
     fd = frame_for_surfaces(pair, (0.1, 0.0))
-    assert fd.degenerate_frame and not fd.extreme_tilt
+    assert fd.degenerate_frame
     assert fd.psi == 0.0
     assert fd.m1 == pytest.approx(1.0, rel=1e-14)
     assert fd.m2 == pytest.approx(1.0, rel=1e-14)
@@ -172,12 +172,12 @@ def test_surfaces_frame_orthonormal_and_perp_rotation():
 
 def test_width_radial_origin():
     pair = make_pair("sin(r)-3/2", "cos(2*r)+3/2", domain=(-8, 8, -8, 8))
-    assert width(pair, (0.0, 0.0)) == pytest.approx(4.0, abs=1e-15)
+    assert pair.width((0.0, 0.0)) == pytest.approx(4.0, abs=1e-15)
 
 
 def test_width_flat():
     pair = make_pair("0", "1")
-    assert width(pair, (0.2, 0.9)) == 1.0
+    assert pair.width((0.2, 0.9)) == 1.0
 
 
 def test_width_zero_fails_at_construction():
@@ -188,7 +188,7 @@ def test_width_zero_fails_at_construction():
 def test_width_outside_domain():
     pair = make_pair("0", "1", domain=(0, 1, 0, 1))
     with pytest.raises(OutsideDomainError):
-        width(pair, (2.0, 0.5))
+        pair.width((2.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
