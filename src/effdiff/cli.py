@@ -3,6 +3,7 @@
 Subcommands: tensor, planes, oracle, mc, solve, recover-channel.
 Settings come from a flat key=value config file (--config), overridden by
 command-line flags; --example loads a named built-in configuration first.
+Every value is parsed by its key's entry in _PARSERS before a command runs.
 Every output file embeds the tool version and the fully resolved config,
 and repeated runs with the same config and seed are byte-identical.
 
@@ -47,29 +48,6 @@ class ConfigError(Exception):
 # config handling
 # ---------------------------------------------------------------------------
 
-def _parse_floats(text, n, key):
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != n:
-        raise ConfigError(f"{key} needs {n} comma-separated values, got '{text}'")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad number in {key}: {exc}") from None
-
-
-def _parse_resolution(text):
-    parts = str(text).lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"resolution must look like 64x64, got '{text}'")
-    try:
-        nx, ny = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ConfigError(f"resolution must look like 64x64, got '{text}'") from None
-    if nx < 2 or ny < 2:
-        raise ConfigError("resolution must be at least 2x2")
-    return nx, ny
-
-
 _TWO_PI = 2 * math.pi
 
 EXAMPLES = {
@@ -110,6 +88,90 @@ _ALLOWED_KEYS = {
 }
 
 
+def _parser(convert, accept, wanted):
+    """The parser of a key: its text must convert to a value that accept()
+    holds for; any other text is a ConfigError naming the key."""
+    def parse(key, text):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        raise ConfigError(f"{key} must be {wanted}, got {text!r}")
+    return parse
+
+
+def _numbers(text):
+    """Comma-separated finite floats; a ValueError for any other text."""
+    values = tuple(map(float, text.split(",")))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(text)
+    return values
+
+
+def _sizes(text):
+    return tuple(map(int, text.lower().split("x")))
+
+
+def _is_rectangle(v):
+    return (len(v) == 4 and 0 < v[1] - v[0] < math.inf
+            and 0 < v[3] - v[2] < math.inf)
+
+
+def _at_least(minimum):
+    return _parser(int, lambda n: n >= minimum, f"an integer >= {minimum}")
+
+
+def _one_of(*options):
+    return _parser(str, options.__contains__, f"one of {', '.join(options)}")
+
+
+def _expression(key, text):
+    try:
+        return ScalarField.from_expression(text)
+    except ExprError as exc:
+        raise ConfigError(f"bad expression for {key}: {exc}") from None
+
+
+def _grid(key, text):
+    return load_grid_field(text)
+
+
+_finite = _parser(float, math.isfinite, "a finite number")
+_positive = _parser(float, lambda v: 0 < v < math.inf, "positive and finite")
+_normal = _parser(_numbers, lambda v: len(v) == 3 and any(v),
+                  "a finite non-zero vector x,y,z")
+
+_PARSERS = {
+    "d0": _positive, "dt": _positive, "gap": _positive, "fd_step": _positive,
+    "mu": _finite, "psi": _finite, "m1": _finite, "m2": _finite,
+    "eval_x": _finite, "eval_y": _finite, "x0": _finite, "x1": _finite,
+    "seed": _at_least(0), "count": _at_least(0), "steps": _at_least(0),
+    "quad_points": _at_least(1), "snap_every": _at_least(1),
+    "samples": _at_least(1), "particles": _at_least(2), "blocks": _at_least(2),
+    "domain": _parser(_numbers, _is_rectangle,
+                      "x0,x1,y0,y1 with finite x1 - x0 > 0 and y1 - y0 > 0"),
+    "resolution": _parser(_sizes, lambda n: len(n) == 2 and min(n) >= 2,
+                          "NXxNY with NX and NY >= 2"),
+    "start": _parser(_numbers, lambda v: len(v) == 3, "a finite point x,y,z"),
+    "n1": _normal, "n2": _normal, "zdir": _normal,
+    "z1": _expression, "z2": _expression, "p0": _expression,
+    "z1_grid": _grid, "z2_grid": _grid,
+    "mode": _one_of("finite", "infinite"), "tilt_sign": _one_of("+", "-"),
+    "example": _one_of(*sorted(EXAMPLES)),
+    "out": _parser(str, lambda p: p and "\0" not in p, "a file path"),
+}
+
+
+class _Settings(dict):
+    """Parsed config values; reading a key that is not set is a config error."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing required config key '{key}'")
+
+
 def read_config_file(path):
     cfg = {}
     try:
@@ -128,18 +190,22 @@ def read_config_file(path):
 
 
 def resolve_config(command, args):
-    """Merge defaults < example preset < config file < command-line flags."""
+    """Merge defaults < example preset < config file < command-line flags,
+    then parse every value with its key's entry in _PARSERS.
+
+    Returns the merged text, which output headers embed unchanged, and the
+    parsed values.
+    """
     allowed = _ALLOWED_KEYS[command]
     file_cfg = read_config_file(args.config) if args.config else {}
     example = args.example or file_cfg.pop("example", None)
 
     cfg = {"d0": "1.0"}
     if example:
-        if example not in EXAMPLES:
-            raise ConfigError(f"unknown example '{example}'; "
-                              f"choose from {sorted(EXAMPLES)}")
-        # presets carry keys for several commands; keep the relevant ones
-        cfg.update({k: v for k, v in EXAMPLES[example].items() if k in allowed})
+        # presets carry keys for several commands; keep the relevant ones.
+        # An unknown name brings no preset and fails its parse below.
+        preset = EXAMPLES.get(example, {})
+        cfg.update({k: v for k, v in preset.items() if k in allowed})
         cfg["example"] = example
     cfg.update(file_cfg)
     for flag in ("out", "seed", "resolution", "domain", "d0"):
@@ -150,41 +216,8 @@ def resolve_config(command, args):
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    return cfg
-
-
-def _need(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"missing required config key '{key}'")
-    return cfg[key]
-
-
-def _get_float(cfg, key, default=None, positive=False):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key '{key}'")
-        return default
-    try:
-        value = float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got '{cfg[key]}'") from None
-    if positive and not (value > 0 and math.isfinite(value)):
-        raise ConfigError(f"{key} must be positive and finite, got '{cfg[key]}'")
-    return value
-
-
-def _get_int(cfg, key, default=None, minimum=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key '{key}'")
-        return default
-    try:
-        value = int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got '{cfg[key]}'") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
-    return value
+    return cfg, _Settings((key, _PARSERS[key](key, text))
+                          for key, text in cfg.items())
 
 
 def load_grid_field(path):
@@ -195,21 +228,22 @@ def load_grid_field(path):
             header = fh.readline().strip()
             rows = [(lineno, line.strip()) for lineno, line in enumerate(fh, 2)
                     if line.strip()]
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot read grid file: {exc}") from None
     if not header.startswith("# grid"):
         raise ConfigError(f"{path}: missing '# grid ...' header line")
     fields = dict(part.split("=", 1) for part in header[7:].split() if "=" in part)
     try:
-        origin = _parse_floats(fields["origin"], 2, "origin")
-        spacing = _parse_floats(fields["spacing"], 2, "spacing")
+        origin = _numbers(fields["origin"])
+        spacing = _numbers(fields["spacing"])
     except KeyError as exc:
         raise ConfigError(f"{path}: header lacks {exc}") from None
-    if not all(map(math.isfinite, origin)):
-        raise ConfigError(f"{path}: origin must be finite, got {fields['origin']}")
-    if not all(h > 0 and math.isfinite(h) for h in spacing):
-        raise ConfigError(f"{path}: spacing must be positive and finite, "
-                          f"got {fields['spacing']}")
+    except ValueError:
+        raise ConfigError(f"{path}: origin and spacing must be finite "
+                          f"numbers, got '{header}'") from None
+    if len(origin) != 2 or len(spacing) != 2 or min(spacing) <= 0:
+        raise ConfigError(f"{path}: needs origin=<x0>,<y0> and a positive "
+                          f"spacing=<hx>,<hy>, got '{header}'")
     values = []
     for lineno, row in rows:
         try:
@@ -229,20 +263,12 @@ def load_grid_field(path):
     return GridField(origin, spacing, np.array(values))
 
 
-def _surface_field(cfg, name):
-    grid_key = f"{name}_grid"
-    if grid_key in cfg:
-        return load_grid_field(cfg[grid_key])
-    try:
-        return ScalarField.from_expression(_need(cfg, name))
-    except ExprError as exc:
-        raise ConfigError(f"bad expression for {name}: {exc}") from None
-
-
-def _surface_pair(cfg):
-    domain = _parse_floats(_need(cfg, "domain"), 4, "domain")
-    return SurfacePair(_surface_field(cfg, "z1"), _surface_field(cfg, "z2"),
-                       Domain(*domain))
+def _surface_pair(opt):
+    """z1 and z2 over the domain; a sampled-grid file wins over an
+    expression."""
+    z1, z2 = (opt[f"{name}_grid"] if f"{name}_grid" in opt else opt[name]
+              for name in ("z1", "z2"))
+    return SurfacePair(z1, z2, Domain(*opt["domain"]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,29 +291,31 @@ def _header_lines(cfg):
     return lines
 
 
+def _write(path, text):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def write_csv(path, cfg, columns, rows, extra_header=()):
     out = _header_lines(cfg) + list(extra_header)
     out.append(",".join(columns))
     out.extend(map(",".join, rows))
     out.append("")  # the final newline, without copying the text again
-    text = "\n".join(out)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write(path, "\n".join(out))
 
 
 def write_json(path, cfg, payload):
     document = {"meta": {"tool": "effdiff", "version": __version__,
                          "config": dict(sorted(cfg.items()))}}
     document.update(payload)
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def _matrix(m):
@@ -303,15 +331,14 @@ TENSOR_COLUMNS = ["x", "y", "w", "psi", "m1", "m2", "D11", "D12", "D21", "D22",
                   "flags"]
 
 
-def cmd_tensor(cfg):
+def cmd_tensor(cfg, opt):
     """Tensor field CSV, one row per lattice node, scanlines y outer and x
     fastest.  A node where the width or a gradient is undefined (see
     SurfacePair.sample) gets the domain_error flag and no numbers; a node
     with an undefined tensor gets w and psi and the extreme_tilt flag."""
-    pair = _surface_pair(cfg)
-    med = MediumParams(_get_float(cfg, "d0", positive=True))
-    nx, ny = _parse_resolution(_need(cfg, "resolution"))
-    xs, ys = pair.domain.lattice(nx, ny)
+    pair = _surface_pair(opt)
+    med = MediumParams(opt["d0"])
+    xs, ys = pair.domain.lattice(*opt["resolution"])
     y, x = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))
 
     w, g1, g2, bad = pair.sample(x, y)
@@ -341,18 +368,21 @@ def cmd_tensor(cfg):
         fd.degenerate_frame, "degenerate_frame",
         np.where(tensor.extreme_tilt, "extreme_tilt", ""))
     cells[bad, 18] = "domain_error"
-    write_csv(cfg.get("out"), cfg, TENSOR_COLUMNS, cells.tolist())
+    write_csv(opt.get("out"), cfg, TENSOR_COLUMNS, cells.tolist())
     return 0
 
 
-def _plane_report(cfg):
-    med = MediumParams(_get_float(cfg, "d0", positive=True))
-    if "n1" in cfg or "n2" in cfg:
-        n1 = _parse_floats(_need(cfg, "n1"), 3, "n1")
-        n2 = _parse_floats(_need(cfg, "n2"), 3, "n2")
-        zdir = _parse_floats(cfg.get("zdir", "0,0,1"), 3, "zdir")
-        plane_cfg = PlaneConfig(np.array(n1), np.array(n2), np.array(zdir))
-        fr = frame_for_planes(plane_cfg)
+def _normals_frame(opt):
+    """The frame of the planes with normals n1 and n2, seen along zdir."""
+    return frame_for_planes(PlaneConfig(
+        np.array(opt["n1"]), np.array(opt["n2"]),
+        np.array(opt.get("zdir", (0.0, 0.0, 1.0)))))
+
+
+def _plane_report(opt):
+    med = MediumParams(opt["d0"])
+    if "n1" in opt or "n2" in opt:
+        fr = _normals_frame(opt)
         rho, omega = rho_omega(fr.m1, fr.m2)
         tensor = effective_tensor(frame_from_slopes(fr.psi, fr.m1, fr.m2), med)
         ell = polar_decompose(tensor)
@@ -371,10 +401,9 @@ def _plane_report(cfg):
             "response_lines": {"e1": list(ell.e1), "e2": list(ell.e2)},
         }
     # explicit extreme-tilt analysis from the slopes
-    m1 = _get_float(cfg, "m1")
-    m2 = _get_float(cfg, "m2")
-    sign = cfg.get("tilt_sign", "+")
-    tensor, endpoints = extreme_tilt_tensor(m1, m2, sign, med)
+    m1, m2 = opt["m1"], opt["m2"]
+    tensor, endpoints = extreme_tilt_tensor(m1, m2, opt.get("tilt_sign", "+"),
+                                            med)
     rho, omega = rho_omega(m1, m2)
     return {
         "psi": tensor.psi, "m1": m1, "m2": m2, "mu": 0.5 * (m1 + m2),
@@ -386,15 +415,16 @@ def _plane_report(cfg):
     }
 
 
-def cmd_planes(cfg):
+def cmd_planes(cfg, opt):
     try:
-        payload = _plane_report(cfg)
+        payload = _plane_report(opt)
     except (DegenerateConfigError, ExtremeTiltError) as exc:
-        write_json(cfg.get("out"), cfg, {"error": {
+        write_json(opt.get("out"), cfg, {"error": {
             "kind": "degenerate_configuration", "message": str(exc),
             "psi": getattr(exc, "psi", None)}})
+        sys.stderr.write(f"error: {exc}\n")
         return 3
-    write_json(cfg.get("out"), cfg, payload)
+    write_json(opt.get("out"), cfg, payload)
     return 0
 
 
@@ -413,32 +443,27 @@ def _oracle_case(psi, m1, m2, med, points, fd_step, eval_point):
     }
 
 
-def cmd_oracle(cfg):
-    med = MediumParams(_get_float(cfg, "d0", positive=True))
-    points = _get_int(cfg, "quad_points", 128, minimum=1)
-    fd_step = _get_float(cfg, "fd_step", 1e-5, positive=True)
-    eval_point = (_get_float(cfg, "eval_x", 1.0), _get_float(cfg, "eval_y", 0.0))
-    count = _get_int(cfg, "count", 0)
+def cmd_oracle(cfg, opt):
+    med = MediumParams(opt["d0"])
+    points = opt.get("quad_points", 128)
+    fd_step = opt.get("fd_step", 1e-5)
+    eval_point = (opt.get("eval_x", 1.0), opt.get("eval_y", 0.0))
+    count = opt.get("count", 0)
 
     cases = []
-    failed = False
     if count > 0:
-        rng = np.random.default_rng(_get_int(cfg, "seed", 0))
+        rng = np.random.default_rng(opt.get("seed", 0))
         for _ in range(count):
             psi = float(rng.uniform(-1.4, 1.4))
             m1, m2 = np.sort(rng.uniform(-10.0, 10.0, size=2))
             if m2 - m1 < 0.1:
                 m2 = m1 + 0.1
             cases.append((psi, float(m1), float(m2)))
-    elif "psi" not in cfg and "n1" in cfg:
-        fr = frame_for_planes(PlaneConfig(
-            np.array(_parse_floats(_need(cfg, "n1"), 3, "n1")),
-            np.array(_parse_floats(_need(cfg, "n2"), 3, "n2")),
-            np.array(_parse_floats(cfg.get("zdir", "0,0,1"), 3, "zdir"))))
+    elif "psi" not in opt and "n1" in opt:
+        fr = _normals_frame(opt)
         cases.append((fr.psi, *sorted((fr.m1, fr.m2))))
     else:
-        cases.append((_get_float(cfg, "psi"), _get_float(cfg, "m1"),
-                      _get_float(cfg, "m2")))
+        cases.append((opt["psi"], opt["m1"], opt["m2"]))
 
     records = []
     for psi, m1, m2 in cases:
@@ -446,56 +471,54 @@ def cmd_oracle(cfg):
             records.append(_oracle_case(psi, m1, m2, med, points, fd_step,
                                         eval_point))
         except (OracleError, TensorError, ExtremeTiltError) as exc:
-            failed = True
             records.append({"psi": psi, "m1": m1, "m2": m2, "error": {
                 "kind": type(exc).__name__, "message": str(exc)}})
 
+    n_failed = sum(1 for r in records if "error" in r)
     summary = {
         "cases": records,
         "max_abs_err": max((r["max_abs_err"] for r in records
                             if "max_abs_err" in r), default=None),
         "n_cases": len(records),
-        "n_failed": sum(1 for r in records if "error" in r),
+        "n_failed": n_failed,
     }
-    write_json(cfg.get("out"), cfg, summary)
-    return 3 if failed and count == 0 else 0
+    write_json(opt.get("out"), cfg, summary)
+    if n_failed and count == 0:
+        sys.stderr.write(f"error: {records[0]['error']['message']}\n")
+        return 3
+    return 0
 
 
-def cmd_mc(cfg):
-    d0 = _get_float(cfg, "d0", positive=True)
-    dt = _get_float(cfg, "dt", 1e-3, positive=True)
-    steps = _get_int(cfg, "steps", 1000, minimum=1)
-    particles = _get_int(cfg, "particles", 10000, minimum=2)
-    seed = _get_int(cfg, "seed", 0)
-    blocks = _get_int(cfg, "blocks", 25, minimum=2)
+def cmd_mc(cfg, opt):
+    steps = opt.get("steps", 1000)
+    if steps < 1:
+        raise ConfigError(f"steps must be at least 1, got {steps}")
+    particles = opt.get("particles", 10000)
+    seed = opt.get("seed", 0)
+    blocks = opt.get("blocks", 25)
     if blocks > particles:
         raise ConfigError(f"blocks must not exceed particles ({particles}), "
                           f"got {blocks}")
 
-    if ("z1" in cfg or "z2" in cfg) and "mu" not in cfg and "gap" not in cfg:
-        pair = _surface_pair(cfg)
+    if ("z1" in opt or "z2" in opt) and "mu" not in opt and "gap" not in opt:
+        pair = _surface_pair(opt)
         cx = 0.5 * (pair.domain.x0 + pair.domain.x1)
         cy = 0.5 * (pair.domain.y0 + pair.domain.y1)
         cz = 0.5 * (pair.z1.value((cx, cy)) + pair.z2.value((cx, cy)))
-        start = _parse_floats(cfg["start"], 3, "start") if "start" in cfg \
-            else (cx, cy, cz)
+        start = opt.get("start", (cx, cy, cz))
         geometry = pair
         mode = "surfaces (report only)"
     else:
-        mu = _get_float(cfg, "mu", 0.0)
-        if not math.isfinite(mu):
-            raise ConfigError(f"mu must be finite, got '{cfg['mu']}'")
-        gap = _get_float(cfg, "gap", 1.0, positive=True)
-        slab = Slab.from_slope(mu, gap)
-        start = _parse_floats(cfg["start"], 3, "start") if "start" in cfg \
-            else tuple(slab.midpoint_start())
+        slab = Slab.from_slope(opt.get("mu", 0.0), opt.get("gap", 1.0))
+        start = opt.get("start", tuple(slab.midpoint_start()))
         geometry = slab
         mode = "slab"
 
-    job = McJob(geometry, d0=d0, dt=dt, n_particles=particles, n_steps=steps,
-                seed=seed, start=start, jackknife_blocks=blocks)
+    job = McJob(geometry, d0=opt["d0"], dt=opt.get("dt", 1e-3),
+                n_particles=particles, n_steps=steps, seed=seed, start=start,
+                jackknife_blocks=blocks)
     result = mc_projected_tensor(job)
-    write_json(cfg.get("out"), cfg, {
+    write_json(opt.get("out"), cfg, {
         "mode": mode,
         "estimate": _matrix(result.estimate),
         "stderr": _matrix(result.stderr),
@@ -511,28 +534,13 @@ def cmd_mc(cfg):
     return 0
 
 
-def cmd_solve(cfg):
-    med = MediumParams(_get_float(cfg, "d0", positive=True))
-    nx, ny = _parse_resolution(_need(cfg, "resolution"))
-    mode = cfg.get("mode", "finite")
-    if mode not in ("finite", "infinite"):
-        raise ConfigError(f"mode must be finite or infinite, got '{mode}'")
-    pair = _surface_pair(cfg)
-
-    p0 = None
-    if "p0" in cfg:
-        try:
-            field = ScalarField.from_expression(cfg["p0"])
-        except ExprError as exc:
-            raise ConfigError(f"bad expression for p0: {exc}") from None
-        p0 = lambda x, y: field.value_array(x, y)  # noqa: E731
-
-    grid = PdeGrid.from_surfaces(pair, med, nx, ny, p0=p0)
-    # no dt: evolve takes half the stability bound
-    dt = _get_float(cfg, "dt", positive=True) if "dt" in cfg else None
-    steps = _get_int(cfg, "steps", 100, minimum=0)
-    snap_every = _get_int(cfg, "snap_every", max(1, steps // 4), minimum=1)
-    prefix = cfg.get("out", "solve")
+def cmd_solve(cfg, opt):
+    p0 = opt["p0"].value_array if "p0" in opt else None
+    grid = PdeGrid.from_surfaces(_surface_pair(opt), MediumParams(opt["d0"]),
+                                 *opt["resolution"], p0=p0)
+    steps = opt.get("steps", 100)
+    snap_every = opt.get("snap_every", max(1, steps // 4))
+    prefix = opt.get("out", "solve")
 
     written = []
     # rows in scanline order (y outer, x fastest); x, y and w never change
@@ -551,33 +559,31 @@ def cmd_solve(cfg):
         if k % snap_every == 0 or k == steps:
             snapshot(k, g)
 
-    evolve(grid, dt, steps, mode=mode, callback=callback)
+    # no dt: evolve takes half the stability bound
+    evolve(grid, opt.get("dt"), steps, mode=opt.get("mode", "finite"),
+           callback=callback)
     sys.stderr.write(f"wrote {len(written)} snapshots: "
                      f"{written[0]} .. {written[-1]}\n")
     return 0
 
 
-def cmd_recover_channel(cfg):
-    med = MediumParams(_get_float(cfg, "d0", positive=True))
-    x0 = _get_float(cfg, "x0", 0.0)
-    x1 = _get_float(cfg, "x1", _TWO_PI)
-    if not (math.isfinite(x0) and math.isfinite(x1) and x1 > x0):
-        raise ConfigError(f"x0 and x1 must be finite with x1 > x0, "
-                          f"got {x0!r} and {x1!r}")
-    samples = _get_int(cfg, "samples", 100, minimum=1)
-    z1 = _surface_field(cfg, "z1")
-    z2 = _surface_field(cfg, "z2")
+def cmd_recover_channel(cfg, opt):
+    med = MediumParams(opt["d0"])
+    x0, x1 = opt.get("x0", 0.0), opt.get("x1", _TWO_PI)
+    if not x1 > x0:
+        raise ConfigError(f"x0 and x1 must have x1 > x0, got {x0!r} and {x1!r}")
+    z1, z2 = opt["z1"], opt["z2"]
     margin = 0.05 * (x1 - x0)
     pair = SurfacePair(z1, z2, Domain(x0 - margin, x1 + margin, -1.0, 1.0))
 
-    x = np.linspace(x0, x1, samples)
+    x = np.linspace(x0, x1, opt.get("samples", 100))
     _, g1, g2, tensor = sample_tensor(pair, x, np.zeros_like(x), med)
     pipeline = tensor.coeffs
     formula = channel_recovery(z1, z2, x, med)
     err = np.abs(pipeline - formula).max(axis=(-2, -1))
     columns = [x, g1[0], g2[0], *pipeline.reshape(-1, 4).T, formula[:, 0, 0], err]
     rows = zip(*map(_fmts, columns))
-    write_csv(cfg.get("out"), cfg,
+    write_csv(opt.get("out"), cfg,
               ["x", "z1p", "z2p", "D11_surface", "D12_surface", "D21_surface",
                "D22_surface", "D11_channel", "max_abs_err"], rows,
               extra_header=[f"# worst_abs_err={_fmt(max(0.0, err.max()))}"])
@@ -628,8 +634,8 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args.command, args)
-        return _COMMANDS[args.command](cfg)
+        cfg, opt = resolve_config(args.command, args)
+        return _COMMANDS[args.command](cfg, opt)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

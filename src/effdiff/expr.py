@@ -119,6 +119,8 @@ def _tokenize(text):
                 value = float(text[i:j])
             except ValueError:
                 raise ParseError(f"malformed number '{text[i:j]}'", col) from None
+            if not np.isfinite(value):
+                raise ParseError(f"number out of range '{text[i:j]}'", col)
             tokens.append(_Token("num", text[i:j], col))
             tokens[-1].value = value
             i = j

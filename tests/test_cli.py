@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from effdiff.cli import main
+from effdiff.cli import _ALLOWED_KEYS, main
 
 
 def run(tmp_path, *argv):
@@ -307,6 +307,7 @@ _BAD_NUMBER_BASE = {
     "tensor": dict(z1="0", domain="0,1,0,1", resolution="4x4"),
     "oracle": dict(psi="0", m1="0", m2="1", quad_points="16"),
     "recover-channel": dict(z1="0", z2="1+x/10", samples="5"),
+    "planes": dict(m1="0", m2="1"),
 }
 
 
@@ -339,9 +340,26 @@ _BAD_NUMBER_BASE = {
     ("recover-channel", {"samples": "0"}, "samples"),
     ("recover-channel", {"x0": "1", "x1": "-1"}, "x1 > x0"),
     ("recover-channel", {"x1": "inf"}, "x1"),
+    ("oracle", {"count": "2", "seed": "-1"}, "seed"),
+    ("mc", {"--seed": "-1"}, "seed"),
+    ("oracle", {"eval_x": "nan"}, "eval_x"),
+    ("oracle", {"eval_y": "inf"}, "eval_y"),
+    ("oracle", {"count": "-3"}, "count"),
+    ("tensor", {"z2": "1", "domain": "0,1,1,0"}, "domain"),
+    ("tensor", {"z2": "1", "domain": "0,1,0,nan"}, "domain"),
+    ("tensor", {"z2": "1", "domain": "-1e308,1e308,0,1"}, "domain"),
+    ("tensor", {"z2": "1", "z1_grid": "a\0b"}, "grid file"),
+    ("planes", {"n1": "0,0,0", "n2": "0,0,1"}, "n1"),
+    ("planes", {"n1": "0,0,1", "n2": "0,0,0"}, "n2"),
+    ("oracle", {"n1": "0,0,-1", "n2": "0,0,1", "zdir": "0,0,0"}, "zdir"),
+    ("planes", {"tilt_sign": "x"}, "tilt_sign"),
+    ("mc", {"start": "0,0,nan"}, "start"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):
+    flags = [arg for key, value in settings.items() if key.startswith("--")
+             for arg in (key, value)]
+    settings = {k: v for k, v in settings.items() if not k.startswith("--")}
     cfg = dict(_BAD_NUMBER_BASE[command], **settings)
     if "z2_grid" in cfg:
         grid = tmp_path / "z2.grid"
@@ -352,7 +370,7 @@ def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
         cfg["z2_grid"] = str(grid)
     path = write_cfg(tmp_path, "bad.cfg", **cfg)
     assert run(tmp_path, command, "--config", path,
-               "--out", str(tmp_path / "out")) == 2
+               "--out", str(tmp_path / "out"), *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
     assert "Traceback" not in err and err.count("\n") == 1
@@ -376,3 +394,75 @@ def test_solve_and_recover_channel_name_the_first_undefined_point(
                "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err == f"error: {named}\n"
+
+
+# Tiny valid configs, one per command and mode: lattices of at most 4x4,
+# at most 50 walkers x 5 steps, at most 2 oracle cases of 16 points.
+_TINY = {
+    "tensor": ("tensor", dict(z1="0", z2="1", domain="0,1,0,1",
+                              resolution="4x4")),
+    "planes-normals": ("planes", dict(
+        n1="0,0,-1", n2="-0.7071067811865476,0,0.7071067811865476")),
+    "planes-slopes": ("planes", dict(m1="0", m2="1")),
+    "oracle-wedge": ("oracle", dict(psi="0", m1="0", m2="1",
+                                    quad_points="16")),
+    "oracle-sweep": ("oracle", dict(count="2", seed="1", quad_points="16")),
+    "mc-slab": ("mc", dict(mu="0", particles="50", steps="5", blocks="5")),
+    "mc-curved": ("mc", dict(z1="cos(x)", z2="cos(y)+5/2", domain="0,6,0,6",
+                             particles="50", steps="5", blocks="5",
+                             dt="1e-2")),
+    "solve": ("solve", dict(z1="0", z2="1", domain="0,1,0,1",
+                            resolution="4x4", steps="4")),
+    "recover-channel": ("recover-channel", dict(z1="0", z2="1+x/10",
+                                                samples="5")),
+}
+
+_ANY_TEXT = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "1,2",
+             "0,0,0"]
+
+
+@pytest.mark.parametrize("base", sorted(_TINY))
+def test_every_key_takes_any_text_without_a_traceback(tmp_path, monkeypatch,
+                                                      capsys, base):
+    # every allowed key set to each text: a result, or exit 2 or 3 with one
+    # line on stderr; an exception escaping main is a failure
+    command, settings = _TINY[base]
+    problems = []
+    for key in sorted(_ALLOWED_KEYS[command]):
+        for i, text in enumerate(_ANY_TEXT):
+            workdir = tmp_path / f"{key}-{i}"
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)   # out=abc and the like land here
+            path = write_cfg(workdir, "sweep.cfg",
+                             **{**settings, "out": "result", key: text})
+            case = f"{key}={text!r}"
+            try:
+                code = main([command, "--config", path])
+            except Exception as exc:
+                problems.append(f"{case}: {type(exc).__name__}: {exc}")
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 2, 3) or "Traceback" in err:
+                problems.append(f"{case}: exit {code}, stderr {err!r}")
+            elif code and err.count("\n") != 1:
+                problems.append(f"{case}: exit {code}, stderr {err!r}")
+    assert problems == []
+
+
+@pytest.mark.parametrize("out", ["", "a\0b", "missing/out"],
+                         ids=["empty", "nul", "missing"])
+@pytest.mark.parametrize("base", ["tensor", "planes-slopes", "oracle-wedge",
+                                  "mc-slab", "solve", "recover-channel"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, base, out):
+    command, settings = _TINY[base]
+    path = write_cfg(tmp_path, "ok.cfg", **settings)
+    target = str(tmp_path / out) if "/" in out else out
+    assert run(tmp_path, command, "--config", path, "--out", target) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if "/" in out:
+        written = target + "_000000.csv" if command == "solve" else target
+        assert repr(written) in err
+    else:
+        assert "out must be a file path" in err

@@ -55,6 +55,14 @@ def test_parse_error_trailing_garbage():
     assert err.value.column == 7
 
 
+def test_parse_error_number_out_of_range():
+    # a literal that overflows would be an infinite constant, which
+    # evaluate does not flag at the root of a tree
+    with pytest.raises(ParseError) as err:
+        parse("x + 1e400")
+    assert err.value.column == 5 and "out of range" in str(err.value)
+
+
 def test_precedence_and_associativity():
     assert evaluate(parse("2^3^2"), (0, 0)) == 512.0      # right-assoc
     assert evaluate(parse("-2^2"), (0, 0)) == -4.0        # ^ above unary minus
