@@ -25,9 +25,11 @@ Two geometries:
   normal (up to 8 bounces per step).  The estimator mixes positions of a
   position-dependent tensor, so results are report-only.
 
-Randomness: one stream per particle, derived from (seed, particle index)
-via numpy SeedSequence spawn keys, so repeated runs are byte-identical and
-independent of how walkers are chunked.
+Randomness: one numpy Generator per run, seeded with the job's seed.  The
+slab draws its (n_particles, 3) block in one call; the curved walk moves
+all walkers together and draws one (n_particles, 3) block per step, so
+memory grows with the walker count only.  Repeated runs with one seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .geometry import SurfacePair
 MAX_BOUNCES = 8
 DOUBLE_CROSS_LIMIT = 1e-3    # abort above this fraction of steps
 REPROJECT_TOL = 1e-12
-_CHUNK_BUDGET = 24_000_000   # buffered increments (doubles) per chunk
 
 
 class BrownianError(Exception):
@@ -122,11 +123,6 @@ class McResult:
     double_cross_fraction: float
     rejected_steps: int
     max_overshoot: float          # worst pre-clamp boundary excursion
-
-
-def _particle_stream(seed, index):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(index,)))
 
 
 def _jackknife(disp, total_time, blocks):
@@ -224,8 +220,7 @@ def _run_slab(job):
             f"a step crosses both surfaces with probability {frac:.3g} "
             f"(limit {DOUBLE_CROSS_LIMIT:g}); reduce dt")
 
-    raw = np.stack([_particle_stream(job.seed, i).standard_normal(3)
-                    for i in range(job.n_particles)])
+    raw = np.random.default_rng(job.seed).standard_normal((job.n_particles, 3))
     raw *= math.sqrt(2.0 * job.d0 * job.n_steps * job.dt)
     unfolded = s0 + raw @ n
     delta = raw + (_fold(unfolded, slab.d1, gap) - unfolded)[:, None] * n
@@ -245,22 +240,13 @@ def _run_surfaces(job):
         raise BrownianError("start must lie strictly between the surfaces")
 
     sigma = math.sqrt(2.0 * job.d0 * job.dt)
-    n_steps = job.n_steps
-    chunk = max(1, min(job.n_particles, _CHUNK_BUDGET // (3 * n_steps)))
-
-    disp = np.empty((job.n_particles, 2))
+    rng = np.random.default_rng(job.seed)
     stats = {"double_cross": 0, "rejected": 0, "max_overshoot": 0.0}
-
-    for lo in range(0, job.n_particles, chunk):
-        hi = min(lo + chunk, job.n_particles)
-        gens = [_particle_stream(job.seed, i) for i in range(lo, hi)]
-        buf = np.stack([g.standard_normal((n_steps, 3)) for g in gens]) * sigma
-        r = np.tile(start, (hi - lo, 1))
-        for t in range(n_steps):
-            r = _surface_step(pair, r, buf[:, t, :], stats)
-        disp[lo:hi] = r[:, :2] - start[:2]
-
-    return disp, stats
+    r = np.tile(start, (job.n_particles, 1))
+    for _ in range(job.n_steps):
+        step = sigma * rng.standard_normal((job.n_particles, 3))
+        r = _surface_step(pair, r, step, stats)
+    return r[:, :2] - start[:2], stats
 
 
 def _gap_margins(pair, r):

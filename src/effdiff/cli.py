@@ -73,8 +73,7 @@ _COMMON_KEYS = {"d0", "out", "example", "seed"}
 _ALLOWED_KEYS = {
     "tensor": _COMMON_KEYS | {"z1", "z2", "z1_grid", "z2_grid", "domain",
                               "resolution"},
-    "planes": _COMMON_KEYS | {"n1", "n2", "zdir", "m1", "m2", "tilt_sign",
-                              "psi"},
+    "planes": _COMMON_KEYS | {"n1", "n2", "zdir", "m1", "m2", "tilt_sign"},
     "oracle": _COMMON_KEYS | {"psi", "m1", "m2", "count", "seed",
                               "quad_points", "fd_step", "eval_x", "eval_y",
                               "n1", "n2", "zdir"},
@@ -146,7 +145,9 @@ _normal = _parser(_numbers, lambda v: len(v) == 3 and any(v),
 
 _PARSERS = {
     "d0": _positive, "dt": _positive, "gap": _positive, "fd_step": _positive,
-    "mu": _finite, "psi": _finite, "m1": _finite, "m2": _finite,
+    "mu": _finite, "m1": _finite, "m2": _finite,
+    "psi": _parser(float, lambda v: abs(v) <= math.pi / 2,
+                   "a tilt in [-pi/2, pi/2]"),
     "eval_x": _finite, "eval_y": _finite, "x0": _finite, "x1": _finite,
     "seed": _at_least(0), "count": _at_least(0), "steps": _at_least(0),
     "quad_points": _at_least(1), "snap_every": _at_least(1),

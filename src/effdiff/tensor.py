@@ -109,15 +109,26 @@ class EllipsoidData:
 # ---------------------------------------------------------------------------
 
 def _rho_omega(m1, m2):
-    """rho_omega without the finiteness check; NaN slopes give NaN."""
-    dm = m2 - m1
-    mu = 0.5 * (m1 + m2)
-    den = 1.0 + mu * mu
-    close = np.abs(dm) <= EPS_M * (1.0 + np.abs(m1) + np.abs(m2))
-    dm_far = np.where(close, 1.0, dm)     # dm == 0 only where close
-    omega = np.arctan2(dm, 1.0 + m1 * m2) / dm_far
-    rho = 0.5 * np.log((1.0 + m2 * m2) / (1.0 + m1 * m1)) / dm_far
-    return np.where(close, mu / den, rho), np.where(close, 1.0 / den, omega)
+    """rho_omega without the finiteness check; NaN slopes give NaN.  Finite
+    slopes so large that rho or omega overflows raise TensorError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dm = m2 - m1
+        mu = 0.5 * (m1 + m2)
+        den = 1.0 + mu * mu
+        close = np.abs(dm) <= EPS_M * (1.0 + np.abs(m1) + np.abs(m2))
+        dm_far = np.where(close, 1.0, dm)     # dm == 0 only where close
+        omega = np.arctan2(dm, 1.0 + m1 * m2) / dm_far
+        rho = 0.5 * np.log((1.0 + m2 * m2) / (1.0 + m1 * m1)) / dm_far
+        rho = np.where(close, mu / den, rho)
+        omega = np.where(close, 1.0 / den, omega)
+    lost = (np.isfinite(m1) & np.isfinite(m2)
+            & ~(np.isfinite(rho) & np.isfinite(omega)))
+    if lost.any():
+        k = np.unravel_index(np.argmax(lost), lost.shape)
+        a, b = np.broadcast_arrays(m1, m2)
+        raise TensorError(f"slopes ({a[k]:.6g}, {b[k]:.6g}) are too large: "
+                          "rho or omega overflows")
+    return rho, omega
 
 
 def rho_omega(m1, m2) -> tuple:

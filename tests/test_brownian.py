@@ -33,10 +33,37 @@ def test_tilted_slab_damps_upslope_component():
 
 
 def test_seed_reproducibility():
-    a = mc_projected_tensor(slab_job(0.5, n_particles=2000, n_steps=200))
-    b = mc_projected_tensor(slab_job(0.5, n_particles=2000, n_steps=200))
-    assert np.array_equal(a.estimate, b.estimate)
-    assert np.array_equal(a.stderr, b.stderr)
+    waves = SurfacePair(ScalarField.from_expression("cos(x)"),
+                        ScalarField.from_expression("cos(y)+5/2"),
+                        (-60, 60, -60, 60))
+    for job in (slab_job(0.5, n_particles=2000, n_steps=200),
+                McJob(waves, dt=1e-2, n_particles=300, n_steps=50, seed=3,
+                      start=(0.0, 0.0, 1.5))):
+        a = mc_projected_tensor(job)
+        b = mc_projected_tensor(job)
+        assert np.array_equal(a.estimate, b.estimate)
+        assert np.array_equal(a.stderr, b.stderr)
+
+
+def test_curved_walk_draws_every_step_for_all_walkers_from_one_generator():
+    # steps too short to reach a wall: the walk is the running sum of one
+    # (n, 3) block per step from default_rng(seed)
+    pair = SurfacePair(ScalarField.from_expression("0"),
+                       ScalarField.from_expression("1"), (-1, 1, -1, 1))
+    n, steps, dt, seed = 400, 6, 1e-8, 21
+    job = McJob(pair, dt=dt, n_particles=n, n_steps=steps, seed=seed,
+                start=(0.0, 0.0, 0.5))
+    res = mc_projected_tensor(job)
+
+    sigma = np.sqrt(2.0 * dt)
+    rng = np.random.default_rng(seed)
+    r = np.tile(job.start, (n, 1))
+    for _ in range(steps):
+        r = r + sigma * rng.standard_normal((n, 3))
+    disp = r[:, :2] - np.asarray(job.start)[:2]
+    assert np.array_equal(res.estimate,
+                          np.cov(disp.T, ddof=1) / (2.0 * steps * dt))
+    assert res.rejected_steps == 0 and res.max_overshoot == 0.0
 
 
 def test_stderr_scales_like_inverse_sqrt_particles():

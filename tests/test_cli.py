@@ -192,6 +192,16 @@ def test_oracle_failing_config_yields_error_record(tmp_path):
     assert doc["cases"][0]["error"]["kind"] == "ApexProximityError"
 
 
+def test_oracle_tilt_of_pi_over_2_is_extreme_tilt(tmp_path, capsys):
+    out = tmp_path / "tilt.json"
+    cfg = write_cfg(tmp_path, "tilt.cfg", psi=repr(-math.pi / 2), m1="0",
+                    m2="1")
+    assert run(tmp_path, "oracle", "--config", cfg, "--out", str(out)) == 3
+    doc = json.loads(out.read_text())
+    assert doc["cases"][0]["error"]["kind"] == "ExtremeTiltError"
+    assert capsys.readouterr().err.startswith("error: tilt ")
+
+
 # ---------------------------------------------------------------------------
 # mc / solve / recover-channel
 # ---------------------------------------------------------------------------
@@ -354,6 +364,9 @@ _BAD_NUMBER_BASE = {
     ("oracle", {"n1": "0,0,-1", "n2": "0,0,1", "zdir": "0,0,0"}, "zdir"),
     ("planes", {"tilt_sign": "x"}, "tilt_sign"),
     ("mc", {"start": "0,0,nan"}, "start"),
+    ("oracle", {"psi": "3"}, "psi"),
+    ("oracle", {"psi": "-1.6"}, "psi"),
+    ("planes", {"psi": "0"}, "unknown config keys"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):
@@ -386,7 +399,10 @@ def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
     ("recover-channel", dict(z1="log(abs(x-1))-5", z2="1", x0="0", x1="2",
                              samples="3"),
      "width or surface gradient undefined at (1, 0)"),
-], ids=["solve-masked", "solve-extreme-tilt", "recover-channel-masked"])
+    ("planes", dict(m1="1e300", m2="-1e300"),
+     "slopes (1e+300, -1e+300) are too large: rho or omega overflows"),
+], ids=["solve-masked", "solve-extreme-tilt", "recover-channel-masked",
+        "planes-huge-slopes"])
 def test_solve_and_recover_channel_name_the_first_undefined_point(
         tmp_path, capsys, command, settings, named):
     path = write_cfg(tmp_path, "bad.cfg", **settings)
