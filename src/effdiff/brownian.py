@@ -19,11 +19,16 @@ Two geometries:
   Gaussian 3-vector with per-axis variance 2 D0 T: the estimate depends on
   dt and n_steps only through T.  Quantitatively trustworthy: the tensor is
   position independent.
-* SurfacePair: general curved surfaces.  Crossings are detected by the
-  sign change of z - z_i(x, y) along each step, located by bisection,
-  and the remaining displacement is reflected about the local surface
-  normal (up to 8 bounces per step).  The estimator mixes positions of a
-  position-dependent tensor, so results are report-only.
+* SurfacePair: general curved surfaces.  A step that ends beyond a
+  surface is bisected against that surface to where z - z_i(x, y) changes
+  sign; the earliest crossing wins and the remaining displacement is
+  reflected about that surface's normal (up to MAX_BOUNCES per step).
+  Every kept position was tested inside both surfaces, so none is clamped
+  and max_overshoot is 0; a walker still outside after MAX_BOUNCES stays
+  where its step began (a rejected step).  The domain only validates the
+  pair and sets the default start: it does not confine the walk.  The
+  estimator mixes positions of a position-dependent tensor, so results are
+  report-only.
 
 Randomness: one numpy Generator per run, seeded with the job's seed.  The
 slab draws its (n_particles, 3) block in one call; the curved walk moves
@@ -43,7 +48,6 @@ from .geometry import SurfacePair
 
 MAX_BOUNCES = 8
 DOUBLE_CROSS_LIMIT = 1e-3    # abort above this fraction of steps
-REPROJECT_TOL = 1e-12
 
 
 class BrownianError(Exception):
@@ -107,8 +111,12 @@ class McJob:
             raise BrownianError("D0 must be positive and finite")
         if self.n_particles < 2 or self.n_steps < 1:
             raise BrownianError("need at least 2 particles and 1 step")
-        if self.jackknife_blocks < 2 or self.jackknife_blocks > self.n_particles:
-            raise BrownianError("jackknife blocks must be in [2, n_particles]")
+        blocks = self.jackknife_blocks
+        if not (2 <= blocks <= self.n_particles
+                and smallest_replicate(self.n_particles, blocks) >= 2):
+            raise BrownianError("jackknife blocks must be in [2, n_particles] "
+                                "and leave at least 2 particles outside "
+                                "each block")
 
 
 @dataclass(frozen=True)
@@ -122,7 +130,18 @@ class McResult:
     seed: int
     double_cross_fraction: float
     rejected_steps: int
-    max_overshoot: float          # worst pre-clamp boundary excursion
+    max_overshoot: float          # 0: no kept position lies outside
+
+
+def _block_bounds(n, blocks):
+    """Bounds of the contiguous jackknife blocks of n particles."""
+    return np.linspace(0, n, blocks + 1).astype(int)
+
+
+def smallest_replicate(n, blocks):
+    """Particles left in the smallest leave-one-block-out replicate; its
+    covariance needs at least 2."""
+    return n - int(np.diff(_block_bounds(n, blocks)).max())
 
 
 def _jackknife(disp, total_time, blocks):
@@ -130,7 +149,7 @@ def _jackknife(disp, total_time, blocks):
     full_cov = np.cov(disp.T, ddof=1)
     estimate = full_cov / (2.0 * total_time)
 
-    bounds = np.linspace(0, n, blocks + 1).astype(int)
+    bounds = _block_bounds(n, blocks)
     s1 = disp.sum(axis=0)
     s2 = disp.T @ disp
     thetas = np.empty((blocks, 2, 2))
@@ -157,7 +176,7 @@ def mc_projected_tensor(job: McJob) -> McResult:
     """
     if isinstance(job.geometry, Slab):
         disp, frac = _run_slab(job)
-        stats = {"rejected": 0, "max_overshoot": 0.0}
+        stats = {"rejected": 0}
     elif isinstance(job.geometry, SurfacePair):
         disp, stats = _run_surfaces(job)
         total_steps = job.n_particles * job.n_steps
@@ -172,8 +191,7 @@ def mc_projected_tensor(job: McJob) -> McResult:
     total_time = job.n_steps * job.dt
     estimate, se = _jackknife(disp, total_time, job.jackknife_blocks)
     return McResult(estimate, se, total_time, job.n_particles, job.n_steps,
-                    job.dt, job.seed, frac, stats["rejected"],
-                    stats["max_overshoot"])
+                    job.dt, job.seed, frac, stats["rejected"], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +252,13 @@ def _run_slab(job):
 def _run_surfaces(job):
     pair = job.geometry
     start = np.asarray(job.start, dtype=float)
-    z1s = pair.z1.value((start[0], start[1]))
-    z2s = pair.z2.value((start[0], start[1]))
-    if not (z1s < start[2] < z2s):
+    phi1, phi2 = _gap_margins(pair, start[None])
+    if not (phi1[0] > 0.0 and phi2[0] > 0.0):
         raise BrownianError("start must lie strictly between the surfaces")
 
     sigma = math.sqrt(2.0 * job.d0 * job.dt)
     rng = np.random.default_rng(job.seed)
-    stats = {"double_cross": 0, "rejected": 0, "max_overshoot": 0.0}
+    stats = {"double_cross": 0, "rejected": 0}
     r = np.tile(start, (job.n_particles, 1))
     for _ in range(job.n_steps):
         step = sigma * rng.standard_normal((job.n_particles, 3))
@@ -257,12 +274,11 @@ def _gap_margins(pair, r):
     return phi1, phi2
 
 
-def _bisect_crossing(pair, which, r0, delta, crossed):
-    """Fraction t of the sub-step at which z - z_i(x, y) changes sign."""
+def _bisect_crossing(field, sgn, r0, delta):
+    """Fraction t < 1 of each segment r0 + t delta at which
+    sgn (z - field(x, y)) turns negative; r0 is inside, r0 + delta not."""
     lo = np.zeros(r0.shape[0])
     hi = np.ones(r0.shape[0])
-    field = pair.z1 if which == 1 else pair.z2
-    sgn = 1.0 if which == 1 else -1.0
     for _ in range(48):
         mid = 0.5 * (lo + hi)
         rm = r0 + mid[:, None] * delta
@@ -270,83 +286,56 @@ def _bisect_crossing(pair, which, r0, delta, crossed):
         inside = phi >= 0.0
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    t = 0.5 * (lo + hi)
-    return np.where(crossed, t, np.inf)
+    return 0.5 * (lo + hi)
 
 
 def _surface_step(pair, r, delta, stats):
-    k = r.shape[0]
-    r0 = r
-    seg_start = r0.copy()
-    seg_delta = delta.copy()
-    hit = np.zeros((k, 2), dtype=bool)
-    settled = np.zeros(k, dtype=bool)
-    out = np.empty_like(r0)
-
-    for _bounce in range(MAX_BOUNCES + 1):
-        active = ~settled
-        if not active.any():
+    """Move each walker from r by delta, reflecting off the surfaces.
+    Each bounce works only on the walkers still outside; z1 wins a tie."""
+    surfaces = ((pair.z1, 1.0), (pair.z2, -1.0))
+    out = np.empty_like(r)
+    hit = np.zeros((r.shape[0], 2), dtype=bool)
+    idx = np.arange(r.shape[0])
+    seg_start, seg_delta = r, delta
+    for bounce in range(MAX_BOUNCES + 1):
+        end = seg_start + seg_delta
+        margins = _gap_margins(pair, end)
+        ok = (margins[0] >= 0.0) & (margins[1] >= 0.0)
+        out[idx[ok]] = end[ok]
+        bad = ~ok
+        idx, seg_start, seg_delta = idx[bad], seg_start[bad], seg_delta[bad]
+        if idx.size == 0:
             break
-        idx = np.nonzero(active)[0]
-        end = seg_start[idx] + seg_delta[idx]
-        phi1, phi2 = _gap_margins(pair, end)
-        ok = (phi1 >= 0.0) & (phi2 >= 0.0)
-        acc = idx[ok]
-        out[acc] = end[ok]
-        settled[acc] = True
-
-        bad = idx[~ok]
-        if bad.size == 0:
-            break
-        if _bounce == MAX_BOUNCES:
-            # bounce overflow: reject these moves entirely
-            out[bad] = r0[bad]
-            settled[bad] = True
-            stats["rejected"] += bad.size
+        if bounce == MAX_BOUNCES:
+            out[idx] = r[idx]
+            stats["rejected"] += idx.size
             break
 
-        b_start = seg_start[bad]
-        b_delta = seg_delta[bad]
-        c1 = phi1[~ok] < 0.0
-        c2 = phi2[~ok] < 0.0
-        t1 = _bisect_crossing(pair, 1, b_start, b_delta, c1)
-        t2 = _bisect_crossing(pair, 2, b_start, b_delta, c2)
-        use1 = t1 <= t2
-        t = np.where(use1, t1, t2)
-        t = np.minimum(t, 1.0)
-        cross = b_start + t[:, None] * b_delta
+        t = np.ones(idx.size)
+        which = np.zeros(idx.size, dtype=int)
+        for k, ((field, sgn), phi) in enumerate(zip(surfaces, margins)):
+            sub = np.flatnonzero(phi[bad] < 0.0)
+            if sub.size:
+                tk = _bisect_crossing(field, sgn, seg_start[sub], seg_delta[sub])
+                earlier = tk < t[sub]
+                t[sub[earlier]] = tk[earlier]
+                which[sub[earlier]] = k
+        cross = seg_start + t[:, None] * seg_delta
 
-        gx1, gy1 = pair.z1.gradient_array(cross[:, 0], cross[:, 1])
-        gx2, gy2 = pair.z2.gradient_array(cross[:, 0], cross[:, 1])
-        gx = np.where(use1, gx1, gx2)
-        gy = np.where(use1, gy1, gy2)
+        gx = np.empty(idx.size)
+        gy = np.empty(idx.size)
+        for k, (field, _) in enumerate(surfaces):
+            on = which == k
+            if on.any():
+                gx[on], gy[on] = field.gradient_array(cross[on, 0], cross[on, 1])
         norm = np.sqrt(1.0 + gx * gx + gy * gy)
         nvec = np.stack([-gx, -gy, np.ones_like(gx)], axis=1) / norm[:, None]
 
-        remaining = (1.0 - t)[:, None] * b_delta
+        remaining = (1.0 - t)[:, None] * seg_delta
         reflected = remaining - 2.0 * (remaining * nvec).sum(axis=1)[:, None] * nvec
 
-        hit[bad, 0] |= use1
-        hit[bad, 1] |= ~use1
-        seg_start[bad] = cross
-        seg_delta[bad] = reflected
+        hit[idx, which] = True
+        seg_start, seg_delta = cross, reflected
 
     stats["double_cross"] += int(np.count_nonzero(hit.all(axis=1)))
-
-    # confinement: re-project tiny excursions, reject anything larger
-    phi1, phi2 = _gap_margins(pair, out)
-    worst = -min(float(phi1.min()), float(phi2.min()))
-    stats["max_overshoot"] = max(stats["max_overshoot"], worst, 0.0)
-    scale = 1.0 + np.abs(out[:, 2])
-    low = phi1 < 0.0
-    high = phi2 < 0.0
-    fixable = (low & (-phi1 < REPROJECT_TOL * scale)) | \
-              (high & (-phi2 < REPROJECT_TOL * scale))
-    broken = (low | high) & ~fixable
-    if fixable.any():
-        out[low & fixable, 2] -= phi1[low & fixable]   # lift back onto z1
-        out[high & fixable, 2] += phi2[high & fixable]  # drop back onto z2
-    if broken.any():
-        out[broken] = r0[broken]
-        stats["rejected"] += int(np.count_nonzero(broken))
     return out

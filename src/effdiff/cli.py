@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .brownian import BrownianError, McJob, Slab, mc_projected_tensor
+from .brownian import (BrownianError, McJob, Slab, mc_projected_tensor,
+                       smallest_replicate)
 from .expr import ExprError
 from .geometry import (
     DegenerateConfigError, Domain, GeometryError, GridField, PlaneConfig,
@@ -78,12 +79,10 @@ _ALLOWED_KEYS = {
                               "quad_points", "fd_step", "eval_x", "eval_y",
                               "n1", "n2", "zdir"},
     "mc": _COMMON_KEYS | {"mu", "gap", "z1", "z2", "domain", "dt", "steps",
-                          "particles", "seed", "start", "blocks",
-                          "resolution"},
+                          "particles", "seed", "start", "blocks"},
     "solve": _COMMON_KEYS | {"z1", "z2", "domain", "resolution", "mode",
                              "dt", "steps", "snap_every", "p0", "seed"},
-    "recover-channel": _COMMON_KEYS | {"z1", "z2", "x0", "x1", "samples",
-                                       "domain", "resolution"},
+    "recover-channel": _COMMON_KEYS | {"z1", "z2", "x0", "x1", "samples"},
 }
 
 
@@ -497,9 +496,10 @@ def cmd_mc(cfg, opt):
     particles = opt.get("particles", 10000)
     seed = opt.get("seed", 0)
     blocks = opt.get("blocks", 25)
-    if blocks > particles:
-        raise ConfigError(f"blocks must not exceed particles ({particles}), "
-                          f"got {blocks}")
+    if blocks > particles or smallest_replicate(particles, blocks) < 2:
+        raise ConfigError(f"blocks must not exceed particles ({particles}) "
+                          f"and must leave at least 2 particles outside "
+                          f"each block, got {blocks}")
 
     if ("z1" in opt or "z2" in opt) and "mu" not in opt and "gap" not in opt:
         pair = _surface_pair(opt)

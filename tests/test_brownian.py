@@ -1,11 +1,12 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from effdiff.brownian import (
-    BrownianError, McJob, Slab, StepTooLargeError, double_cross_probability,
-    mc_projected_tensor,
+    MAX_BOUNCES, BrownianError, McJob, Slab, StepTooLargeError, _surface_step,
+    double_cross_probability, mc_projected_tensor,
 )
 from effdiff.geometry import ScalarField, SurfacePair
 
@@ -141,6 +142,89 @@ def test_curved_reflection_keeps_walkers_confined():
     res = mc_projected_tensor(job)
     assert res.max_overshoot <= 1e-12
     assert res.rejected_steps == 0
+
+
+# z1 = 3 sin 2x and z2 = z1 + 0.6 + 0.3 cos 3y, with their gradients,
+# in scalar arithmetic
+_STEEP = (("3*sin(2*x)", lambda x, y: 3 * math.sin(2 * x),
+           lambda x, y: (6 * math.cos(2 * x), 0.0), 1.0),
+          ("3*sin(2*x)+0.6+0.3*cos(3*y)",
+           lambda x, y: 3 * math.sin(2 * x) + 0.6 + 0.3 * math.cos(3 * y),
+           lambda x, y: (6 * math.cos(2 * x), -0.9 * math.sin(3 * y)), -1.0))
+
+
+def _reference_step(r, d):
+    """One walker, one step: (end point, rejected, touched both surfaces)."""
+    def margin(k, p):
+        _, f, _, sgn = _STEEP[k]
+        return sgn * (p[2] - f(p[0], p[1]))
+
+    start, seg, hit = list(r), list(d), set()
+    for bounce in range(MAX_BOUNCES + 1):
+        end = [a + b for a, b in zip(start, seg)]
+        crossed = [k for k in (0, 1) if margin(k, end) < 0.0]
+        if not crossed:
+            return end, False, len(hit) == 2
+        if bounce == MAX_BOUNCES:
+            return list(r), True, len(hit) == 2
+        best = None
+        for k in crossed:
+            lo, hi = 0.0, 1.0
+            for _ in range(48):
+                mid = 0.5 * (lo + hi)
+                if margin(k, [a + mid * b for a, b in zip(start, seg)]) >= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            t = 0.5 * (lo + hi)
+            if best is None or t < best[0]:
+                best = (t, k)
+        t, k = best
+        start = [a + t * b for a, b in zip(start, seg)]
+        gx, gy = _STEEP[k][2](start[0], start[1])
+        norm = math.sqrt(1.0 + gx * gx + gy * gy)
+        nvec = (-gx / norm, -gy / norm, 1.0 / norm)
+        rest = [(1.0 - t) * b for b in seg]
+        dot = sum(a * b for a, b in zip(rest, nvec))
+        seg = [a - 2.0 * dot * b for a, b in zip(rest, nvec)]
+        hit.add(k)
+
+
+def test_surface_step_reflects_like_a_per_walker_loop():
+    # steps of deviation 0.5 across a gap of 0.3 to 0.9 on walls of slope
+    # up to 6: walkers bounce many times, some touch both surfaces and
+    # some are still outside after MAX_BOUNCES reflections
+    pair = SurfacePair(*(ScalarField.from_expression(src)
+                         for src, *_ in _STEEP), (-3, 3, -3, 3))
+    n = 200
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-3, 3, (2, n))
+    lo, hi = pair.z1.value_array(x, y), pair.z2.value_array(x, y)
+    r = np.stack([x, y, lo + rng.uniform(0.1, 0.9, n) * (hi - lo)], axis=1)
+    delta = 0.5 * rng.standard_normal((n, 3))
+    stats = {"double_cross": 0, "rejected": 0}
+    out = _surface_step(pair, r, delta, stats)
+
+    x, y, z = out.T
+    assert np.all(pair.z1.value_array(x, y) <= z)
+    assert np.all(z <= pair.z2.value_array(x, y))
+    ref = [_reference_step(a, b) for a, b in zip(r.tolist(), delta.tolist())]
+    rejected = np.array([rej for _, rej, _ in ref])
+    assert np.array_equal(out[rejected], r[rejected])
+    assert stats["rejected"] == rejected.sum() > 0
+    assert stats["double_cross"] == sum(both for *_, both in ref) > 0
+    assert np.allclose(out, [end for end, *_ in ref], rtol=0.0, atol=1e-12)
+
+
+def test_every_jackknife_replicate_keeps_two_particles():
+    slab = Slab.from_slope(0.0)
+    for n, blocks in ((2, 2), (3, 2), (5, 6)):
+        with pytest.raises(BrownianError):
+            McJob(slab, n_particles=n, jackknife_blocks=blocks)
+    for n, blocks in ((4, 2), (3, 3)):
+        res = mc_projected_tensor(McJob(slab, n_particles=n, n_steps=1,
+                                        jackknife_blocks=blocks))
+        assert np.all(np.isfinite(res.stderr))
 
 
 def test_slab_from_slope_geometry():

@@ -367,6 +367,11 @@ _BAD_NUMBER_BASE = {
     ("oracle", {"psi": "3"}, "psi"),
     ("oracle", {"psi": "-1.6"}, "psi"),
     ("planes", {"psi": "0"}, "unknown config keys"),
+    ("mc", {"resolution": "4x4"}, "unknown config keys"),
+    ("recover-channel", {"domain": "0,1,0,1"}, "unknown config keys"),
+    ("recover-channel", {"resolution": "4x4"}, "unknown config keys"),
+    ("mc", {"particles": "2", "blocks": "2"}, "blocks"),
+    ("mc", {"particles": "3", "blocks": "2"}, "blocks"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):
