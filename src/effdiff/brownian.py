@@ -20,9 +20,12 @@ Two geometries:
   dt and n_steps only through T.  Quantitatively trustworthy: the tensor is
   position independent.
 * SurfacePair: general curved surfaces.  A step that ends beyond a
-  surface is bisected against that surface to where z - z_i(x, y) changes
-  sign; the earliest crossing wins and the remaining displacement is
-  reflected about that surface's normal (up to MAX_BOUNCES per step).
+  surface is cut where z - z_i(x, y) changes sign, found by a safeguarded
+  Newton search on the surface gradient (`_crossing`); the earliest
+  crossing wins and the remaining displacement is reflected about that
+  surface's normal (up to MAX_BOUNCES per step).  The search is part of
+  the curved sampler: its stopping rule fixes the last bits of every
+  curved estimate, and the slab sampler does not use it.
   Every kept position was tested inside both surfaces, so none is clamped
   and max_overshoot is 0; a walker still outside after MAX_BOUNCES stays
   where its step began (a rejected step).  The domain only validates the
@@ -47,6 +50,8 @@ import numpy as np
 from .geometry import SurfacePair
 
 MAX_BOUNCES = 8
+NEWTON_TOL = 1e-14           # crossing search: step or bracket in t
+NEWTON_MAX_ITER = 100        # termination bound; searches end far sooner
 DOUBLE_CROSS_LIMIT = 1e-3    # abort above this fraction of steps
 
 
@@ -246,7 +251,7 @@ def _run_slab(job):
 
 
 # ---------------------------------------------------------------------------
-# curved surfaces: bisect to the crossing, reflect, repeat
+# curved surfaces: find the crossing, reflect, repeat
 # ---------------------------------------------------------------------------
 
 def _run_surfaces(job):
@@ -274,19 +279,46 @@ def _gap_margins(pair, r):
     return phi1, phi2
 
 
-def _bisect_crossing(field, sgn, r0, delta):
-    """Fraction t < 1 of each segment r0 + t delta at which
-    sgn (z - field(x, y)) turns negative; r0 is inside, r0 + delta not."""
-    lo = np.zeros(r0.shape[0])
-    hi = np.ones(r0.shape[0])
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        rm = r0 + mid[:, None] * delta
-        phi = sgn * (rm[:, 2] - field.value_array(rm[:, 0], rm[:, 1]))
+def _crossing(field, sgn, r0, delta):
+    """Fraction t of each segment r0 + t delta at which
+    phi(t) = sgn (z - field(x, y)) turns negative; r0 is inside, r0 + delta
+    is not.
+
+    Safeguarded Newton (Brent 1973) on the gradient of the field, which
+    is exact for an expression and interpolated for a grid.  It starts
+    from the outside end t = 1, because after a reflection t = 0 is itself
+    a root, and keeps a bracket lo <= t <= hi with phi(lo) >= 0 > phi(hi):
+    a Newton step is taken only if it lands strictly inside the bracket,
+    otherwise the bracket is bisected.  Each walker stops once its step or
+    its bracket is at most NEWTON_TOL; the step is tested first, since a
+    converged step may land on the bracket's end.
+    """
+    n = r0.shape[0]
+    found = np.empty(n)
+    idx = np.arange(n)
+    lo, hi, t = np.zeros(n), np.ones(n), np.ones(n)
+    for _ in range(NEWTON_MAX_ITER):
+        r = r0 + t[:, None] * delta
+        f, fx, fy = field.value_gradient(r[:, 0], r[:, 1])
+        phi = sgn * (r[:, 2] - f)
+        slope = sgn * (delta[:, 2] - fx * delta[:, 0] - fy * delta[:, 1])
         inside = phi >= 0.0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return 0.5 * (lo + hi)
+        lo = np.where(inside, t, lo)
+        hi = np.where(inside, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - phi / slope
+        small = np.abs(newton - t) <= NEWTON_TOL
+        t = np.where(small | ((lo < newton) & (newton < hi)), newton,
+                     0.5 * (lo + hi))
+        done = small | (hi - lo <= NEWTON_TOL)
+        found[idx[done]] = t[done]
+        more = ~done
+        if not more.any():
+            return found
+        idx, r0, delta = idx[more], r0[more], delta[more]
+        lo, hi, t = lo[more], hi[more], t[more]
+    found[idx] = t
+    return found
 
 
 def _surface_step(pair, r, delta, stats):
@@ -316,7 +348,7 @@ def _surface_step(pair, r, delta, stats):
         for k, ((field, sgn), phi) in enumerate(zip(surfaces, margins)):
             sub = np.flatnonzero(phi[bad] < 0.0)
             if sub.size:
-                tk = _bisect_crossing(field, sgn, seg_start[sub], seg_delta[sub])
+                tk = _crossing(field, sgn, seg_start[sub], seg_delta[sub])
                 earlier = tk < t[sub]
                 t[sub[earlier]] = tk[earlier]
                 which[sub[earlier]] = k

@@ -15,7 +15,11 @@ derivative is undefined at the origin (evaluation there reports a domain
 error instead of producing a value).
 
 Expression trees are immutable; evaluation is reentrant and accepts either
-floats or numpy arrays for the point coordinates.
+floats or numpy arrays for the point coordinates.  Each tree is compiled
+once (`Compiled`) into one straight-line numpy function that computes every
+distinct sub-expression once and tests finiteness only where a failure
+could hide; the tree is walked node by node only when that test fails, to
+name the failing sub-expression or build the mask of failing elements.
 """
 
 from __future__ import annotations
@@ -263,6 +267,13 @@ _UNARY_IMPL = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
     "abs": np.abs, "neg": np.negative,
 }
+_BINARY_IMPL = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                "/": np.divide, "^": np.power}
+
+# The operands (by position) whose non-finite value can still give a finite
+# result: atan(+-inf), exp(-inf), a/inf, inf^-1, nan^0, 1^nan.  Every other
+# node is non-finite wherever one of its operands is.
+_ABSORBING = {"atan": (0,), "exp": (0,), "/": (1,), "^": (0, 1)}
 
 
 def _eval(node, x, y, failed):
@@ -275,39 +286,150 @@ def _eval(node, x, y, failed):
     if isinstance(node, Unary):
         out = _UNARY_IMPL[node.fn](_eval(node.arg, x, y, failed))
     else:
-        left = _eval(node.left, x, y, failed)
-        right = _eval(node.right, x, y, failed)
-        if node.op == "+":
-            out = np.add(left, right)
-        elif node.op == "-":
-            out = np.subtract(left, right)
-        elif node.op == "*":
-            out = np.multiply(left, right)
-        elif node.op == "/":
-            out = np.divide(left, right)
-        else:
-            out = np.power(left, right)
+        out = _BINARY_IMPL[node.op](_eval(node.left, x, y, failed),
+                                    _eval(node.right, x, y, failed))
     finite = np.isfinite(out)
     if not finite.all():
         failed.append((node, ~finite))
     return out
 
 
-def _run(e, point):
+class _Source:
+    """Straight-line code of one generated function, emitted node by node;
+    each distinct sub-expression gets one variable."""
+
+    def __init__(self):
+        self.env = {"isfinite": np.isfinite}
+        self.names = {}      # structural key -> variable of the code
+        self.steps = []      # (line, variables it reads)
+        self.checked = set()
+
+    def check(self, name):
+        if name[0] == "t" and name not in self.checked:
+            self.checked.add(name)
+            self.steps.append((f"if not isfinite({name}).all(): return None",
+                               (name,)))
+
+    def emit(self, node):
+        if isinstance(node, Var):
+            return node.name
+        names = self.names
+        if isinstance(node, Const):
+            key = ("const", repr(node.value))   # keeps -0.0 apart from 0.0
+            if key not in names:
+                names[key] = f"c{len(names)}"
+                self.env[names[key]] = node.value
+            return names[key]
+        if isinstance(node, Unary):
+            op, fn, args = node.fn, _UNARY_IMPL[node.fn], (node.arg,)
+        else:
+            op, fn, args = node.op, _BINARY_IMPL[node.op], (node.left, node.right)
+        operands = [self.emit(arg) for arg in args]
+        key = (fn.__name__, *operands)
+        if key not in names:
+            for k in _ABSORBING.get(op, ()):
+                self.check(operands[k])
+            names[key] = f"t{len(names)}"
+            self.env[fn.__name__] = fn
+            self.steps.append((f"{names[key]} = {fn.__name__}({', '.join(operands)})",
+                               operands))
+        return names[key]
+
+
+def _generate(trees):
+    """One straight-line numpy function run(x, y) returning the values of
+    all `trees`, or None where the tree walk would flag a node.
+
+    Each distinct sub-expression is computed once, by the same ufunc on the
+    same operands as the tree walk `_eval`, so every value is bit-equal to
+    the walk's.  Finiteness is tested only at the roots and at the operands
+    listed in `_ABSORBING`: a non-finite inner node either reaches a root
+    or is absorbed there, so these tests fail exactly where the walk flags
+    a node.  Each intermediate is deleted after its last use, so no more
+    arrays are alive at once than in the walk.  The function refers to no
+    tree.
+    """
+    src = _Source()
+    roots = [src.emit(tree) for tree in trees]
+    for name in roots:
+        src.check(name)
+    last = {name: k for k, (_, reads) in enumerate(src.steps) for name in reads}
+    lines = ["def run(x, y):"]
+    for k, (line, reads) in enumerate(src.steps):
+        lines.append("    " + line)
+        dead = sorted({name for name in reads if name[0] == "t"
+                       and last[name] == k and name not in roots})
+        if dead:
+            lines.append(f"    del {', '.join(dead)}")
+    lines.append(f"    return ({', '.join(roots)},)")
+    exec(compile("\n".join(lines) + "\n", "<effdiff expression>", "exec"), src.env)
+    return src.env.pop("run")   # leaves no cycle between run and its globals
+
+
+def _values(run, trees, point):
+    """Values of `trees` at point=(x, y) from their generated function
+    `run`, and the nodes the tree walk flags, which it re-runs only when
+    `run` reports a non-finite value."""
     x, y = point
     scalar = np.isscalar(x) and np.isscalar(y)
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     failed = []
     with np.errstate(all="ignore"):
-        out = _eval(e, xa, ya, failed)
+        outs = run(xa, ya)
+        if outs is None:
+            outs = [_eval(tree, xa, ya, failed) for tree in trees]
     if scalar:
-        return float(out), failed
-    shape = np.broadcast_shapes(xa.shape, ya.shape)
-    res = np.asarray(out, dtype=float)
-    if res.shape != shape:
-        res = np.broadcast_to(res, shape).copy()
-    return res, failed
+        return tuple(float(out) for out in outs), failed
+    shape = xa.shape if xa.shape == ya.shape \
+        else np.broadcast_shapes(xa.shape, ya.shape)
+    values = tuple(out if isinstance(out, np.ndarray) and out.shape == shape
+                   else np.full(shape, out, dtype=float) for out in outs)
+    return values, failed
+
+
+def _checked(run, trees, point):
+    values, failed = _values(run, trees, point)
+    if failed:
+        raise EvalDomainError("non-finite value", to_text(failed[0][0]))
+    return values
+
+
+def _masked(run, trees, point):
+    values, failed = _values(run, trees, point)
+    bad = np.zeros(np.shape(values[0]), dtype=bool)
+    for _, mask in failed:
+        bad |= mask
+    return values, bad
+
+
+class Compiled:
+    """Expression trees compiled once into one function that evaluates
+    them together, sharing their common sub-expressions."""
+
+    def __init__(self, *trees):
+        self.trees = trees
+        self._run = _generate(trees)
+
+    def evaluate(self, point):
+        """Values of every tree at point=(x, y), floats or numpy arrays;
+        raises EvalDomainError as `evaluate` does."""
+        return _checked(self._run, self.trees, point)
+
+    def evaluate_masked(self, point):
+        """Values of every tree at point=(x, y) and one mask of the
+        elements at which any of them fails, as `evaluate_masked` does."""
+        return _masked(self._run, self.trees, point)
+
+
+def _generated(e):
+    """The generated function of tree `e`, built on first use and kept on
+    the tree itself, so that it lives exactly as long as the tree."""
+    run = e.__dict__.get("_run")
+    if run is None:
+        run = _generate((e,))
+        object.__setattr__(e, "_run", run)   # a cache, not a field
+    return run
 
 
 def evaluate(e: Expr, point):
@@ -316,21 +438,15 @@ def evaluate(e: Expr, point):
     Raises EvalDomainError, naming the offending sub-expression, whenever
     any element leaves the real domain (no silent NaN propagation).
     """
-    res, failed = _run(e, point)
-    if failed:
-        raise EvalDomainError("non-finite value", to_text(failed[0][0]))
-    return res
+    return _checked(_generated(e), (e,), point)[0]
 
 
 def evaluate_masked(e: Expr, point):
     """Evaluate at point=(x, y) without raising: returns (values, bad),
     where the boolean array `bad` marks the elements at which `evaluate`
     would raise.  Values at those elements are meaningless."""
-    res, failed = _run(e, point)
-    bad = np.zeros(np.shape(res), dtype=bool)
-    for _, mask in failed:
-        bad |= mask
-    return res, bad
+    (values,), bad = _masked(_generated(e), (e,), point)
+    return values, bad
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,11 @@ class ScalarField:
     def gradient_array(self, x, y):
         raise NotImplementedError
 
+    def value_gradient(self, x, y):
+        """Value, x- and y-derivative on arrays of points, from one
+        evaluation; raises where `value_array` or `gradient_array` would."""
+        raise NotImplementedError
+
     def sample(self, x, y):
         """Value, x- and y-derivative on arrays of points, plus a boolean
         mask of the points where `value_array` or `gradient_array` would
@@ -102,6 +107,7 @@ class ExpressionField(ScalarField):
             self.tree = source
         self.dx = _expr.differentiate(self.tree, "x")
         self.dy = _expr.differentiate(self.tree, "y")
+        self._compiled = _expr.Compiled(self.tree, self.dx, self.dy)
 
     def value_array(self, x, y):
         return _expr.evaluate(self.tree, (x, y))
@@ -109,11 +115,12 @@ class ExpressionField(ScalarField):
     def gradient_array(self, x, y):
         return _expr.evaluate(self.dx, (x, y)), _expr.evaluate(self.dy, (x, y))
 
+    def value_gradient(self, x, y):
+        return self._compiled.evaluate((x, y))
+
     def sample(self, x, y):
-        value, bad = _expr.evaluate_masked(self.tree, (x, y))
-        gx, bad_x = _expr.evaluate_masked(self.dx, (x, y))
-        gy, bad_y = _expr.evaluate_masked(self.dy, (x, y))
-        return value, gx, gy, bad | bad_x | bad_y
+        (value, gx, gy), bad = self._compiled.evaluate_masked((x, y))
+        return value, gx, gy, bad
 
 
 class GridField(ScalarField):
@@ -174,8 +181,12 @@ class GridField(ScalarField):
         return self._bilinear(self.values, self._locate(x, y))
 
     def gradient_array(self, x, y):
+        return self.value_gradient(x, y)[1:]
+
+    def value_gradient(self, x, y):
         cell = self._locate(x, y)
-        return self._bilinear(self._dx, cell), self._bilinear(self._dy, cell)
+        return tuple(self._bilinear(table, cell)
+                     for table in (self.values, self._dx, self._dy))
 
     def sample(self, x, y):
         outside = ~self._inside(x, y)

@@ -23,6 +23,7 @@ the tilted slab.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,7 +88,7 @@ def quadrature_tensor(job: WedgeQuadratureJob,
         if (m2 - m1) * x <= 0:
             raise OracleError("evaluation point is outside the wedge interior")
         family, z_bounds = _wedge_family(psi, m1, m2)
-    nodes, weights = np.polynomial.legendre.leggauss(job.points)
+    nodes, weights = _gauss_legendre(job.points)
 
     def integral(f, px, py):
         """Gauss-Legendre integral of f(px, py, z) over z1 <= z <= z2."""
@@ -117,6 +118,16 @@ def quadrature_tensor(job: WedgeQuadratureJob,
     if abs(det) <= 1e-10 * max(scale, 1e-30):
         raise SingularSystemError("gradient columns are linearly dependent")
     return umat @ np.linalg.inv(vmat)
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(points):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per size;
+    read-only, since every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _wedge_family(psi, m1, m2):

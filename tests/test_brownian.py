@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from effdiff.brownian import (
-    MAX_BOUNCES, BrownianError, McJob, Slab, StepTooLargeError, _surface_step,
-    double_cross_probability, mc_projected_tensor,
+    MAX_BOUNCES, BrownianError, McJob, Slab, StepTooLargeError, _crossing,
+    _surface_step, double_cross_probability, mc_projected_tensor,
 )
-from effdiff.geometry import ScalarField, SurfacePair
+from effdiff.geometry import GridField, ScalarField, SurfacePair
 
 
 def slab_job(mu, **kw):
@@ -214,6 +214,87 @@ def test_surface_step_reflects_like_a_per_walker_loop():
     assert stats["rejected"] == rejected.sum() > 0
     assert stats["double_cross"] == sum(both for *_, both in ref) > 0
     assert np.allclose(out, [end for end, *_ in ref], rtol=0.0, atol=1e-12)
+
+
+def _halvings(field, sgn, r0, delta):
+    """The crossing of each segment by 48 bisection halvings of [0, 1]."""
+    lo, hi = np.zeros(len(r0)), np.ones(len(r0))
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        r = r0 + mid[:, None] * delta
+        inside = sgn * (r[:, 2] - field.value_array(r[:, 0], r[:, 1])) >= 0.0
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _assert_crossing_matches_halvings(field, sgn, r0, delta):
+    end = r0 + delta
+    assert np.all(sgn * (end[:, 2] - field.value_array(end[:, 0], end[:, 1])) < 0)
+    t = _crossing(field, sgn, r0, delta)
+    assert np.allclose(t, _halvings(field, sgn, r0, delta), rtol=0.0, atol=1e-12)
+    return t
+
+
+def test_crossing_search_starts_clear_of_the_surface_it_left():
+    # segments that start on z1 = cos(x) near its valley, heading inward at
+    # phi'(0) = 0.2, and leave through the same surface further on: t = 0
+    # is a root too, and the search must find the other one
+    z1 = ScalarField.from_expression("cos(x)")
+    x0 = np.linspace(2.6, 3.7, 12)
+    y0 = np.linspace(-1.0, 1.0, 12)
+    r0 = np.stack([x0, y0, z1.value_array(x0, y0)], axis=1)
+    delta = np.stack([np.full(12, 2.0), np.full(12, 0.5),
+                      -2.0 * np.sin(x0) + 0.2], axis=1)
+    t = _assert_crossing_matches_halvings(z1, 1.0, r0, delta)
+    assert np.all(t > 0.05)
+
+
+def test_crossing_search_on_near_tangent_segments():
+    # horizontal segments from the axis of z1 = x^2, eps above it: they
+    # leave at t = 1/2 at an angle of 2 sqrt(eps)
+    z1 = ScalarField.from_expression("x^2")
+    eps = np.array([1e-2, 1e-4, 1e-6, 1e-8])
+    r0 = np.stack([np.zeros(4), np.ones(4), eps], axis=1)
+    delta = np.stack([2.0 * np.sqrt(eps), np.full(4, 0.3), np.zeros(4)], axis=1)
+    t = _assert_crossing_matches_halvings(z1, 1.0, r0, delta)
+    assert np.allclose(t, 0.5, rtol=0.0, atol=1e-12)
+
+
+def test_crossing_search_on_steep_walls():
+    pair = SurfacePair(*(ScalarField.from_expression(src)
+                         for src, *_ in _STEEP), (-3, 3, -3, 3))
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-3, 3, (2, 400))
+    lo, hi = pair.z1.value_array(x, y), pair.z2.value_array(x, y)
+    r = np.stack([x, y, lo + rng.uniform(0.1, 0.9, 400) * (hi - lo)], axis=1)
+    delta = 0.5 * rng.standard_normal((400, 3))
+    end = r + delta
+    for field, sgn in ((pair.z1, 1.0), (pair.z2, -1.0)):
+        beyond = sgn * (end[:, 2] - field.value_array(end[:, 0], end[:, 1])) < 0
+        assert beyond.sum() > 100
+        _assert_crossing_matches_halvings(field, sgn, r[beyond], delta[beyond])
+
+
+def test_grid_backed_pair_confines_walkers():
+    # interpolated gradients are not the derivative of the bilinear values,
+    # so the search converges more slowly, but every kept position is still
+    # tested inside both surfaces
+    xs = np.linspace(-3, 3, 61)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    low = 0.4 * np.sin(2 * gx) + 0.1 * np.cos(3 * gy)
+    pair = SurfacePair(GridField((-3, -3), (0.1, 0.1), low),
+                       GridField((-3, -3), (0.1, 0.1), low + 0.6), (-3, 3, -3, 3))
+    rng = np.random.default_rng(8)
+    x, y = rng.uniform(-1, 1, (2, 300))
+    r = np.stack([x, y, pair.z1.value_array(x, y) + rng.uniform(0.1, 0.5, 300)],
+                 axis=1)
+    delta = 0.3 * rng.standard_normal((300, 3))
+    stats = {"double_cross": 0, "rejected": 0}
+    out = _surface_step(pair, r, delta, stats)
+    x, y, z = out.T
+    assert np.all(pair.z1.value_array(x, y) <= z)
+    assert np.all(z <= pair.z2.value_array(x, y))
+    assert np.count_nonzero(np.any(out != r + delta, axis=1)) > 50
 
 
 def test_every_jackknife_replicate_keeps_two_particles():

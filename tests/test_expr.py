@@ -3,10 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from effdiff.expr import (
-    Binary, Const, EvalDomainError, ParseError, Unary, Var,
+    Binary, Compiled, Const, EvalDomainError, ParseError, Unary, Var, _eval,
     differentiate, evaluate, evaluate_masked, parse, to_text,
 )
 
@@ -330,3 +330,93 @@ def test_symbolic_derivative_agrees_with_central_differences(e, x, y, var):
     # with itself), and the difference quotient has converged
     assume(abs(sym) <= 1e3 and abs(fd6 - fd5) <= 1e-7 * max(1.0, abs(fd6)))
     assert abs(sym - fd6) <= 1e-6 * max(1.0, abs(sym)), to_text(e)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation against the tree walk
+# ---------------------------------------------------------------------------
+
+def _walk(e, x, y):
+    """Value of the tree walk and its failing nodes, children first."""
+    failed = []
+    with np.errstate(all="ignore"):
+        out = _eval(e, np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                    failed)
+    return out, failed
+
+
+def _walk_mask(e, x, y, shape):
+    out, failed = _walk(e, x, y)
+    bad = np.zeros(shape, dtype=bool)
+    for _, mask in failed:
+        bad |= mask
+    return np.broadcast_to(np.asarray(out, dtype=float), shape), bad
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+_ANY_LEAVES = st.one_of(
+    st.sampled_from([Var("x"), Var("y")]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -8.0, 1.0 / 3.0, 1e308])
+    .map(Const),
+    st.floats(-3.0, 3.0).map(Const))
+
+
+def _any_nodes(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(
+            ["sin", "cos", "tan", "asin", "acos", "atan", "exp", "log",
+             "sqrt", "abs", "neg"]), children),
+        st.builds(Binary, st.sampled_from("+-*/^"), children, children),
+        # a repeated operand, which the compiled code computes once
+        st.builds(lambda op, u: Binary(op, u, u), st.sampled_from("+-*/^"),
+                  children))
+
+
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -8.0, 1e308, -1e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(-10.0, 10.0))
+
+
+@example(parse("1/(1/(x-x))"), [(1.0, 0.0), (2.0, 3.0)])   # inner node only
+@example(parse("exp(-x)"), [(math.inf, 0.0), (-math.inf, 0.0),
+                            (math.nan, 0.0), (1.0, 0.0)])
+@example(parse("0^-1 + x"), [(1.0, 0.0)])
+@example(parse("(1/(x-x))^-1"), [(1.0, 0.0)])
+@example(parse("0.5^(1/(y-y))"), [(1.0, 0.0)])
+@example(parse("atan(1/(x-x))"), [(1.0, 0.0)])
+@example(parse("(-8)^(1/3)"), [(1.0, 0.0)])
+@example(parse("exp(x)"), [(-math.inf, 0.0), (0.0, 0.0)])   # a leaf is not flagged
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.recursive(_ANY_LEAVES, _any_nodes, max_leaves=10),
+       st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6))
+def test_compiled_evaluation_matches_the_tree_walk(e, points):
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    for x, y in [(xs, ys), (xs[:, None], ys[None, :])] + points[:2]:
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        out, failed = _walk(e, x, y)
+        want, want_bad = _walk_mask(e, x, y, shape)
+        if failed:
+            with pytest.raises(EvalDomainError) as err:
+                evaluate(e, (x, y))
+            assert str(err.value) == \
+                f"non-finite value in '{to_text(failed[0][0])}'"
+        else:
+            got = evaluate(e, (x, y))
+            assert np.shape(got) == shape
+            assert np.array_equal(_bits(got), _bits(want))
+        values, bad = evaluate_masked(e, (x, y))
+        assert np.array_equal(bad, want_bad)
+        assert np.array_equal(_bits(values)[~bad], _bits(want)[~bad])
+
+        # value and derivative from one function, as ExpressionField uses it
+        d = differentiate(e, "x")
+        (v, g), both_bad = Compiled(e, d).evaluate_masked((x, y))
+        want_d, d_bad = _walk_mask(d, x, y, shape)
+        assert np.array_equal(both_bad, want_bad | d_bad)
+        assert np.array_equal(_bits(v)[~both_bad], _bits(want)[~both_bad])
+        assert np.array_equal(_bits(g)[~both_bad], _bits(want_d)[~both_bad])
