@@ -10,13 +10,12 @@ from .geometry import (
     DegenerateConfigError, Domain, ExpressionField, FrameData, GeometryError,
     GridField, OutsideDomainError, PlaneConfig, PlaneFrame, ScalarField,
     SurfacePair, SurfaceValidationError, frame_field, frame_for_planes,
-    frame_for_surfaces, frame_from_gradients, frame_from_slopes,
-    surface_normals,
+    frame_from_gradients, frame_from_slopes, surface_normals,
 )
 from .tensor import (
     EffectiveTensor, EllipsoidData, ExtremeTiltError, MediumParams,
     TensorError, channel_recovery, effective_tensor, extreme_tilt_tensor,
-    polar_decompose, rho_omega, sample_tensor, to_cartesian, zero_tilt_omega,
+    polar_decompose, rho_omega, sample_tensor, to_cartesian,
 )
 from .quadrature import (
     ApexProximityError, OracleError, SingularSystemError, WedgeQuadratureJob,

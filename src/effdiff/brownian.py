@@ -28,10 +28,13 @@ Two geometries:
   curved estimate, and the slab sampler does not use it.
   Every kept position was tested inside both surfaces, so none is clamped
   and max_overshoot is 0; a walker still outside after MAX_BOUNCES stays
-  where its step began (a rejected step).  The domain only validates the
-  pair and sets the default start: it does not confine the walk.  The
-  estimator mixes positions of a position-dependent tensor, so results are
-  report-only.
+  where its step began (a rejected step).  Such a step is a grazing chain,
+  not a double crossing: where the region is convex (under a crest of z2,
+  say), a segment reflected at a grazing angle meets the same wall again
+  after a few percent of its length, so MAX_BOUNCES bounces can leave most
+  of the step unused.  The domain only validates the pair and sets the
+  default start: it does not confine the walk.  The estimator mixes
+  positions of a position-dependent tensor, so results are report-only.
 
 Randomness: one numpy Generator per run, seeded with the job's seed.  The
 slab draws its (n_particles, 3) block in one call; the curved walk moves

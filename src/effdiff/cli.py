@@ -70,10 +70,10 @@ EXAMPLES = {
     },
 }
 
-_COMMON_KEYS = {"d0", "out", "example", "seed"}
+_COMMON_KEYS = {"d0", "out", "example"}
 _ALLOWED_KEYS = {
     "tensor": _COMMON_KEYS | {"z1", "z2", "z1_grid", "z2_grid", "domain",
-                              "resolution"},
+                              "resolution", "seed"},
     "planes": _COMMON_KEYS | {"n1", "n2", "zdir", "m1", "m2", "tilt_sign"},
     "oracle": _COMMON_KEYS | {"psi", "m1", "m2", "count", "seed",
                               "quad_points", "fd_step", "eval_x", "eval_y",
@@ -83,6 +83,17 @@ _ALLOWED_KEYS = {
     "solve": _COMMON_KEYS | {"z1", "z2", "domain", "resolution", "mode",
                              "dt", "steps", "snap_every", "p0", "seed"},
     "recover-channel": _COMMON_KEYS | {"z1", "z2", "x0", "x1", "samples"},
+}
+
+# Keys that can also be set by a command-line flag; a command offers the
+# flag of each key it allows.
+_FLAGS = {
+    "out": "output path (default: stdout / 'solve' prefix)",
+    "example": "start from a named built-in configuration",
+    "seed": "random seed override",
+    "resolution": "grid resolution NXxNY",
+    "domain": "domain rectangle x0,x1,y0,y1",
+    "d0": "bulk diffusion constant",
 }
 
 
@@ -198,20 +209,21 @@ def resolve_config(command, args):
     """
     allowed = _ALLOWED_KEYS[command]
     file_cfg = read_config_file(args.config) if args.config else {}
-    example = args.example or file_cfg.pop("example", None)
+    file_example = file_cfg.pop("example", None)
+    example = file_example if args.example is None else args.example
 
     cfg = {"d0": "1.0"}
-    if example:
+    if example is not None:
         # presets carry keys for several commands; keep the relevant ones.
         # An unknown name brings no preset and fails its parse below.
         preset = EXAMPLES.get(example, {})
         cfg.update({k: v for k, v in preset.items() if k in allowed})
         cfg["example"] = example
     cfg.update(file_cfg)
-    for flag in ("out", "seed", "resolution", "domain", "d0"):
+    for flag in _FLAGS:
         value = getattr(args, flag, None)
-        if value is not None:
-            cfg[flag] = str(value)
+        if flag != "example" and value is not None:
+            cfg[flag] = value
 
     unknown = set(cfg) - allowed
     if unknown:
@@ -505,7 +517,8 @@ def cmd_mc(cfg, opt):
         pair = _surface_pair(opt)
         cx = 0.5 * (pair.domain.x0 + pair.domain.x1)
         cy = 0.5 * (pair.domain.y0 + pair.domain.y1)
-        cz = 0.5 * (pair.z1.value((cx, cy)) + pair.z2.value((cx, cy)))
+        cz = 0.5 * float(pair.z1.value_array(cx, cy)
+                         + pair.z2.value_array(cx, cy))
         start = opt.get("start", (cx, cy, cz))
         geometry = pair
         mode = "surfaces (report only)"
@@ -605,8 +618,15 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose own errors are config errors: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="effdiff",
         description="Effective diffusion tensors for confined 3-D diffusion "
                     "projected onto the plane.")
@@ -622,19 +642,15 @@ def build_parser():
             ("recover-channel", "planar channel comparison along x (CSV)")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output path (default: stdout / 'solve' prefix)")
-        p.add_argument("--example", choices=sorted(EXAMPLES),
-                       help="start from a named built-in configuration")
-        p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument("--resolution", help="grid resolution NXxNY")
-        p.add_argument("--domain", help="domain rectangle x0,x1,y0,y1")
-        p.add_argument("--d0", type=float, help="bulk diffusion constant")
+        for flag, flag_help in _FLAGS.items():
+            if flag in _ALLOWED_KEYS[name]:
+                p.add_argument(f"--{flag}", help=flag_help)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg, opt = resolve_config(args.command, args)
         return _COMMANDS[args.command](cfg, opt)
     except ConfigError as exc:

@@ -247,7 +247,8 @@ class SurfacePair:
     def width(self, p) -> float:
         if not self.domain.contains(p):
             raise OutsideDomainError(f"point {p} outside domain")
-        w = self.z2.value(p) - self.z1.value(p)
+        x, y = (np.asarray(c, dtype=float) for c in p)
+        w = float(self.z2.value_array(x, y) - self.z1.value_array(x, y))
         if w <= 0:
             raise SurfaceValidationError(f"non-positive width {w:.6g} at {p}")
         return w
@@ -465,14 +466,6 @@ def frame_from_slopes(psi, m1, m2) -> FrameData:
     in the unit frame (xhat, yhat) = (x axis, y axis) at unit width."""
     return FrameData(1.0, (1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0),
                      psi, m1, m2, 0.5 * (m1 + m2))
-
-
-def frame_for_surfaces(pair: SurfacePair, p) -> FrameData:
-    """Frame bundle of the surface pair at p = (x, y)."""
-    w = pair.width(p)  # validates domain membership and positivity
-    g1 = pair.z1.gradient(p)
-    g2 = pair.z2.gradient(p)
-    return frame_from_gradients(w, g1, g2)
 
 
 def surface_normals(g1, g2):

@@ -88,17 +88,6 @@ class PdeGrid:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def flat_slab(domain, nx, ny, med: MediumParams, p0=None) -> "PdeGrid":
-        dom = domain if isinstance(domain, Domain) else Domain(*domain)
-        xc, yc, hx, hy = _cells(dom, nx, ny)
-        w = np.ones((nx, ny))
-        dten = np.zeros((nx, ny, 2, 2))
-        dten[..., 0, 0] = med.d0
-        dten[..., 1, 1] = med.d0
-        p = _initial_density(p0, xc, yc, w)
-        return PdeGrid(dom, nx, ny, hx, hy, xc, yc, w, dten, p, med.d0)
-
-    @staticmethod
     def from_surfaces(pair: SurfacePair, med: MediumParams, nx, ny,
                       p0=None) -> "PdeGrid":
         """Sample w and the Cartesian effective tensor at cell centers.

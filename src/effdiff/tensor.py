@@ -148,15 +148,6 @@ def rho_omega(m1, m2) -> tuple:
     return rho, omega
 
 
-def zero_tilt_omega(f1p: float, f2p: float, gz: float) -> float:
-    """Effective diffusivity factor along grad(w) for surfaces of the form
-    z_i = f_i(z(x,y)):  (arctan(f2' |grad z|) - arctan(f1' |grad z|)) /
-    ((f2' - f1') |grad z|), with the 1/(1 + (f1' |grad z|)^2) limit."""
-    if gz < 0:
-        raise TensorError("gradient magnitude must be non-negative")
-    return rho_omega(f1p * gz, f2p * gz)[1]
-
-
 # ---------------------------------------------------------------------------
 # the effective tensor
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ import effdiff.cli as cli
 from effdiff.brownian import McJob, Slab, mc_projected_tensor
 from effdiff.geometry import (
     FrameData, PlaneConfig, ScalarField, SurfacePair, frame_for_planes,
-    frame_for_surfaces,
 )
 from effdiff.pde import PdeGrid, evolve, stability_bound
 from effdiff.quadrature import WedgeQuadratureJob, quadrature_tensor
 from effdiff.tensor import (
     MediumParams, channel_recovery, effective_tensor, extreme_tilt_tensor,
-    polar_decompose, rho_omega, zero_tilt_omega,
+    polar_decompose, rho_omega, sample_tensor,
 )
 
 MED = MediumParams(1.0)
@@ -105,12 +104,9 @@ def test_criterion_03_channel_recovery():
     pair = SurfacePair(z1, z2, (-0.5, 2 * math.pi + 0.5, -1.0, 1.0))
     xs = np.concatenate([np.linspace(0.0, 2 * math.pi, 98),
                          [math.pi / 2, 3 * math.pi / 2]])
-    worst = 0.0
-    for x in xs:
-        fd = frame_for_surfaces(pair, (float(x), 0.0))
-        pipeline = effective_tensor(fd, MED).coeffs
-        formula = channel_recovery(z1, z2, float(x), MED)
-        worst = max(worst, float(np.abs(pipeline - formula).max()))
+    _, _, _, pipeline = sample_tensor(pair, xs, np.zeros_like(xs), MED)
+    formula = channel_recovery(z1, z2, xs, MED)
+    worst = float(np.abs(pipeline.coeffs - formula).max())
     report(3, "surface pipeline reproduces the planar-channel matrix at "
               "100 x-values", worst <= 1e-10, f"worst={worst:.3g}")
 
@@ -120,20 +116,18 @@ def test_criterion_04_radial_example():
                        ScalarField.from_expression("cos(2*r)+3/2"),
                        (-8, 8, -8, 8))
     xs = np.linspace(-8, 8, 64)
-    worst_psi = worst_off = worst_omega = 0.0
-    d22_exact = True
-    for x in xs:
-        for y in xs:
-            r = math.hypot(x, y)
-            if r < 1e-9:
-                continue
-            fd = frame_for_surfaces(pair, (float(x), float(y)))
-            t = effective_tensor(fd, MED).coeffs
-            worst_psi = max(worst_psi, abs(fd.psi))
-            worst_off = max(worst_off, abs(t[0, 1]), abs(t[1, 0]))
-            d22_exact = d22_exact and (t[1, 1] == 1.0)
-            want = zero_tilt_omega(math.cos(r), -2.0 * math.sin(2.0 * r), 1.0)
-            worst_omega = max(worst_omega, abs(t[0, 0] - want))
+    x, y = (c.ravel() for c in np.meshgrid(xs, xs, indexing="ij"))
+    r = np.hypot(x, y)
+    keep = r >= 1e-9
+    x, y, r = x[keep], y[keep], r[keep]
+    _, _, _, tensor = sample_tensor(pair, x, y, MED)
+    t = tensor.coeffs
+    worst_psi = float(np.abs(tensor.psi).max())
+    worst_off = float(np.abs(t[:, [0, 1], [1, 0]]).max())
+    d22_exact = bool(np.all(t[:, 1, 1] == 1.0))
+    # zero tilt: omega of the slopes f1'(r), f2'(r) along grad w
+    want = rho_omega(np.cos(r), -2.0 * np.sin(2.0 * r))[1]
+    worst_omega = float(np.abs(t[:, 0, 0] - want).max())
     report(4, "radial surfaces: diagonal tensor with zero-tilt diffusivity",
            worst_psi <= 1e-10 and worst_off <= 1e-12 and d22_exact
            and worst_omega <= 1e-10,
@@ -145,16 +139,15 @@ def test_criterion_05_waves_example():
     pair = SurfacePair(ScalarField.from_expression("cos(x)"),
                        ScalarField.from_expression("cos(y)+5/2"),
                        (-0.5, 2 * math.pi + 0.5, -0.5, 2 * math.pi + 0.5))
-    fd = frame_for_surfaces(pair, (math.pi / 2, math.pi / 2))
-    center_ok = abs(fd.psi + math.asin(0.5)) <= 1e-12
-
-    worst_line = 0.0
+    # the centre, then the lines x = n pi and y = n pi for n = 0, 1, 2
     sweep = np.linspace(0.0, 2 * math.pi, 41)
-    for n in (0, 1, 2):
-        for t in sweep:
-            for p in ((n * math.pi, float(t)), (float(t), n * math.pi)):
-                fd = frame_for_surfaces(pair, p)
-                worst_line = max(worst_line, abs(fd.psi))
+    lines = np.repeat(np.arange(3) * math.pi, sweep.size)
+    along = np.tile(sweep, 3)
+    x = np.concatenate([[math.pi / 2], lines, along])
+    y = np.concatenate([[math.pi / 2], along, lines])
+    _, _, _, tensor = sample_tensor(pair, x, y, MED)
+    center_ok = abs(tensor.psi[0] + math.asin(0.5)) <= 1e-12
+    worst_line = float(np.abs(tensor.psi[1:]).max())
     report(5, "waves: psi(pi/2,pi/2) = -arcsin(1/2); psi vanishes on the "
               "lattice lines", center_ok and worst_line <= 1e-10,
            f"line max |psi|={worst_line:.2g}")
@@ -241,10 +234,13 @@ def test_criterion_09_pde_solver():
     stat_drift = float(np.max(np.abs(stat.p - p0))) / float(p0.max())
 
     # Fourier decay rate convergence on the flat slab
+    slab = SurfacePair(ScalarField.from_expression("0"),
+                       ScalarField.from_expression("1"), (0, 1, 0, 0.25))
+
     def decay_error(nx):
         k = 2 * math.pi
-        g = PdeGrid.flat_slab((0, 1, 0, 0.25), nx, 4, MED,
-                              p0=lambda x, y: 1 + 0.01 * np.cos(k * x))
+        g = PdeGrid.from_surfaces(slab, MED, nx, 4,
+                                  p0=lambda x, y: 1 + 0.01 * np.cos(k * x))
         dt_f = 0.05 * g.hx**2
         steps = int(round(0.03 / dt_f))
         mode = np.cos(k * g.xc)[:, None]

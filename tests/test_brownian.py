@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from effdiff import brownian
 from effdiff.brownian import (
     MAX_BOUNCES, BrownianError, McJob, Slab, StepTooLargeError, _crossing,
     _surface_step, double_cross_probability, mc_projected_tensor,
@@ -295,6 +296,39 @@ def test_grid_backed_pair_confines_walkers():
     assert np.all(pair.z1.value_array(x, y) <= z)
     assert np.all(z <= pair.z2.value_array(x, y))
     assert np.count_nonzero(np.any(out != r + delta, axis=1)) > 50
+
+
+def test_grazing_chain_under_a_crest_is_a_rejected_step(monkeypatch):
+    # The one step that `mc --example waves` rejects at seed 11, 2e4 walkers
+    # x 500 steps, dt = 1e-2: the walker starts 7.3e-6 below the crest of
+    # z2 = cos(y) + 5/2 and moves off it at a grazing angle.  The region is
+    # convex there, so each reflected segment meets z2 again after a few
+    # percent of what is left, and MAX_BOUNCES bounces use up only about a
+    # third of the step.
+    pair = SurfacePair(ScalarField.from_expression("cos(x)"),
+                       ScalarField.from_expression("cos(y)+5/2"),
+                       (0, 2 * math.pi, 0, 2 * math.pi))
+    r = np.array([[2.7187423386019685, -0.05675369601387542,
+                   3.4983826226733856]])
+    delta = np.array([[0.12240364241486275, -0.1903989895963329,
+                       -0.011251755779247582]])
+    searches = []
+
+    def recording(field, sgn, r0, seg):
+        t = _crossing(field, sgn, r0, seg)
+        searches.append((field, float(t[0])))
+        return t
+
+    monkeypatch.setattr(brownian, "_crossing", recording)
+    stats = {"double_cross": 0, "rejected": 0}
+    out = _surface_step(pair, r, delta, stats)
+    assert stats == {"double_cross": 0, "rejected": 1}
+    assert np.array_equal(out, r)
+    assert len(searches) == MAX_BOUNCES
+    assert all(field is pair.z2 for field, _ in searches)
+    fractions = np.array([t for _, t in searches])
+    assert np.all((0.03 < fractions) & (fractions < 0.08))
+    assert 0.6 < np.prod(1.0 - fractions) < 0.66
 
 
 def test_every_jackknife_replicate_keeps_two_particles():

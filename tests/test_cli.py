@@ -1,11 +1,17 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from effdiff.cli import _ALLOWED_KEYS, main
+from effdiff.cli import _ALLOWED_KEYS, build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -442,32 +448,148 @@ _ANY_TEXT = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "1,2",
              "0,0,0"]
 
 
+def _offered_flags(command):
+    """The options that the parser of a command offers, --help aside."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return sorted(option for action in sub.choices[command]._actions
+                  for option in action.option_strings if option != "--help"
+                  and option.startswith("--"))
+
+
+def _run_quietly(argv):
+    """Exit code and stderr of main(argv); an exception escaping main,
+    SystemExit included, is returned as its own description instead."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    except (Exception, SystemExit) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    return code, err.getvalue()
+
+
+def _exit_problem(code, err):
+    """Why an exit code and stderr break the rule: a result, or exit 2 or
+    3 with one line on stderr and no traceback; None when they keep it."""
+    if code is None:
+        return f"raised {err}"
+    if (code not in (0, 2, 3) or "Traceback" in err
+            or (code and err.count("\n") != 1)):
+        return f"exit {code}, stderr {err!r}"
+    return None
+
+
 @pytest.mark.parametrize("base", sorted(_TINY))
 def test_every_key_takes_any_text_without_a_traceback(tmp_path, monkeypatch,
-                                                      capsys, base):
-    # every allowed key set to each text: a result, or exit 2 or 3 with one
-    # line on stderr; an exception escaping main is a failure
+                                                      base):
+    # every allowed key set to each text in the config file, and every flag
+    # the command offers given each text on the command line
     command, settings = _TINY[base]
+    flags = _offered_flags(command)
+    assert {flag[2:] for flag in flags} <= _ALLOWED_KEYS[command] | {"config"}
+    cases = [(f"{key}={text!r}", {key: text}, [])
+             for key in sorted(_ALLOWED_KEYS[command]) for text in _ANY_TEXT]
+    cases += [(f"{flag} {text!r}", {}, [flag, text])
+              for flag in flags for text in _ANY_TEXT]
     problems = []
-    for key in sorted(_ALLOWED_KEYS[command]):
-        for i, text in enumerate(_ANY_TEXT):
-            workdir = tmp_path / f"{key}-{i}"
-            workdir.mkdir()
-            monkeypatch.chdir(workdir)   # out=abc and the like land here
-            path = write_cfg(workdir, "sweep.cfg",
-                             **{**settings, "out": "result", key: text})
-            case = f"{key}={text!r}"
-            try:
-                code = main([command, "--config", path])
-            except Exception as exc:
-                problems.append(f"{case}: {type(exc).__name__}: {exc}")
-                continue
-            err = capsys.readouterr().err
-            if code not in (0, 2, 3) or "Traceback" in err:
-                problems.append(f"{case}: exit {code}, stderr {err!r}")
-            elif code and err.count("\n") != 1:
-                problems.append(f"{case}: exit {code}, stderr {err!r}")
+    for i, (case, keys, argv) in enumerate(cases):
+        workdir = tmp_path / str(i)
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)   # out=abc and the like land here
+        path = write_cfg(workdir, "sweep.cfg",
+                         **{**settings, "out": "result", **keys})
+        problem = _exit_problem(*_run_quietly([command, "--config", path,
+                                               *argv]))
+        if problem:
+            problems.append(f"{case}: {problem}")
     assert problems == []
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["tensor", "--example", "radial", "--seed", "abc"], "seed"),
+    (["planes", "--example", "wedge", "--resolution", "4x4"], "--resolution"),
+    (["mc", "--example", "slab", "--resolution", "4x4"], "--resolution"),
+    (["recover-channel", "--seed", "1"], "--seed"),
+    (["tensor", "--out"], "--out"),
+    (["nonsense"], "nonsense"),
+    ([], "command"),
+], ids=["seed-abc", "planes-resolution", "mc-resolution",
+        "recover-channel-seed", "out-without-value", "unknown-command", "bare"])
+def test_command_line_errors_are_one_config_error_line(argv, named):
+    code, err = _run_quietly(argv)
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err
+
+
+# Grid files and expression texts for `tensor`, drawn to be mostly valid:
+# each file may get a malformed header, origin or spacing, a ragged row, a
+# non-finite or non-numeric sample, or too few rows or columns.
+_BAD_NUMBER = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400",
+                               "0", "-1", "1,2"])
+_FUNCTIONS = ["sin", "cos", "tan", "asin", "acos", "atan", "exp", "log",
+              "sqrt", "abs"]
+_EXPRESSION_TREES = st.recursive(
+    st.sampled_from(["x", "y", "r", "pi", "e", "0", "1", "2.5", "-3",
+                     "1e308", "1e-300", "0.5"]),
+    lambda inner: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(_FUNCTIONS), inner),
+        st.builds("({}{}{})".format, inner, st.sampled_from("+-*/^"), inner)),
+    max_leaves=6)
+_EXPRESSION_TEXT = st.one_of(
+    _EXPRESSION_TREES, _EXPRESSION_TREES.map("9+{}".format),
+    st.text(alphabet="xyr0123456789.e+-*/^() sinco", max_size=16))
+
+
+@st.composite
+def _grid_files(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.floats(-3.0, 3.0).map(repr),
+                                  min_size=ny, max_size=ny),
+                         min_size=nx, max_size=nx))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, nx * ny - 1))
+        rows[k // ny][k % ny] = draw(_BAD_NUMBER)
+    if draw(st.booleans()):
+        row = rows[draw(st.integers(0, nx - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append("1")
+    origin = draw(st.one_of(st.sampled_from(["-0.1,-0.1", "0,0"]),
+                            _BAD_NUMBER))
+    spacing = draw(st.one_of(st.sampled_from(["0.3,0.3", "0.5,0.25"]),
+                             _BAD_NUMBER))
+    header = draw(st.sampled_from([
+        "# grid origin={} spacing={}", "# grid spacing={1} origin={0}",
+        "# grid origin={}", "grid origin={} spacing={}", ""]))
+    return "\n".join([header.format(origin, spacing)]
+                     + [",".join(row) for row in rows]) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(z1=st.one_of(st.just("-5"), st.just("0.1*sin(x*y)-5"),
+                   _EXPRESSION_TEXT),
+       z2=st.one_of(_grid_files(), _grid_files(), _EXPRESSION_TEXT),
+       domain=st.sampled_from(["0,1,0,1", "0,0.5,0,0.5", "-1,2,-1,2"]),
+       resolution=st.sampled_from(["3x3", "2x4"]))
+def test_generated_grid_files_and_expressions_run_without_a_traceback(
+        z1, z2, domain, resolution):
+    with tempfile.TemporaryDirectory() as tmp:
+        keys = dict(z1=z1, domain=domain, resolution=resolution)
+        if "\n" in z2:
+            grid = Path(tmp) / "z2.grid"
+            grid.write_text(z2)
+            keys["z2_grid"] = str(grid)
+        else:
+            keys["z2"] = z2
+        path = write_cfg(Path(tmp), "gen.cfg", **keys)
+        out = str(Path(tmp) / "out.csv")
+        problem = _exit_problem(*_run_quietly(["tensor", "--config", path,
+                                               "--out", out]))
+    assert problem is None
 
 
 @pytest.mark.parametrize("out", ["", "a\0b", "missing/out"],

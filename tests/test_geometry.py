@@ -7,8 +7,8 @@ from effdiff.expr import EvalDomainError
 from effdiff.geometry import (
     DegenerateConfigError, Domain, GeometryError, GridField,
     OutsideDomainError, PlaneConfig,
-    ScalarField, SurfacePair, SurfaceValidationError, frame_for_planes,
-    frame_for_surfaces, surface_normals,
+    ScalarField, SurfacePair, SurfaceValidationError, frame_field,
+    frame_for_planes, surface_normals,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -17,6 +17,14 @@ SQ2 = math.sqrt(2.0)
 def make_pair(z1, z2, domain=(-3, 3, -3, 3), **kw):
     return SurfacePair(ScalarField.from_expression(z1),
                        ScalarField.from_expression(z2), domain, **kw)
+
+
+def surface_frames(pair, x, y):
+    """Frame bundles of the pair at the points (x, y), all defined there,
+    with the sampled surface gradients."""
+    w, g1, g2, bad = pair.sample(x, y)
+    assert not np.any(bad)
+    return frame_field(w, g1, g2), g1, g2
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +109,18 @@ def test_planes_round_trip_from_generated_slopes():
 
 
 # ---------------------------------------------------------------------------
-# frame_for_surfaces
+# frames of a surface pair: SurfacePair.sample, then frame_field
 # ---------------------------------------------------------------------------
 
 def test_surfaces_orthogonal_waves_tilt():
     pair = make_pair("cos(x)", "cos(y)+5/2", domain=(0, 2 * math.pi, 0, 2 * math.pi))
-    fd = frame_for_surfaces(pair, (math.pi / 2, math.pi / 2))
+    fd, _, _ = surface_frames(pair, math.pi / 2, math.pi / 2)
     assert fd.psi == pytest.approx(-math.asin(0.5), abs=1e-14)
 
 
 def test_surfaces_tilted_upper_plane():
     pair = make_pair("0", "1+x/2", domain=(-1.5, 1.5, -1.5, 1.5))
-    fd = frame_for_surfaces(pair, (0.3, -1.2))
+    fd, _, _ = surface_frames(pair, 0.3, -1.2)
     assert fd.psi == 0.0
     assert fd.m1 == 0.0
     assert fd.m2 == pytest.approx(0.5, rel=1e-14)
@@ -122,7 +130,7 @@ def test_surfaces_tilted_upper_plane():
 
 def test_surfaces_flat_parallel_fallback():
     pair = make_pair("-1", "1")
-    fd = frame_for_surfaces(pair, (0.7, 0.7))
+    fd, _, _ = surface_frames(pair, 0.7, 0.7)
     assert fd.degenerate_frame
     assert fd.psi == 0.0
     assert fd.m1 == 0.0 and fd.m2 == 0.0
@@ -130,7 +138,7 @@ def test_surfaces_flat_parallel_fallback():
 
 def test_surfaces_sloped_parallel_fallback():
     pair = make_pair("x", "x+1", domain=(-0.4, 0.4, -0.4, 0.4))
-    fd = frame_for_surfaces(pair, (0.1, 0.0))
+    fd, _, _ = surface_frames(pair, 0.1, 0.0)
     assert fd.degenerate_frame
     assert fd.psi == 0.0
     assert fd.m1 == pytest.approx(1.0, rel=1e-14)
@@ -139,31 +147,30 @@ def test_surfaces_sloped_parallel_fallback():
 
 def test_surfaces_one_dimensional_channel_slopes():
     pair = make_pair("sin(x)-3/2", "cos(2*x)+3/2", domain=(0, 2 * math.pi, -1, 1))
-    for x in (0.3, 1.0, 2.2, 4.0, 5.5):
-        fd = frame_for_surfaces(pair, (x, 0.0))
-        z1p = math.cos(x)
-        z2p = -2.0 * math.sin(2 * x)
-        sign = math.copysign(1.0, z2p - z1p)
-        assert fd.psi == 0.0
-        assert fd.m1 == pytest.approx(sign * z1p, rel=1e-12, abs=1e-12)
-        assert fd.m2 == pytest.approx(sign * z2p, rel=1e-12, abs=1e-12)
-        assert fd.mu == (fd.m1 + fd.m2) / 2
+    x = np.array([0.3, 1.0, 2.2, 4.0, 5.5])
+    fd, _, _ = surface_frames(pair, x, np.zeros_like(x))
+    z1p = np.cos(x)
+    z2p = -2.0 * np.sin(2 * x)
+    sign = np.sign(z2p - z1p)
+    assert np.all(fd.psi == 0.0)
+    np.testing.assert_allclose(fd.m1, sign * z1p, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fd.m2, sign * z2p, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(fd.mu, (fd.m1 + fd.m2) / 2)
 
 
 def test_surfaces_frame_orthonormal_and_perp_rotation():
     pair = make_pair("cos(x)", "cos(y)+5/2", domain=(0, 2 * math.pi, 0, 2 * math.pi))
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        p = rng.uniform(0.1, 6.1, size=2)
-        fd = frame_for_surfaces(pair, tuple(p))
-        if fd.degenerate_frame:
-            continue
-        assert np.dot(fd.xhat, fd.yhat) == pytest.approx(0.0, abs=1e-12)
-        assert np.hypot(*fd.xhat) == pytest.approx(1.0, abs=1e-12)
-        assert np.hypot(*fd.yhat) == pytest.approx(1.0, abs=1e-12)
-        assert fd.gradperpw[0] == -fd.gradw[1]
-        assert fd.gradperpw[1] == fd.gradw[0]
-        assert abs(fd.psi) <= math.pi / 2
+    p = np.random.default_rng(5).uniform(0.1, 6.1, size=(50, 2))
+    fd, _, _ = surface_frames(pair, p[:, 0], p[:, 1])
+    keep = ~fd.degenerate_frame
+    assert keep.sum() > 40
+    (xx, xy), (yx, yy) = ((c[keep] for c in v) for v in (fd.xhat, fd.yhat))
+    np.testing.assert_allclose(xx * yx + xy * yy, 0.0, atol=1e-12)
+    np.testing.assert_allclose(np.hypot(xx, xy), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.hypot(yx, yy), 1.0, atol=1e-12)
+    assert np.array_equal(fd.gradperpw[0], -fd.gradw[1])
+    assert np.array_equal(fd.gradperpw[1], fd.gradw[0])
+    assert np.all(np.abs(fd.psi) <= math.pi / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -195,62 +202,57 @@ def test_width_outside_domain():
 # cross-route consistency
 # ---------------------------------------------------------------------------
 
+def _plane_frames(fd, g1, g2):
+    """The points of fd with a frame along grad w, each with the frame of
+    its two tangent planes: (k, PlaneFrame, n1 x n2)."""
+    for k in np.flatnonzero(~fd.degenerate_frame):
+        n1, n2 = surface_normals((g1[0][k], g1[1][k]), (g2[0][k], g2[1][k]))
+        yield k, frame_for_planes(PlaneConfig(n1, n2)), np.cross(n1, n2)
+
+
 def test_routes_agree_on_zero_tilt_points():
     pair = make_pair("sin(r)-3/2", "cos(2*r)+3/2", domain=(-8, 8, -8, 8))
-    rng = np.random.default_rng(17)
+    p = np.random.default_rng(17).uniform(0.5, 5.5, size=(60, 2))
+    fd, g1, g2 = surface_frames(pair, p[:, 0], p[:, 1])
     checked = 0
-    while checked < 40:
-        p = tuple(rng.uniform(0.5, 5.5, size=2))
-        fd = frame_for_surfaces(pair, p)
-        if fd.degenerate_frame:
-            continue
-        n1, n2 = surface_normals(pair.z1.gradient(p), pair.z2.gradient(p))
-        fr = frame_for_planes(PlaneConfig(n1, n2))
-        assert fd.psi == pytest.approx(fr.psi, abs=1e-10)
-        assert fd.m1 == pytest.approx(fr.m1, rel=1e-10, abs=1e-10)
-        assert fd.m2 == pytest.approx(fr.m2, rel=1e-10, abs=1e-10)
-        assert np.allclose(fr.xhat[:2], fd.xhat, atol=1e-10)
+    for k, fr, _ in _plane_frames(fd, g1, g2):
+        assert fd.psi[k] == pytest.approx(fr.psi, abs=1e-10)
+        assert fd.m1[k] == pytest.approx(fr.m1, rel=1e-10, abs=1e-10)
+        assert fd.m2[k] == pytest.approx(fr.m2, rel=1e-10, abs=1e-10)
+        assert np.allclose(fr.xhat[:2], (fd.xhat[0][k], fd.xhat[1][k]),
+                           atol=1e-10)
         checked += 1
+    assert checked >= 40
 
 
 def test_routes_tilt_relation_general():
     # the surface tilt uses the unnormalized cross product of the unit
     # normals, so sin(psi_surface) = |n1 x n2| sin(psi_planes)
     pair = make_pair("cos(x)", "cos(y)+5/2", domain=(0, 2 * math.pi, 0, 2 * math.pi))
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        p = tuple(rng.uniform(0.2, 6.0, size=2))
-        fd = frame_for_surfaces(pair, p)
-        if fd.degenerate_frame:
-            continue
-        n1, n2 = surface_normals(pair.z1.gradient(p), pair.z2.gradient(p))
-        cross = np.cross(n1, n2)
-        fr = frame_for_planes(PlaneConfig(n1, n2))
-        assert math.sin(fd.psi) == pytest.approx(
+    p = np.random.default_rng(23).uniform(0.2, 6.0, size=(50, 2))
+    fd, g1, g2 = surface_frames(pair, p[:, 0], p[:, 1])
+    for k, fr, cross in _plane_frames(fd, g1, g2):
+        assert math.sin(fd.psi[k]) == pytest.approx(
             np.linalg.norm(cross) * math.sin(fr.psi), abs=1e-12)
-        assert np.allclose(fr.xhat[:2], fd.xhat, atol=1e-10)
+        assert np.allclose(fr.xhat[:2], (fd.xhat[0][k], fd.xhat[1][k]),
+                           atol=1e-10)
 
 
 def test_gradw_equals_gradient_difference():
     pair = make_pair("sin(x)*cos(y)", "4+x*y/4")
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        p = tuple(rng.uniform(-2.5, 2.5, size=2))
-        fd = frame_for_surfaces(pair, p)
-        g1 = pair.z1.gradient(p)
-        g2 = pair.z2.gradient(p)
-        assert fd.gradw[0] == pytest.approx(g2[0] - g1[0], abs=1e-12)
-        assert fd.gradw[1] == pytest.approx(g2[1] - g1[1], abs=1e-12)
+    p = np.random.default_rng(2).uniform(-2.5, 2.5, size=(30, 2))
+    fd, g1, g2 = surface_frames(pair, p[:, 0], p[:, 1])
+    for k in range(2):
+        np.testing.assert_allclose(fd.gradw[k], g2[k] - g1[k], rtol=0,
+                                   atol=1e-12)
 
 
 def test_tilt_vanishes_for_functionally_dependent_surfaces():
     # z_i = f_i(z(x,y)) with z = x + 2y: gradients stay parallel
     pair = make_pair("sin(x+2*y)", "3+(x+2*y)^2/8", domain=(-1, 1, -1, 1))
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        p = tuple(rng.uniform(-0.9, 0.9, size=2))
-        fd = frame_for_surfaces(pair, p)
-        assert abs(fd.psi) <= 1e-10
+    p = np.random.default_rng(8).uniform(-0.9, 0.9, size=(30, 2))
+    fd, _, _ = surface_frames(pair, p[:, 0], p[:, 1])
+    assert np.all(np.abs(fd.psi) <= 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +326,6 @@ def test_grid_backed_surface_pair_frames():
     _, g1 = _sampled("0", -1, 1, -1, 1, 61)
     _, g2 = _sampled("1+x/2", -1, 1, -1, 1, 61)
     pair = SurfacePair(g1, g2, Domain(-1, 1, -1, 1))
-    fd = frame_for_surfaces(pair, (0.2, 0.3))
+    fd, _, _ = surface_frames(pair, 0.2, 0.3)
     assert fd.psi == pytest.approx(0.0, abs=1e-10)
     assert fd.m2 == pytest.approx(0.5, abs=1e-8)

@@ -25,6 +25,21 @@ def channel_pair(ylen=1.0):
                        (0, 2 * math.pi, 0, ylen))
 
 
+def flat_slab(domain, nx, ny, p0=None, med=MED):
+    """Grid of the flat slab z1 = 0, z2 = 1 over domain."""
+    pair = SurfacePair(ScalarField.from_expression("0"),
+                       ScalarField.from_expression("1"), domain)
+    return PdeGrid.from_surfaces(pair, med, nx, ny, p0=p0)
+
+
+def test_flat_slab_grid_is_unit_width_and_isotropic():
+    grid = flat_slab((0, 1, 0, 1), 8, 6, med=MediumParams(0.7))
+    assert np.array_equal(grid.w, np.ones((8, 6)))
+    assert np.array_equal(grid.dten, np.broadcast_to(0.7 * np.eye(2), (8, 6, 2, 2)))
+    assert np.array_equal(grid.p, grid.w)
+    assert grid.d0 == 0.7
+
+
 def test_to_cartesian_is_similarity_transform():
     s = 1 / math.sqrt(2)
     t = EffectiveTensor(np.array([[1.0, 0.2], [-0.3, 0.8]]), (s, s), (-s, s),
@@ -63,8 +78,8 @@ def test_mass_conserved_and_density_nonnegative():
 
 def _fourier_decay_error(nx):
     k = 2 * math.pi
-    grid = PdeGrid.flat_slab((0, 1, 0, 0.25), nx, 4, MED,
-                             p0=lambda x, y: 1 + 0.01 * np.cos(k * x))
+    grid = flat_slab((0, 1, 0, 0.25), nx, 4,
+                     p0=lambda x, y: 1 + 0.01 * np.cos(k * x))
     dt = 0.05 * grid.hx**2
     steps = int(round(0.03 / dt))
 
@@ -88,8 +103,8 @@ def test_flat_slab_fourier_rate_and_mesh_convergence():
 
 def test_gaussian_variance_grows_linearly():
     s0 = 0.4
-    grid = PdeGrid.flat_slab((-3, 3, -3, 3), 64, 64, MED,
-                             p0=lambda x, y: np.exp(-(x**2 + y**2) / (2 * s0**2)))
+    grid = flat_slab((-3, 3, -3, 3), 64, 64,
+                     p0=lambda x, y: np.exp(-(x**2 + y**2) / (2 * s0**2)))
     dt = 0.5 * stability_bound(grid)
     steps = int(round(0.2 / dt))
     grid = evolve(grid, dt, steps, mode="finite")
@@ -99,8 +114,8 @@ def test_gaussian_variance_grows_linearly():
 
 
 def test_infinite_rate_equals_finite_rate_on_flat_slab():
-    grid = PdeGrid.flat_slab((0, 1, 0, 1), 16, 16, MED,
-                             p0=lambda x, y: 1 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
+    grid = flat_slab((0, 1, 0, 1), 16, 16,
+                     p0=lambda x, y: 1 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
     dt = 0.5 * stability_bound(grid)
     a = step_finite_rate(grid, dt)
     b = step_infinite_rate(grid, dt)
@@ -131,7 +146,7 @@ def test_finite_rate_spreads_no_faster_than_infinite_along_x():
 
 
 def test_stability_bound_enforced():
-    grid = PdeGrid.flat_slab((0, 1, 0, 1), 16, 16, MED)
+    grid = flat_slab((0, 1, 0, 1), 16, 16)
     with pytest.raises(StabilityError):
         step_finite_rate(grid, 10 * stability_bound(grid))
     with pytest.raises(StabilityError):
@@ -140,10 +155,9 @@ def test_stability_bound_enforced():
 
 def test_bad_initial_density_rejected():
     with pytest.raises(ConfigurationError):
-        PdeGrid.flat_slab((0, 1, 0, 1), 8, 8, MED, p0=np.ones((3, 3)))
+        flat_slab((0, 1, 0, 1), 8, 8, p0=np.ones((3, 3)))
     with pytest.raises(ConfigurationError):
-        PdeGrid.flat_slab((0, 1, 0, 1), 8, 8, MED,
-                          p0=lambda x, y: np.sin(x) - 2.0)
+        flat_slab((0, 1, 0, 1), 8, 8, p0=lambda x, y: np.sin(x) - 2.0)
 
 
 def test_evolve_checks_the_stability_bound_once(monkeypatch):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from effdiff.geometry import (
-    ScalarField, SurfacePair, frame_field, frame_for_surfaces,
-    frame_from_gradients, frame_from_slopes,
+    ScalarField, SurfacePair, frame_field, frame_from_gradients,
+    frame_from_slopes,
 )
 from effdiff.tensor import (
     EffectiveTensor, ExtremeTiltError, MediumParams, TensorError,
     channel_recovery, effective_tensor, extreme_tilt_tensor, polar_decompose,
-    rho_omega, to_cartesian, zero_tilt_omega,
+    rho_omega, sample_tensor, to_cartesian,
 )
 
 MED = MediumParams(1.0)
@@ -285,31 +285,22 @@ def test_channel_recovery_common_slope_limit():
     assert np.allclose(d, np.diag([0.5, 1.0]), atol=1e-15)
 
 
-def test_zero_tilt_omega_values():
-    assert zero_tilt_omega(0.0, 1.0, 1.0) == pytest.approx(math.pi / 4, abs=1e-15)
-    assert zero_tilt_omega(0.0, 0.0, 3.7) == 1.0
-    assert zero_tilt_omega(0.4, 1.9, 0.0) == 1.0
-
-
 def test_full_pipeline_matches_zero_tilt_omega_on_radial_surfaces():
+    # z_i = f_i(r): zero tilt, and omega of the slopes f1'(r), f2'(r)
+    # along grad w
     pair = SurfacePair(ScalarField.from_expression("sin(r)-3/2"),
                        ScalarField.from_expression("cos(2*r)+3/2"),
                        (-8, 8, -8, 8))
-    rng = np.random.default_rng(9)
-    checked = 0
-    while checked < 50:
-        p = tuple(rng.uniform(-6, 6, size=2))
-        r = math.hypot(*p)
-        if r < 0.3:
-            continue
-        fd = frame_for_surfaces(pair, p)
-        t = effective_tensor(fd, MED)
-        assert abs(t.coeffs[0, 1]) <= 1e-12
-        assert abs(t.coeffs[1, 0]) <= 1e-12
-        assert t.coeffs[1, 1] == 1.0
-        want = zero_tilt_omega(math.cos(r), -2.0 * math.sin(2 * r), 1.0)
-        assert t.coeffs[0, 0] == pytest.approx(want, abs=1e-10)
-        checked += 1
+    p = np.random.default_rng(9).uniform(-6, 6, size=(70, 2))
+    r = np.hypot(p[:, 0], p[:, 1])
+    p, r = p[r >= 0.3][:50], r[r >= 0.3][:50]
+    assert r.size == 50
+    _, _, _, t = sample_tensor(pair, p[:, 0], p[:, 1], MED)
+    assert np.all(np.abs(t.coeffs[:, 0, 1]) <= 1e-12)
+    assert np.all(np.abs(t.coeffs[:, 1, 0]) <= 1e-12)
+    assert np.all(t.coeffs[:, 1, 1] == 1.0)
+    want = rho_omega(np.cos(r), -2.0 * np.sin(2 * r))[1]
+    np.testing.assert_allclose(t.coeffs[:, 0, 0], want, rtol=0, atol=1e-10)
 
 
 def test_to_cartesian_frames():
