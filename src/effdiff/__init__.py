@@ -4,13 +4,13 @@ the projected diffusion equation."""
 
 from .expr import (
     EvalDomainError, Expr, ExprError, ParseError,
-    differentiate, evaluate, evaluate_masked, parse, to_text,
+    differentiate, evaluate, parse, to_text,
 )
 from .geometry import (
     DegenerateConfigError, Domain, ExpressionField, FrameData, GeometryError,
     GridField, OutsideDomainError, PlaneConfig, PlaneFrame, ScalarField,
     SurfacePair, SurfaceValidationError, frame_field, frame_for_planes,
-    frame_from_gradients, frame_from_slopes, surface_normals,
+    frame_from_gradients, frame_from_slopes,
 )
 from .tensor import (
     EffectiveTensor, EllipsoidData, ExtremeTiltError, MediumParams,

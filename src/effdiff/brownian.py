@@ -21,7 +21,7 @@ Two geometries:
   position independent.
 * SurfacePair: general curved surfaces.  A step that ends beyond a
   surface is cut where z - z_i(x, y) changes sign, found by a safeguarded
-  Newton search on the surface gradient (`_crossing`); the earliest
+  Newton search on ScalarField.sample's gradient (`_crossing`); the earliest
   crossing wins and the remaining displacement is reflected about that
   surface's normal (up to MAX_BOUNCES per step).  The search is part of
   the curved sampler: its stopping rule fixes the last bits of every
@@ -294,7 +294,8 @@ def _crossing(field, sgn, r0, delta):
     a Newton step is taken only if it lands strictly inside the bracket,
     otherwise the bracket is bisected.  Each walker stops once its step or
     its bracket is at most NEWTON_TOL; the step is tested first, since a
-    converged step may land on the bracket's end.
+    converged step may land on the bracket's end.  Value and gradient come
+    from `field.sample`; a point where it is undefined raises BrownianError.
     """
     n = r0.shape[0]
     found = np.empty(n)
@@ -302,7 +303,11 @@ def _crossing(field, sgn, r0, delta):
     lo, hi, t = np.zeros(n), np.ones(n), np.ones(n)
     for _ in range(NEWTON_MAX_ITER):
         r = r0 + t[:, None] * delta
-        f, fx, fy = field.value_gradient(r[:, 0], r[:, 1])
+        f, fx, fy, bad = field.sample(r[:, 0], r[:, 1])
+        if np.count_nonzero(bad):    # a third of bad.any()'s cost here
+            x, y = r[np.argmax(bad), :2]
+            raise BrownianError(f"surface undefined at ({x:.6g}, {y:.6g}) "
+                                "in a wall-crossing search")
         phi = sgn * (r[:, 2] - f)
         slope = sgn * (delta[:, 2] - fx * delta[:, 0] - fy * delta[:, 1])
         inside = phi >= 0.0

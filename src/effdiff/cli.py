@@ -150,15 +150,18 @@ def _grid(key, text):
 
 _finite = _parser(float, math.isfinite, "a finite number")
 _positive = _parser(float, lambda v: 0 < v < math.inf, "positive and finite")
+_coordinate = _parser(float, lambda v: abs(v) <= 1e100, "in [-1e100, 1e100]")
 _normal = _parser(_numbers, lambda v: len(v) == 3 and any(v),
                   "a finite non-zero vector x,y,z")
 
 _PARSERS = {
-    "d0": _positive, "dt": _positive, "gap": _positive, "fd_step": _positive,
+    "d0": _parser(float, lambda v: 1e-50 <= v <= 1e50, "in [1e-50, 1e50]"),
+    "dt": _positive, "gap": _positive, "x0": _finite, "x1": _finite,
+    "fd_step": _parser(float, lambda v: 0 < v < 1, "in (0, 1)"),
     "mu": _finite, "m1": _finite, "m2": _finite,
     "psi": _parser(float, lambda v: abs(v) <= math.pi / 2,
                    "a tilt in [-pi/2, pi/2]"),
-    "eval_x": _finite, "eval_y": _finite, "x0": _finite, "x1": _finite,
+    "eval_x": _coordinate, "eval_y": _coordinate,
     "seed": _at_least(0), "count": _at_least(0), "steps": _at_least(0),
     "quad_points": _at_least(1), "snap_every": _at_least(1),
     "samples": _at_least(1), "particles": _at_least(2), "blocks": _at_least(2),
@@ -446,12 +449,13 @@ def _oracle_case(psi, m1, m2, med, points, fd_step, eval_point):
         WedgeQuadratureJob(psi, m1, m2, eval_point=eval_point, points=points,
                            fd_step=fd_step), med)
     abs_err = np.abs(closed - quad)
-    denom = np.maximum(np.abs(closed), 1e-300)
+    # in units of d0, so that the floor of a zero entry scales with D
+    rel_err = abs_err / med.d0 / np.maximum(np.abs(closed) / med.d0, 1e-300)
     return {
         "psi": psi, "m1": m1, "m2": m2,
         "closed_form": _matrix(closed), "quadrature": _matrix(quad),
         "max_abs_err": float(abs_err.max()),
-        "max_rel_err": float((abs_err / denom).max()),
+        "max_rel_err": float(rel_err.max()),
     }
 
 

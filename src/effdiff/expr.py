@@ -16,10 +16,11 @@ error instead of producing a value).
 
 Expression trees are immutable; evaluation is reentrant and accepts either
 floats or numpy arrays for the point coordinates.  Each tree is compiled
-once (`Compiled`) into one straight-line numpy function that computes every
-distinct sub-expression once and tests finiteness only where a failure
-could hide; the tree is walked node by node only when that test fails, to
-name the failing sub-expression or build the mask of failing elements.
+once into one straight-line numpy function that computes every distinct
+sub-expression once and tests finiteness only where a failure could hide;
+the tree is walked node by node only when that test fails.  `evaluate`
+then raises, naming the failing sub-expression; `Compiled.evaluate_masked`
+returns the values of several trees and one mask of the failing elements.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ Expr = Union[Const, Var, Unary, Binary]
 
 _FUNCTIONS = ("sin", "cos", "tan", "asin", "acos", "atan", "exp", "log", "sqrt", "abs")
 _CONSTANTS = {"pi": np.pi, "e": np.e}
+
+# Nesting levels of one text, which bound every recursion over its tree:
+# each parenthesis, function call, unary sign, '^' and chain operator is one.
+MAX_DEPTH = 100
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
@@ -156,6 +161,8 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0   # level of the operand being parsed; each binary
+        self.reach = 0   # chain sets it, and tracks its deepest level here
 
     def peek(self):
         return self.tokens[self.pos]
@@ -168,37 +175,63 @@ class _Parser:
     def fail(self, message, column, expected):
         raise ParseError(message, column, expected)
 
+    def nest(self, tok, depth):
+        """Go to nesting level `depth` at `tok`; past MAX_DEPTH, fail there."""
+        if depth > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels",
+                      tok.column, ())
+        self.depth = depth
+        self.reach = max(self.reach, depth)
+
+    def hang(self, op, depth):
+        """Operator `op` of a chain begun at level `depth`: all the chain
+        parsed before it moves one level down, and its right operand goes
+        one level below `depth`."""
+        self.nest(op, self.reach + 1)
+        self.depth = depth + 1
+
     def expression(self):
+        depth, reach = self.depth, self.reach
+        self.reach = depth
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.term())
+            op = self.advance()
+            self.hang(op, depth)
+            node = Binary(op.text, node, self.term())
+        self.depth, self.reach = depth, max(reach, self.reach)
         return node
 
     def term(self):
+        depth, reach = self.depth, self.reach
+        self.reach = depth
         node = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.factor())
+            op = self.advance()
+            self.hang(op, depth)
+            node = Binary(op.text, node, self.factor())
+        self.depth, self.reach = depth, max(reach, self.reach)
         return node
 
     def factor(self):
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if tok.kind == "op" and tok.text in "+-":
             self.advance()
-            return Unary("neg", self.factor())
-        if tok.kind == "op" and tok.text == "+":
-            self.advance()
-            return self.factor()
+            self.nest(tok, self.depth + 1)
+            node = self.factor()
+            return Unary("neg", node) if tok.text == "-" else node
         return self.power()
 
     def power(self):
+        depth, reach = self.depth, self.reach
+        self.reach = depth
         node = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
+            self.hang(tok, depth)
             # right-associative; exponent may carry a unary sign
             node = Binary("^", node, self.factor())
+        self.depth, self.reach = depth, max(reach, self.reach)
         return node
 
     def atom(self):
@@ -220,6 +253,7 @@ class _Parser:
                     self.fail(f"expected '(' after function '{name}'",
                               open_tok.column, ("(",))
                 self.advance()
+                self.nest(tok, self.depth + 1)
                 arg = self.expression()
                 close = self.peek()
                 if close.kind == ",":
@@ -233,6 +267,7 @@ class _Parser:
             self.fail(f"unknown identifier '{name}'", tok.column,
                       ("x", "y", "r", "pi", "e") + _FUNCTIONS)
         if tok.kind == "(":
+            self.nest(tok, self.depth + 1)
             node = self.expression()
             close = self.peek()
             if close.kind != ")":
@@ -247,7 +282,8 @@ def parse(text: str) -> Expr:
     """Parse `text` into an expression tree.
 
     Raises ParseError (with 1-based `column` and an `expected` token set)
-    on syntax errors, unknown identifiers and arity mismatches.
+    on syntax errors, unknown identifiers, arity mismatches and nesting
+    deeper than MAX_DEPTH.
     """
     parser = _Parser(_tokenize(text))
     node = parser.expression()
@@ -388,21 +424,6 @@ def _values(run, trees, point):
     return values, failed
 
 
-def _checked(run, trees, point):
-    values, failed = _values(run, trees, point)
-    if failed:
-        raise EvalDomainError("non-finite value", to_text(failed[0][0]))
-    return values
-
-
-def _masked(run, trees, point):
-    values, failed = _values(run, trees, point)
-    bad = np.zeros(np.shape(values[0]), dtype=bool)
-    for _, mask in failed:
-        bad |= mask
-    return values, bad
-
-
 class Compiled:
     """Expression trees compiled once into one function that evaluates
     them together, sharing their common sub-expressions."""
@@ -411,15 +432,16 @@ class Compiled:
         self.trees = trees
         self._run = _generate(trees)
 
-    def evaluate(self, point):
-        """Values of every tree at point=(x, y), floats or numpy arrays;
-        raises EvalDomainError as `evaluate` does."""
-        return _checked(self._run, self.trees, point)
-
     def evaluate_masked(self, point):
-        """Values of every tree at point=(x, y) and one mask of the
-        elements at which any of them fails, as `evaluate_masked` does."""
-        return _masked(self._run, self.trees, point)
+        """Values of every tree at point=(x, y), floats or numpy arrays,
+        and one boolean mask of the elements at which any of them leaves
+        the real domain (where `evaluate` would raise).  Values at those
+        elements are meaningless."""
+        values, failed = _values(self._run, self.trees, point)
+        bad = np.zeros(np.shape(values[0]), dtype=bool)
+        for _, mask in failed:
+            bad |= mask
+        return values, bad
 
 
 def _generated(e):
@@ -438,15 +460,10 @@ def evaluate(e: Expr, point):
     Raises EvalDomainError, naming the offending sub-expression, whenever
     any element leaves the real domain (no silent NaN propagation).
     """
-    return _checked(_generated(e), (e,), point)[0]
-
-
-def evaluate_masked(e: Expr, point):
-    """Evaluate at point=(x, y) without raising: returns (values, bad),
-    where the boolean array `bad` marks the elements at which `evaluate`
-    would raise.  Values at those elements are meaningless."""
-    (values,), bad = _masked(_generated(e), (e,), point)
-    return values, bad
+    (value,), failed = _values(_generated(e), (e,), point)
+    if failed:
+        raise EvalDomainError("non-finite value", to_text(failed[0][0]))
+    return value
 
 
 # ---------------------------------------------------------------------------

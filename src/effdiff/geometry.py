@@ -83,15 +83,10 @@ class ScalarField:
     def gradient_array(self, x, y):
         raise NotImplementedError
 
-    def value_gradient(self, x, y):
-        """Value, x- and y-derivative on arrays of points, from one
-        evaluation; raises where `value_array` or `gradient_array` would."""
-        raise NotImplementedError
-
     def sample(self, x, y):
-        """Value, x- and y-derivative on arrays of points, plus a boolean
-        mask of the points where `value_array` or `gradient_array` would
-        raise.  The values there are meaningless."""
+        """Value and both derivatives on arrays of points, from one call,
+        with a boolean mask of the points where `value_array` or
+        `gradient_array` would raise; the values there are meaningless."""
         raise NotImplementedError
 
     @staticmethod
@@ -114,9 +109,6 @@ class ExpressionField(ScalarField):
 
     def gradient_array(self, x, y):
         return _expr.evaluate(self.dx, (x, y)), _expr.evaluate(self.dy, (x, y))
-
-    def value_gradient(self, x, y):
-        return self._compiled.evaluate((x, y))
 
     def sample(self, x, y):
         (value, gx, gy), bad = self._compiled.evaluate_masked((x, y))
@@ -181,12 +173,8 @@ class GridField(ScalarField):
         return self._bilinear(self.values, self._locate(x, y))
 
     def gradient_array(self, x, y):
-        return self.value_gradient(x, y)[1:]
-
-    def value_gradient(self, x, y):
         cell = self._locate(x, y)
-        return tuple(self._bilinear(table, cell)
-                     for table in (self.values, self._dx, self._dy))
+        return self._bilinear(self._dx, cell), self._bilinear(self._dy, cell)
 
     def sample(self, x, y):
         outside = ~self._inside(x, y)
@@ -466,14 +454,3 @@ def frame_from_slopes(psi, m1, m2) -> FrameData:
     in the unit frame (xhat, yhat) = (x axis, y axis) at unit width."""
     return FrameData(1.0, (1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0),
                      psi, m1, m2, 0.5 * (m1 + m2))
-
-
-def surface_normals(g1, g2):
-    """Outward unit normals of the tangent planes at a point, from the
-    surface gradients: n1 points below the lower surface, n2 above the
-    upper one."""
-    s1 = math.sqrt(1.0 + g1[0] ** 2 + g1[1] ** 2)
-    s2 = math.sqrt(1.0 + g2[0] ** 2 + g2[1] ** 2)
-    n1 = np.array([g1[0], g1[1], -1.0]) / s1
-    n2 = np.array([-g2[0], -g2[1], 1.0]) / s2
-    return n1, n2

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PlaneConfig, frame_for_planes
 from .tensor import EPS_M, EPS_PSI, MediumParams
 
 APEX_THRESHOLD = 1e-6
@@ -57,11 +56,6 @@ class WedgeQuadratureJob:
     eval_point: tuple = (1.0, 0.0)
     points: int = 128
     fd_step: float = 1e-5
-
-    @staticmethod
-    def from_config(cfg: PlaneConfig, **kw) -> "WedgeQuadratureJob":
-        fr = frame_for_planes(cfg)
-        return WedgeQuadratureJob(fr.psi, fr.m1, fr.m2, **kw)
 
 
 def quadrature_tensor(job: WedgeQuadratureJob,

@@ -111,7 +111,7 @@ class EllipsoidData:
 def _rho_omega(m1, m2):
     """rho_omega without the finiteness check; NaN slopes give NaN.  Finite
     slopes so large that rho or omega overflows raise TensorError."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dm = m2 - m1
         mu = 0.5 * (m1 + m2)
         den = 1.0 + mu * mu

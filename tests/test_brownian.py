@@ -276,6 +276,16 @@ def test_crossing_search_on_steep_walls():
         _assert_crossing_matches_halvings(field, sgn, r[beyond], delta[beyond])
 
 
+def test_crossing_search_through_an_undefined_strip_names_the_point():
+    # z2 = sqrt(x^2 - 0.01) is undefined for |x| < 0.1; the segment from
+    # x = -0.5 (inside) to x = 0.5 (outside) first bisects onto x = 0
+    z2 = ScalarField.from_expression("sqrt(x^2-0.01)")
+    r0 = np.array([[-0.5, 0.0, 0.0]])
+    delta = np.array([[1.0, 0.0, 1.0]])
+    with pytest.raises(BrownianError, match=r"surface undefined at \(0, 0\)"):
+        _crossing(z2, -1.0, r0, delta)
+
+
 def test_grid_backed_pair_confines_walkers():
     # interpolated gradients are not the derivative of the bilinear values,
     # so the search converges more slowly, but every kept position is still
@@ -296,6 +306,24 @@ def test_grid_backed_pair_confines_walkers():
     assert np.all(pair.z1.value_array(x, y) <= z)
     assert np.all(z <= pair.z2.value_array(x, y))
     assert np.count_nonzero(np.any(out != r + delta, axis=1)) > 50
+
+
+def test_seeded_walk_between_grid_backed_surfaces():
+    # the crossing search reads GridField.sample; a repeated run with one
+    # seed is bit-identical, and no diagonal entry exceeds D0 = 1 by more
+    # than three standard errors
+    xs = np.linspace(-3, 3, 61)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    low = 0.4 * np.sin(2 * gx) + 0.1 * np.cos(3 * gy)
+    pair = SurfacePair(GridField((-3, -3), (0.1, 0.1), low),
+                       GridField((-3, -3), (0.1, 0.1), low + 0.6), (-3, 3, -3, 3))
+    job = McJob(pair, dt=1e-3, n_particles=400, n_steps=100, seed=4,
+                start=(0.0, 0.0, 0.3), jackknife_blocks=10)
+    res = mc_projected_tensor(job)
+    assert np.array_equal(res.estimate, mc_projected_tensor(job).estimate)
+    assert res.rejected_steps == 0
+    diag, se = np.diag(res.estimate), np.diag(res.stderr)
+    assert np.all(diag > 0.0) and np.all(diag - 3.0 * se < 1.0)
 
 
 def test_grazing_chain_under_a_crest_is_a_rejected_step(monkeypatch):

@@ -444,8 +444,8 @@ _TINY = {
                                                 samples="5")),
 }
 
-_ANY_TEXT = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "1,2",
-             "0,0,0"]
+_ANY_TEXT = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "1e-300",
+             "1e300", "1,2", "0,0,0"]
 
 
 def _offered_flags(command):
@@ -505,6 +505,41 @@ def test_every_key_takes_any_text_without_a_traceback(tmp_path, monkeypatch,
         if problem:
             problems.append(f"{case}: {problem}")
     assert problems == []
+
+
+def _finite_numbers(path):
+    """Whether every number in a JSON or CSV result file is finite."""
+    with open(path) as fh:
+        if fh.read(1) == "{":
+            constants = []     # NaN, Infinity and -Infinity
+            fh.seek(0)
+            json.load(fh, parse_constant=constants.append)
+            return not constants
+    header, rows = read_csv(path)
+    return all(math.isfinite(float(cell)) for row in rows
+               for name, cell in zip(header, row) if cell and name != "flags")
+
+
+@pytest.mark.parametrize("base,key,text", [
+    *[(base, "d0", text) for base in ("tensor", "planes-normals",
+                                      "oracle-wedge", "mc-slab", "mc-curved",
+                                      "solve", "recover-channel")
+      for text in ("1e-50", "1e50")],
+    *[("oracle-wedge", key, text) for key in ("eval_x", "eval_y")
+      for text in ("1e100", "-1e100")],
+    ("oracle-wedge", "fd_step", "1e-300"), ("oracle-wedge", "fd_step", "0.999"),
+])
+def test_range_ends_give_finite_results_or_one_error_line(
+        tmp_path, monkeypatch, base, key, text):
+    command, settings = _TINY[base]
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, "ends.cfg",
+                     **{**settings, key: text, "out": "result"})
+    code, err = _run_quietly([command, "--config", path])
+    assert _exit_problem(code, err) is None
+    if code == 0:
+        written = sorted(tmp_path.glob("result*"))
+        assert written and all(_finite_numbers(str(p)) for p in written)
 
 
 @pytest.mark.parametrize("argv,named", [

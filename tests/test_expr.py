@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from effdiff.cli import main
 from effdiff.expr import (
-    Binary, Compiled, Const, EvalDomainError, ParseError, Unary, Var, _eval,
-    differentiate, evaluate, evaluate_masked, parse, to_text,
+    MAX_DEPTH, Binary, Compiled, Const, EvalDomainError, ParseError, Unary,
+    Var, _eval, differentiate, evaluate, parse, to_text,
 )
 
 
@@ -61,6 +62,63 @@ def test_parse_error_number_out_of_range():
     with pytest.raises(ParseError) as err:
         parse("x + 1e400")
     assert err.value.column == 5 and "out of range" in str(err.value)
+
+
+# n levels of one kind of nesting around log(x), itself one level more
+_NESTINGS = {
+    "parentheses": lambda n: "(" * n + "log(x)" + ")" * n,
+    "call": lambda n: "sin(" * n + "log(x)" + ")" * n,
+    "sign": lambda n: "-+" * (n // 2) + "-" * (n % 2) + "log(x)",
+    "power": lambda n: "x^" * n + "log(x)",
+    "sum": lambda n: "log(x)" + "+x" * n,
+    "difference": lambda n: "log(x)" + "-x" * n,
+    "product": lambda n: "log(x)" + "*x" * n,
+    "quotient": lambda n: "log(x)" + "/x" * n,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTINGS))
+def test_texts_nested_to_the_depth_limit_run_everywhere(kind):
+    tree = parse(_NESTINGS[kind](MAX_DEPTH - 1))
+    assert parse(to_text(tree)) == tree
+    dx, dy = differentiate(tree, "x"), differentiate(tree, "y")
+    to_text(dx)   # the deepest tree printed: about three levels per level
+    x, y = np.array([0.5, 0.0]), np.zeros(2)
+    values, bad = Compiled(tree, dx, dy).evaluate_masked((x, y))
+    assert bad.tolist() == [False, True]
+    assert np.all(np.isfinite(values[0][:1]) & np.isfinite(values[1][:1]))
+    # at x = 0 the tree walk runs and names the innermost failing node
+    with pytest.raises(EvalDomainError, match=r"in 'log\(x\)'$"):
+        evaluate(tree, (x, y))
+    with pytest.raises(EvalDomainError):
+        evaluate(dx, (x, y))
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTINGS))
+@pytest.mark.parametrize("levels", [MAX_DEPTH, 10**4])
+def test_texts_nested_past_the_depth_limit_are_config_errors(
+        tmp_path, capsys, kind, levels):
+    path = tmp_path / "deep.cfg"
+    path.write_text(f"z1={_NESTINGS[kind](levels)}\nz2=9\n"
+                    "domain=1,2,1,2\nresolution=2x2\n")
+    assert main(["tensor", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad expression for z1: "
+                          f"expression nested deeper than {MAX_DEPTH} levels")
+    assert err.count("\n") == 1
+
+
+def test_depth_limit_fails_at_the_token_that_passes_it():
+    for text, column in [("(" * 101 + "x" + ")" * 101, 101),
+                         ("x" + "+x" * 101, 202),
+                         # the operators hang the deep first operand lower
+                         ("(" + "x/" * 99 + "x)" + "/x" * 5, 202),
+                         ("2*" + "(" * 100 + "x" + ")" * 100, 102)]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.column == column
+    # operands after an operator sit only one level below its chain
+    parse("+".join(["sin(" * 98 + "x" + ")" * 98] * 3))
 
 
 def test_precedence_and_associativity():
@@ -123,7 +181,7 @@ def test_evaluate_masked_marks_exactly_the_failing_elements():
     # log(0) = -inf and 0^0 = 1: the mask keeps an element bad even where a
     # later node makes its value finite again
     e = parse("(log(x))^y + sqrt(1-y)")
-    values, bad = evaluate_masked(e, (xs, ys))
+    (values,), bad = Compiled(e).evaluate_masked((xs, ys))
     assert bad.tolist() == [False, True, True, False, False]
     for k in np.flatnonzero(~bad):
         assert values[k] == evaluate(e, (float(xs[k]), float(ys[k])))
@@ -131,9 +189,9 @@ def test_evaluate_masked_marks_exactly_the_failing_elements():
         evaluate(e, (xs, ys))
     assert err.value.expr_text == "log(x)"
     # constant subtrees broadcast their failure to every element
-    values, bad = evaluate_masked(parse("x + log(0)"), (xs, ys))
+    (values,), bad = Compiled(parse("x + log(0)")).evaluate_masked((xs, ys))
     assert bad.shape == xs.shape and bad.all()
-    values, bad = evaluate_masked(parse("x*y"), (1.5, 2.0))
+    (values,), bad = Compiled(parse("x*y")).evaluate_masked((1.5, 2.0))
     assert (values, bad.tolist()) == (3.0, False)
 
 
@@ -409,7 +467,7 @@ def test_compiled_evaluation_matches_the_tree_walk(e, points):
             got = evaluate(e, (x, y))
             assert np.shape(got) == shape
             assert np.array_equal(_bits(got), _bits(want))
-        values, bad = evaluate_masked(e, (x, y))
+        (values,), bad = Compiled(e).evaluate_masked((x, y))
         assert np.array_equal(bad, want_bad)
         assert np.array_equal(_bits(values)[~bad], _bits(want)[~bad])
 

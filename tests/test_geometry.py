@@ -8,7 +8,7 @@ from effdiff.geometry import (
     DegenerateConfigError, Domain, GeometryError, GridField,
     OutsideDomainError, PlaneConfig,
     ScalarField, SurfacePair, SurfaceValidationError, frame_field,
-    frame_for_planes, surface_normals,
+    frame_for_planes,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -201,6 +201,17 @@ def test_width_outside_domain():
 # ---------------------------------------------------------------------------
 # cross-route consistency
 # ---------------------------------------------------------------------------
+
+def surface_normals(g1, g2):
+    """Outward unit normals of the tangent planes at a point, from the
+    surface gradients: n1 points below the lower surface, n2 above the
+    upper one."""
+    s1 = math.sqrt(1.0 + g1[0] ** 2 + g1[1] ** 2)
+    s2 = math.sqrt(1.0 + g2[0] ** 2 + g2[1] ** 2)
+    n1 = np.array([g1[0], g1[1], -1.0]) / s1
+    n2 = np.array([-g2[0], -g2[1], 1.0]) / s2
+    return n1, n2
+
 
 def _plane_frames(fd, g1, g2):
     """The points of fd with a frame along grad w, each with the frame of

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from effdiff.geometry import FrameData, PlaneConfig
+from effdiff.geometry import FrameData, PlaneConfig, frame_for_planes
 from effdiff.quadrature import (
     ApexProximityError, OracleError, WedgeQuadratureJob, quadrature_tensor,
 )
@@ -58,7 +58,8 @@ def test_random_wedges_match_closed_form():
 def test_job_from_plane_config():
     cfg = PlaneConfig(np.array([0.0, 0.0, -1.0]),
                       np.array([-1.0, 0.0, 1.0]) / SQ2)
-    job = WedgeQuadratureJob.from_config(cfg)
+    fr = frame_for_planes(cfg)
+    job = WedgeQuadratureJob(fr.psi, fr.m1, fr.m2)
     d = quadrature_tensor(job)
     assert np.allclose(d, np.diag([math.pi / 4, 1.0]), atol=1e-6)
 
