@@ -19,13 +19,16 @@ Two geometries:
   Gaussian 3-vector with per-axis variance 2 D0 T: the estimate depends on
   dt and n_steps only through T.  Quantitatively trustworthy: the tensor is
   position independent.
-* SurfacePair: general curved surfaces.  A step that ends beyond a
-  surface is cut where z - z_i(x, y) changes sign, found by a safeguarded
-  Newton search on ScalarField.sample's gradient (`_crossing`); the earliest
-  crossing wins and the remaining displacement is reflected about that
-  surface's normal (up to MAX_BOUNCES per step).  The search is part of
-  the curved sampler: its stopping rule fixes the last bits of every
-  curved estimate, and the slab sampler does not use it.
+* SurfacePair: general curved surfaces.  A step that ends outside the
+  region is cut where it leaves it, where the margin min(z - z1, z2 - z)
+  changes sign, and the remaining displacement is reflected about the
+  normal of the surface hit there (up to MAX_BOUNCES per step).  Each
+  bounce runs one safeguarded Newton search (`_crossing`) over all the
+  walkers still outside, reading both surfaces' values and gradients from
+  one call (`SurfacePair.surfaces`, one compiled function for two
+  expressions).  The search is part of the curved sampler: its stopping
+  rule fixes the last bits of every curved estimate, and the slab sampler
+  does not use it.
   Every kept position was tested inside both surfaces, so none is clamped
   and max_overshoot is 0; a walker still outside after MAX_BOUNCES stays
   where its step began (a rejected step).  Such a step is a grazing chain,
@@ -277,105 +280,95 @@ def _run_surfaces(job):
 def _gap_margins(pair, r):
     """phi1 = z - z1 >= 0 and phi2 = z2 - z >= 0 inside the region."""
     x, y, z = r[:, 0], r[:, 1], r[:, 2]
-    phi1 = z - pair.z1.value_array(x, y)
-    phi2 = pair.z2.value_array(x, y) - z
-    return phi1, phi2
+    z1, z2, bad = pair.heights(x, y)
+    if np.count_nonzero(bad):    # raise, naming the undefined sub-expression
+        z1, z2 = pair.z1.value_array(x, y), pair.z2.value_array(x, y)
+    return z - z1, z2 - z
 
 
-def _crossing(field, sgn, r0, delta):
-    """Fraction t of each segment r0 + t delta at which
-    phi(t) = sgn (z - field(x, y)) turns negative; r0 is inside, r0 + delta
-    is not.
+def _crossing(pair, r0, delta):
+    """Where each segment r0 + t delta leaves the region; r0 is inside,
+    r0 + delta is not.  Returns the fraction t at which the margin
+    g = min(z - z1, z2 - z) turns negative, whether the surface hit there
+    is z2 (z1 wins a tie) and that surface's gradient (gx, gy).
 
-    Safeguarded Newton (Brent 1973) on the gradient of the field, which
-    is exact for an expression and interpolated for a grid.  It starts
-    from the outside end t = 1, because after a reflection t = 0 is itself
-    a root, and keeps a bracket lo <= t <= hi with phi(lo) >= 0 > phi(hi):
-    a Newton step is taken only if it lands strictly inside the bracket,
-    otherwise the bracket is bisected.  Each walker stops once its step or
-    its bracket is at most NEWTON_TOL; the step is tested first, since a
-    converged step may land on the bracket's end.  Value and gradient come
-    from `field.sample`; a point where it is undefined raises BrownianError.
+    Safeguarded Newton (Brent 1973) on g, whose slope is that of the
+    surface setting the minimum: exact for expressions, interpolated for a
+    grid.  It starts from the outside end t = 1, because after a
+    reflection t = 0 is itself a root, and keeps a bracket lo <= t <= hi
+    with g(lo) >= 0 > g(hi): a Newton step is taken only if it lands
+    strictly inside the bracket, otherwise the bracket is bisected.  Each
+    walker stops once its step or its bracket is at most NEWTON_TOL; the
+    step is tested first, since a converged step may land on the bracket's
+    end.  A stopped walker stays at the last point it evaluated, so the
+    surface and gradient returned are those of that point, within
+    NEWTON_TOL of its root.  Each iteration reads both surfaces at every
+    walker from one `pair.surfaces` call; a point where one is undefined
+    raises BrownianError.
     """
     n = r0.shape[0]
-    found = np.empty(n)
-    idx = np.arange(n)
+    r0, delta = r0.T, delta.T
+    dx, dy, dz = delta
     lo, hi, t = np.zeros(n), np.ones(n), np.ones(n)
-    for _ in range(NEWTON_MAX_ITER):
-        r = r0 + t[:, None] * delta
-        f, fx, fy, bad = field.sample(r[:, 0], r[:, 1])
-        if np.count_nonzero(bad):    # a third of bad.any()'s cost here
-            x, y = r[np.argmax(bad), :2]
-            raise BrownianError(f"surface undefined at ({x:.6g}, {y:.6g}) "
-                                "in a wall-crossing search")
-        phi = sgn * (r[:, 2] - f)
-        slope = sgn * (delta[:, 2] - fx * delta[:, 0] - fy * delta[:, 1])
-        inside = phi >= 0.0
-        lo = np.where(inside, t, lo)
-        hi = np.where(inside, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = t - phi / slope
-        small = np.abs(newton - t) <= NEWTON_TOL
-        t = np.where(small | ((lo < newton) & (newton < hi)), newton,
-                     0.5 * (lo + hi))
-        done = small | (hi - lo <= NEWTON_TOL)
-        found[idx[done]] = t[done]
-        more = ~done
-        if not more.any():
-            return found
-        idx, r0, delta = idx[more], r0[more], delta[more]
-        lo, hi, t = lo[more], hi[more], t[more]
-    found[idx] = t
-    return found
+    root, active = np.ones(n), np.ones(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            x, y, z = r0 + t * delta
+            (z1, g1x, g1y, z2, g2x, g2y), bad = pair.surfaces(x, y)
+            if np.count_nonzero(bad):    # a third of bad.any()'s cost here
+                k = np.argmax(bad)
+                raise BrownianError(f"surface undefined at ({x[k]:.6g}, "
+                                    f"{y[k]:.6g}) in a wall-crossing search")
+            phi1, phi2 = z - z1, z2 - z
+            on2 = phi2 < phi1
+            inside = np.minimum(phi1, phi2) >= 0.0
+            np.putmask(lo, inside, t)    # in place: half the cost of where
+            np.putmask(hi, ~inside, t)
+            gx, gy = np.where(on2, g2x, g1x), np.where(on2, g2y, g1y)
+            # g / g', the signs of z2's margin and slope cancelled
+            newton = t - (z - np.where(on2, z2, z1)) / (dz - gx * dx - gy * dy)
+            small = np.abs(newton - t) <= NEWTON_TOL
+            step = 0.5 * (lo + hi)
+            np.putmask(step, small | ((lo < newton) & (newton < hi)), newton)
+            np.putmask(root, active, step)
+            np.putmask(active, small | (hi - lo <= NEWTON_TOL), False)
+            if not np.count_nonzero(active):
+                break
+            np.putmask(t, active, step)
+    return root, on2, gx, gy
 
 
 def _surface_step(pair, r, delta, stats):
     """Move each walker from r by delta, reflecting off the surfaces.
-    Each bounce works only on the walkers still outside; z1 wins a tie."""
-    surfaces = ((pair.z1, 1.0), (pair.z2, -1.0))
-    out = np.empty_like(r)
+    Each bounce searches once, for the walkers still outside."""
+    out = end = r + delta
     hit = np.zeros((r.shape[0], 2), dtype=bool)
     idx = np.arange(r.shape[0])
     seg_start, seg_delta = r, delta
     for bounce in range(MAX_BOUNCES + 1):
-        end = seg_start + seg_delta
-        margins = _gap_margins(pair, end)
-        ok = (margins[0] >= 0.0) & (margins[1] >= 0.0)
-        out[idx[ok]] = end[ok]
-        bad = ~ok
-        idx, seg_start, seg_delta = idx[bad], seg_start[bad], seg_delta[bad]
-        if idx.size == 0:
+        if bounce:
+            out[idx] = end
+        phi1, phi2 = _gap_margins(pair, end)
+        outside = np.minimum(phi1, phi2) < 0.0
+        if not np.count_nonzero(outside):
             break
+        idx, seg_start, seg_delta = idx[outside], seg_start[outside], seg_delta[outside]
         if bounce == MAX_BOUNCES:
             out[idx] = r[idx]
             stats["rejected"] += idx.size
             break
 
-        t = np.ones(idx.size)
-        which = np.zeros(idx.size, dtype=int)
-        for k, ((field, sgn), phi) in enumerate(zip(surfaces, margins)):
-            sub = np.flatnonzero(phi[bad] < 0.0)
-            if sub.size:
-                tk = _crossing(field, sgn, seg_start[sub], seg_delta[sub])
-                earlier = tk < t[sub]
-                t[sub[earlier]] = tk[earlier]
-                which[sub[earlier]] = k
+        t, on2, gx, gy = _crossing(pair, seg_start, seg_delta)
         cross = seg_start + t[:, None] * seg_delta
-
-        gx = np.empty(idx.size)
-        gy = np.empty(idx.size)
-        for k, (field, _) in enumerate(surfaces):
-            on = which == k
-            if on.any():
-                gx[on], gy[on] = field.gradient_array(cross[on, 0], cross[on, 1])
         norm = np.sqrt(1.0 + gx * gx + gy * gy)
         nvec = np.stack([-gx, -gy, np.ones_like(gx)], axis=1) / norm[:, None]
 
         remaining = (1.0 - t)[:, None] * seg_delta
         reflected = remaining - 2.0 * (remaining * nvec).sum(axis=1)[:, None] * nvec
 
-        hit[idx, which] = True
+        hit[idx, on2.astype(int)] = True
         seg_start, seg_delta = cross, reflected
+        end = cross + reflected
 
     stats["double_cross"] += int(np.count_nonzero(hit.all(axis=1)))
     return out

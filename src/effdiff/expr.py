@@ -17,14 +17,16 @@ error instead of producing a value).
 Expression trees are immutable; evaluation is reentrant and accepts either
 floats or numpy arrays for the point coordinates.  Each tree is compiled
 once into one straight-line numpy function that computes every distinct
-sub-expression once and tests finiteness only where a failure could hide;
-the tree is walked node by node only when that test fails.  `evaluate`
-then raises, naming the failing sub-expression; `Compiled.evaluate_masked`
-returns the values of several trees and one mask of the failing elements.
+sub-expression once, adds up the values where a failure could hide and
+tests that one sum at the end; the tree is walked node by node only when
+the sum is not finite.  `evaluate` then raises, naming the failing
+sub-expression; `Compiled.evaluate_masked` returns the values of several
+trees and one mask of the failing elements.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -311,6 +313,8 @@ _BINARY_IMPL = {"+": np.add, "-": np.subtract, "*": np.multiply,
 # node is non-finite wherever one of its operands is.
 _ABSORBING = {"atan": (0,), "exp": (0,), "/": (1,), "^": (0, 1)}
 
+_REAL = np.dtype(float)
+
 
 def _eval(node, x, y, failed):
     """Value of `node`; every node whose value is non-finite anywhere is
@@ -335,16 +339,18 @@ class _Source:
     each distinct sub-expression gets one variable."""
 
     def __init__(self):
-        self.env = {"isfinite": np.isfinite}
+        self.env = {"isfinite": math.isfinite, "add": np.add,
+                    "add_reduce": np.add.reduce}
         self.names = {}      # structural key -> variable of the code
         self.steps = []      # (line, variables it reads)
         self.checked = set()
 
     def check(self, name):
+        """Add `name` to the running sum `ok`, elementwise."""
         if name[0] == "t" and name not in self.checked:
+            total = f"add(ok, {name})" if self.checked else name
             self.checked.add(name)
-            self.steps.append((f"if not isfinite({name}).all(): return None",
-                               (name,)))
+            self.steps.append((f"ok = {total}", (name,)))
 
     def emit(self, node):
         if isinstance(node, Var):
@@ -374,16 +380,19 @@ class _Source:
 
 def _generate(trees):
     """One straight-line numpy function run(x, y) returning the values of
-    all `trees`, or None where the tree walk would flag a node.
+    all `trees`, or None where the tree walk might flag a node.
 
     Each distinct sub-expression is computed once, by the same ufunc on the
     same operands as the tree walk `_eval`, so every value is bit-equal to
-    the walk's.  Finiteness is tested only at the roots and at the operands
+    the walk's.  Finiteness matters only at the roots and at the operands
     listed in `_ABSORBING`: a non-finite inner node either reaches a root
-    or is absorbed there, so these tests fail exactly where the walk flags
-    a node.  Each intermediate is deleted after its last use, so no more
-    arrays are alive at once than in the walk.  The function refers to no
-    tree.
+    or is absorbed there.  These are added elementwise into one running
+    sum, whose total is tested once at the end.  A non-finite term always
+    makes the total non-finite, so the function returns None wherever the
+    walk flags a node; a total that merely overflows returns None too, and
+    the walk then flags nothing.  Each intermediate is deleted after its
+    last use, so besides the running sum no more arrays are alive at once
+    than in the walk.  The function refers to no tree.
     """
     src = _Source()
     roots = [src.emit(tree) for tree in trees]
@@ -397,6 +406,8 @@ def _generate(trees):
                        and last[name] == k and name not in roots})
         if dead:
             lines.append(f"    del {', '.join(dead)}")
+    if src.checked:
+        lines.append("    if not isfinite(add_reduce(ok, None)): return None")
     lines.append(f"    return ({', '.join(roots)},)")
     exec(compile("\n".join(lines) + "\n", "<effdiff expression>", "exec"), src.env)
     return src.env.pop("run")   # leaves no cycle between run and its globals
@@ -407,21 +418,24 @@ def _values(run, trees, point):
     `run`, and the nodes the tree walk flags, which it re-runs only when
     `run` reports a non-finite value."""
     x, y = point
-    scalar = np.isscalar(x) and np.isscalar(y)
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    if (type(x) is np.ndarray and type(y) is np.ndarray and x.dtype is _REAL
+            and y.dtype is _REAL and x.shape == y.shape):
+        scalar, shape = False, x.shape     # arrays of points: nothing to convert
+    else:
+        scalar = np.isscalar(x) and np.isscalar(y)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        shape = x.shape if x.shape == y.shape \
+            else np.broadcast_shapes(x.shape, y.shape)
     failed = []
     with np.errstate(all="ignore"):
-        outs = run(xa, ya)
+        outs = run(x, y)
         if outs is None:
-            outs = [_eval(tree, xa, ya, failed) for tree in trees]
+            outs = [_eval(tree, x, y, failed) for tree in trees]
     if scalar:
         return tuple(float(out) for out in outs), failed
-    shape = xa.shape if xa.shape == ya.shape \
-        else np.broadcast_shapes(xa.shape, ya.shape)
-    values = tuple(out if isinstance(out, np.ndarray) and out.shape == shape
-                   else np.full(shape, out, dtype=float) for out in outs)
-    return values, failed
+    return tuple(out if isinstance(out, np.ndarray) and out.shape == shape
+                 else np.full(shape, out, dtype=float) for out in outs), failed
 
 
 class Compiled:

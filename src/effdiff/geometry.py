@@ -215,7 +215,8 @@ class SurfacePair:
     """Ordered pair (z1, z2) of scalar fields with w = z2 - z1 > 0.
 
     Positivity is checked on a validation lattice at construction
-    (default 64x64) and re-checked at every queried point.
+    (default 64x64) and re-checked at every queried point.  Two expression
+    surfaces are compiled together, so that one function gives both.
     """
 
     def __init__(self, z1: ScalarField, z2: ScalarField, domain, validation=64):
@@ -231,6 +232,11 @@ class SurfacePair:
                 raise SurfaceValidationError(
                     f"w = z2 - z1 is {w[i]:.6g} <= 0 at "
                     f"({gx[i]:.6g}, {gy[i]:.6g})")
+        self._heights = self._surfaces = None
+        if isinstance(z1, ExpressionField) and isinstance(z2, ExpressionField):
+            self._heights = _expr.Compiled(z1.tree, z2.tree)
+            self._surfaces = _expr.Compiled(z1.tree, z1.dx, z1.dy,
+                                            z2.tree, z2.dx, z2.dy)
 
     def width(self, p) -> float:
         if not self.domain.contains(p):
@@ -240,6 +246,28 @@ class SurfacePair:
         if w <= 0:
             raise SurfaceValidationError(f"non-positive width {w:.6g} at {p}")
         return w
+
+    def heights(self, x, y):
+        """z1 and z2 on arrays of points, and a mask of the points where
+        either is undefined (where `value_array` would raise).  A pair with
+        a grid-backed surface reads each through `value_array`, which
+        raises there instead."""
+        if self._heights is None:
+            z1, z2 = self.z1.value_array(x, y), self.z2.value_array(x, y)
+            return z1, z2, np.zeros(np.shape(z1), dtype=bool)
+        (z1, z2), bad = self._heights.evaluate_masked((x, y))
+        return z1, z2, bad
+
+    def surfaces(self, x, y):
+        """Both surfaces and their gradients on arrays of points, from one
+        compiled function when both are expressions, else from each
+        field's `sample`: ((z1, g1x, g1y, z2, g2x, g2y), bad), with the
+        values and mask of `ScalarField.sample`, bit for bit."""
+        if self._surfaces is None:
+            *s1, bad1 = self.z1.sample(x, y)
+            *s2, bad2 = self.z2.sample(x, y)
+            return (*s1, *s2), bad1 | bad2
+        return self._surfaces.evaluate_masked((x, y))
 
     def sample(self, x, y):
         """Width and both surface gradients on arrays of points.
@@ -251,11 +279,10 @@ class SurfacePair:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        z1, g1x, g1y, bad1 = self.z1.sample(x, y)
-        z2, g2x, g2y, bad2 = self.z2.sample(x, y)
+        (z1, g1x, g1y, z2, g2x, g2y), bad = self.surfaces(x, y)
         with np.errstate(invalid="ignore"):
             w = z2 - z1
-            bad = ~self.domain.contains((x, y)) | bad1 | bad2 | ~(w > 0)
+            bad = ~self.domain.contains((x, y)) | bad | ~(w > 0)
         return w, (g1x, g1y), (g2x, g2y), bad
 
 

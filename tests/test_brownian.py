@@ -155,7 +155,8 @@ _STEEP = (("3*sin(2*x)", lambda x, y: 3 * math.sin(2 * x),
 
 
 def _reference_step(r, d):
-    """One walker, one step: (end point, rejected, touched both surfaces)."""
+    """One walker, one step: (end point, rejected, touched both surfaces,
+    reflections)."""
     def margin(k, p):
         _, f, _, sgn = _STEEP[k]
         return sgn * (p[2] - f(p[0], p[1]))
@@ -165,9 +166,9 @@ def _reference_step(r, d):
         end = [a + b for a, b in zip(start, seg)]
         crossed = [k for k in (0, 1) if margin(k, end) < 0.0]
         if not crossed:
-            return end, False, len(hit) == 2
+            return end, False, len(hit) == 2, bounce
         if bounce == MAX_BOUNCES:
-            return list(r), True, len(hit) == 2
+            return list(r), True, len(hit) == 2, bounce
         best = None
         for k in crossed:
             lo, hi = 0.0, 1.0
@@ -210,10 +211,10 @@ def test_surface_step_reflects_like_a_per_walker_loop():
     assert np.all(pair.z1.value_array(x, y) <= z)
     assert np.all(z <= pair.z2.value_array(x, y))
     ref = [_reference_step(a, b) for a, b in zip(r.tolist(), delta.tolist())]
-    rejected = np.array([rej for _, rej, _ in ref])
+    rejected = np.array([rej for _, rej, _, _ in ref])
     assert np.array_equal(out[rejected], r[rejected])
     assert stats["rejected"] == rejected.sum() > 0
-    assert stats["double_cross"] == sum(both for *_, both in ref) > 0
+    assert stats["double_cross"] == sum(both for _, _, both, _ in ref) > 0
     assert np.allclose(out, [end for end, *_ in ref], rtol=0.0, atol=1e-12)
 
 
@@ -228,12 +229,43 @@ def _halvings(field, sgn, r0, delta):
     return 0.5 * (lo + hi)
 
 
-def _assert_crossing_matches_halvings(field, sgn, r0, delta):
-    end = r0 + delta
-    assert np.all(sgn * (end[:, 2] - field.value_array(end[:, 0], end[:, 1])) < 0)
-    t = _crossing(field, sgn, r0, delta)
-    assert np.allclose(t, _halvings(field, sgn, r0, delta), rtol=0.0, atol=1e-12)
+def _beyond(field, sgn, r):
+    return sgn * (r[:, 2] - field.value_array(r[:, 0], r[:, 1])) < 0
+
+
+def _earliest_halvings(pair, r0, delta):
+    """Per-surface reference: halvings on each surface a segment ends
+    beyond; the earliest crossing wins, z1 on a tie."""
+    t, which = np.full(len(r0), np.inf), np.zeros(len(r0), dtype=int)
+    for k, (field, sgn) in enumerate(((pair.z1, 1.0), (pair.z2, -1.0))):
+        sub = np.flatnonzero(_beyond(field, sgn, r0 + delta))
+        if sub.size:
+            tk = _halvings(field, sgn, r0[sub], delta[sub])
+            earlier = tk < t[sub]
+            t[sub[earlier]], which[sub[earlier]] = tk[earlier], k
+    return t, which
+
+
+def _assert_crossing_matches_halvings(pair, k, r0, delta):
+    """Segments ending beyond surface k: the search finds the reference's
+    crossing and surface, and that surface's gradient there."""
+    field, sgn = ((pair.z1, 1.0), (pair.z2, -1.0))[k]
+    assert np.all(_beyond(field, sgn, r0 + delta))
+    t, which, gx, gy = _crossing(pair, r0, delta)
+    ref_t, ref_which = _earliest_halvings(pair, r0, delta)
+    assert np.allclose(t, ref_t, rtol=0.0, atol=1e-12)
+    assert np.array_equal(which, ref_which)
+    cross = r0 + t[:, None] * delta
+    for j, surface in enumerate((pair.z1, pair.z2)):
+        on = which == j
+        want = surface.gradient_array(cross[on, 0], cross[on, 1])
+        assert np.allclose((gx[on], gy[on]), want, rtol=0.0, atol=1e-10)
     return t
+
+
+def _far_above(z1, domain):
+    """z1 paired with z2 = 10, which the segments here never reach."""
+    return SurfacePair(z1, ScalarField.from_expression("10"), domain)
 
 
 def test_crossing_search_starts_clear_of_the_surface_it_left():
@@ -246,7 +278,8 @@ def test_crossing_search_starts_clear_of_the_surface_it_left():
     r0 = np.stack([x0, y0, z1.value_array(x0, y0)], axis=1)
     delta = np.stack([np.full(12, 2.0), np.full(12, 0.5),
                       -2.0 * np.sin(x0) + 0.2], axis=1)
-    t = _assert_crossing_matches_halvings(z1, 1.0, r0, delta)
+    t = _assert_crossing_matches_halvings(_far_above(z1, (2, 6, -2, 2)), 0,
+                                          r0, delta)
     assert np.all(t > 0.05)
 
 
@@ -257,33 +290,90 @@ def test_crossing_search_on_near_tangent_segments():
     eps = np.array([1e-2, 1e-4, 1e-6, 1e-8])
     r0 = np.stack([np.zeros(4), np.ones(4), eps], axis=1)
     delta = np.stack([2.0 * np.sqrt(eps), np.full(4, 0.3), np.zeros(4)], axis=1)
-    t = _assert_crossing_matches_halvings(z1, 1.0, r0, delta)
+    t = _assert_crossing_matches_halvings(_far_above(z1, (-1, 1, 0, 2)), 0,
+                                          r0, delta)
     assert np.allclose(t, 0.5, rtol=0.0, atol=1e-12)
 
 
-def test_crossing_search_on_steep_walls():
+def _steep_walkers(n):
+    """The pair of _STEEP, and n walkers between its surfaces with steps of
+    deviation 0.5 across a gap of 0.3 to 0.9."""
     pair = SurfacePair(*(ScalarField.from_expression(src)
                          for src, *_ in _STEEP), (-3, 3, -3, 3))
     rng = np.random.default_rng(5)
-    x, y = rng.uniform(-3, 3, (2, 400))
+    x, y = rng.uniform(-3, 3, (2, n))
     lo, hi = pair.z1.value_array(x, y), pair.z2.value_array(x, y)
-    r = np.stack([x, y, lo + rng.uniform(0.1, 0.9, 400) * (hi - lo)], axis=1)
-    delta = 0.5 * rng.standard_normal((400, 3))
+    r = np.stack([x, y, lo + rng.uniform(0.1, 0.9, n) * (hi - lo)], axis=1)
+    return pair, r, 0.5 * rng.standard_normal((n, 3))
+
+
+def test_crossing_search_on_steep_walls():
+    pair, r, delta = _steep_walkers(400)
     end = r + delta
-    for field, sgn in ((pair.z1, 1.0), (pair.z2, -1.0)):
-        beyond = sgn * (end[:, 2] - field.value_array(end[:, 0], end[:, 1])) < 0
+    for k, (field, sgn) in enumerate(((pair.z1, 1.0), (pair.z2, -1.0))):
+        beyond = _beyond(field, sgn, end)
         assert beyond.sum() > 100
-        _assert_crossing_matches_halvings(field, sgn, r[beyond], delta[beyond])
+        _assert_crossing_matches_halvings(pair, k, r[beyond], delta[beyond])
+
+
+def test_crossing_search_beyond_both_surfaces_and_on_a_tie():
+    # z1 = x - 1/2 + s and z2 = -z1, s = 0.2 sin 3y, meet along
+    # x = 1/2 - s, outside the validated domain: a segment from inside to
+    # beyond that line can end below z1 and above z2 at once, and must stop
+    # at its first crossing.  Both margins are bit-equal everywhere on
+    # z = 0, so a segment there hits both at once, and z1 wins.
+    pair = SurfacePair(ScalarField.from_expression("x-0.5+0.2*sin(3*y)"),
+                       ScalarField.from_expression("0.5-x-0.2*sin(3*y)"),
+                       (-1, 0.25, -1, 1))
+    n = 300
+    rng = np.random.default_rng(3)
+    x0, y0 = rng.uniform(-0.8, 0.2, n), rng.uniform(-1, 1, n)
+    lo, hi = pair.z1.value_array(x0, y0), pair.z2.value_array(x0, y0)
+    x1, y1 = rng.uniform(0.8, 1.5, n), y0 + rng.uniform(-0.3, 0.3, n)
+    below, above = pair.z2.value_array(x1, y1), pair.z1.value_array(x1, y1)
+    r0 = np.stack([x0, y0, lo + rng.uniform(0.05, 0.95, n) * (hi - lo)], axis=1)
+    r1 = np.stack([x1, y1, below + rng.uniform(0.05, 0.95, n) * (above - below)],
+                  axis=1)
+    assert np.all(_beyond(pair.z2, -1.0, r1))
+    _assert_crossing_matches_halvings(pair, 0, r0, r1 - r0)
+    assert 0 < np.count_nonzero(_crossing(pair, r0, r1 - r0)[1]) < n
+
+    y = np.linspace(-1.0, 1.0, 7)
+    tie0 = np.stack([np.linspace(-0.8, 0.2, 7), y, np.zeros(7)], axis=1)
+    tie = np.stack([np.linspace(1.6, 2.0, 7), np.zeros(7), np.zeros(7)], axis=1)
+    assert np.all(_beyond(pair.z2, -1.0, tie0 + tie))
+    t = _assert_crossing_matches_halvings(pair, 0, tie0, tie)
+    assert np.all(_crossing(pair, tie0, tie)[1] == 0)
+    x = tie0[:, 0] + t * tie[:, 0]
+    assert np.allclose(x, 0.5 - 0.2 * np.sin(3 * y), rtol=0.0, atol=1e-12)
+
+
+def test_each_bounce_searches_once_over_the_walkers_still_outside(monkeypatch):
+    pair, r, delta = _steep_walkers(200)
+    sizes = []
+
+    def recording(pair, r0, seg):
+        sizes.append(len(r0))
+        return _crossing(pair, r0, seg)
+
+    monkeypatch.setattr(brownian, "_crossing", recording)
+    _surface_step(pair, r, delta, {"double_cross": 0, "rejected": 0})
+    bounces = np.array([_reference_step(a, d)[3]
+                        for a, d in zip(r.tolist(), delta.tolist())])
+    assert sizes == [np.count_nonzero(bounces > k) for k in range(bounces.max())]
+    assert len(sizes) == MAX_BOUNCES
 
 
 def test_crossing_search_through_an_undefined_strip_names_the_point():
     # z2 = sqrt(x^2 - 0.01) is undefined for |x| < 0.1; the segment from
     # x = -0.5 (inside) to x = 0.5 (outside) first bisects onto x = 0
-    z2 = ScalarField.from_expression("sqrt(x^2-0.01)")
+    pair = SurfacePair(ScalarField.from_expression("-10"),
+                       ScalarField.from_expression("sqrt(x^2-0.01)"),
+                       (-1, 1, -1, 1), validation=0)
     r0 = np.array([[-0.5, 0.0, 0.0]])
     delta = np.array([[1.0, 0.0, 1.0]])
     with pytest.raises(BrownianError, match=r"surface undefined at \(0, 0\)"):
-        _crossing(z2, -1.0, r0, delta)
+        _crossing(pair, r0, delta)
 
 
 def test_grid_backed_pair_confines_walkers():
@@ -342,10 +432,10 @@ def test_grazing_chain_under_a_crest_is_a_rejected_step(monkeypatch):
                        -0.011251755779247582]])
     searches = []
 
-    def recording(field, sgn, r0, seg):
-        t = _crossing(field, sgn, r0, seg)
-        searches.append((field, float(t[0])))
-        return t
+    def recording(pair, r0, seg):
+        t, which, gx, gy = _crossing(pair, r0, seg)
+        searches.append(((pair.z1, pair.z2)[int(which[0])], float(t[0])))
+        return t, which, gx, gy
 
     monkeypatch.setattr(brownian, "_crossing", recording)
     stats = {"double_cross": 0, "rejected": 0}

@@ -189,6 +189,20 @@ def test_oracle_accepts_plane_normals(tmp_path):
     assert case["max_abs_err"] <= 1e-6
 
 
+@pytest.mark.parametrize("d0", ["1", "1e50"])
+def test_oracle_relative_error_is_taken_against_the_largest_entry(tmp_path, d0):
+    # the wedge's closed form has a zero off-diagonal entry: an error
+    # relative to each entry divided it by a floor of 1e-300
+    out = tmp_path / "wedge.json"
+    assert run(tmp_path, "oracle", "--example", "wedge", "--d0", d0,
+               "--out", str(out)) == 0
+    case = json.loads(out.read_text())["cases"][0]
+    assert 0.0 in np.ravel(case["closed_form"])
+    largest = np.abs(case["closed_form"]).max()
+    assert case["max_rel_err"] == case["max_abs_err"] / largest
+    assert 0.1 < case["max_rel_err"] / (case["max_abs_err"] / float(d0)) < 10.0
+
+
 def test_oracle_failing_config_yields_error_record(tmp_path):
     out = tmp_path / "bad.json"
     cfg = write_cfg(tmp_path, "bad.cfg", psi="0", m1="0", m2="1",

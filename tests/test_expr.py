@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ def test_evaluate_masked_marks_exactly_the_failing_elements():
     assert bad.shape == xs.shape and bad.all()
     (values,), bad = Compiled(parse("x*y")).evaluate_masked((1.5, 2.0))
     assert (values, bad.tolist()) == (3.0, False)
+
+
+def test_an_overflowing_finiteness_sum_is_only_a_false_alarm():
+    # every value is finite, but their sum overflows: the generated function
+    # gives up, and the tree walk returns the values and flags nothing
+    c = Compiled(parse("1e308+0*x"), parse("1e308+0*y"))
+    xs, ys = np.linspace(-1.0, 1.0, 5), np.arange(5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            assert c._run(xs, ys) is None
+        for point, shape in (((xs, ys), (5,)), ((0.5, 2.0), ())):
+            (a, b), bad = c.evaluate_masked(point)
+            assert np.shape(a) == np.shape(b) == np.shape(bad) == shape
+            assert np.all(a == 1e308) and np.all(b == 1e308)
+            assert not bad.any()
+        assert evaluate(parse("1e308+0*x"), (xs, ys)).tolist() == [1e308] * 5
 
 
 # ---------------------------------------------------------------------------

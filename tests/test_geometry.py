@@ -340,3 +340,56 @@ def test_grid_backed_surface_pair_frames():
     fd, _, _ = surface_frames(pair, 0.2, 0.3)
     assert fd.psi == pytest.approx(0.0, abs=1e-10)
     assert fd.m2 == pytest.approx(0.5, abs=1e-8)
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+_PAIRS = {
+    # z2 shares all of z1's sub-expressions
+    "shared": lambda: make_pair("sin(x)*cos(y)", "sin(x)*cos(y)+2"),
+    # z1 undefined for |x| < 0.1, z2 for y <= -2
+    "undefined strip": lambda: make_pair("sqrt(x^2-0.01)-4", "log(y+2)",
+                                         validation=0),
+    "grid": lambda: SurfacePair(_sampled("sin(x)*cos(y)", -3, 3, -3, 3, 31)[1],
+                                _sampled("2+x*y/9", -3, 3, -3, 3, 31)[1],
+                                (-3, 3, -3, 3)),
+    "mixed": lambda: SurfacePair(ScalarField.from_expression("sqrt(x^2-0.01)-4"),
+                                 _sampled("2+x*y/9", -3, 3, -3, 3, 31)[1],
+                                 (-3, 3, -3, 3), validation=0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIRS))
+def test_pair_reads_both_surfaces_bit_for_bit_as_each_field_does(kind):
+    pair = _PAIRS[kind]()
+    rng = np.random.default_rng(6)
+    x = np.concatenate([rng.uniform(-3, 3, 200), [-0.1, 0.0, 0.1, 0.05]])
+    y = np.concatenate([rng.uniform(-3, 3, 200), [0.0, -2.0, 1.0, -2.5]])
+    *s1, bad1 = pair.z1.sample(x, y)
+    *s2, bad2 = pair.z2.sample(x, y)
+    both, bad = pair.surfaces(x, y)
+    assert _bits(*both) == _bits(*s1, *s2)
+    assert np.array_equal(bad, bad1 | bad2)
+    if kind == "undefined strip":
+        assert 0 < np.count_nonzero(bad1) and 0 < np.count_nonzero(bad2)
+
+    # the width route reads the same bits
+    w, g1, g2, pair_bad = pair.sample(x, y)
+    with np.errstate(invalid="ignore"):
+        assert _bits(w) == _bits(s2[0] - s1[0])
+    assert _bits(*g1, *g2) == _bits(*s1[1:], *s2[1:])
+    assert np.array_equal(pair_bad, ~pair.domain.contains((x, y)) | bad1 | bad2
+                          | ~(s2[0] - s1[0] > 0))
+
+    # heights: the values alone, masked where a value is undefined
+    fine = ~bad
+    z1, z2, hbad = pair.heights(x[fine], y[fine])
+    assert _bits(z1, z2) == _bits(s1[0][fine], s2[0][fine])
+    assert not hbad.any()
+    if kind == "undefined strip":
+        z1, z2, hbad = pair.heights(x, y)
+        assert _bits(z1[~hbad], z2[~hbad]) == _bits(s1[0][~hbad], s2[0][~hbad])
+        # both surfaces lose value and gradient at the same points
+        assert np.array_equal(hbad, bad)
