@@ -50,6 +50,7 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 _TWO_PI = 2 * math.pi
+_ORACLE_BLOCK = 16  # cases per array call: bounds the quadrature's arrays
 
 EXAMPLES = {
     "radial": {
@@ -163,7 +164,9 @@ _PARSERS = {
                    "a tilt in [-pi/2, pi/2]"),
     "eval_x": _coordinate, "eval_y": _coordinate,
     "seed": _at_least(0), "count": _at_least(0), "steps": _at_least(0),
-    "quad_points": _at_least(1), "snap_every": _at_least(1),
+    "quad_points": _parser(int, lambda n: 1 <= n <= 1024,
+                           "an integer in [1, 1024]"),
+    "snap_every": _at_least(1),
     "samples": _at_least(1), "particles": _at_least(2), "blocks": _at_least(2),
     "domain": _parser(_numbers, _is_rectangle,
                       "x0,x1,y0,y1 with finite x1 - x0 > 0 and y1 - y0 > 0"),
@@ -443,51 +446,57 @@ def cmd_planes(cfg, opt):
     return 0
 
 
-def _oracle_case(psi, m1, m2, med, points, fd_step, eval_point):
-    closed = effective_tensor(frame_from_slopes(psi, m1, m2), med).coeffs
-    quad = quadrature_tensor(
-        WedgeQuadratureJob(psi, m1, m2, eval_point=eval_point, points=points,
-                           fd_step=fd_step), med)
-    abs_err = np.abs(closed - quad).max()
-    return {
-        "psi": psi, "m1": m1, "m2": m2,
-        "closed_form": _matrix(closed), "quadrature": _matrix(quad),
-        "max_abs_err": float(abs_err),
-        # relative to the largest entry: a zero entry has no relative error
-        "max_rel_err": float(abs_err / np.abs(closed).max()),
-    }
+def _oracle_records(cases, med, setup):
+    """Records of an (n, 3) array of cases psi, m1, m2, by one array call
+    each of the closed form and the quadrature.  A case that comes out NaN
+    is re-run alone, on floats, so that its error raises and is recorded."""
+    one = len(cases) == 1
+    psi, m1, m2 = cases[0].tolist() if one else cases.T
+    try:
+        closed = effective_tensor(frame_from_slopes(psi, m1, m2), med).coeffs
+        quad = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2, **setup), med)
+    except (OracleError, TensorError) as exc:
+        if not one:  # the closed form refused the block: each case alone
+            return [record for k in range(len(cases)) for record in
+                    _oracle_records(cases[k:k + 1], med, setup)]
+        return [{"psi": psi, "m1": m1, "m2": m2, "error": {
+            "kind": type(exc).__name__, "message": str(exc)}}]
+    closed, quad = closed.reshape(-1, 2, 2), quad.reshape(-1, 2, 2)
+    abs_err = np.abs(closed - quad).max(axis=(1, 2))
+    # relative to the largest entry: a zero entry has no relative error
+    rel_err = abs_err / np.abs(closed).max(axis=(1, 2))
+    columns = dict(psi=psi, m1=m1, m2=m2, closed_form=closed, quadrature=quad,
+                   max_abs_err=abs_err, max_rel_err=rel_err)
+    records = [dict(zip(columns, row)) for row in
+               zip(*(np.atleast_1d(c).tolist() for c in columns.values()))]
+    for k in () if one else np.flatnonzero(np.isnan(abs_err)):
+        records[k] = _oracle_records(cases[k:k + 1], med, setup)[0]
+    return records
 
 
 def cmd_oracle(cfg, opt):
     med = MediumParams(opt["d0"])
-    points = opt.get("quad_points", 128)
-    fd_step = opt.get("fd_step", 1e-5)
-    eval_point = (opt.get("eval_x", 1.0), opt.get("eval_y", 0.0))
+    setup = {"eval_point": (opt.get("eval_x", 1.0), opt.get("eval_y", 0.0)),
+             "points": opt.get("quad_points", 128),
+             "fd_step": opt.get("fd_step", 1e-5)}
     count = opt.get("count", 0)
 
-    cases = []
     if count > 0:
         rng = np.random.default_rng(opt.get("seed", 0))
-        for _ in range(count):
-            psi = float(rng.uniform(-1.4, 1.4))
-            m1, m2 = np.sort(rng.uniform(-10.0, 10.0, size=2))
-            if m2 - m1 < 0.1:
-                m2 = m1 + 0.1
-            cases.append((psi, float(m1), float(m2)))
+        cases = rng.uniform([-1.4, -10.0, -10.0], [1.4, 10.0, 10.0],
+                            size=(count, 3))
+        cases[:, 1:].sort(axis=1)
+        narrow = cases[:, 2] - cases[:, 1] < 0.1
+        cases[narrow, 2] = cases[narrow, 1] + 0.1
     elif "psi" not in opt and "n1" in opt:
         fr = _normals_frame(opt)
-        cases.append((fr.psi, *sorted((fr.m1, fr.m2))))
+        cases = np.array([(fr.psi, *sorted((fr.m1, fr.m2)))])
     else:
-        cases.append((opt["psi"], opt["m1"], opt["m2"]))
+        cases = np.array([(opt["psi"], opt["m1"], opt["m2"])])
 
-    records = []
-    for psi, m1, m2 in cases:
-        try:
-            records.append(_oracle_case(psi, m1, m2, med, points, fd_step,
-                                        eval_point))
-        except (OracleError, TensorError, ExtremeTiltError) as exc:
-            records.append({"psi": psi, "m1": m1, "m2": m2, "error": {
-                "kind": type(exc).__name__, "message": str(exc)}})
+    records = [record for start in range(0, len(cases), _ORACLE_BLOCK)
+               for record in _oracle_records(
+                   cases[start:start + _ORACLE_BLOCK], med, setup)]
 
     n_failed = sum(1 for r in records if "error" in r)
     summary = {

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -102,7 +103,9 @@ class ExpressionField(ScalarField):
             self.tree = source
         self.dx = _expr.differentiate(self.tree, "x")
         self.dy = _expr.differentiate(self.tree, "y")
-        self._compiled = _expr.Compiled(self.tree, self.dx, self.dy)
+
+    _compiled = cached_property(
+        lambda self: _expr.Compiled(self.tree, self.dx, self.dy))
 
     def value_array(self, x, y):
         return _expr.evaluate(self.tree, (x, y))
@@ -216,7 +219,7 @@ class SurfacePair:
 
     Positivity is checked on a validation lattice at construction
     (default 64x64) and re-checked at every queried point.  Two expression
-    surfaces are compiled together, so that one function gives both.
+    surfaces are compiled together on first use: one function gives both.
     """
 
     def __init__(self, z1: ScalarField, z2: ScalarField, domain, validation=64):
@@ -232,11 +235,15 @@ class SurfacePair:
                 raise SurfaceValidationError(
                     f"w = z2 - z1 is {w[i]:.6g} <= 0 at "
                     f"({gx[i]:.6g}, {gy[i]:.6g})")
-        self._heights = self._surfaces = None
-        if isinstance(z1, ExpressionField) and isinstance(z2, ExpressionField):
-            self._heights = _expr.Compiled(z1.tree, z2.tree)
-            self._surfaces = _expr.Compiled(z1.tree, z1.dx, z1.dy,
-                                            z2.tree, z2.dx, z2.dy)
+
+    # compiled on first use; None unless both surfaces are expressions
+    _heights = cached_property(lambda self: self._compile("tree"))
+    _surfaces = cached_property(lambda self: self._compile("tree", "dx", "dy"))
+
+    def _compile(self, *parts):
+        pair = (self.z1, self.z2)
+        if all(isinstance(f, ExpressionField) for f in pair):
+            return _expr.Compiled(*(getattr(f, p) for f in pair for p in parts))
 
     def width(self, p) -> float:
         if not self.domain.contains(p):

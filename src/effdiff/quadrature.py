@@ -12,9 +12,9 @@ Each member yields one linear condition D v_w = u_w with
     v_w = grad( q_w / w ),        q_w = int_z1^z2 Q_w dz,
 
 and w in {0, pi/2} determines D completely.  The integrals are evaluated
-with Gauss-Legendre quadrature and the outer gradient with central
-differences, so this path shares no code with the closed form and serves
-as an independent oracle for it.
+by Gauss-Legendre quadrature, for arrays of cases at once, and the outer
+gradient by central differences, so this path shares no code with the
+closed form and serves as an independent oracle for it.
 
 Parallel planes (m1 = m2 = mu) use the slab family Q_a = x + mu z,
 Q_b = y, which are harmonic with reflective conditions on both planes of
@@ -48,7 +48,8 @@ class SingularSystemError(OracleError):
 
 @dataclass(frozen=True)
 class WedgeQuadratureJob:
-    """One oracle evaluation: wedge frame, evaluation point, resolution."""
+    """Oracle evaluations: wedge frames (floats for one case, equal-length
+    arrays for many), evaluation point, resolution."""
 
     psi: float
     m1: float
@@ -62,56 +63,76 @@ def quadrature_tensor(job: WedgeQuadratureJob,
                       med: MediumParams = MediumParams(1.0)) -> np.ndarray:
     """Effective tensor of the wedge, reconstructed numerically.
 
-    Raises ApexProximityError when the evaluation point sits too close to
-    the wedge apex and SingularSystemError when the two gradient columns
-    do not determine the matrix.
+    One case raises, first to last in `checks`: OracleError (non-finite
+    parameters, extreme tilt), ApexProximityError, OracleError (outside the
+    wedge interior), SingularSystemError when the two gradient columns do
+    not determine the matrix, OracleError (non-finite result).  N cases
+    give an (N, 2, 2) stack with NaN rows where one case would raise.
     """
-    psi, m1, m2 = job.psi, job.m1, job.m2
-    if not all(map(math.isfinite, (psi, m1, m2))):
-        raise OracleError("non-finite wedge parameters")
-    if math.pi / 2 - abs(psi) < EPS_PSI:
-        raise OracleError("extreme tilt: wedge coordinates are undefined")
-
+    one = np.ndim(job.psi) == 0
+    psi, m1, m2 = np.atleast_1d(job.psi, job.m1, job.m2)
     x, y = float(job.eval_point[0]), float(job.eval_point[1])
-    if abs(m2 - m1) <= EPS_M * (1.0 + abs(m1) + abs(m2)):
-        family, z_bounds = _slab_family(0.5 * (m1 + m2))
-    else:
-        if x < APEX_THRESHOLD * max(1.0, abs(y)):
-            raise ApexProximityError(
-                f"evaluation point x = {x:.3g} is too close to the apex")
-        if (m2 - m1) * x <= 0:
-            raise OracleError("evaluation point is outside the wedge interior")
-        family, z_bounds = _wedge_family(psi, m1, m2)
-    nodes, weights = _gauss_legendre(job.points)
-
-    def integral(f, px, py):
-        """Gauss-Legendre integral of f(px, py, z) over z1 <= z <= z2."""
-        z1, z2 = z_bounds(px, py)
-        mid = 0.5 * (z1 + z2)
-        half = 0.5 * (z2 - z1)
-        return half * float(np.dot(weights, f(px, py, mid + half * nodes)))
-
-    def q_over_w(q, px, py):
-        z1, z2 = z_bounds(px, py)
-        return integral(q, px, py) / (z2 - z1)
-
-    z1, z2 = z_bounds(x, y)
     h = job.fd_step * max(1.0, abs(x), abs(y))
-    us, vs = [], []
-    for q, dqdx, dqdy in family:
-        us.append(np.array([integral(dqdx, x, y), integral(dqdy, x, y)])
-                  * (med.d0 / (z2 - z1)))
-        vs.append(np.array([
-            (q_over_w(q, x + h, y) - q_over_w(q, x - h, y)) / (2 * h),
-            (q_over_w(q, x, y + h) - q_over_w(q, x, y - h)) / (2 * h),
-        ]))
-    umat = np.column_stack(us)
-    vmat = np.column_stack(vs)
-    det = vmat[0, 0] * vmat[1, 1] - vmat[0, 1] * vmat[1, 0]
-    scale = np.linalg.norm(vs[0]) * np.linalg.norm(vs[1])
-    if abs(det) <= 1e-10 * max(scale, 1e-30):
-        raise SingularSystemError("gradient columns are linearly dependent")
-    return umat @ np.linalg.inv(vmat)
+    # the evaluation point, then x + h, x - h, y + h and y - h
+    px, py = np.array([[x, x + h, x - h, x, x], [y, y, y, y + h, y - h]])
+    with np.errstate(all="ignore"):
+        slab = np.abs(m2 - m1) <= EPS_M * (1.0 + np.abs(m1) + np.abs(m2))
+        checks = [
+            (~np.isfinite([psi, m1, m2]).all(axis=0),
+             OracleError, "non-finite wedge parameters"),
+            (np.pi / 2 - np.abs(psi) < EPS_PSI,
+             OracleError, "extreme tilt: wedge coordinates are undefined"),
+            (~slab & (x < APEX_THRESHOLD * max(1.0, abs(y))), ApexProximityError,
+             f"evaluation point x = {x:.3g} is too close to the apex"),
+            (~slab & ((m2 - m1) * x <= 0),
+             OracleError, "evaluation point is outside the wedge interior"),
+        ]
+        refused = np.logical_or.reduce([mask for mask, _, _ in checks])
+        tensor = np.full(psi.shape + (2, 2), np.nan)
+        singular = np.zeros_like(refused)
+        for family, rows in ((_wedge_family, ~refused & ~slab),
+                             (_slab_family, ~refused & slab)):
+            tensor[rows], singular[rows] = _reconstruct(
+                *family(psi[rows], m1[rows], m2[rows], px, py),
+                _gauss_legendre(job.points), h, med.d0)
+    checks += [(singular, SingularSystemError,
+                "gradient columns are linearly dependent"),
+               (~np.isfinite(tensor).all(axis=(1, 2)),
+                OracleError, "quadrature result is not finite")]
+    failed = [error(text) for mask, error, text in checks if one and mask[0]]
+    if failed:
+        raise failed[0]
+    return tensor[0] if one else tensor
+
+
+def _reconstruct(z1, z2, integrands, rule, h, d0):
+    """Tensors and singular-system mask of n cases of one family, from its
+    z-bounds at the five points, (n, 5) each, and its integrands: per
+    member, dQ/dx and dQ/dy at the evaluation point, (n, 1, nodes) each,
+    and Q at the four shifted points, (n, 4, nodes)."""
+    nodes, weights = rule
+    mid, half = 0.5 * (z1 + z2), 0.5 * (z2 - z1)
+    values = np.stack([np.concatenate(member, axis=1) for member in
+                       integrands(mid[..., None] + half[..., None] * nodes)],
+                      axis=1)
+    # One dot per integral: a matrix-vector product rounds differently,
+    # and the central differences below magnify that to ~1e-10.
+    dots = np.fromiter(map(weights.dot, values.reshape(-1, nodes.size)),
+                       float).reshape(-1, 2, 6)
+    integrals = half[:, [0, 0, 1, 2, 3, 4]][:, None] * dots
+    width = z2 - z1
+    # u and v of each member as a column
+    umat = integrals[..., :2].transpose(0, 2, 1) * (d0 / width[:, :1, None])
+    q_over_w = integrals[..., 2:] / width[:, None, 1:]
+    vmat = np.stack([(q_over_w[..., 0] - q_over_w[..., 1]) / (2 * h),
+                     (q_over_w[..., 2] - q_over_w[..., 3]) / (2 * h)], axis=1)
+    det = vmat[:, 0, 0] * vmat[:, 1, 1] - vmat[:, 0, 1] * vmat[:, 1, 0]
+    scale = np.prod(np.linalg.norm(vmat, axis=1), axis=-1)
+    singular = np.abs(det) <= 1e-10 * np.maximum(scale, 1e-30)
+    solvable = np.isfinite(det) & ~singular
+    tensor = np.full(det.shape + (2, 2), np.nan)
+    tensor[solvable] = umat[solvable] @ np.linalg.inv(vmat[solvable])
+    return tensor, singular
 
 
 @functools.lru_cache(maxsize=8)
@@ -124,44 +145,37 @@ def _gauss_legendre(points):
     return nodes, weights
 
 
-def _wedge_family(psi, m1, m2):
-    """Members w = 0 and w = pi/2 of the harmonic family, each as
-    (Q, dQ/dx, dQ/dy) of (x, y, z), and the z-bounds of the wedge."""
-    sp, cp = math.sin(psi), math.cos(psi)
-    sec = 1.0 / cp
+def _wedge_family(psi, m1, m2, px, py):
+    """z-bounds of n wedges at the points (px, py), and the integrands of
+    the members w = 0 and w = pi/2 of the harmonic family."""
+    s, c = np.sin(psi)[:, None, None], np.cos(psi)[:, None, None]
+    sec = 1.0 / c[..., 0]
+    z1 = (m1[:, None] * px + py * s[..., 0]) * sec
+    z2 = (m2[:, None] * px + py * s[..., 0]) * sec
 
-    def member(omega):
-        cw, sw = math.cos(omega), math.sin(omega)
+    def integrands(z):
+        x, y = px[:, None], py[:, None]
+        zz = -y * s + z * c
+        r2 = x * x + zz * zz
+        log_r2 = np.log(r2[:, 1:])
+        yy = y[1:] * c + z[:, 1:] * s
+        for omega in (0.0, math.pi / 2):
+            cw, sw = math.cos(omega), math.sin(omega)
+            yield (cw * x[0] / r2[:, :1],
+                   -cw * zz[:, :1] * s / r2[:, :1] + sw * c,
+                   cw * 0.5 * log_r2 + sw * yy)
 
-        def q(px, py, z):
-            zz = -py * sp + z * cp
-            yy = py * cp + z * sp
-            return cw * 0.5 * np.log(px * px + zz * zz) + sw * yy
-
-        def dqdx(px, py, z):
-            zz = -py * sp + z * cp
-            return cw * px / (px * px + zz * zz)
-
-        def dqdy(px, py, z):
-            zz = -py * sp + z * cp
-            return -cw * zz * sp / (px * px + zz * zz) + sw * cp
-
-        return q, dqdx, dqdy
-
-    def z_bounds(px, py):
-        z1 = (m1 * px + py * sp) * sec
-        z2 = (m2 * px + py * sp) * sec
-        return z1, z2
-
-    return (member(0.0), member(math.pi / 2)), z_bounds
+    return z1, z2, integrands
 
 
-def _slab_family(mu):
-    """The linear family Q_a = x + mu z, Q_b = y, each as (Q, dQ/dx, dQ/dy)
-    of (x, y, z), and the z-bounds of the slab between z = mu x and
-    z = mu x + 1."""
-    ones = lambda px, py, z: np.ones_like(np.asarray(z, float))
-    zeros = lambda px, py, z: np.zeros_like(np.asarray(z, float))
-    family = ((lambda px, py, z: px + mu * z, ones, zeros),
-              (lambda px, py, z: py + 0.0 * z, zeros, ones))
-    return family, lambda px, py: (mu * px, mu * px + 1.0)
+def _slab_family(psi, m1, m2, px, py):
+    """z-bounds of n slabs between z = mu x and z = mu x + 1 at the points
+    (px, py), and the integrands of the members Q_a = x + mu z, Q_b = y."""
+    mu = (0.5 * (m1 + m2))[:, None]
+
+    def integrands(z):
+        ones, zeros = np.ones_like(z[:, :1]), np.zeros_like(z[:, :1])
+        yield ones, zeros, px[1:, None] + mu[..., None] * z[:, 1:]
+        yield zeros, ones, py[1:, None] + 0.0 * z[:, 1:]
+
+    return mu * px, mu * px + 1.0, integrands

@@ -392,6 +392,7 @@ _BAD_NUMBER_BASE = {
     ("recover-channel", {"resolution": "4x4"}, "unknown config keys"),
     ("mc", {"particles": "2", "blocks": "2"}, "blocks"),
     ("mc", {"particles": "3", "blocks": "2"}, "blocks"),
+    ("oracle", {"quad_points": "1025"}, "quad_points"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):
