@@ -16,12 +16,12 @@ error instead of producing a value).
 
 Expression trees are immutable; evaluation is reentrant and accepts either
 floats or numpy arrays for the point coordinates.  Each tree is compiled
-once into one straight-line numpy function that computes every distinct
-sub-expression once, adds up the values where a failure could hide and
-tests that one sum at the end; the tree is walked node by node only when
-the sum is not finite.  `evaluate` then raises, naming the failing
-sub-expression; `Compiled.evaluate_masked` returns the values of several
-trees and one mask of the failing elements.
+once into one straight-line numpy function, the only evaluator: it computes
+every distinct sub-expression once and tests one sum of the values where a
+failure could hide, building the mask of the failing elements only when
+that sum is not finite.  `Compiled.evaluate_masked` returns the values of
+several trees and that mask; `evaluate` raises when the mask is not empty,
+naming the failing sub-expression found by a tracing variant of the code.
 """
 
 from __future__ import annotations
@@ -316,41 +316,23 @@ _ABSORBING = {"atan": (0,), "exp": (0,), "/": (1,), "^": (0, 1)}
 _REAL = np.dtype(float)
 
 
-def _eval(node, x, y, failed):
-    """Value of `node`; every node whose value is non-finite anywhere is
-    appended to `failed` with its mask, children before parents."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x if node.name == "x" else y
-    if isinstance(node, Unary):
-        out = _UNARY_IMPL[node.fn](_eval(node.arg, x, y, failed))
-    else:
-        out = _BINARY_IMPL[node.op](_eval(node.left, x, y, failed),
-                                    _eval(node.right, x, y, failed))
-    finite = np.isfinite(out)
-    if not finite.all():
-        failed.append((node, ~finite))
-    return out
-
-
 class _Source:
     """Straight-line code of one generated function, emitted node by node;
     each distinct sub-expression gets one variable."""
 
     def __init__(self):
-        self.env = {"isfinite": math.isfinite, "add": np.add,
-                    "add_reduce": np.add.reduce}
+        self.env = {"isfinite": math.isfinite, "finite": np.isfinite,
+                    "add": np.add, "add_reduce": np.add.reduce}
         self.names = {}      # structural key -> variable of the code
-        self.steps = []      # (line, variables it reads)
-        self.checked = set()
+        self.steps = []      # (variable, call, variables it reads, node or None)
+        self.checked = {}    # the terms of the mask, in order
 
     def check(self, name):
-        """Add `name` to the running sum `ok`, elementwise."""
+        """Add `name` to the running sum `ok` and to the terms of the mask."""
         if name[0] == "t" and name not in self.checked:
             total = f"add(ok, {name})" if self.checked else name
-            self.checked.add(name)
-            self.steps.append((f"ok = {total}", (name,)))
+            self.checked[name] = None
+            self.steps.append(("ok", total, (name,), None))
 
     def emit(self, node):
         if isinstance(node, Var):
@@ -373,50 +355,68 @@ class _Source:
                 self.check(operands[k])
             names[key] = f"t{len(names)}"
             self.env[fn.__name__] = fn
-            self.steps.append((f"{names[key]} = {fn.__name__}({', '.join(operands)})",
-                               operands))
+            self.steps.append((names[key], f"{fn.__name__}({', '.join(operands)})",
+                               operands, node))
         return names[key]
+
+    def define(self, lines):
+        exec(compile("\n".join(lines) + "\n", "<effdiff expression>", "exec"),
+             self.env)
+        return self.env.pop("run")   # leaves no cycle between run and its globals
 
 
 def _generate(trees):
     """One straight-line numpy function run(x, y) returning the values of
-    all `trees`, or None where the tree walk might flag a node.
+    all `trees` and the mask of the elements at which any node is not
+    finite, or None for the mask when there is none.
 
-    Each distinct sub-expression is computed once, by the same ufunc on the
-    same operands as the tree walk `_eval`, so every value is bit-equal to
-    the walk's.  Finiteness matters only at the roots and at the operands
-    listed in `_ABSORBING`: a non-finite inner node either reaches a root
-    or is absorbed there.  These are added elementwise into one running
-    sum, whose total is tested once at the end.  A non-finite term always
-    makes the total non-finite, so the function returns None wherever the
-    walk flags a node; a total that merely overflows returns None too, and
-    the walk then flags nothing.  Each intermediate is deleted after its
-    last use, so besides the running sum no more arrays are alive at once
-    than in the walk.  The function refers to no tree.
+    Each distinct sub-expression is computed once, by the ufunc of its
+    node.  A node is non-finite wherever one of its operands is, except at
+    the operands listed in `_ABSORBING`, so at each element a non-finite
+    node either reaches a root or is absorbed at one of those operands.
+    These checked terms are added elementwise into one running sum whose
+    total is tested once at the end; only when it is not finite is the
+    mask built, exactly, from `~isfinite` of each term, so a total that
+    merely overflows sets no element.  The checked terms stay alive to the
+    end for that; every other intermediate is deleted after its last use.
+    The function refers to no tree.
     """
     src = _Source()
     roots = [src.emit(tree) for tree in trees]
     for name in roots:
         src.check(name)
-    last = {name: k for k, (_, reads) in enumerate(src.steps) for name in reads}
+    last = {name: k for k, step in enumerate(src.steps) for name in step[2]}
     lines = ["def run(x, y):"]
-    for k, (line, reads) in enumerate(src.steps):
-        lines.append("    " + line)
+    for k, (target, call, reads, _) in enumerate(src.steps):
+        lines.append(f"    {target} = {call}")
         dead = sorted({name for name in reads if name[0] == "t"
-                       and last[name] == k and name not in roots})
+                       and last[name] == k and name not in src.checked})
         if dead:
             lines.append(f"    del {', '.join(dead)}")
-    if src.checked:
-        lines.append("    if not isfinite(add_reduce(ok, None)): return None")
-    lines.append(f"    return ({', '.join(roots)},)")
-    exec(compile("\n".join(lines) + "\n", "<effdiff expression>", "exec"), src.env)
-    return src.env.pop("run")   # leaves no cycle between run and its globals
+    values = f"({', '.join(roots)},)"
+    bad = " | ".join(f"~finite({name})" for name in src.checked)
+    if bad:
+        lines.append(f"    if isfinite(add_reduce(ok, None)): return {values}, None")
+    lines.append(f"    return {values}, {bad or None}")
+    return src.define(lines)
 
 
-def _values(run, trees, point):
-    """Values of `trees` at point=(x, y) from their generated function
-    `run`, and the nodes the tree walk flags, which it re-runs only when
-    `run` reports a non-finite value."""
+def _trace(tree, x, y):
+    """The first node of `tree`, children first, that is non-finite at any
+    element of (x, y): the generated steps, run with a test after each."""
+    src = _Source()
+    src.emit(tree)
+    lines = ["def run(x, y):"]
+    for k, (name, call, _, node) in enumerate(src.steps):
+        if node is not None:
+            lines += [f"    {name} = {call}",
+                      f"    if not finite({name}).all(): return {k}"]
+    with np.errstate(all="ignore"):
+        return src.steps[src.define(lines)(x, y)][3]
+
+
+def _values(run, point):
+    """Values at point=(x, y) of the trees compiled into `run`, and its mask."""
     x, y = point
     if (type(x) is np.ndarray and type(y) is np.ndarray and x.dtype is _REAL
             and y.dtype is _REAL and x.shape == y.shape):
@@ -427,15 +427,12 @@ def _values(run, trees, point):
         y = np.asarray(y, dtype=float)
         shape = x.shape if x.shape == y.shape \
             else np.broadcast_shapes(x.shape, y.shape)
-    failed = []
     with np.errstate(all="ignore"):
-        outs = run(x, y)
-        if outs is None:
-            outs = [_eval(tree, x, y, failed) for tree in trees]
+        outs, bad = run(x, y)
     if scalar:
-        return tuple(float(out) for out in outs), failed
+        return tuple(float(out) for out in outs), bad
     return tuple(out if isinstance(out, np.ndarray) and out.shape == shape
-                 else np.full(shape, out, dtype=float) for out in outs), failed
+                 else np.full(shape, out, dtype=float) for out in outs), bad
 
 
 class Compiled:
@@ -443,7 +440,6 @@ class Compiled:
     them together, sharing their common sub-expressions."""
 
     def __init__(self, *trees):
-        self.trees = trees
         self._run = _generate(trees)
 
     def evaluate_masked(self, point):
@@ -451,9 +447,9 @@ class Compiled:
         and one boolean mask of the elements at which any of them leaves
         the real domain (where `evaluate` would raise).  Values at those
         elements are meaningless."""
-        values, failed = _values(self._run, self.trees, point)
+        values, mask = _values(self._run, point)
         bad = np.zeros(np.shape(values[0]), dtype=bool)
-        for _, mask in failed:
+        if mask is not None:
             bad |= mask
         return values, bad
 
@@ -471,12 +467,14 @@ def _generated(e):
 def evaluate(e: Expr, point):
     """Evaluate at point=(x, y). Coordinates may be floats or numpy arrays.
 
-    Raises EvalDomainError, naming the offending sub-expression, whenever
-    any element leaves the real domain (no silent NaN propagation).
+    Raises EvalDomainError whenever any element leaves the real domain (no
+    silent NaN propagation), naming the first sub-expression, children
+    first, that is non-finite at any element.
     """
-    (value,), failed = _values(_generated(e), (e,), point)
-    if failed:
-        raise EvalDomainError("non-finite value", to_text(failed[0][0]))
+    (value,), bad = _values(_generated(e), point)
+    if bad is not None and bad.any():
+        node = _trace(e, *(np.asarray(c, dtype=float) for c in point))
+        raise EvalDomainError("non-finite value", to_text(node))
     return value
 
 

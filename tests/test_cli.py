@@ -438,6 +438,18 @@ def test_solve_and_recover_channel_name_the_first_undefined_point(
     assert err == f"error: {named}\n"
 
 
+@pytest.mark.parametrize("command", ["tensor", "solve"])
+def test_an_undefined_surface_on_the_validation_lattice_names_its_node(
+        tmp_path, capsys, command):
+    # log(x) is undefined at x = 0, on the lattice that SurfacePair checks
+    # when it is built
+    path = write_cfg(tmp_path, "bad.cfg", z1="sin(log(x))+y", z2="5",
+                     domain="0,1,0,1")
+    assert run(tmp_path, command, "--config", path,
+               "--out", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == "error: non-finite value in 'log(x)'\n"
+
+
 # Tiny valid configs, one per command and mode: lattices of at most 4x4,
 # at most 50 walkers x 5 steps, at most 2 oracle cases of 16 points.
 _TINY = {

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from effdiff.cli import main
 from effdiff.expr import (
-    MAX_DEPTH, Binary, Compiled, Const, EvalDomainError, ParseError, Unary,
-    Var, _eval, differentiate, evaluate, parse, to_text,
+    MAX_DEPTH, _BINARY_IMPL, _UNARY_IMPL, Binary, Compiled, Const,
+    EvalDomainError, ParseError, Unary, Var, differentiate, evaluate, parse,
+    to_text,
 )
 
 
@@ -88,7 +89,7 @@ def test_texts_nested_to_the_depth_limit_run_everywhere(kind):
     values, bad = Compiled(tree, dx, dy).evaluate_masked((x, y))
     assert bad.tolist() == [False, True]
     assert np.all(np.isfinite(values[0][:1]) & np.isfinite(values[1][:1]))
-    # at x = 0 the tree walk runs and names the innermost failing node
+    # at x = 0 the message names the first failing node, children first
     with pytest.raises(EvalDomainError, match=r"in 'log\(x\)'$"):
         evaluate(tree, (x, y))
     with pytest.raises(EvalDomainError):
@@ -198,19 +199,25 @@ def test_evaluate_masked_marks_exactly_the_failing_elements():
 
 def test_an_overflowing_finiteness_sum_is_only_a_false_alarm():
     # every value is finite, but their sum overflows: the generated function
-    # gives up, and the tree walk returns the values and flags nothing
+    # then builds the exact mask, which flags nothing
     c = Compiled(parse("1e308+0*x"), parse("1e308+0*y"))
     xs, ys = np.linspace(-1.0, 1.0, 5), np.arange(5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
-            assert c._run(xs, ys) is None
+            assert not c._run(xs, ys)[1].any()
         for point, shape in (((xs, ys), (5,)), ((0.5, 2.0), ())):
             (a, b), bad = c.evaluate_masked(point)
             assert np.shape(a) == np.shape(b) == np.shape(bad) == shape
             assert np.all(a == 1e308) and np.all(b == 1e308)
             assert not bad.any()
         assert evaluate(parse("1e308+0*x"), (xs, ys)).tolist() == [1e308] * 5
+        # an overflowing sum with one element also really undefined: a mask
+        # taken from the sum alone would flag both
+        (a, b), bad = Compiled(parse("1e308+0*x"), parse("1e308+log(y)")) \
+            .evaluate_masked((np.zeros(2), np.array([1.0, 0.0])))
+        assert bad.tolist() == [False, True]
+        assert a.tolist() == [1e308, 1e308] and b[0] == 1e308
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +419,24 @@ def test_symbolic_derivative_agrees_with_central_differences(e, x, y, var):
 # compiled evaluation against the tree walk
 # ---------------------------------------------------------------------------
 
+def _eval(node, x, y, failed):
+    """Value of `node`; every node whose value is non-finite anywhere is
+    appended to `failed` with its mask, children before parents."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return x if node.name == "x" else y
+    if isinstance(node, Unary):
+        out = _UNARY_IMPL[node.fn](_eval(node.arg, x, y, failed))
+    else:
+        out = _BINARY_IMPL[node.op](_eval(node.left, x, y, failed),
+                                    _eval(node.right, x, y, failed))
+    finite = np.isfinite(out)
+    if not finite.all():
+        failed.append((node, ~finite))
+    return out
+
+
 def _walk(e, x, y):
     """Value of the tree walk and its failing nodes, children first."""
     failed = []
@@ -466,6 +491,10 @@ _COORDS = st.one_of(
 @example(parse("atan(1/(x-x))"), [(1.0, 0.0)])
 @example(parse("(-8)^(1/3)"), [(1.0, 0.0)])
 @example(parse("exp(x)"), [(-math.inf, 0.0), (0.0, 0.0)])   # a leaf is not flagged
+# nodes failing at different elements: the message names the first failing
+# node in children-first order, not the first failing element's
+@example(parse("log(x) + sqrt(y)"), [(1.0, -1.0), (-1.0, 1.0)])
+@example(parse("sqrt(y) + log(x)"), [(1.0, -1.0), (-1.0, 1.0)])
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.recursive(_ANY_LEAVES, _any_nodes, max_leaves=10),
        st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6))
