@@ -20,30 +20,27 @@ Two geometries:
   dt and n_steps only through T.  Quantitatively trustworthy: the tensor is
   position independent.
 * SurfacePair: general curved surfaces.  A step that ends outside the
-  region is cut where it leaves it, where the margin min(z - z1, z2 - z)
-  changes sign, and the remaining displacement is reflected about the
-  normal of the surface hit there (up to MAX_BOUNCES per step).  Each
-  bounce runs one safeguarded Newton search (`_crossing`) over all the
-  walkers still outside, reading both surfaces' values and gradients from
-  one call (`SurfacePair.surfaces`, one compiled function for two
-  expressions).  The search is part of the curved sampler: its stopping
-  rule fixes the last bits of every curved estimate, and the slab sampler
-  does not use it.
-  Every kept position was tested inside both surfaces, so none is clamped
-  and max_overshoot is 0; a walker still outside after MAX_BOUNCES stays
-  where its step began (a rejected step).  Such a step is a grazing chain,
-  not a double crossing: where the region is convex (under a crest of z2,
-  say), a segment reflected at a grazing angle meets the same wall again
-  after a few percent of its length, so MAX_BOUNCES bounces can leave most
-  of the step unused.  The domain only validates the pair and sets the
-  default start: it does not confine the walk.  The estimator mixes
-  positions of a position-dependent tensor, so results are report-only.
+  region is cut where the margin min(z - z1, z2 - z) changes sign, and the
+  rest is reflected about the normal of the surface hit there (up to
+  MAX_BOUNCES per step).  Each bounce runs one safeguarded Newton search
+  (`_crossing`) over all the walkers still outside; its stopping rule
+  fixes the last bits of every curved estimate.  Every kept position was
+  tested inside both surfaces, so none is clamped and max_overshoot is 0;
+  a walker still outside after MAX_BOUNCES stays where its step began (a
+  rejected step).  Such a step is a grazing chain, not a double crossing:
+  where the region is convex (under a crest of z2, say), a segment
+  reflected at a grazing angle meets the same wall again after a few
+  percent of its length, so MAX_BOUNCES bounces can leave most of the
+  step unused.  The domain only validates the pair and sets the default
+  start: it does not confine the walk.  The estimator mixes positions of
+  a position-dependent tensor, so results are report-only.  The walk's
+  arrays are small, so it pays per numpy call, not per element: each read
+  of the surfaces calls the compiled function of both bare
+  (`SurfacePair.heights`, `.surfaces`), under one np.errstate per walk.
 
-Randomness: one numpy Generator per run, seeded with the job's seed.  The
-slab draws its (n_particles, 3) block in one call; the curved walk moves
-all walkers together and draws one (n_particles, 3) block per step, so
-memory grows with the walker count only.  Repeated runs with one seed are
-byte-identical.
+Randomness: one numpy Generator per run, seeded with the job's seed; the
+slab draws one (n_particles, 3) block, the curved walk one per step into a
+single buffer.  Repeated runs with one seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -263,25 +260,27 @@ def _run_slab(job):
 def _run_surfaces(job):
     pair = job.geometry
     start = np.asarray(job.start, dtype=float)
-    phi1, phi2 = _gap_margins(pair, start[None])
-    if not (phi1[0] > 0.0 and phi2[0] > 0.0):
-        raise BrownianError("start must lie strictly between the surfaces")
-
     sigma = math.sqrt(2.0 * job.d0 * job.dt)
     rng = np.random.default_rng(job.seed)
     stats = {"double_cross": 0, "rejected": 0}
     r = np.tile(start, (job.n_particles, 1))
-    for _ in range(job.n_steps):
-        step = sigma * rng.standard_normal((job.n_particles, 3))
-        r = _surface_step(pair, r, step, stats)
+    step = np.empty_like(r)
+    with np.errstate(all="ignore"):     # for every surface read of the walk
+        phi1, phi2 = _gap_margins(pair, start[None])
+        if not (phi1[0] > 0.0 and phi2[0] > 0.0):
+            raise BrownianError("start must lie strictly between the surfaces")
+        for _ in range(job.n_steps):
+            rng.standard_normal(out=step)
+            step *= sigma
+            r = _surface_step(pair, r, step, stats)
     return r[:, :2] - start[:2], stats
 
 
 def _gap_margins(pair, r):
     """phi1 = z - z1 >= 0 and phi2 = z2 - z >= 0 inside the region."""
     x, y, z = r[:, 0], r[:, 1], r[:, 2]
-    z1, z2, bad = pair.heights(x, y)
-    if np.count_nonzero(bad):    # raise, naming the undefined sub-expression
+    (z1, z2), bad = pair.heights(x, y)
+    if bad is not None and np.count_nonzero(bad):   # raise, naming the node
         z1, z2 = pair.z1.value_array(x, y), pair.z2.value_array(x, y)
     return z - z1, z2 - z
 
@@ -303,8 +302,8 @@ def _crossing(pair, r0, delta):
     end.  A stopped walker stays at the last point it evaluated, so the
     surface and gradient returned are those of that point, within
     NEWTON_TOL of its root.  Each iteration reads both surfaces at every
-    walker from one `pair.surfaces` call; a point where one is undefined
-    raises BrownianError.
+    walker from one bare `pair.surfaces` call; a point where one is
+    undefined raises BrownianError.
     """
     n = r0.shape[0]
     r0, delta = r0.T, delta.T
@@ -315,7 +314,7 @@ def _crossing(pair, r0, delta):
         for _ in range(NEWTON_MAX_ITER):
             x, y, z = r0 + t * delta
             (z1, g1x, g1y, z2, g2x, g2y), bad = pair.surfaces(x, y)
-            if np.count_nonzero(bad):    # a third of bad.any()'s cost here
+            if bad is not None and np.count_nonzero(bad):
                 k = np.argmax(bad)
                 raise BrownianError(f"surface undefined at ({x[k]:.6g}, "
                                     f"{y[k]:.6g}) in a wall-crossing search")
@@ -340,10 +339,9 @@ def _crossing(pair, r0, delta):
 
 def _surface_step(pair, r, delta, stats):
     """Move each walker from r by delta, reflecting off the surfaces.
-    Each bounce searches once, for the walkers still outside."""
+    Each bounce searches once, for the walkers still outside: rows `idx`
+    of r, which have hit surfaces `hit` (bit 1: z1, bit 2: z2)."""
     out = end = r + delta
-    hit = np.zeros((r.shape[0], 2), dtype=bool)
-    idx = np.arange(r.shape[0])
     seg_start, seg_delta = r, delta
     for bounce in range(MAX_BOUNCES + 1):
         if bounce:
@@ -352,7 +350,9 @@ def _surface_step(pair, r, delta, stats):
         outside = np.minimum(phi1, phi2) < 0.0
         if not np.count_nonzero(outside):
             break
-        idx, seg_start, seg_delta = idx[outside], seg_start[outside], seg_delta[outside]
+        idx = idx[outside] if bounce else np.flatnonzero(outside)
+        hit = hit[outside] if bounce else 0
+        seg_start, seg_delta = seg_start[outside], seg_delta[outside]
         if bounce == MAX_BOUNCES:
             out[idx] = r[idx]
             stats["rejected"] += idx.size
@@ -366,9 +366,9 @@ def _surface_step(pair, r, delta, stats):
         remaining = (1.0 - t)[:, None] * seg_delta
         reflected = remaining - 2.0 * (remaining * nvec).sum(axis=1)[:, None] * nvec
 
-        hit[idx, on2.astype(int)] = True
+        surface = on2 + 1    # a second surface hit is a double crossing
+        stats["double_cross"] += int(np.count_nonzero(hit ^ surface == 3))
+        hit = hit | surface
         seg_start, seg_delta = cross, reflected
         end = cross + reflected
-
-    stats["double_cross"] += int(np.count_nonzero(hit.all(axis=1)))
     return out

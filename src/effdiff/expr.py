@@ -19,9 +19,9 @@ floats or numpy arrays for the point coordinates.  Each tree is compiled
 once into one straight-line numpy function, the only evaluator: it computes
 every distinct sub-expression once and tests one sum of the values where a
 failure could hide, building the mask of the failing elements only when
-that sum is not finite.  `Compiled.evaluate_masked` returns the values of
-several trees and that mask; `evaluate` raises when the mask is not empty,
-naming the failing sub-expression found by a tracing variant of the code.
+that sum is not finite.  `Compiled.run` is that function for several
+trees, and `evaluate_masked` wraps it; `evaluate` raises when the mask is
+not empty, naming the failing node found by a tracing variant of the code.
 """
 
 from __future__ import annotations
@@ -313,8 +313,6 @@ _BINARY_IMPL = {"+": np.add, "-": np.subtract, "*": np.multiply,
 # node is non-finite wherever one of its operands is.
 _ABSORBING = {"atan": (0,), "exp": (0,), "/": (1,), "^": (0, 1)}
 
-_REAL = np.dtype(float)
-
 
 class _Source:
     """Straight-line code of one generated function, emitted node by node;
@@ -418,36 +416,37 @@ def _trace(tree, x, y):
 def _values(run, point):
     """Values at point=(x, y) of the trees compiled into `run`, and its mask."""
     x, y = point
-    if (type(x) is np.ndarray and type(y) is np.ndarray and x.dtype is _REAL
-            and y.dtype is _REAL and x.shape == y.shape):
-        scalar, shape = False, x.shape     # arrays of points: nothing to convert
-    else:
-        scalar = np.isscalar(x) and np.isscalar(y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = x.shape if x.shape == y.shape \
-            else np.broadcast_shapes(x.shape, y.shape)
+    scalar = np.isscalar(x) and np.isscalar(y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     with np.errstate(all="ignore"):
         outs, bad = run(x, y)
     if scalar:
         return tuple(float(out) for out in outs), bad
-    return tuple(out if isinstance(out, np.ndarray) and out.shape == shape
-                 else np.full(shape, out, dtype=float) for out in outs), bad
+    return as_arrays(outs, np.broadcast_shapes(x.shape, y.shape)), bad
+
+
+def as_arrays(values, shape):
+    """Each value as a float array of `shape`, filled in unless it is one."""
+    return tuple(v if type(v) is np.ndarray and v.shape == shape
+                 else np.full(shape, v, dtype=float) for v in values)
 
 
 class Compiled:
-    """Expression trees compiled once into one function that evaluates
-    them together, sharing their common sub-expressions."""
+    """Trees compiled into one function, `run(x, y)`, that evaluates them
+    together on float arrays: their values (a scalar for a constant) and
+    the mask of the elements where any leaves the real domain, or None
+    where none does.  Its caller enters np.errstate(all="ignore")."""
 
     def __init__(self, *trees):
-        self._run = _generate(trees)
+        self.run = _generate(trees)
 
     def evaluate_masked(self, point):
         """Values of every tree at point=(x, y), floats or numpy arrays,
         and one boolean mask of the elements at which any of them leaves
         the real domain (where `evaluate` would raise).  Values at those
         elements are meaningless."""
-        values, mask = _values(self._run, point)
+        values, mask = _values(self.run, point)
         bad = np.zeros(np.shape(values[0]), dtype=bool)
         if mask is not None:
             bad |= mask

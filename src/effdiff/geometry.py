@@ -255,26 +255,24 @@ class SurfacePair:
         return w
 
     def heights(self, x, y):
-        """z1 and z2 on arrays of points, and a mask of the points where
-        either is undefined (where `value_array` would raise).  A pair with
-        a grid-backed surface reads each through `value_array`, which
-        raises there instead."""
+        """((z1, z2), bad) on float arrays of points, with the mask of the
+        points where either is undefined, or None when there are none.  Two
+        expressions are read as `Compiled.run` reads them; a grid-backed
+        pair through `value_array`, which raises there instead."""
         if self._heights is None:
-            z1, z2 = self.z1.value_array(x, y), self.z2.value_array(x, y)
-            return z1, z2, np.zeros(np.shape(z1), dtype=bool)
-        (z1, z2), bad = self._heights.evaluate_masked((x, y))
-        return z1, z2, bad
+            return (self.z1.value_array(x, y), self.z2.value_array(x, y)), None
+        return self._heights.run(x, y)
 
     def surfaces(self, x, y):
-        """Both surfaces and their gradients on arrays of points, from one
-        compiled function when both are expressions, else from each
-        field's `sample`: ((z1, g1x, g1y, z2, g2x, g2y), bad), with the
-        values and mask of `ScalarField.sample`, bit for bit."""
+        """Both surfaces and their gradients on float arrays of points,
+        read as `Compiled.run` reads them when both are expressions, else
+        by each field's `sample`: ((z1, g1x, g1y, z2, g2x, g2y), bad), with
+        the values and mask of `ScalarField.sample` bit for bit."""
         if self._surfaces is None:
             *s1, bad1 = self.z1.sample(x, y)
             *s2, bad2 = self.z2.sample(x, y)
             return (*s1, *s2), bad1 | bad2
-        return self._surfaces.evaluate_masked((x, y))
+        return self._surfaces.run(x, y)
 
     def sample(self, x, y):
         """Width and both surface gradients on arrays of points.
@@ -286,11 +284,14 @@ class SurfacePair:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        (z1, g1x, g1y, z2, g2x, g2y), bad = self.surfaces(x, y)
+        with np.errstate(all="ignore"):
+            values, bad = self.surfaces(x, y)
+        z1, g1x, g1y, z2, g2x, g2y = _expr.as_arrays(
+            values, np.broadcast_shapes(x.shape, y.shape))
         with np.errstate(invalid="ignore"):
             w = z2 - z1
-            bad = ~self.domain.contains((x, y)) | bad | ~(w > 0)
-        return w, (g1x, g1y), (g2x, g2y), bad
+            outside = ~self.domain.contains((x, y)) | ~(w > 0)
+        return w, (g1x, g1y), (g2x, g2y), outside if bad is None else outside | bad
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,10 @@ def _reconstruct(z1, z2, integrands, rule, h, d0):
     values = np.stack([np.concatenate(member, axis=1) for member in
                        integrands(mid[..., None] + half[..., None] * nodes)],
                       axis=1)
-    # One dot per integral: a matrix-vector product rounds differently,
-    # and the central differences below magnify that to ~1e-10.
-    dots = np.fromiter(map(weights.dot, values.reshape(-1, nodes.size)),
-                       float).reshape(-1, 2, 6)
+    # Each integral is the dot product of its row with the weights, rounded
+    # as weights.dot rounds one row; a matrix-vector product rounds
+    # differently, and the central differences below magnify that to ~1e-10.
+    dots = np.vecdot(values, weights)
     integrals = half[:, [0, 0, 1, 2, 3, 4]][:, None] * dots
     width = z2 - z1
     # u and v of each member as a column

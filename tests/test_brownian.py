@@ -4,12 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from effdiff import brownian
+from effdiff import brownian, expr
 from effdiff.brownian import (
-    MAX_BOUNCES, BrownianError, McJob, Slab, StepTooLargeError, _crossing,
-    _surface_step, double_cross_probability, mc_projected_tensor,
+    MAX_BOUNCES, NEWTON_MAX_ITER, NEWTON_TOL, BrownianError, McJob, Slab,
+    StepTooLargeError, _crossing, _surface_step, double_cross_probability,
+    mc_projected_tensor,
 )
-from effdiff.geometry import GridField, ScalarField, SurfacePair
+from effdiff.expr import Compiled
+from effdiff.geometry import (
+    ExpressionField, GridField, ScalarField, SurfacePair,
+)
 
 
 def slab_job(mu, **kw):
@@ -447,6 +451,9 @@ def test_grazing_chain_under_a_crest_is_a_rejected_step(monkeypatch):
     fractions = np.array([t for _, t in searches])
     assert np.all((0.03 < fractions) & (fractions < 0.08))
     assert 0.6 < np.prod(1.0 - fractions) < 0.66
+    ref_stats = {"double_cross": 0, "rejected": 0}
+    ref = _ref_surface_step(_FullReads(pair), r, delta, ref_stats)
+    assert ref.tobytes() == out.tobytes() and ref_stats == stats
 
 
 def test_every_jackknife_replicate_keeps_two_particles():
@@ -466,3 +473,224 @@ def test_slab_from_slope_geometry():
     assert slab.coordinate(np.array([1.0, 0.0, 2.0])) == pytest.approx(0.0, abs=1e-15)
     assert slab.coordinate(np.array([1.0, 0.0, 3.0])) == pytest.approx(slab.d2, abs=1e-15)
     assert slab.normal @ slab.normal == pytest.approx(1.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# A walk that reads the surfaces through Compiled.evaluate_masked (full
+# arrays, a full mask and an np.errstate of its own on every call) and keeps
+# one (walkers, 2) record of the surfaces hit per step: the reference that
+# brownian's walk must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+class _FullReads:
+    """A surface pair read through Compiled.evaluate_masked, counting the
+    reads of the heights and of the surfaces."""
+
+    def __init__(self, pair):
+        self.z1, self.z2 = pair.z1, pair.z2
+        self.reads = {"heights": 0, "surfaces": 0}
+        exprs = all(isinstance(f, ExpressionField) for f in (self.z1, self.z2))
+        self._heights = exprs and Compiled(self.z1.tree, self.z2.tree)
+        self._surfaces = exprs and Compiled(*(getattr(f, part)
+                                              for f in (self.z1, self.z2)
+                                              for part in ("tree", "dx", "dy")))
+
+    def heights(self, x, y):
+        self.reads["heights"] += 1
+        if not self._heights:
+            z1, z2 = self.z1.value_array(x, y), self.z2.value_array(x, y)
+            return z1, z2, np.zeros(np.shape(z1), dtype=bool)
+        (z1, z2), bad = self._heights.evaluate_masked((x, y))
+        return z1, z2, bad
+
+    def surfaces(self, x, y):
+        self.reads["surfaces"] += 1
+        if not self._surfaces:
+            *s1, bad1 = self.z1.sample(x, y)
+            *s2, bad2 = self.z2.sample(x, y)
+            return (*s1, *s2), bad1 | bad2
+        return self._surfaces.evaluate_masked((x, y))
+
+
+def _ref_gap_margins(pair, r):
+    """phi1 = z - z1 >= 0 and phi2 = z2 - z >= 0 inside the region."""
+    x, y, z = r[:, 0], r[:, 1], r[:, 2]
+    z1, z2, bad = pair.heights(x, y)
+    if np.count_nonzero(bad):    # raise, naming the undefined sub-expression
+        z1, z2 = pair.z1.value_array(x, y), pair.z2.value_array(x, y)
+    return z - z1, z2 - z
+
+
+def _ref_crossing(pair, r0, delta):
+    """Where each segment r0 + t delta leaves the region; r0 is inside,
+    r0 + delta is not.  Returns the fraction t at which the margin
+    g = min(z - z1, z2 - z) turns negative, whether the surface hit there
+    is z2 (z1 wins a tie) and that surface's gradient (gx, gy).
+
+    Safeguarded Newton (Brent 1973) on g, whose slope is that of the
+    surface setting the minimum: exact for expressions, interpolated for a
+    grid.  It starts from the outside end t = 1, because after a
+    reflection t = 0 is itself a root, and keeps a bracket lo <= t <= hi
+    with g(lo) >= 0 > g(hi): a Newton step is taken only if it lands
+    strictly inside the bracket, otherwise the bracket is bisected.  Each
+    walker stops once its step or its bracket is at most NEWTON_TOL; the
+    step is tested first, since a converged step may land on the bracket's
+    end.  A stopped walker stays at the last point it evaluated, so the
+    surface and gradient returned are those of that point, within
+    NEWTON_TOL of its root.  Each iteration reads both surfaces at every
+    walker from one `pair.surfaces` call; a point where one is undefined
+    raises BrownianError.
+    """
+    n = r0.shape[0]
+    r0, delta = r0.T, delta.T
+    dx, dy, dz = delta
+    lo, hi, t = np.zeros(n), np.ones(n), np.ones(n)
+    root, active = np.ones(n), np.ones(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            x, y, z = r0 + t * delta
+            (z1, g1x, g1y, z2, g2x, g2y), bad = pair.surfaces(x, y)
+            if np.count_nonzero(bad):    # a third of bad.any()'s cost here
+                k = np.argmax(bad)
+                raise BrownianError(f"surface undefined at ({x[k]:.6g}, "
+                                    f"{y[k]:.6g}) in a wall-crossing search")
+            phi1, phi2 = z - z1, z2 - z
+            on2 = phi2 < phi1
+            inside = np.minimum(phi1, phi2) >= 0.0
+            np.putmask(lo, inside, t)    # in place: half the cost of where
+            np.putmask(hi, ~inside, t)
+            gx, gy = np.where(on2, g2x, g1x), np.where(on2, g2y, g1y)
+            # g / g', the signs of z2's margin and slope cancelled
+            newton = t - (z - np.where(on2, z2, z1)) / (dz - gx * dx - gy * dy)
+            small = np.abs(newton - t) <= NEWTON_TOL
+            step = 0.5 * (lo + hi)
+            np.putmask(step, small | ((lo < newton) & (newton < hi)), newton)
+            np.putmask(root, active, step)
+            np.putmask(active, small | (hi - lo <= NEWTON_TOL), False)
+            if not np.count_nonzero(active):
+                break
+            np.putmask(t, active, step)
+    return root, on2, gx, gy
+
+
+def _ref_surface_step(pair, r, delta, stats):
+    """Move each walker from r by delta, reflecting off the surfaces.
+    Each bounce searches once, for the walkers still outside."""
+    out = end = r + delta
+    hit = np.zeros((r.shape[0], 2), dtype=bool)
+    idx = np.arange(r.shape[0])
+    seg_start, seg_delta = r, delta
+    for bounce in range(MAX_BOUNCES + 1):
+        if bounce:
+            out[idx] = end
+        phi1, phi2 = _ref_gap_margins(pair, end)
+        outside = np.minimum(phi1, phi2) < 0.0
+        if not np.count_nonzero(outside):
+            break
+        idx, seg_start, seg_delta = idx[outside], seg_start[outside], seg_delta[outside]
+        if bounce == MAX_BOUNCES:
+            out[idx] = r[idx]
+            stats["rejected"] += idx.size
+            break
+
+        t, on2, gx, gy = _ref_crossing(pair, seg_start, seg_delta)
+        cross = seg_start + t[:, None] * seg_delta
+        norm = np.sqrt(1.0 + gx * gx + gy * gy)
+        nvec = np.stack([-gx, -gy, np.ones_like(gx)], axis=1) / norm[:, None]
+
+        remaining = (1.0 - t)[:, None] * seg_delta
+        reflected = remaining - 2.0 * (remaining * nvec).sum(axis=1)[:, None] * nvec
+
+        hit[idx, on2.astype(int)] = True
+        seg_start, seg_delta = cross, reflected
+        end = cross + reflected
+
+    stats["double_cross"] += int(np.count_nonzero(hit.all(axis=1)))
+    return out
+
+
+def _ref_walk(job):
+    """Displacements, counters and surface reads of the reference walk."""
+    pair = _FullReads(job.geometry)
+    start = np.asarray(job.start, dtype=float)
+    phi1, phi2 = _ref_gap_margins(pair, start[None])
+    if not (phi1[0] > 0.0 and phi2[0] > 0.0):
+        raise BrownianError("start must lie strictly between the surfaces")
+
+    sigma = math.sqrt(2.0 * job.d0 * job.dt)
+    rng = np.random.default_rng(job.seed)
+    stats = {"double_cross": 0, "rejected": 0}
+    r = np.tile(start, (job.n_particles, 1))
+    for _ in range(job.n_steps):
+        step = sigma * rng.standard_normal((job.n_particles, 3))
+        r = _ref_surface_step(pair, r, step, stats)
+    return r[:, :2] - start[:2], stats, pair.reads
+
+
+def _waves_job():
+    waves = SurfacePair(ScalarField.from_expression("cos(x)"),
+                        ScalarField.from_expression("cos(y)+5/2"),
+                        (-60, 60, -60, 60))
+    return McJob(waves, dt=1e-2, n_particles=300, n_steps=60, seed=3,
+                 start=(0.0, 0.0, 1.5))
+
+
+def _grid_job():
+    xs = np.linspace(-3, 3, 61)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    low = 0.4 * np.sin(2 * gx) + 0.1 * np.cos(3 * gy)
+    pair = SurfacePair(GridField((-3, -3), (0.1, 0.1), low),
+                       GridField((-3, -3), (0.1, 0.1), low + 0.6), (-3, 3, -3, 3))
+    return McJob(pair, dt=1e-3, n_particles=400, n_steps=100, seed=4,
+                 start=(0.0, 0.0, 0.3), jackknife_blocks=10)
+
+
+def _thin_channel_job():
+    # a gap of 0.15 to 0.35 against steps of deviation 0.063: some steps
+    # cross both walls
+    pair = SurfacePair(ScalarField.from_expression("0.3*sin(x)"),
+                       ScalarField.from_expression("0.3*sin(x)+0.25+0.1*cos(y)"),
+                       (0, 2 * math.pi, 0, 2 * math.pi))
+    return McJob(pair, dt=2e-3, n_particles=500, n_steps=200, seed=4,
+                 start=(1.0, 1.0, 0.3 * math.sin(1.0) + 0.12))
+
+
+_WALKS = {"waves": _waves_job, "grid": _grid_job, "thin channel": _thin_channel_job}
+
+
+@pytest.mark.parametrize("kind", sorted(_WALKS))
+def test_walk_is_bit_equal_to_the_full_read_reference(kind):
+    job = _WALKS[kind]()
+    disp, stats = brownian._run_surfaces(job)
+    want, want_stats, _ = _ref_walk(job)
+    assert disp.tobytes() == want.tobytes()
+    assert stats == want_stats
+    if kind == "thin channel":
+        assert stats["double_cross"] > 0
+
+
+def test_walk_reads_the_compiled_surfaces_as_often_as_the_reference(
+        monkeypatch):
+    # one read of both heights per position tested (the start, each step's
+    # end and each reflected end) and one of both surfaces and their
+    # gradients per iteration of a crossing search: a read added to the
+    # walk fails here
+    job = _waves_job()
+    _, _, want = _ref_walk(job)
+    assert want["surfaces"] > want["heights"] > 1 + job.n_steps
+
+    generate, reads = expr._generate, {}
+
+    def counting(trees):
+        run = generate(trees)
+
+        def counted(x, y):
+            reads[len(trees)] = reads.get(len(trees), 0) + 1
+            return run(x, y)
+        return counted
+
+    monkeypatch.setattr(expr, "_generate", counting)
+    job = _waves_job()      # compiled on first use, through `counting`
+    reads.clear()           # the validation lattice's reads
+    brownian._run_surfaces(job)
+    assert reads == {2: want["heights"], 6: want["surfaces"]}

@@ -427,8 +427,12 @@ def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
      "width or surface gradient undefined at (1, 0)"),
     ("planes", dict(m1="1e300", m2="-1e300"),
      "slopes (1e+300, -1e+300) are too large: rho or omega overflows"),
+    # walkers reach x < -0.6, where z1 is undefined, at the end of a step
+    ("mc", dict(z1="log(x+0.6)-3", z2="2", domain="0,1,0,1", particles="50",
+                steps="300", dt="1e-2", seed="1"),
+     "non-finite value in 'log(x + 0.6)'"),
 ], ids=["solve-masked", "solve-extreme-tilt", "recover-channel-masked",
-        "planes-huge-slopes"])
+        "planes-huge-slopes", "mc-step-ends-where-a-surface-is-undefined"])
 def test_solve_and_recover_channel_name_the_first_undefined_point(
         tmp_path, capsys, command, settings, named):
     path = write_cfg(tmp_path, "bad.cfg", **settings)

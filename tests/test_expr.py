@@ -205,7 +205,7 @@ def test_an_overflowing_finiteness_sum_is_only_a_false_alarm():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
-            assert not c._run(xs, ys)[1].any()
+            assert not c.run(xs, ys)[1].any()
         for point, shape in (((xs, ys), (5,)), ((0.5, 2.0), ())):
             (a, b), bad = c.evaluate_masked(point)
             assert np.shape(a) == np.shape(b) == np.shape(bad) == shape
