@@ -201,7 +201,7 @@ def read_config_file(path):
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
                 cfg[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config file: {exc}") from None
     return cfg
 

@@ -4,12 +4,16 @@ Grammar (standard precedence, loosest to tightest):
 
     expression := term (('+'|'-') term)*
     term       := factor (('*'|'/') factor)*
-    factor     := '-' factor | power
+    factor     := ('+'|'-') factor | power
     power      := atom ('^' factor)?          # right-associative
     atom       := NUMBER | 'pi' | 'e' | 'x' | 'y' | 'r'
                 | FUNC '(' expression ')' | '(' expression ')'
 
 Functions: sin cos tan asin acos atan exp log sqrt abs.
+One regular expression reads the tokens, skipping spaces: NUMBER (digits
+and dots, then an optional [eE][+-]?digits, which float() must read as a
+finite value), identifiers, + - * / ^ and ( ) ,; any other character is an
+error.  Digits and spaces are the Unicode decimal digits and spaces.
 `r` is sugar for sqrt(x^2+y^2) and is expanded at parse time, so its
 derivative is undefined at the origin (evaluation there reports a domain
 error instead of producing a value).
@@ -27,6 +31,7 @@ not empty, naming the failing node found by a tracing variant of the code.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -95,73 +100,27 @@ _ONE = Const(1.0)
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-class _Token:
-    __slots__ = ("kind", "text", "column", "value")
-
-    def __init__(self, kind, text, column):
-        self.kind = kind      # 'num', 'ident', 'op', '(', ')', ',', 'end'
-        self.text = text
-        self.column = column
-        self.value = 0.0
-
-
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise ParseError(f"malformed number '{text[i:j]}'", col) from None
-            if not np.isfinite(value):
-                raise ParseError(f"number out of range '{text[i:j]}'", col)
-            tokens.append(_Token("num", text[i:j], col))
-            tokens[-1].value = value
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], col))
-            i = j
-        elif c in "+-*/^":
-            tokens.append(_Token("op", c, col))
-            i += 1
-        elif c == "(":
-            tokens.append(_Token("(", c, col))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token(")", c, col))
-            i += 1
-        elif c == ",":
-            tokens.append(_Token(",", c, col))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character '{c}'", col)
-    tokens.append(_Token("end", "", n + 1))
-    return tokens
+# Each match is one token, and the group that matched is its class; `bad` is
+# any other character.  \d and \s are the Unicode decimal digits and spaces,
+# which float() reads and str.isspace() skips.
+_TOKEN = re.compile(r"""(?P<space>\s+) | (?P<num>[\d.]+(?:[eE][+-]?\d+)?)
+    | (?P<ident>[^\W\d]\w*) | (?P<op>[-+*/^]) | (?P<open>\() | (?P<close>\))
+    | (?P<comma>,) | (?P<end>\Z) | (?P<bad>.)""", re.VERBOSE | re.DOTALL)
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the matches of _TOKEN; a token is read as
+    tok.lastgroup (its class), tok[0] (its text) and tok.start()."""
+
+    def __init__(self, text):
+        # every token is read first, so a bad character or number anywhere
+        # fails before any syntax error
+        self.tokens = [t for t in _TOKEN.finditer(text) if t.lastgroup != "space"]
+        for tok in self.tokens:
+            if tok.lastgroup == "bad":
+                self.fail(f"unexpected character '{tok[0]}'", tok)
+            if tok.lastgroup == "num" and not math.isfinite(self.number(tok)):
+                self.fail(f"number out of range '{tok[0]}'", tok)
         self.pos = 0
         self.depth = 0   # level of the operand being parsed; each binary
         self.reach = 0   # chain sets it, and tracks its deepest level here
@@ -174,14 +133,21 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message, column, expected):
-        raise ParseError(message, column, expected)
+    def fail(self, message, tok, expected=()):
+        raise ParseError(message, tok.start() + 1, expected)
+
+    def number(self, tok):
+        """The value of number token `tok`."""
+        try:
+            return float(tok[0])
+        except ValueError:
+            pass
+        self.fail(f"malformed number '{tok[0]}'", tok)
 
     def nest(self, tok, depth):
         """Go to nesting level `depth` at `tok`; past MAX_DEPTH, fail there."""
         if depth > MAX_DEPTH:
-            self.fail(f"expression nested deeper than {MAX_DEPTH} levels",
-                      tok.column, ())
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels", tok)
         self.depth = depth
         self.reach = max(self.reach, depth)
 
@@ -192,35 +158,27 @@ class _Parser:
         self.nest(op, self.reach + 1)
         self.depth = depth + 1
 
-    def expression(self):
+    def chain(self, ops):
+        """A left-associative chain of the operators `ops`: terms joined
+        by '+-', or factors joined by '*/'."""
         depth, reach = self.depth, self.reach
         self.reach = depth
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+        node = self.chain("*/") if ops == "+-" else self.factor()
+        while self.peek().lastgroup == "op" and self.peek()[0] in ops:
             op = self.advance()
             self.hang(op, depth)
-            node = Binary(op.text, node, self.term())
-        self.depth, self.reach = depth, max(reach, self.reach)
-        return node
-
-    def term(self):
-        depth, reach = self.depth, self.reach
-        self.reach = depth
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance()
-            self.hang(op, depth)
-            node = Binary(op.text, node, self.factor())
+            right = self.chain("*/") if ops == "+-" else self.factor()
+            node = Binary(op[0], node, right)
         self.depth, self.reach = depth, max(reach, self.reach)
         return node
 
     def factor(self):
         tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
+        if tok.lastgroup == "op" and tok[0] in "+-":
             self.advance()
             self.nest(tok, self.depth + 1)
             node = self.factor()
-            return Unary("neg", node) if tok.text == "-" else node
+            return Unary("neg", node) if tok[0] == "-" else node
         return self.power()
 
     def power(self):
@@ -228,7 +186,7 @@ class _Parser:
         self.reach = depth
         node = self.atom()
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        if tok.lastgroup == "op" and tok[0] == "^":
             self.advance()
             self.hang(tok, depth)
             # right-associative; exponent may carry a unary sign
@@ -238,10 +196,10 @@ class _Parser:
 
     def atom(self):
         tok = self.advance()
-        if tok.kind == "num":
-            return Const(tok.value)
-        if tok.kind == "ident":
-            name = tok.text
+        kind, name = tok.lastgroup, tok[0]
+        if kind == "num":
+            return Const(self.number(tok))
+        if kind == "ident" and name not in _FUNCTIONS:
             if name in ("x", "y"):
                 return Var(name)
             if name == "r":
@@ -249,35 +207,25 @@ class _Parser:
                                             Binary("^", Var("y"), Const(2.0))))
             if name in _CONSTANTS:
                 return Const(_CONSTANTS[name])
-            if name in _FUNCTIONS:
-                open_tok = self.peek()
-                if open_tok.kind != "(":
-                    self.fail(f"expected '(' after function '{name}'",
-                              open_tok.column, ("(",))
-                self.advance()
-                self.nest(tok, self.depth + 1)
-                arg = self.expression()
-                close = self.peek()
-                if close.kind == ",":
-                    self.fail(f"function '{name}' takes exactly one argument",
-                              close.column, (")",))
-                if close.kind != ")":
-                    # unbalanced call: point at the paren that was never closed
-                    self.fail("unclosed parenthesis", open_tok.column, (")",))
-                self.advance()
-                return Unary(name, arg)
-            self.fail(f"unknown identifier '{name}'", tok.column,
+            self.fail(f"unknown identifier '{name}'", tok,
                       ("x", "y", "r", "pi", "e") + _FUNCTIONS)
-        if tok.kind == "(":
-            self.nest(tok, self.depth + 1)
-            node = self.expression()
-            close = self.peek()
-            if close.kind != ")":
-                self.fail("unclosed parenthesis", tok.column, (")",))
-            self.advance()
-            return node
-        self.fail(f"expected a value, got '{tok.text or 'end of input'}'",
-                  tok.column, ("number", "identifier", "("))
+        if kind not in ("ident", "open"):
+            self.fail(f"expected a value, got '{name or 'end of input'}'", tok,
+                      ("number", "identifier", "("))
+        # a function call or a parenthesis
+        open_tok = self.advance() if kind == "ident" else tok
+        if open_tok.lastgroup != "open":
+            self.fail(f"expected '(' after function '{name}'", open_tok, ("(",))
+        self.nest(tok, self.depth + 1)
+        node = self.chain("+-")
+        close = self.peek()
+        if kind == "ident" and close.lastgroup == "comma":
+            self.fail(f"function '{name}' takes exactly one argument", close, (")",))
+        if close.lastgroup != "close":
+            # unbalanced: point at the parenthesis that was never closed
+            self.fail("unclosed parenthesis", open_tok, (")",))
+        self.advance()
+        return Unary(name, node) if kind == "ident" else node
 
 
 def parse(text: str) -> Expr:
@@ -287,11 +235,11 @@ def parse(text: str) -> Expr:
     on syntax errors, unknown identifiers, arity mismatches and nesting
     deeper than MAX_DEPTH.
     """
-    parser = _Parser(_tokenize(text))
-    node = parser.expression()
+    parser = _Parser(text)
+    node = parser.chain("+-")
     tail = parser.peek()
-    if tail.kind != "end":
-        parser.fail(f"unexpected '{tail.text}'", tail.column, ("end of input",))
+    if tail.lastgroup != "end":
+        parser.fail(f"unexpected '{tail[0]}'", tail, ("end of input",))
     return node
 
 

@@ -26,9 +26,12 @@ factor of the polar decomposition D = S R (S symmetric PSD, R orthogonal).
 
 effective_tensor takes a one-point frame bundle or a frame_field bundle of
 arrays; polar_decompose and to_cartesian take one 2x2 matrix or a
-(..., 2, 2) stack.  At one point an undefined tensor raises; on arrays it
-is NaN and flagged per point.  sample_tensor runs sample, frame and tensor
-for a surface pair and refuses the first undefined point by name.
+(..., 2, 2) stack.  At one point an undefined tensor raises.  On arrays
+only an extreme tilt is NaN and flagged per point; a non-finite slope or an
+overflow of rho or omega at any point raises TensorError for the whole
+call, so a caller that needs per-point results re-runs that batch point by
+point.  sample_tensor runs sample, frame and tensor for a surface pair and
+refuses the first undefined point by name.
 """
 
 from __future__ import annotations
@@ -158,7 +161,9 @@ def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
     On a frame_field bundle the coefficients are a (..., 2, 2) stack; points
     within EPS_PSI of |psi| = pi/2 get NaN coefficients and the
     extreme_tilt flag.  At one point that case raises ExtremeTiltError
-    instead.
+    instead.  Every other undefined point refuses the whole call, on arrays
+    too: TensorError for a non-finite slope where the tilt is not extreme,
+    and for slopes whose rho or omega overflows, naming the first such pair.
     """
     psi = np.asarray(fd.psi, dtype=float)
     extreme = np.pi / 2 - np.abs(psi) < EPS_PSI

@@ -573,6 +573,20 @@ def test_range_ends_give_finite_results_or_one_error_line(
         assert written and all(_finite_numbers(str(p)) for p in written)
 
 
+@pytest.mark.parametrize("data", [b"\xff", b"z1=x\xe9\nz2=9\n", None],
+                         ids=["0xff", "latin-1", "nul-in-path"])
+def test_an_unreadable_config_file_is_one_config_error_line(tmp_path, data):
+    path = tmp_path / "bad.cfg"
+    if data is None:
+        path = tmp_path / "bad\0.cfg"
+    else:
+        path.write_bytes(data)
+    code, err = _run_quietly(["tensor", "--config", str(path)])
+    assert code == 2
+    assert err.startswith("config error: cannot read config file: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv,named", [
     (["tensor", "--example", "radial", "--seed", "abc"], "seed"),
     (["planes", "--example", "wedge", "--resolution", "4x4"], "--resolution"),

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from effdiff.cli import main
 from effdiff.expr import (
-    MAX_DEPTH, _BINARY_IMPL, _UNARY_IMPL, Binary, Compiled, Const,
-    EvalDomainError, ParseError, Unary, Var, differentiate, evaluate, parse,
-    to_text,
+    _BINARY_IMPL, _CONSTANTS, _FUNCTIONS, _UNARY_IMPL, MAX_DEPTH, Binary,
+    Compiled, Const, EvalDomainError, ParseError, Unary, Var,
+    differentiate, evaluate, parse, to_text,
 )
 
 
@@ -525,3 +526,311 @@ def test_compiled_evaluation_matches_the_tree_walk(e, points):
         assert np.array_equal(both_bad, want_bad | d_bad)
         assert np.array_equal(_bits(v)[~both_bad], _bits(want)[~both_bad])
         assert np.array_equal(_bits(g)[~both_bad], _bits(want_d)[~both_bad])
+
+
+# ---------------------------------------------------------------------------
+# the parser against the character scanner it replaced
+# ---------------------------------------------------------------------------
+
+# The character-by-character scanner, its tokens and the parser with one
+# method per chain level, kept verbatim as the reference for `parse`.
+
+class _Token:
+    __slots__ = ("kind", "text", "column", "value")
+
+    def __init__(self, kind, text, column):
+        self.kind = kind      # 'num', 'ident', 'op', '(', ')', ',', 'end'
+        self.text = text
+        self.column = column
+        self.value = 0.0
+
+
+def _tokenize(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        col = i + 1
+        if c.isdigit() or c == ".":
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            try:
+                value = float(text[i:j])
+            except ValueError:
+                raise ParseError(f"malformed number '{text[i:j]}'", col) from None
+            if not np.isfinite(value):
+                raise ParseError(f"number out of range '{text[i:j]}'", col)
+            tokens.append(_Token("num", text[i:j], col))
+            tokens[-1].value = value
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("ident", text[i:j], col))
+            i = j
+        elif c in "+-*/^":
+            tokens.append(_Token("op", c, col))
+            i += 1
+        elif c == "(":
+            tokens.append(_Token("(", c, col))
+            i += 1
+        elif c == ")":
+            tokens.append(_Token(")", c, col))
+            i += 1
+        elif c == ",":
+            tokens.append(_Token(",", c, col))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character '{c}'", col)
+    tokens.append(_Token("end", "", n + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0   # level of the operand being parsed; each binary
+        self.reach = 0   # chain sets it, and tracks its deepest level here
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message, column, expected):
+        raise ParseError(message, column, expected)
+
+    def nest(self, tok, depth):
+        """Go to nesting level `depth` at `tok`; past MAX_DEPTH, fail there."""
+        if depth > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels",
+                      tok.column, ())
+        self.depth = depth
+        self.reach = max(self.reach, depth)
+
+    def hang(self, op, depth):
+        """Operator `op` of a chain begun at level `depth`: all the chain
+        parsed before it moves one level down, and its right operand goes
+        one level below `depth`."""
+        self.nest(op, self.reach + 1)
+        self.depth = depth + 1
+
+    def expression(self):
+        depth, reach = self.depth, self.reach
+        self.reach = depth
+        node = self.term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            op = self.advance()
+            self.hang(op, depth)
+            node = Binary(op.text, node, self.term())
+        self.depth, self.reach = depth, max(reach, self.reach)
+        return node
+
+    def term(self):
+        depth, reach = self.depth, self.reach
+        self.reach = depth
+        node = self.factor()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            op = self.advance()
+            self.hang(op, depth)
+            node = Binary(op.text, node, self.factor())
+        self.depth, self.reach = depth, max(reach, self.reach)
+        return node
+
+    def factor(self):
+        tok = self.peek()
+        if tok.kind == "op" and tok.text in "+-":
+            self.advance()
+            self.nest(tok, self.depth + 1)
+            node = self.factor()
+            return Unary("neg", node) if tok.text == "-" else node
+        return self.power()
+
+    def power(self):
+        depth, reach = self.depth, self.reach
+        self.reach = depth
+        node = self.atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            self.hang(tok, depth)
+            # right-associative; exponent may carry a unary sign
+            node = Binary("^", node, self.factor())
+        self.depth, self.reach = depth, max(reach, self.reach)
+        return node
+
+    def atom(self):
+        tok = self.advance()
+        if tok.kind == "num":
+            return Const(tok.value)
+        if tok.kind == "ident":
+            name = tok.text
+            if name in ("x", "y"):
+                return Var(name)
+            if name == "r":
+                return Unary("sqrt", Binary("+", Binary("^", Var("x"), Const(2.0)),
+                                            Binary("^", Var("y"), Const(2.0))))
+            if name in _CONSTANTS:
+                return Const(_CONSTANTS[name])
+            if name in _FUNCTIONS:
+                open_tok = self.peek()
+                if open_tok.kind != "(":
+                    self.fail(f"expected '(' after function '{name}'",
+                              open_tok.column, ("(",))
+                self.advance()
+                self.nest(tok, self.depth + 1)
+                arg = self.expression()
+                close = self.peek()
+                if close.kind == ",":
+                    self.fail(f"function '{name}' takes exactly one argument",
+                              close.column, (")",))
+                if close.kind != ")":
+                    # unbalanced call: point at the paren that was never closed
+                    self.fail("unclosed parenthesis", open_tok.column, (")",))
+                self.advance()
+                return Unary(name, arg)
+            self.fail(f"unknown identifier '{name}'", tok.column,
+                      ("x", "y", "r", "pi", "e") + _FUNCTIONS)
+        if tok.kind == "(":
+            self.nest(tok, self.depth + 1)
+            node = self.expression()
+            close = self.peek()
+            if close.kind != ")":
+                self.fail("unclosed parenthesis", tok.column, (")",))
+            self.advance()
+            return node
+        self.fail(f"expected a value, got '{tok.text or 'end of input'}'",
+                  tok.column, ("number", "identifier", "("))
+
+
+def _ref_parse(text):
+    """Parse `text` into an expression tree.
+
+    Raises ParseError (with 1-based `column` and an `expected` token set)
+    on syntax errors, unknown identifiers, arity mismatches and nesting
+    deeper than MAX_DEPTH.
+    """
+    parser = _Parser(_tokenize(text))
+    node = parser.expression()
+    tail = parser.peek()
+    if tail.kind != "end":
+        parser.fail(f"unexpected '{tail.text}'", tail.column, ("end of input",))
+    return node
+
+
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text), None
+    except ParseError as exc:
+        return None, exc
+
+
+# substitutions and insertions: printable ASCII, whole tokens, and non-ASCII
+# letters, decimal digits (read by float), other digits and spaces
+_PIECES = st.one_of(
+    st.characters(min_codepoint=32, max_codepoint=126),
+    st.sampled_from(["\u00e9", "\u03c0", "\u0661", "\uff13", "\u00b2",
+                     "\u00bd", "\u00a0", "\u2003", "\t", "\n", "\x1c"]),
+    st.sampled_from(["pi", "e", "r", "sin(", "atan", ",", "1e400", "1e", "2.",
+                     ".5", "1.2.3", "e+3", "E-", "x^", "_a1"]))
+
+
+_SMALL_TREES = st.recursive(_ANY_LEAVES, _any_nodes, max_leaves=8)
+_EDITS = st.sampled_from(["insert", "delete", "substitute"])
+
+
+@st.composite
+def _edited_texts(draw):
+    """A printed tree, then up to four random edits of its characters."""
+    text = to_text(draw(_SMALL_TREES))
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(text)))
+        edit = draw(_EDITS)
+        piece = "" if edit == "delete" else draw(_PIECES)
+        text = text[:k] + piece + text[k + (edit != "insert"):]
+    return text
+
+
+@example("x\u00a0+\u2003\u0663")   # Unicode spaces and digits are accepted
+@example("\u0661\u0662.\uff15e\u0661")
+@example("1\u00b2 + x")             # a superscript is not a decimal digit
+@example("x\u00b2")
+@example("1e\u00b2")
+@example("\u00bd*x")
+@example("\u00e9")
+@example("x\x1c+\x0by")
+@example("")
+@example(" \t")
+@example("1.2.3 + x")
+@example("1e400")
+@example("1e+")
+@example("2e")
+@example("x 2")
+@example("sin x")
+@example("sin")
+@example("atan(x, y)")
+@example("(x, y)")
+@example("x + (")
+@example("sin(x)*sin(y")
+@example("pi*r - e")
+@example("x $ 1e400")
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_edited_texts())
+def test_parse_gives_the_reference_tree_or_error(text):
+    got, err = _outcome(parse, text)
+    want, want_err = _outcome(_ref_parse, text)
+    assert (got, repr(got)) == (want, repr(want))
+    assert (err is None) == (want_err is None)
+    if err is not None and text.isascii():
+        assert (str(err), err.column, err.expected) == \
+            (str(want_err), want_err.column, want_err.expected)
+
+
+def test_unicode_digits_and_spaces_are_read_as_the_scanner_read_them():
+    assert parse("x\u00a0+\u2003\u0663") == Binary("+", Var("x"), Const(3.0))
+    assert parse("\u0661\u0662.\uff15") == Const(12.5)
+    for text in ("x\u00b2", "1\u00b2", "\u00bd"):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+def _fits(parse_fn, text, limit):
+    """Whether parse_fn(text) runs under recursion limit `limit`."""
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(limit)
+        parse_fn(text)
+        return True
+    except RecursionError:
+        return False
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTINGS))
+def test_parse_needs_no_more_stack_than_the_reference(kind):
+    text = _NESTINGS[kind](MAX_DEPTH - 1)
+    lo, hi = 1, sys.getrecursionlimit()
+    assert _fits(_ref_parse, text, hi)
+    while lo < hi:   # the smallest limit the reference runs under
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _fits(_ref_parse, text, mid) else (mid + 1, hi)
+    assert _fits(parse, text, lo)
+    assert parse(text) == _ref_parse(text)
