@@ -103,13 +103,17 @@ class Slab:
 
 @dataclass(frozen=True)
 class McJob:
+    """One Monte Carlo run; one that cannot run is refused here.  Its start
+    defaults to the geometry's own: a slab's `midpoint_start`, a surface
+    pair's domain centre, half-way between the surfaces."""
+
     geometry: object              # Slab or SurfacePair
     d0: float = 1.0
     dt: float = 1e-3
     n_particles: int = 10_000
     n_steps: int = 1_000
     seed: int = 0
-    start: tuple = (0.0, 0.0, 0.5)
+    start: tuple | None = None    # (x, y, z); stored as floats
     jackknife_blocks: int = 25
 
     def __post_init__(self):
@@ -117,14 +121,40 @@ class McJob:
             raise BrownianError("dt must be positive and finite")
         if not (self.d0 > 0 and math.isfinite(self.d0)):
             raise BrownianError("D0 must be positive and finite")
-        if self.n_particles < 2 or self.n_steps < 1:
-            raise BrownianError("need at least 2 particles and 1 step")
-        blocks = self.jackknife_blocks
-        if not (2 <= blocks <= self.n_particles
-                and smallest_replicate(self.n_particles, blocks) >= 2):
-            raise BrownianError("jackknife blocks must be in [2, n_particles] "
-                                "and leave at least 2 particles outside "
-                                "each block")
+        n, blocks = self.n_particles, self.jackknife_blocks
+        if n < 2 or self.n_steps < 1:
+            raise BrownianError(f"need at least 2 particles and 1 step, got "
+                                f"particles {n} and steps {self.n_steps}")
+        if not (2 <= blocks <= n
+                and n - np.diff(_block_bounds(n, blocks)).max() >= 2):
+            raise BrownianError(f"jackknife blocks must be in [2, particles "
+                                f"({n})] and leave at least 2 particles "
+                                f"outside each block, got {blocks}")
+        object.__setattr__(self, "start", _start(self.geometry, self.start))
+
+
+def _start(geometry, start):
+    """`start`, or the geometry's own start if it is None, as floats;
+    refused unless strictly inside."""
+    if isinstance(geometry, Slab):
+        start = geometry.midpoint_start() if start is None else start
+        s0 = float(geometry.coordinate(np.asarray(start, dtype=float)))
+        if not (geometry.d1 < s0 < geometry.d2):
+            raise BrownianError(f"start coordinate {s0:.6g} is not strictly "
+                                f"inside [{geometry.d1:.6g}, {geometry.d2:.6g}]")
+    elif isinstance(geometry, SurfacePair):
+        if start is None:
+            d, z1, z2 = geometry.domain, geometry.z1, geometry.z2
+            cx, cy = 0.5 * (d.x0 + d.x1), 0.5 * (d.y0 + d.y1)
+            start = cx, cy, 0.5 * float(z1.value_array(cx, cy)
+                                        + z2.value_array(cx, cy))
+        with np.errstate(all="ignore"):
+            phi1, phi2 = _gap_margins(geometry, np.array([start], dtype=float))
+        if not (phi1[0] > 0.0 and phi2[0] > 0.0):
+            raise BrownianError("start must lie strictly between the surfaces")
+    else:
+        raise BrownianError(f"unsupported geometry {type(geometry).__name__}")
+    return tuple(map(float, start))
 
 
 @dataclass(frozen=True)
@@ -144,12 +174,6 @@ class McResult:
 def _block_bounds(n, blocks):
     """Bounds of the contiguous jackknife blocks of n particles."""
     return np.linspace(0, n, blocks + 1).astype(int)
-
-
-def smallest_replicate(n, blocks):
-    """Particles left in the smallest leave-one-block-out replicate; its
-    covariance needs at least 2."""
-    return n - int(np.diff(_block_bounds(n, blocks)).max())
 
 
 def _jackknife(disp, total_time, blocks):
@@ -185,7 +209,7 @@ def mc_projected_tensor(job: McJob) -> McResult:
     if isinstance(job.geometry, Slab):
         disp, frac = _run_slab(job)
         stats = {"rejected": 0}
-    elif isinstance(job.geometry, SurfacePair):
+    else:
         disp, stats = _run_surfaces(job)
         total_steps = job.n_particles * job.n_steps
         frac = stats["double_cross"] / total_steps
@@ -193,8 +217,6 @@ def mc_projected_tensor(job: McJob) -> McResult:
             raise StepTooLargeError(
                 f"{stats['double_cross']} of {total_steps} steps "
                 f"({100 * frac:.2f}%) crossed both surfaces; reduce dt")
-    else:
-        raise BrownianError(f"unsupported geometry {type(job.geometry).__name__}")
 
     total_time = job.n_steps * job.dt
     estimate, se = _jackknife(disp, total_time, job.jackknife_blocks)
@@ -234,12 +256,7 @@ def _run_slab(job):
     slab = job.geometry
     n = slab.normal
     gap = slab.d2 - slab.d1
-    start = np.asarray(job.start, dtype=float)
-    s0 = float(slab.coordinate(start))
-    if not (slab.d1 < s0 < slab.d2):
-        raise BrownianError(f"start coordinate {s0:.6g} is not strictly "
-                            f"inside [{slab.d1:.6g}, {slab.d2:.6g}]")
-
+    s0 = float(slab.coordinate(np.asarray(job.start, dtype=float)))
     frac = double_cross_probability(gap, math.sqrt(2.0 * job.d0 * job.dt))
     if frac > DOUBLE_CROSS_LIMIT:
         raise StepTooLargeError(
@@ -266,9 +283,6 @@ def _run_surfaces(job):
     r = np.tile(start, (job.n_particles, 1))
     step = np.empty_like(r)
     with np.errstate(all="ignore"):     # for every surface read of the walk
-        phi1, phi2 = _gap_margins(pair, start[None])
-        if not (phi1[0] > 0.0 and phi2[0] > 0.0):
-            raise BrownianError("start must lie strictly between the surfaces")
         for _ in range(job.n_steps):
             rng.standard_normal(out=step)
             step *= sigma

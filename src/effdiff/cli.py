@@ -21,8 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .brownian import (BrownianError, McJob, Slab, mc_projected_tensor,
-                       smallest_replicate)
+from .brownian import BrownianError, McJob, Slab, mc_projected_tensor
 from .expr import ExprError
 from .geometry import (
     DegenerateConfigError, Domain, GeometryError, GridField, PlaneConfig,
@@ -202,7 +201,8 @@ def read_config_file(path):
                 key, value = line.split("=", 1)
                 cfg[key.strip()] = value.strip()
     except (OSError, ValueError) as exc:  # not UTF-8, or a NUL in the path
-        raise ConfigError(f"cannot read config file: {exc}") from None
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file: {path}: {reason}") from None
     return cfg
 
 
@@ -513,44 +513,29 @@ def cmd_oracle(cfg, opt):
     return 0
 
 
+_MC_FIELDS = {"dt": "dt", "particles": "n_particles", "steps": "n_steps",
+              "seed": "seed", "start": "start", "blocks": "jackknife_blocks"}
+
+
 def cmd_mc(cfg, opt):
-    steps = opt.get("steps", 1000)
-    if steps < 1:
-        raise ConfigError(f"steps must be at least 1, got {steps}")
-    particles = opt.get("particles", 10000)
-    seed = opt.get("seed", 0)
-    blocks = opt.get("blocks", 25)
-    if blocks > particles or smallest_replicate(particles, blocks) < 2:
-        raise ConfigError(f"blocks must not exceed particles ({particles}) "
-                          f"and must leave at least 2 particles outside "
-                          f"each block, got {blocks}")
-
     if ("z1" in opt or "z2" in opt) and "mu" not in opt and "gap" not in opt:
-        pair = _surface_pair(opt)
-        cx = 0.5 * (pair.domain.x0 + pair.domain.x1)
-        cy = 0.5 * (pair.domain.y0 + pair.domain.y1)
-        cz = 0.5 * float(pair.z1.value_array(cx, cy)
-                         + pair.z2.value_array(cx, cy))
-        start = opt.get("start", (cx, cy, cz))
-        geometry = pair
-        mode = "surfaces (report only)"
+        geometry, mode = _surface_pair(opt), "surfaces (report only)"
     else:
-        slab = Slab.from_slope(opt.get("mu", 0.0), opt.get("gap", 1.0))
-        start = opt.get("start", tuple(slab.midpoint_start()))
-        geometry = slab
+        geometry = Slab.from_slope(opt.get("mu", 0.0), opt.get("gap", 1.0))
         mode = "slab"
-
-    job = McJob(geometry, d0=opt["d0"], dt=opt.get("dt", 1e-3),
-                n_particles=particles, n_steps=steps, seed=seed, start=start,
-                jackknife_blocks=blocks)
+    try:
+        job = McJob(geometry, d0=opt["d0"], **{
+            field: opt[key] for key, field in _MC_FIELDS.items() if key in opt})
+    except BrownianError as exc:
+        raise ConfigError(str(exc)) from None
     result = mc_projected_tensor(job)
     write_json(opt.get("out"), cfg, {
         "mode": mode,
         "estimate": _matrix(result.estimate),
         "stderr": _matrix(result.stderr),
         "total_time": result.total_time,
-        "seed": seed,
-        "start": list(map(float, start)),
+        "seed": job.seed,
+        "start": list(job.start),
         "diagnostics": {
             "double_cross_fraction": result.double_cross_fraction,
             "rejected_steps": result.rejected_steps,
@@ -621,12 +606,13 @@ def cmd_recover_channel(cfg, opt):
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "tensor": cmd_tensor,
-    "planes": cmd_planes,
-    "oracle": cmd_oracle,
-    "mc": cmd_mc,
-    "solve": cmd_solve,
-    "recover-channel": cmd_recover_channel,
+    "tensor": (cmd_tensor, "evaluate the tensor field of a surface pair (CSV)"),
+    "planes": (cmd_planes, "analyse a single two-plane configuration (JSON)"),
+    "oracle": (cmd_oracle, "compare closed form vs quadrature on wedges (JSON)"),
+    "mc": (cmd_mc, "reflected Brownian motion estimate (JSON)"),
+    "solve": (cmd_solve, "run the projected diffusion solver (CSV snapshots)"),
+    "recover-channel": (cmd_recover_channel,
+                        "planar channel comparison along x (CSV)"),
 }
 
 
@@ -637,7 +623,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser of every command, or of `command` alone when it names one
+    (as main builds it: the flags of the other five are not needed)."""
     parser = _ArgumentParser(
         prog="effdiff",
         description="Effective diffusion tensors for confined 3-D diffusion "
@@ -645,14 +633,8 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"effdiff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("tensor", "evaluate the tensor field of a surface pair (CSV)"),
-            ("planes", "analyse a single two-plane configuration (JSON)"),
-            ("oracle", "compare closed form vs quadrature on wedges (JSON)"),
-            ("mc", "reflected Brownian motion estimate (JSON)"),
-            ("solve", "run the projected diffusion solver (CSV snapshots)"),
-            ("recover-channel", "planar channel comparison along x (CSV)")):
-        p = sub.add_parser(name, help=help_text)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        p = sub.add_parser(name, help=_COMMANDS[name][1])
         p.add_argument("--config", help="flat key=value config file")
         for flag, flag_help in _FLAGS.items():
             if flag in _ALLOWED_KEYS[name]:
@@ -661,10 +643,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         cfg, opt = resolve_config(args.command, args)
-        return _COMMANDS[args.command](cfg, opt)
+        return _COMMANDS[args.command][0](cfg, opt)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

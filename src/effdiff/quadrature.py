@@ -92,9 +92,10 @@ def quadrature_tensor(job: WedgeQuadratureJob,
         singular = np.zeros_like(refused)
         for family, rows in ((_wedge_family, ~refused & ~slab),
                              (_slab_family, ~refused & slab)):
-            tensor[rows], singular[rows] = _reconstruct(
-                *family(psi[rows], m1[rows], m2[rows], px, py),
-                _gauss_legendre(job.points), h, med.d0)
+            if rows.any():   # a sweep block often holds no slab
+                tensor[rows], singular[rows] = _reconstruct(
+                    *family(psi[rows], m1[rows], m2[rows], px, py),
+                    _gauss_legendre(job.points), h, med.d0)
     checks += [(singular, SingularSystemError,
                 "gradient columns are linearly dependent"),
                (~np.isfinite(tensor).all(axis=(1, 2)),
@@ -112,9 +113,10 @@ def _reconstruct(z1, z2, integrands, rule, h, d0):
     and Q at the four shifted points, (n, 4, nodes)."""
     nodes, weights = rule
     mid, half = 0.5 * (z1 + z2), 0.5 * (z2 - z1)
-    values = np.stack([np.concatenate(member, axis=1) for member in
-                       integrands(mid[..., None] + half[..., None] * nodes)],
-                      axis=1)
+    values = np.empty((len(mid), 2, 6, len(nodes)))  # case, member, row, node
+    for k, member in enumerate(integrands(mid[..., None]
+                                          + half[..., None] * nodes)):
+        np.concatenate(member, axis=1, out=values[:, k])
     # Each integral is the dot product of its row with the weights, rounded
     # as weights.dot rounds one row; a matrix-vector product rounds
     # differently, and the central differences below magnify that to ~1e-10.

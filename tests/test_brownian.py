@@ -104,13 +104,47 @@ def test_oversized_steps_abort():
 
 
 def test_start_must_be_inside():
-    with pytest.raises(BrownianError):
-        mc_projected_tensor(slab_job(0.0, start=(0.0, 0.0, 2.0)))
-    pair = SurfacePair(ScalarField.from_expression("0"),
-                       ScalarField.from_expression("1"), (-5, 5, -5, 5))
-    with pytest.raises(BrownianError):
-        mc_projected_tensor(McJob(pair, start=(0.0, 0.0, 1.5),
-                                  n_particles=100, n_steps=10))
+    # refused when the job is built, before any sampling; on a wall is out
+    slab = Slab.from_slope(0.5)
+    pair = SurfacePair(ScalarField.from_expression("cos(x)"),
+                       ScalarField.from_expression("cos(y)+5/2"), (0, 6, 0, 6))
+    for geometry, start, message in (
+            (slab, (0.0, 0.0, 2.0), "start coordinate .* is not strictly"),
+            (slab, (0.0, 0.0, 0.0), "start coordinate 0 is not strictly"),
+            (pair, (0.0, 0.0, 1.0), "strictly between the surfaces"),
+            (pair, (0.0, 0.0, 3.6), "strictly between the surfaces"),
+            (pair, (0.0, 0.0, math.nan), "strictly between the surfaces")):
+        with pytest.raises(BrownianError, match=message):
+            McJob(geometry, start=start)
+    with pytest.raises(BrownianError, match="unsupported geometry"):
+        McJob(object())
+
+
+def test_a_job_without_a_start_starts_at_the_geometry_s_own():
+    slab = Slab.from_slope(0.7, gap=2.0)
+    start = McJob(slab).start
+    assert start == tuple(slab.midpoint_start())
+    assert all(type(c) is float for c in start)
+    xs = np.linspace(-1, 2, 31)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    low = 0.3 * np.sin(gx) * np.cos(gy)
+    grid = (GridField((-1, -1), (0.1, 0.1), low),
+            GridField((-1, -1), (0.1, 0.1), low + 0.5 + 0.1 * gx))
+    expressions = (ScalarField.from_expression("cos(x)"),
+                   ScalarField.from_expression("cos(y)+5/2"))
+    for z1, z2, domain in ((*expressions, (0, 2 * math.pi, 0, 2 * math.pi)),
+                           (*expressions, (-0.3, 1.9, 0.1, 0.7)),
+                           (*grid, (-0.9, 1.7, -0.4, 1.3))):
+        pair = SurfacePair(z1, z2, domain)
+        # the domain centre, half-way between the surfaces, as the command
+        # line computed it before McJob did
+        cx = 0.5 * (pair.domain.x0 + pair.domain.x1)
+        cy = 0.5 * (pair.domain.y0 + pair.domain.y1)
+        cz = 0.5 * float(pair.z1.value_array(cx, cy)
+                         + pair.z2.value_array(cx, cy))
+        start = McJob(pair).start
+        assert np.array(start).tobytes() == np.array([cx, cy, cz]).tobytes()
+        assert all(type(c) is float for c in start)
 
 
 def test_curved_path_flat_pair_matches_identity():
@@ -610,13 +644,10 @@ def _ref_surface_step(pair, r, delta, stats):
 
 
 def _ref_walk(job):
-    """Displacements, counters and surface reads of the reference walk."""
+    """Displacements, counters and surface reads of the reference walk;
+    McJob has checked its start."""
     pair = _FullReads(job.geometry)
     start = np.asarray(job.start, dtype=float)
-    phi1, phi2 = _ref_gap_margins(pair, start[None])
-    if not (phi1[0] > 0.0 and phi2[0] > 0.0):
-        raise BrownianError("start must lie strictly between the surfaces")
-
     sigma = math.sqrt(2.0 * job.d0 * job.dt)
     rng = np.random.default_rng(job.seed)
     stats = {"double_cross": 0, "rejected": 0}
@@ -671,13 +702,12 @@ def test_walk_is_bit_equal_to_the_full_read_reference(kind):
 
 def test_walk_reads_the_compiled_surfaces_as_often_as_the_reference(
         monkeypatch):
-    # one read of both heights per position tested (the start, each step's
-    # end and each reflected end) and one of both surfaces and their
-    # gradients per iteration of a crossing search: a read added to the
-    # walk fails here
+    # one read of both heights per position tested (each step's end and
+    # each reflected end) and one of both surfaces and their gradients per
+    # iteration of a crossing search: a read added to the walk fails here
     job = _waves_job()
     _, _, want = _ref_walk(job)
-    assert want["surfaces"] > want["heights"] > 1 + job.n_steps
+    assert want["surfaces"] > want["heights"] > job.n_steps
 
     generate, reads = expr._generate, {}
 
@@ -691,6 +721,6 @@ def test_walk_reads_the_compiled_surfaces_as_often_as_the_reference(
 
     monkeypatch.setattr(expr, "_generate", counting)
     job = _waves_job()      # compiled on first use, through `counting`
-    reads.clear()           # the validation lattice's reads
+    reads.clear()           # the validation lattice's and the start's reads
     brownian._run_surfaces(job)
     assert reads == {2: want["heights"], 6: want["surfaces"]}

@@ -243,6 +243,42 @@ def test_mc_slab_json_and_determinism(tmp_path):
     assert doc["diagnostics"]["rejected_steps"] == 0
 
 
+@pytest.mark.parametrize("settings,named", [
+    (dict(mu="0", start="0,0,2"), "start coordinate 2 is not strictly inside"),
+    (dict(mu="0", start="0,0,1"), "start coordinate 1 is not strictly inside"),
+    (dict(example="waves", start="1,1,10"), "strictly between the surfaces"),
+    (dict(example="waves", start="0,0,1"), "strictly between the surfaces"),
+], ids=["slab-start-outside", "slab-start-on-a-wall", "waves-start-above-z2",
+        "waves-start-on-z1"])
+def test_a_refused_mc_start_is_one_config_error_line(tmp_path, settings, named):
+    # McJob refuses the job before any sampling: exit 2, no result file.
+    # Its steps and blocks refusals are in the bad-numbers test.
+    out = tmp_path / "mc.json"
+    path = write_cfg(tmp_path, "mc.cfg", **settings)
+    code, err = _run_quietly(["mc", "--config", path, "--out", str(out)])
+    assert code == 2 and err.startswith("config error: ")
+    assert named in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry", [dict(mu="0.5"), dict(example="waves")],
+                         ids=["slab", "waves"])
+def test_mc_defaults_written_out_give_the_same_result(tmp_path, geometry):
+    # McJob's five defaults, written out, change nothing but the echoed config
+    defaults = dict(dt="0.001", particles="10000", steps="1000", seed="0",
+                    blocks="25")
+    docs = []
+    for name, keys in (("omitted", geometry), ("written", {**geometry,
+                                                           **defaults})):
+        out = tmp_path / f"{name}.json"
+        path = write_cfg(tmp_path, f"{name}.cfg", **keys)
+        assert run(tmp_path, "mc", "--config", path, "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        del doc["meta"]["config"]
+        docs.append(json.dumps(doc, indent=2, sort_keys=True))
+    assert docs[0] == docs[1]
+
+
 def test_solve_snapshots_conserve_mass(tmp_path):
     cfg = write_cfg(tmp_path, "solve.cfg", z1="0", z2="2+sin(x)",
                     domain="0,6.283185307179586,0,1", resolution="24x3",
@@ -488,6 +524,19 @@ def _offered_flags(command):
                   and option.startswith("--"))
 
 
+@pytest.mark.parametrize("command", sorted(_ALLOWED_KEYS))
+def test_the_parser_of_one_command_offers_what_the_full_parser_does(command):
+    def options(parser):
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        return {name: sorted(option for action in p._actions
+                             for option in action.option_strings)
+                for name, p in sub.choices.items()}
+    one, full = options(build_parser(command)), options(build_parser())
+    assert sorted(full) == sorted(_ALLOWED_KEYS)
+    assert one == {command: full[command]}
+
+
 def _run_quietly(argv):
     """Exit code and stderr of main(argv); an exception escaping main,
     SystemExit included, is returned as its own description instead."""
@@ -583,7 +632,7 @@ def test_an_unreadable_config_file_is_one_config_error_line(tmp_path, data):
         path.write_bytes(data)
     code, err = _run_quietly(["tensor", "--config", str(path)])
     assert code == 2
-    assert err.startswith("config error: cannot read config file: ")
+    assert err.startswith(f"config error: cannot read config file: {path}: ")
     assert err.count("\n") == 1
 
 

@@ -1,0 +1,91 @@
+"""Print the sha256 of every seeded output of the built-in examples.
+
+    python3 tools/seeded_outputs.py [--src DIR] > sums.txt
+
+Runs every command on built-in examples at fixed seeds (the list RUNS
+below), in a temporary directory, and prints one `sha256  file` line per
+output file (the format of `sha256sum`).  Two trees give byte-identical
+outputs when their lines are identical:
+
+    python3 tools/seeded_outputs.py --src ../parent/src > parent.txt
+    python3 tools/seeded_outputs.py > change.txt
+    diff parent.txt change.txt
+
+effdiff is imported from --src (default: the `src/` next to this file), so
+the tool can run against a tree that does not contain it.  It takes a few
+seconds on one core and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# (output name, command, config keys); every run also gets out=<name>
+RUNS = [
+    ("tensor-radial.csv", "tensor", {"example": "radial"}),
+    ("tensor-waves.csv", "tensor", {"example": "waves"}),
+    ("solve-waves", "solve", {"example": "waves", "steps": "40",
+                              "snap_every": "10",
+                              "p0": "exp(-(x-3)^2-(y-3)^2)"}),
+    ("mc-slab.json", "mc", {"example": "slab", "seed": "3"}),
+    ("mc-waves.json", "mc", {"example": "waves", "seed": "3"}),
+    ("oracle-wedge.json", "oracle", {"example": "wedge"}),
+    ("oracle-sweep.json", "oracle", {"example": "wedge", "count": "200",
+                                     "seed": "7"}),
+    ("planes-wedge.json", "planes", {"example": "wedge"}),
+    ("recover-channel.csv", "recover-channel", {"z1": "0.3*sin(x)",
+                                                "z2": "1+0.2*cos(x)"}),
+]
+
+
+def run_all(cli):
+    """Run RUNS in the current directory; the failures, one line each."""
+    failed = []
+    for name, command, keys in RUNS:
+        Path(f"{name}.cfg").write_text(
+            "".join(f"{k}={v}\n" for k, v in {**keys, "out": name}.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", f"{name}.cfg"])
+        if code != 0:
+            failed.append(f"{name}: exit {code}: {err.getvalue().strip()}")
+    return failed
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve()
+                                             .parents[1] / "src"),
+                        help="directory that holds the effdiff package")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    from effdiff import cli
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        sys.exit(f"effdiff was imported from {cli.__file__}, not from {src}")
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)   # relative out names: the headers embed them
+        try:
+            failed = run_all(cli)
+        finally:
+            os.chdir(cwd)
+        for path in sorted(Path(tmp).glob("*")):
+            if path.suffix != ".cfg":
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {path.name}")
+    for line in failed:
+        print(f"failed: {line}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
