@@ -34,9 +34,10 @@ Two geometries:
   step unused.  The domain only validates the pair and sets the default
   start: it does not confine the walk.  The estimator mixes positions of
   a position-dependent tensor, so results are report-only.  The walk's
-  arrays are small, so it pays per numpy call, not per element: each read
-  of the surfaces calls the compiled function of both bare
-  (`SurfacePair.heights`, `.surfaces`), under one np.errstate per walk.
+  arrays are small, so it pays per numpy call: each read of the surfaces
+  is one `SurfacePair.heights` or `.surfaces` call, under one np.errstate
+  per walk.  A start where a surface is undefined is refused as outside
+  the region; a step that ends there raises that field's own error.
 
 Randomness: one numpy Generator per run, seeded with the job's seed; the
 slab draws one (n_particles, 3) block, the curved walk one per step into a
@@ -135,7 +136,7 @@ class McJob:
 
 def _start(geometry, start):
     """`start`, or the geometry's own start if it is None, as floats;
-    refused unless strictly inside."""
+    refused unless strictly inside (where a surface is undefined is not)."""
     if isinstance(geometry, Slab):
         start = geometry.midpoint_start() if start is None else start
         s0 = float(geometry.coordinate(np.asarray(start, dtype=float)))
@@ -143,14 +144,14 @@ def _start(geometry, start):
             raise BrownianError(f"start coordinate {s0:.6g} is not strictly "
                                 f"inside [{geometry.d1:.6g}, {geometry.d2:.6g}]")
     elif isinstance(geometry, SurfacePair):
-        if start is None:
-            d, z1, z2 = geometry.domain, geometry.z1, geometry.z2
-            cx, cy = 0.5 * (d.x0 + d.x1), 0.5 * (d.y0 + d.y1)
-            start = cx, cy, 0.5 * float(z1.value_array(cx, cy)
-                                        + z2.value_array(cx, cy))
+        d = geometry.domain
+        x, y, z = ((0.5 * (d.x0 + d.x1), 0.5 * (d.y0 + d.y1), None)
+                   if start is None else start)
         with np.errstate(all="ignore"):
-            phi1, phi2 = _gap_margins(geometry, np.array([start], dtype=float))
-        if not (phi1[0] > 0.0 and phi2[0] > 0.0):
+            (z1, z2), bad = geometry.heights(*np.array([[x], [y]], dtype=float))
+        z1, z2 = np.ravel(z1)[0], np.ravel(z2)[0]    # a constant is a scalar
+        start = x, y, 0.5 * (z1 + z2) if z is None else z
+        if not (z1 < start[2] < z2) or (bad is not None and np.any(bad)):
             raise BrownianError("start must lie strictly between the surfaces")
     else:
         raise BrownianError(f"unsupported geometry {type(geometry).__name__}")
@@ -291,11 +292,10 @@ def _run_surfaces(job):
 
 
 def _gap_margins(pair, r):
-    """phi1 = z - z1 >= 0 and phi2 = z2 - z >= 0 inside the region."""
-    x, y, z = r[:, 0], r[:, 1], r[:, 2]
-    (z1, z2), bad = pair.heights(x, y)
-    if bad is not None and np.count_nonzero(bad):   # raise, naming the node
-        z1, z2 = pair.z1.value_array(x, y), pair.z2.value_array(x, y)
+    """phi1 = z - z1 >= 0 and phi2 = z2 - z >= 0 inside the region; a point
+    where a surface is undefined raises that field's own error."""
+    z1, z2 = pair.defined_heights(r[:, 0], r[:, 1])
+    z = r[:, 2]
     return z - z1, z2 - z
 
 

@@ -144,47 +144,36 @@ class GridField(ScalarField):
         d[-1] = 1.5 * v[-1] - 2.0 * v[-2] + 0.5 * v[-3]
         return d if axis == 0 else d.T
 
-    def _inside(self, x, y):
-        tolx, toly = 1e-9 * self.hx, 1e-9 * self.hy
-        # written as "inside" so that NaN coordinates count as outside
-        return (x >= self.x0 - tolx) & (x <= self.x1 + tolx) \
-            & (y >= self.y0 - toly) & (y <= self.y1 + toly)
-
-    def _cell(self, x, y):
-        fx = np.clip((x - self.x0) / self.hx, 0.0, self.nx - 1.0)
-        fy = np.clip((y - self.y0) / self.hy, 0.0, self.ny - 1.0)
-        ix = np.minimum(fx.astype(int), self.nx - 2)
-        iy = np.minimum(fy.astype(int), self.ny - 2)
-        return ix, iy, fx - ix, fy - iy
-
-    def _locate(self, x, y):
-        if not np.all(self._inside(x, y)):
+    def _read(self, x, y):
+        """`sample`'s values, with one raise if any point is outside."""
+        *values, outside = self.sample(x, y)
+        if np.any(outside):
             raise OutsideDomainError("query point outside grid hull")
-        return self._cell(x, y)
-
-    @staticmethod
-    def _bilinear(table, cell):
-        ix, iy, tx, ty = cell
-        v00 = table[ix, iy]
-        v10 = table[ix + 1, iy]
-        v01 = table[ix, iy + 1]
-        v11 = table[ix + 1, iy + 1]
-        return ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
-                + (1 - tx) * ty * v01 + tx * ty * v11)
+        return values
 
     def value_array(self, x, y):
-        return self._bilinear(self.values, self._locate(x, y))
+        return self._read(x, y)[0]
 
     def gradient_array(self, x, y):
-        cell = self._locate(x, y)
-        return self._bilinear(self._dx, cell), self._bilinear(self._dy, cell)
+        return tuple(self._read(x, y)[1:])
 
     def sample(self, x, y):
-        outside = ~self._inside(x, y)
-        cell = self._cell(np.where(outside, self.x0, x),
-                          np.where(outside, self.y0, y))
-        return (self._bilinear(self.values, cell), self._bilinear(self._dx, cell),
-                self._bilinear(self._dy, cell), outside)
+        """Bilinear reads of the samples and of their nodal derivatives."""
+        tolx, toly = 1e-9 * self.hx, 1e-9 * self.hy
+        # written as "inside" so that NaN coordinates count as outside;
+        # a point outside reads the cell at the origin
+        outside = np.logical_not((x >= self.x0 - tolx) & (x <= self.x1 + tolx)
+                                 & (y >= self.y0 - toly) & (y <= self.y1 + toly))
+        fx = np.clip((np.where(outside, self.x0, x) - self.x0) / self.hx,
+                     0.0, self.nx - 1.0)
+        fy = np.clip((np.where(outside, self.y0, y) - self.y0) / self.hy,
+                     0.0, self.ny - 1.0)
+        ix = np.minimum(fx.astype(int), self.nx - 2)
+        iy = np.minimum(fy.astype(int), self.ny - 2)
+        tx, ty = fx - ix, fy - iy
+        return (*((1 - tx) * (1 - ty) * t[ix, iy] + tx * (1 - ty) * t[ix + 1, iy]
+                  + (1 - tx) * ty * t[ix, iy + 1] + tx * ty * t[ix + 1, iy + 1]
+                  for t in (self.values, self._dx, self._dy)), outside)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +218,9 @@ class SurfacePair:
         if validation:
             xs, ys = self.domain.lattice(validation, validation)
             gx, gy = np.meshgrid(xs, ys, indexing="ij")
-            w = z2.value_array(gx, gy) - z1.value_array(gx, gy)
+            with np.errstate(all="ignore"):
+                z1, z2 = _expr.as_arrays(self.defined_heights(gx, gy), gx.shape)
+            w = z2 - z1
             if not np.all(w > 0):
                 i = np.unravel_index(int(np.argmin(w)), w.shape)
                 raise SurfaceValidationError(
@@ -255,13 +246,23 @@ class SurfacePair:
         return w
 
     def heights(self, x, y):
-        """((z1, z2), bad) on float arrays of points, with the mask of the
-        points where either is undefined, or None when there are none.  Two
-        expressions are read as `Compiled.run` reads them; a grid-backed
-        pair through `value_array`, which raises there instead."""
+        """((z1, z2), bad) on float arrays of points, on every kind of pair:
+        two expressions read by their compiled function, any other pair as
+        `surfaces` reads it.  Never raises (its caller sets np.errstate);
+        `bad` masks the points where either is undefined, or is None if none is."""
         if self._heights is None:
-            return (self.z1.value_array(x, y), self.z2.value_array(x, y)), None
+            (z1, _, _, z2, _, _), bad = self.surfaces(x, y)
+            return (z1, z2), bad if np.count_nonzero(bad) else None
         return self._heights.run(x, y)
+
+    def defined_heights(self, x, y):
+        """(z1, z2) from `heights`; where either is undefined, z1 and then z2
+        are re-read by `value_array`, whose error names the point."""
+        (z1, z2), bad = self.heights(x, y)
+        if bad is not None and np.count_nonzero(bad):
+            self.z1.value_array(x, y)
+            self.z2.value_array(x, y)
+        return z1, z2
 
     def surfaces(self, x, y):
         """Both surfaces and their gradients on float arrays of points,

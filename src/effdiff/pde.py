@@ -164,11 +164,8 @@ def _cell_gradients(u, hx, hy):
 def _faces(grid, infinite_rate):
     """Flux coefficients -w_face D_face on the x-faces (between cells i and
     i+1) and the y-faces (between j and j+1); D is D0 I at infinite rate."""
-    dten = grid.dten
-    if infinite_rate:
-        dten = np.zeros_like(dten)
-        dten[..., 0, 0] = grid.d0
-        dten[..., 1, 1] = grid.d0
+    dten = (np.broadcast_to(grid.d0 * np.eye(2), grid.dten.shape)
+            if infinite_rate else grid.dten)
     wx = -0.5 * (grid.w[:-1, :] + grid.w[1:, :])
     dx = 0.5 * (dten[:-1, :] + dten[1:, :])
     wy = -0.5 * (grid.w[:, :-1] + grid.w[:, 1:])

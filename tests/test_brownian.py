@@ -120,6 +120,23 @@ def test_start_must_be_inside():
         McJob(object())
 
 
+def test_a_start_where_a_surface_is_undefined_is_refused_as_outside():
+    xs = np.linspace(0, 2, 21)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    grid = SurfacePair(GridField((0, 0), (0.1, 0.1), 0.1 * gx),
+                       GridField((0, 0), (0.1, 0.1), 1 + 0.1 * gy), (0, 2, 0, 2))
+    mixed = SurfacePair(ScalarField.from_expression("log(x)"),
+                        GridField((0, 0), (0.1, 0.1), 5 + 0 * gx), (1, 2, 0, 2))
+    for pair, start in ((grid, (2.5, 1.0, 0.5)), (grid, (1.0, -0.5, 0.5)),
+                        (mixed, (-1.0, 1.0, 0.0)), (mixed, (1.0, 2.5, 3.0))):
+        with pytest.raises(BrownianError,
+                           match="^start must lie strictly between the surfaces$"):
+            McJob(pair, start=start)
+    # inside the hull, on the same pairs, the start stands
+    assert McJob(grid, start=(1.0, 1.0, 0.5)).start == (1.0, 1.0, 0.5)
+    assert McJob(mixed, start=(1.5, 1.0, 3.0)).start == (1.5, 1.0, 3.0)
+
+
 def test_a_job_without_a_start_starts_at_the_geometry_s_own():
     slab = Slab.from_slope(0.7, gap=2.0)
     start = McJob(slab).start

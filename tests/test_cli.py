@@ -248,8 +248,11 @@ def test_mc_slab_json_and_determinism(tmp_path):
     (dict(mu="0", start="0,0,1"), "start coordinate 1 is not strictly inside"),
     (dict(example="waves", start="1,1,10"), "strictly between the surfaces"),
     (dict(example="waves", start="0,0,1"), "strictly between the surfaces"),
+    # log(-1) is undefined: the start is refused, not the expression
+    (dict(z1="log(x)", z2="5", domain="1,3,0,1", start="-1,0,0"),
+     "config error: start must lie strictly between the surfaces\n"),
 ], ids=["slab-start-outside", "slab-start-on-a-wall", "waves-start-above-z2",
-        "waves-start-on-z1"])
+        "waves-start-on-z1", "start-where-z1-is-undefined"])
 def test_a_refused_mc_start_is_one_config_error_line(tmp_path, settings, named):
     # McJob refuses the job before any sampling: exit 2, no result file.
     # Its steps and blocks refusals are in the bad-numbers test.

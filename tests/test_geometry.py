@@ -410,3 +410,49 @@ def test_pair_reads_both_surfaces_bit_for_bit_as_each_field_does(kind):
         assert _bits(z1[~hbad], z2[~hbad]) == _bits(s1[0][~hbad], s2[0][~hbad])
         # both surfaces lose value and gradient at the same points
         assert np.array_equal(hbad, bad)
+
+
+@pytest.mark.parametrize("kind", ["grid", "mixed"])
+def test_heights_masks_points_outside_a_grid_s_hull_instead_of_raising(kind):
+    pair = _PAIRS[kind]()
+    rng = np.random.default_rng(8)
+    # the hull is [-3, 3]^2: about half of these points lie outside it
+    x = np.concatenate([rng.uniform(-4, 4, 200), [3.5, -3.0, float("nan")]])
+    y = np.concatenate([rng.uniform(-4, 4, 200), [0.0, 3.0, 0.0]])
+    *s1, bad1 = pair.z1.sample(x, y)
+    *s2, bad2 = pair.z2.sample(x, y)
+    with np.errstate(all="ignore"):
+        (z1, z2), hbad = pair.heights(x, y)
+        _, bad = pair.surfaces(x, y)
+    assert _bits(z1, z2) == _bits(s1[0], s2[0])
+    assert np.array_equal(hbad, bad) and np.array_equal(hbad, bad1 | bad2)
+    assert 50 < np.count_nonzero(hbad) < 150
+    # the refusal re-reads z1 first: the mixed pair's expression names its
+    # node at the NaN point
+    with pytest.raises(OutsideDomainError if kind == "grid"
+                       else EvalDomainError):
+        pair.defined_heights(x, y)
+
+
+def test_grid_reads_raise_once_outside_the_hull_and_match_sample_inside():
+    _, grid = _sampled("x*y", 0, 1, 0, 1, 11)
+    x, y = np.array([0.53, 1.0, 0.0]), np.array([0.71, 0.0, 1.0])
+    value, gx, gy, bad = grid.sample(x, y)
+    assert not bad.any()
+    assert _bits(grid.value_array(x, y), *grid.gradient_array(x, y)) \
+        == _bits(value, gx, gy)
+    # plain floats are read as 0-d arrays are
+    assert not grid.sample(0.53, 0.71)[3]
+    assert grid.value_array(0.53, 0.71) == value[0]
+    for read in (grid.value_array, grid.gradient_array):
+        with pytest.raises(OutsideDomainError, match="outside grid hull"):
+            read(np.append(x, 1.5), np.append(y, 0.5))
+
+
+def test_validation_names_z1_first_where_both_surfaces_are_undefined():
+    # both are undefined on the lattice's edges x = 0 and y = 0: z1 is read
+    # before z2, so its node is the one named
+    with pytest.raises(EvalDomainError, match=r"in 'log\(x\)'$"):
+        make_pair("log(x)", "log(y)+5", domain=(0, 1, 0, 1))
+    with pytest.raises(EvalDomainError, match=r"in 'log\(y\)'$"):
+        make_pair("x", "log(y)+5", domain=(0, 1, 0, 1))

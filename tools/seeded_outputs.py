@@ -2,10 +2,11 @@
 
     python3 tools/seeded_outputs.py [--src DIR] > sums.txt
 
-Runs every command on built-in examples at fixed seeds (the list RUNS
-below), in a temporary directory, and prints one `sha256  file` line per
-output file (the format of `sha256sum`).  Two trees give byte-identical
-outputs when their lines are identical:
+Runs every command on built-in examples and a few small configs at fixed
+seeds (the list RUNS below, whose input files are INPUTS), in a temporary
+directory, and prints one `sha256  file` line per output file (the format
+of `sha256sum`).  Two trees give byte-identical outputs when their lines
+are identical:
 
     python3 tools/seeded_outputs.py --src ../parent/src > parent.txt
     python3 tools/seeded_outputs.py > change.txt
@@ -42,12 +43,27 @@ RUNS = [
     ("planes-wedge.json", "planes", {"example": "wedge"}),
     ("recover-channel.csv", "recover-channel", {"z1": "0.3*sin(x)",
                                                 "z2": "1+0.2*cos(x)"}),
+    ("tensor-mixed.csv", "tensor", {"z1": "0.3*sin(x)*cos(y)",
+                                    "z2_grid": "z2.grid", "domain": "0,2,0,2",
+                                    "resolution": "12x10"}),
+    ("solve-waves-infinite", "solve", {"example": "waves", "mode": "infinite",
+                                       "steps": "20", "snap_every": "10"}),
 ]
+
+# input files that RUNS name, written next to their configs: a 21x21
+# sampled upper surface 1 + 0.1 (x + y^2) over [0, 2]^2
+INPUTS = {
+    "z2.grid": "# grid origin=0,0 spacing=0.1,0.1\n" + "".join(
+        ",".join(repr(1 + 0.1 * (i / 10 + (j / 10) ** 2)) for j in range(21))
+        + "\n" for i in range(21)),
+}
 
 
 def run_all(cli):
     """Run RUNS in the current directory; the failures, one line each."""
     failed = []
+    for name, text in INPUTS.items():
+        Path(name).write_text(text)
     for name, command, keys in RUNS:
         Path(f"{name}.cfg").write_text(
             "".join(f"{k}={v}\n" for k, v in {**keys, "out": name}.items()))
@@ -79,7 +95,7 @@ def main(argv=None):
         finally:
             os.chdir(cwd)
         for path in sorted(Path(tmp).glob("*")):
-            if path.suffix != ".cfg":
+            if path.suffix != ".cfg" and path.name not in INPUTS:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {path.name}")
     for line in failed:
