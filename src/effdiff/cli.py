@@ -283,10 +283,18 @@ def load_grid_field(path):
 
 def _surface_pair(opt):
     """z1 and z2 over the domain; a sampled-grid file wins over an
-    expression."""
+    expression, and its hull (to its own tolerance) must hold the domain."""
+    domain = Domain(*opt["domain"])
+    corners = np.meshgrid(*domain.lattice(2, 2))
+    for key in ("z1_grid", "z2_grid"):
+        grid = opt.get(key)
+        if grid is not None and grid.sample(*corners)[-1].any():
+            raise ConfigError(f"{key} covers [{grid.x0:.6g}, {grid.x1:.6g}] x "
+                              f"[{grid.y0:.6g}, {grid.y1:.6g}], which does "
+                              "not contain the domain")
     z1, z2 = (opt[f"{name}_grid"] if f"{name}_grid" in opt else opt[name]
               for name in ("z1", "z2"))
-    return SurfacePair(z1, z2, Domain(*opt["domain"]))
+    return SurfacePair(z1, z2, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +361,17 @@ def cmd_tensor(cfg, opt):
     """Tensor field CSV, one row per lattice node, scanlines y outer and x
     fastest.  A node where the width or a gradient is undefined (see
     SurfacePair.sample) gets the domain_error flag and no numbers; a node
-    with an undefined tensor gets w and psi and the extreme_tilt flag."""
+    with an undefined tensor gets w and psi and the extreme_tilt or the
+    slope_overflow flag."""
     pair = _surface_pair(opt)
     med = MediumParams(opt["d0"])
     xs, ys = pair.domain.lattice(*opt["resolution"])
     y, x = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))
 
     w, g1, g2, bad = pair.sample(x, y)
-    rows = np.flatnonzero(~bad)
-    fd = frame_field(w[rows], tuple(c[rows] for c in g1),
-                     tuple(c[rows] for c in g2))
+    fd = frame_field(w, g1, g2)
     tensor = effective_tensor(fd, med)
-    fine = ~tensor.extreme_tilt
+    fine = ~bad & ~np.isnan(tensor.coeffs[:, 0, 0])
     ell = polar_decompose(tensor.coeffs[fine])
     # B = [xhat yhat] as columns; a matrix product, as to_cartesian uses
     basis = np.stack([np.stack(fd.xhat, -1), np.stack(fd.yhat, -1)], -1)[fine]
@@ -375,17 +382,17 @@ def cmd_tensor(cfg, opt):
     cells = np.full((x.size, len(TENSOR_COLUMNS)), "", dtype=object)
     cells[:, 0] = _fmts(x)
     cells[:, 1] = _fmts(y)
-    cells[rows, 2] = _fmts(w[rows])
-    cells[rows, 3] = _fmts(fd.psi)
+    cells[~bad, 2] = _fmts(w[~bad])
+    cells[~bad, 3] = _fmts(fd.psi[~bad])
     values = np.column_stack([
         fd.m1[fine], fd.m2[fine], tensor.coeffs[fine].reshape(-1, 4),
         ell.lambda1, ell.lambda2, frame_to_global(ell.f1),
         frame_to_global(ell.e1), frame_to_global(ell.e2)])
-    cells[rows[fine], 4:18] = np.reshape(_fmts(values), values.shape)
-    cells[rows, 18] = np.where(
-        fd.degenerate_frame, "degenerate_frame",
-        np.where(tensor.extreme_tilt, "extreme_tilt", ""))
-    cells[bad, 18] = "domain_error"
+    cells[fine, 4:18] = np.reshape(_fmts(values), values.shape)
+    cells[:, 18] = np.select(
+        [bad, fd.degenerate_frame, tensor.extreme_tilt, ~fine],
+        ["domain_error", "degenerate_frame", "extreme_tilt", "slope_overflow"],
+        "")
     write_csv(opt.get("out"), cfg, TENSOR_COLUMNS, cells.tolist())
     return 0
 
@@ -448,29 +455,27 @@ def cmd_planes(cfg, opt):
 
 def _oracle_records(cases, med, setup):
     """Records of an (n, 3) array of cases psi, m1, m2, by one array call
-    each of the closed form and the quadrature.  A case that comes out NaN
-    is re-run alone, on floats, so that its error raises and is recorded."""
-    one = len(cases) == 1
-    psi, m1, m2 = cases[0].tolist() if one else cases.T
-    try:
-        closed = effective_tensor(frame_from_slopes(psi, m1, m2), med).coeffs
-        quad = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2, **setup), med)
-    except (OracleError, TensorError) as exc:
-        if not one:  # the closed form refused the block: each case alone
-            return [record for k in range(len(cases)) for record in
-                    _oracle_records(cases[k:k + 1], med, setup)]
-        return [{"psi": psi, "m1": m1, "m2": m2, "error": {
-            "kind": type(exc).__name__, "message": str(exc)}}]
-    closed, quad = closed.reshape(-1, 2, 2), quad.reshape(-1, 2, 2)
+    each of the closed form and the quadrature, which mark a case that fails
+    with NaN.  Each NaN case is re-run alone, on floats, so that its error
+    raises (the closed form's first) and is recorded."""
+    psi, m1, m2 = cases.T
+    closed = effective_tensor(frame_from_slopes(psi, m1, m2), med).coeffs
+    quad = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2, **setup), med)
     abs_err = np.abs(closed - quad).max(axis=(1, 2))
     # relative to the largest entry: a zero entry has no relative error
     rel_err = abs_err / np.abs(closed).max(axis=(1, 2))
     columns = dict(psi=psi, m1=m1, m2=m2, closed_form=closed, quadrature=quad,
                    max_abs_err=abs_err, max_rel_err=rel_err)
-    records = [dict(zip(columns, row)) for row in
-               zip(*(np.atleast_1d(c).tolist() for c in columns.values()))]
-    for k in () if one else np.flatnonzero(np.isnan(abs_err)):
-        records[k] = _oracle_records(cases[k:k + 1], med, setup)[0]
+    records = [dict(zip(columns, row))
+               for row in zip(*(c.tolist() for c in columns.values()))]
+    for k in np.flatnonzero(np.isnan(abs_err)):
+        case = dict(zip(("psi", "m1", "m2"), cases[k].tolist()))
+        try:
+            effective_tensor(frame_from_slopes(**case), med)
+            quadrature_tensor(WedgeQuadratureJob(**case, **setup), med)
+        except (OracleError, TensorError) as exc:
+            records[k] = {**case, "error": {
+                "kind": type(exc).__name__, "message": str(exc)}}
     return records
 
 

@@ -469,12 +469,13 @@ def frame_field(w, g1, g2) -> FrameData:
         pslopes = [gx * pxhat[0] + gy * pxhat[1]
                    for gx, gy in ((g1x, g1y), (g2x, g2y))]
 
-    xhat = tuple(np.where(parallel, p, g) for p, g in zip(pxhat, xhat))
-    yhat = tuple(np.where(parallel, p, g) for p, g in zip(pyhat, yhat))
-    m1, m2 = (np.where(parallel, p, g) for p, g in zip(pslopes, slopes))
-    psi = np.where(parallel, 0.0, psi)
-    return FrameData(w, (gwx, gwy), gperp, xhat, yhat, psi, m1, m2,
-                     0.5 * (m1 + m2), degenerate_frame=parallel)
+        xhat = tuple(np.where(parallel, p, g) for p, g in zip(pxhat, xhat))
+        yhat = tuple(np.where(parallel, p, g) for p, g in zip(pyhat, yhat))
+        m1, m2 = (np.where(parallel, p, g) for p, g in zip(pslopes, slopes))
+        psi = np.where(parallel, 0.0, psi)
+        mu = 0.5 * (m1 + m2)
+    return FrameData(w, (gwx, gwy), gperp, xhat, yhat, psi, m1, m2, mu,
+                     degenerate_frame=parallel)
 
 
 def frame_from_gradients(w, g1, g2) -> FrameData:
@@ -488,5 +489,7 @@ def frame_from_gradients(w, g1, g2) -> FrameData:
 def frame_from_slopes(psi, m1, m2) -> FrameData:
     """Frame bundle of a plane pair given directly by its tilt and slopes,
     in the unit frame (xhat, yhat) = (x axis, y axis) at unit width."""
+    with np.errstate(over="ignore"):  # an overflow: rho_omega marks the point
+        mu = 0.5 * (m1 + m2)
     return FrameData(1.0, (1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0),
-                     psi, m1, m2, 0.5 * (m1 + m2))
+                     psi, m1, m2, mu)

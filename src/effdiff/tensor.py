@@ -26,12 +26,11 @@ factor of the polar decomposition D = S R (S symmetric PSD, R orthogonal).
 
 effective_tensor takes a one-point frame bundle or a frame_field bundle of
 arrays; polar_decompose and to_cartesian take one 2x2 matrix or a
-(..., 2, 2) stack.  At one point an undefined tensor raises.  On arrays
-only an extreme tilt is NaN and flagged per point; a non-finite slope or an
-overflow of rho or omega at any point raises TensorError for the whole
-call, so a caller that needs per-point results re-runs that batch point by
-point.  sample_tensor runs sample, frame and tensor for a surface pair and
-refuses the first undefined point by name.
+(..., 2, 2) stack.  The tensor is undefined at an extreme tilt, at a
+non-finite slope and where rho or omega overflows.  On arrays such a point
+gets NaN coefficients and nothing raises; at one point it raises.
+sample_tensor runs sample, frame and tensor for a surface pair and refuses
+the first undefined point by name.
 """
 
 from __future__ import annotations
@@ -111,9 +110,17 @@ class EllipsoidData:
 # scalar building blocks
 # ---------------------------------------------------------------------------
 
-def _rho_omega(m1, m2):
-    """rho_omega without the finiteness check; NaN slopes give NaN.  Finite
-    slopes so large that rho or omega overflows raise TensorError."""
+def rho_omega(m1, m2) -> tuple:
+    """Real and imaginary parts of log((1+i m2)/(1+i m1))/(m2-m1).
+
+    Below |m2-m1| <= eps_m (1+|m1|+|m2|) the coincident-slope limit
+    (mu/(1+mu^2), 1/(1+mu^2)) with mu = (m1+m2)/2 is returned.  Arrays give
+    arrays, with NaN or inf where a slope is not finite or rho or omega
+    overflows, and never raise.  Two floats give floats and raise
+    TensorError in those two cases.
+    """
+    m1 = np.asarray(m1, dtype=float)
+    m2 = np.asarray(m2, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dm = m2 - m1
         mu = 0.5 * (m1 + m2)
@@ -124,31 +131,14 @@ def _rho_omega(m1, m2):
         rho = 0.5 * np.log((1.0 + m2 * m2) / (1.0 + m1 * m1)) / dm_far
         rho = np.where(close, mu / den, rho)
         omega = np.where(close, 1.0 / den, omega)
-    lost = (np.isfinite(m1) & np.isfinite(m2)
-            & ~(np.isfinite(rho) & np.isfinite(omega)))
-    if lost.any():
-        k = np.unravel_index(np.argmax(lost), lost.shape)
-        a, b = np.broadcast_arrays(m1, m2)
-        raise TensorError(f"slopes ({a[k]:.6g}, {b[k]:.6g}) are too large: "
-                          "rho or omega overflows")
-    return rho, omega
-
-
-def rho_omega(m1, m2) -> tuple:
-    """Real and imaginary parts of log((1+i m2)/(1+i m1))/(m2-m1).
-
-    Below |m2-m1| <= eps_m (1+|m1|+|m2|) the coincident-slope limit
-    (mu/(1+mu^2), 1/(1+mu^2)) with mu = (m1+m2)/2 is returned.  Scalars
-    give floats, arrays give arrays.
-    """
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    if not (np.isfinite(m1).all() and np.isfinite(m2).all()):
+    if rho.ndim:
+        return rho, omega
+    if not (np.isfinite(m1) and np.isfinite(m2)):
         raise TensorError(f"slopes must be finite, got ({m1}, {m2})")
-    rho, omega = _rho_omega(m1, m2)
-    if rho.ndim == 0:
-        return float(rho), float(omega)
-    return rho, omega
+    if not (np.isfinite(rho) and np.isfinite(omega)):
+        raise TensorError(f"slopes ({m1:.6g}, {m2:.6g}) are too large: "
+                          "rho or omega overflows")
+    return float(rho), float(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -158,33 +148,29 @@ def rho_omega(m1, m2) -> tuple:
 def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
     """Effective diffusion matrix in the frame carried by `fd`.
 
-    On a frame_field bundle the coefficients are a (..., 2, 2) stack; points
-    within EPS_PSI of |psi| = pi/2 get NaN coefficients and the
-    extreme_tilt flag.  At one point that case raises ExtremeTiltError
-    instead.  Every other undefined point refuses the whole call, on arrays
-    too: TensorError for a non-finite slope where the tilt is not extreme,
-    and for slopes whose rho or omega overflows, naming the first such pair.
+    On a frame_field bundle the coefficients are a (..., 2, 2) stack, NaN
+    wherever the tensor is undefined, and nothing raises: points within
+    EPS_PSI of |psi| = pi/2 also get the extreme_tilt flag, and the other
+    NaN points are those where rho_omega marks a non-finite slope or an
+    overflow.  At one point an extreme tilt raises ExtremeTiltError, and
+    then rho_omega raises its TensorError.
     """
     psi = np.asarray(fd.psi, dtype=float)
     extreme = np.pi / 2 - np.abs(psi) < EPS_PSI
     if psi.ndim == 0 and extreme:
         raise ExtremeTiltError(f"tilt {fd.psi:.12g} is within {EPS_PSI} of pi/2")
-    m1 = np.asarray(fd.m1, dtype=float)
-    m2 = np.asarray(fd.m2, dtype=float)
-    if not (extreme | (np.isfinite(m1) & np.isfinite(m2))).all():
-        raise TensorError("frame carries non-finite slopes")
     d0 = med.d0
-    rho, omega = _rho_omega(m1, m2)
+    rho, omega = rho_omega(fd.m1, fd.m2)
     mu = fd.mu
-    sp = np.sin(psi)
-    cp = np.cos(psi)
+    sp, cp = np.sin(psi), np.cos(psi)
     coeffs = np.empty(np.broadcast(psi, rho, mu).shape + (2, 2))
-    coeffs[..., 0, 0] = d0 * omega
-    coeffs[..., 0, 1] = -d0 * omega * mu * sp
-    coeffs[..., 1, 0] = -d0 * rho * sp
-    coeffs[..., 1, 1] = d0 * (cp * cp + mu * rho * sp * sp)
-    if psi.ndim:
-        coeffs[extreme] = np.nan
+    with np.errstate(invalid="ignore", over="ignore"):  # only where marked
+        coeffs[..., 0, 0] = d0 * omega
+        coeffs[..., 0, 1] = -d0 * omega * mu * sp
+        coeffs[..., 1, 0] = -d0 * rho * sp
+        coeffs[..., 1, 1] = d0 * (cp * cp + mu * rho * sp * sp)
+    if coeffs.ndim > 2:
+        coeffs[extreme | ~(np.isfinite(rho) & np.isfinite(omega))] = np.nan
     return EffectiveTensor(coeffs, fd.xhat, fd.yhat, fd.psi, fd.m1, fd.m2,
                            degenerate_frame=fd.degenerate_frame,
                            extreme_tilt=extreme if psi.ndim else False)
@@ -202,7 +188,9 @@ def sample_tensor(pair, x, y, med: MediumParams):
 
     Refuses undefined points by name: first the points that
     SurfacePair.sample masks (GeometryError), then those within EPS_PSI of
-    |psi| = pi/2 (ExtremeTiltError).
+    |psi| = pi/2 (ExtremeTiltError), then the other points where the
+    tensor is NaN: a slope that is not finite or whose rho or omega
+    overflows (TensorError).
     """
     w, g1, g2, bad = pair.sample(x, y)
     _refuse_first(bad, x, y, GeometryError,
@@ -210,6 +198,8 @@ def sample_tensor(pair, x, y, med: MediumParams):
     tensor = effective_tensor(frame_field(w, g1, g2), med)
     _refuse_first(tensor.extreme_tilt, x, y, ExtremeTiltError,
                   "tensor undefined (extreme tilt)")
+    _refuse_first(np.isnan(tensor.coeffs).any(axis=(-2, -1)), x, y,
+                  TensorError, "tensor undefined (slope overflow)")
     return w, g1, g2, tensor
 
 

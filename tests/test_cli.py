@@ -117,6 +117,44 @@ def test_tensor_grid_backed_surface(tmp_path):
         assert float(row[5]) == pytest.approx(0.5, abs=1e-6)   # m2
 
 
+@pytest.mark.parametrize("z2,domain", [("1", "0,1,0,1"),
+                                       ("1e200*x^2+1", "0,0.2,0,1")])
+def test_tensor_flags_slope_overflow_per_node(tmp_path, capsys, z2, domain):
+    # z1's slope overflows to -inf at every x > 0 (and z2's to +inf in the
+    # second pair); at x = 0 the gradients cancel: the degenerate frame
+    out = tmp_path / "steep.csv"
+    cfg = write_cfg(tmp_path, "steep.cfg", z1="-1e200*x^2", z2=z2,
+                    domain=domain, resolution="3x2")
+    assert run(tmp_path, "tensor", "--config", cfg, "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    _, data = read_csv(out)
+    assert [row[-1] for row in data] == ["degenerate_frame", "slope_overflow",
+                                         "slope_overflow"] * 2
+    for row in data:
+        assert all(row[:4])                     # x, y, w and psi
+        assert all(row[4:18]) == (row[-1] == "degenerate_frame")
+        assert any(row[4:18]) == (row[-1] == "degenerate_frame")
+
+
+@pytest.mark.parametrize("domain,code", [
+    ("0,2,0,2", 2), ("-0.1,1,0,1", 2), ("0,1,0,1.000001", 2),
+    ("0,1.0000000001,0,1", 0), ("0.5,1,0,0.5", 0)])
+def test_a_domain_outside_a_grid_s_hull_is_one_config_error(
+        tmp_path, capsys, domain, code):
+    # the hull of this 3x3 grid is [0, 1]^2, read with GridField's
+    # tolerance of 1e-9 spacing (5e-10 here)
+    grid = tmp_path / "z2.grid"
+    grid.write_text("# grid origin=0,0 spacing=0.5,0.5\n" + "1,1,1\n" * 3)
+    cfg = write_cfg(tmp_path, "hull.cfg", z1="0", z2_grid=str(grid),
+                    domain=domain, resolution="3x3")
+    assert run(tmp_path, "tensor", "--config", cfg,
+               "--out", str(tmp_path / "out.csv")) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("config error: z2_grid covers [0, 1] x [0, 1], which "
+                       "does not contain the domain\n")
+
+
 # ---------------------------------------------------------------------------
 # planes
 # ---------------------------------------------------------------------------
@@ -466,12 +504,21 @@ def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
      "width or surface gradient undefined at (1, 0)"),
     ("planes", dict(m1="1e300", m2="-1e300"),
      "slopes (1e+300, -1e+300) are too large: rho or omega overflows"),
+    # every slope of z1 but at x = 0 overflows to -inf
+    ("solve", dict(z1="-1e200*x^2", z2="1", domain="0,1,0,1",
+                   resolution="4x4", steps="1"),
+     "tensor undefined (slope overflow) at (0.125, 0.125)"),
+    ("recover-channel", dict(z1="-1e200*x^2", z2="1", x0="0", x1="1",
+                             samples="3"),
+     "tensor undefined (slope overflow) at (0.5, 0)"),
     # walkers reach x < -0.6, where z1 is undefined, at the end of a step
     ("mc", dict(z1="log(x+0.6)-3", z2="2", domain="0,1,0,1", particles="50",
                 steps="300", dt="1e-2", seed="1"),
      "non-finite value in 'log(x + 0.6)'"),
 ], ids=["solve-masked", "solve-extreme-tilt", "recover-channel-masked",
-        "planes-huge-slopes", "mc-step-ends-where-a-surface-is-undefined"])
+        "planes-huge-slopes", "solve-slope-overflow",
+        "recover-channel-slope-overflow",
+        "mc-step-ends-where-a-surface-is-undefined"])
 def test_solve_and_recover_channel_name_the_first_undefined_point(
         tmp_path, capsys, command, settings, named):
     path = write_cfg(tmp_path, "bad.cfg", **settings)

@@ -275,12 +275,12 @@ _MIXED = [(0.5, -1.0, 2.0), (0.2, 1.0, 1.0), (0.0, 1.0, 0.0),
           (math.pi / 2, 0.0, 1.0), (1.0, 0.0, 1e20), (-0.3, 2.0, 5.0),
           (-math.pi / 2, 1.0, 1.0), (0.0, 3.0, -2.0), (1.2, -1e20, 0.0),
           (0.1, 0.0, 0.5), (-1.0, 2.0, 2.0)]
-# a NaN slope makes the closed form refuse the whole block
+# a NaN slope: the closed form marks its row, as it marks an extreme tilt
 _NAN_SLOPE = _MIXED[:6] + [(0.4, math.nan, 1.0)] + _MIXED[6:]
 
 
 @pytest.mark.parametrize("cases", [_MIXED, _NAN_SLOPE],
-                         ids=["nan-rows", "refused-block"])
+                         ids=["nan-rows", "nan-slope"])
 @pytest.mark.parametrize("eval_point", [(1.0, 0.0), (1e-9, 0.0)])
 def test_mixed_batch_gives_the_reference_records_in_order(eval_point, cases):
     settings = {"eval_point": eval_point, "points": 32, "fd_step": 1e-5}
@@ -309,7 +309,7 @@ def test_mixed_batch_gives_the_reference_records_in_order(eval_point, cases):
     ((0.0, 0.0, 1.0), "1e-9"), ((0.0, 1.0, 0.0), "1e-9"),
     ((0.0, 1.0, 0.0), "1"),
     (("1.5707963267948966", 0.0, 1.0), "1"), ((1.0, 0.0, 1e20), "1"),
-    ((0.0, 1e300, -1e300), "1")])
+    ((0.0, 1e300, -1e300), "1"), ((0.0, 1e308, 1e308), "1")])
 def test_single_failing_case_keeps_exit_code_kind_and_message(
         tmp_path, capsys, case, eval_x):
     psi, m1, m2 = case

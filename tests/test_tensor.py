@@ -93,6 +93,22 @@ def test_rho_omega_rejects_non_finite():
         rho_omega(0.0, float("inf"))
 
 
+def test_rho_omega_marks_undefined_points_on_arrays_and_raises_on_floats():
+    m1 = np.array([0.0, np.nan, 0.0, 1e300, 2.0])
+    m2 = np.array([1.0, 1.0, np.inf, -1e300, 2.0])
+    rho, omega = rho_omega(m1, m2)
+    undefined = ~(np.isfinite(rho) & np.isfinite(omega))
+    assert undefined.tolist() == [False, True, True, True, False]
+    for k in (0, 4):
+        assert (rho[k], omega[k]) == rho_omega(float(m1[k]), float(m2[k]))
+    with pytest.raises(TensorError, match=r"^slopes must be finite, got "
+                       r"\(nan, 1\.0\)$"):
+        rho_omega(float("nan"), 1.0)
+    with pytest.raises(TensorError, match=r"^slopes \(1e\+300, -1e\+300\) "
+                       r"are too large: rho or omega overflows$"):
+        rho_omega(1e300, -1e300)
+
+
 # ---------------------------------------------------------------------------
 # effective_tensor
 # ---------------------------------------------------------------------------
@@ -140,6 +156,29 @@ def test_tensor_determinant_identity_and_psd_symmetric_factor():
 def test_tensor_refuses_extreme_tilt():
     with pytest.raises(ExtremeTiltError):
         effective_tensor(frame(math.pi / 2 - 1e-12, 0.0, 1.0), MED)
+
+
+def test_effective_tensor_marks_every_undefined_point_on_arrays():
+    # valid rows, then an extreme tilt, a NaN slope and overflowing slopes
+    cases = [(0.3, -1.0, 2.0), (0.0, 1.0, 1.0), (-1.2, 0.5, 7.0),
+             (math.pi / 2 - 1e-12, 0.0, 1.0), (0.4, math.nan, 1.0),
+             (0.0, 1e300, -1e300)]
+    psi, m1, m2 = np.array(cases).T
+    t = effective_tensor(frame(psi, m1, m2), MediumParams(2.5))
+    undefined = np.isnan(t.coeffs).any(axis=(1, 2))
+    assert undefined.tolist() == [False] * 3 + [True] * 3
+    assert np.isnan(t.coeffs[3:]).all()
+    assert t.extreme_tilt.tolist() == [False] * 3 + [True, False, False]
+    for k, case in enumerate(cases[:3]):
+        one = effective_tensor(frame(*case), MediumParams(2.5)).coeffs
+        assert one.tobytes() == t.coeffs[k].tobytes()
+    with pytest.raises(ExtremeTiltError, match="is within"):
+        effective_tensor(frame(*cases[3]), MED)
+    with pytest.raises(TensorError, match=r"^slopes must be finite, got "
+                       r"\(nan, 1\.0\)$"):
+        effective_tensor(frame(*cases[4]), MED)
+    with pytest.raises(TensorError, match="too large: rho or omega overflows"):
+        effective_tensor(frame(*cases[5]), MED)
 
 
 # ---------------------------------------------------------------------------

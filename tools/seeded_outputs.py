@@ -48,6 +48,14 @@ RUNS = [
                                     "resolution": "12x10"}),
     ("solve-waves-infinite", "solve", {"example": "waves", "mode": "infinite",
                                        "steps": "20", "snap_every": "10"}),
+    # the one-point routes: one oracle case by psi, m1, m2 or by normals,
+    # and the extreme-tilt analysis from slopes
+    ("oracle-case.json", "oracle", {"psi": "0.3", "m1": "-1", "m2": "2",
+                                    "d0": "0.7"}),
+    ("oracle-normals.json", "oracle", {"n1": "0.1,0.2,-1",
+                                       "n2": "-0.6,0.3,0.8", "d0": "0.7"}),
+    ("planes-slopes.json", "planes", {"m1": "0.5", "m2": "3",
+                                      "tilt_sign": "-", "d0": "0.7"}),
 ]
 
 # input files that RUNS name, written next to their configs: a 21x21
