@@ -236,9 +236,16 @@ def double_cross_probability(gap, sigma):
 
     With a = gap / sigma, Q the upper normal tail and
     F(u) = u Q(u) - phi(u) (an antiderivative of Q), this is
-    (2 / a) (F(2a) - F(a)).
+    (2 / a) (F(2a) - F(a)).  Below a = 1, where those terms cancel, it is
+    1 - (2 erf(a sqrt 2) - erf(a / sqrt 2) + (2 / a) phi(0) e^(-a^2/2)
+    expm1(-3a^2/2)), the bracket summed first; 1 at a = 0 (sigma = inf).
     """
     a = gap / sigma
+    if a < 1.0:
+        phi_terms = (2.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * a * a)
+                     * math.expm1(-1.5 * a * a) / a) if a else 0.0
+        return 1.0 - (2.0 * math.erf(a * math.sqrt(2.0))
+                      - math.erf(a / math.sqrt(2.0)) + phi_terms)
 
     def f(u):
         return (0.5 * u * math.erfc(u / math.sqrt(2.0))

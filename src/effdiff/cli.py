@@ -150,18 +150,19 @@ def _grid(key, text):
 
 _finite = _parser(float, math.isfinite, "a finite number")
 _positive = _parser(float, lambda v: 0 < v < math.inf, "positive and finite")
-_coordinate = _parser(float, lambda v: abs(v) <= 1e100, "in [-1e100, 1e100]")
+# coordinates and slopes whose spans, squares and 5% paddings stay finite
+_moderate = _parser(float, lambda v: abs(v) <= 1e100, "in [-1e100, 1e100]")
 _normal = _parser(_numbers, lambda v: len(v) == 3 and any(v),
                   "a finite non-zero vector x,y,z")
 
 _PARSERS = {
     "d0": _parser(float, lambda v: 1e-50 <= v <= 1e50, "in [1e-50, 1e50]"),
-    "dt": _positive, "gap": _positive, "x0": _finite, "x1": _finite,
+    "dt": _positive, "gap": _positive, "x0": _moderate, "x1": _moderate,
     "fd_step": _parser(float, lambda v: 0 < v < 1, "in (0, 1)"),
-    "mu": _finite, "m1": _finite, "m2": _finite,
+    "mu": _moderate, "m1": _finite, "m2": _finite,
     "psi": _parser(float, lambda v: abs(v) <= math.pi / 2,
                    "a tilt in [-pi/2, pi/2]"),
-    "eval_x": _coordinate, "eval_y": _coordinate,
+    "eval_x": _moderate, "eval_y": _moderate,
     "seed": _at_least(0), "count": _at_least(0), "steps": _at_least(0),
     "quad_points": _parser(int, lambda n: 1 <= n <= 1024,
                            "an integer in [1, 1024]"),
@@ -564,20 +565,17 @@ def cmd_solve(cfg, opt):
         itertools.product(_fmts(grid.yc), _fmts(grid.xc)), _fmts(grid.w.T))]
 
     def snapshot(step, g):
+        if step % snap_every and step != steps:
+            return
         path = f"{prefix}_{step:06d}.csv"
         write_csv(path, cfg, ["x", "y", "w", "p"], zip(fixed, _fmts(g.p.T)),
                   extra_header=[f"# step={step}", f"# time={_fmt(g.t)}"])
         written.append(path)
 
     snapshot(0, grid)
-
-    def callback(k, g):
-        if k % snap_every == 0 or k == steps:
-            snapshot(k, g)
-
     # no dt: evolve takes half the stability bound
     evolve(grid, opt.get("dt"), steps, mode=opt.get("mode", "finite"),
-           callback=callback)
+           callback=snapshot)
     sys.stderr.write(f"wrote {len(written)} snapshots: "
                      f"{written[0]} .. {written[-1]}\n")
     return 0

@@ -13,15 +13,15 @@ Discretization: cell-centered fields, explicit Euler, face fluxes
     F = - w_face D_face grad_face(u)
 
 with arithmetic-mean face values for w and D.  The normal part of
-grad_face(u) is the two-point difference across the face; the transverse
-part is the average of the centered in-cell gradients on either side
-(one-sided at the outer rows/columns).  Outer boundary faces carry zero
-flux, so total mass telescopes exactly.
+grad_face(u) is the face slope (the difference across the face over h); the
+transverse part averages the centered cell gradients on either side, which
+at the outer rows/columns are one-sided: the inner face's slope, computed
+once.  Outer boundary faces carry zero flux, so total mass telescopes exactly.
 
 The face coefficients w_face D_face do not change in time; evolve builds
 them, and checks the time step against the stability bound, once per run.
 
-Stability (explicit scheme): dt <= 0.2 min(hx, hy)^2 / max ||D||.
+Stability (explicit scheme): dt <= 0.2 min(hx, hy)^2 / max ||D||, 0 < dt < inf.
 Off-diagonal tensors get no positivity fix; strongly anisotropic cells
 can undershoot (documented limitation).
 """
@@ -146,19 +146,8 @@ def _spectral_norm_sq(d):
 def stability_bound(grid: PdeGrid, infinite_rate=False) -> float:
     """Largest admissible explicit time step, 0.2 h^2 / max ||D||."""
     dmax = grid.d0 if infinite_rate else math.sqrt(float(_spectral_norm_sq(grid.dten).max()))
-    return 0.2 * min(grid.hx, grid.hy) ** 2 / dmax
-
-
-def _cell_gradients(u, hx, hy):
-    gx = np.empty_like(u)
-    gx[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2 * hx)
-    gx[0, :] = (u[1, :] - u[0, :]) / hx
-    gx[-1, :] = (u[-1, :] - u[-2, :]) / hx
-    gy = np.empty_like(u)
-    gy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * hy)
-    gy[:, 0] = (u[:, 1] - u[:, 0]) / hy
-    gy[:, -1] = (u[:, -1] - u[:, -2]) / hy
-    return gx, gy
+    h = min(grid.hx, grid.hy)
+    return 0.2 * (h * h) / dmax     # h * h overflows to inf, h ** 2 raises
 
 
 def _faces(grid, infinite_rate):
@@ -179,16 +168,16 @@ def _step(grid, dt, faces):
     a11, a12, a22, a21 = faces
     hx, hy = grid.hx, grid.hy
     u = grid.p / grid.w
-    gx_cell, gy_cell = _cell_gradients(u, hx, hy)
-
-    # face fluxes: normal difference plus averaged transverse gradient
-    fx = (a11 * ((u[1:, :] - u[:-1, :]) / hx)
-          + a12 * (0.5 * (gy_cell[:-1, :] + gy_cell[1:, :])))
-    fy = (a22 * ((u[:, 1:] - u[:, :-1]) / hy)
-          + a21 * (0.5 * (gx_cell[:, :-1] + gx_cell[:, 1:])))
-
-    fx /= hx
-    fy /= hy
+    sx = np.diff(u, axis=0) / hx
+    sy = np.diff(u, axis=1) / hy
+    # centered cell gradients; one-sided (the inner face's slope) at the edges
+    gx_cell = np.concatenate(
+        [sx[:1], (u[2:, :] - u[:-2, :]) / (2 * hx), sx[-1:]], axis=0)
+    gy_cell = np.concatenate(
+        [sy[:, :1], (u[:, 2:] - u[:, :-2]) / (2 * hy), sy[:, -1:]], axis=1)
+    # face fluxes (normal slope plus averaged transverse gradient) over h
+    fx = (a11 * sx + a12 * (0.5 * (gy_cell[:-1, :] + gy_cell[1:, :]))) / hx
+    fy = (a22 * sy + a21 * (0.5 * (gx_cell[:, :-1] + gx_cell[:, 1:]))) / hy
     div = np.zeros_like(grid.p)
     div[:-1, :] += fx
     div[1:, :] -= fx
@@ -211,16 +200,19 @@ def evolve(grid: PdeGrid, dt, n_steps: int, mode="finite",
            callback=None) -> PdeGrid:
     """Run n_steps of the chosen mode; callback(k, grid) after each step.
 
-    dt=None takes half the stability bound; a dt above the bound raises
-    StabilityError.  The step is checked against the bound, and the face
-    coefficients are built, once per call; the grid after step k has time
-    t0 + k dt.
+    dt=None takes half the stability bound; a dt above the bound, or one
+    that is not positive and finite, raises StabilityError.  The step is
+    decided and checked, and the face coefficients are built, once per
+    call; the grid after step k has time t0 + k dt.
     """
     infinite_rate = mode != "finite"
     bound = stability_bound(grid, infinite_rate=infinite_rate)
     if dt is None:
         dt = 0.5 * bound
-    elif dt > bound * (1 + 1e-12):
+    if not 0 < dt < math.inf:
+        raise StabilityError(f"dt = {dt:.3g} is not positive and finite "
+                             f"(stability bound {bound:.3g})")
+    if dt > bound * (1 + 1e-12):
         raise StabilityError(
             f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
     faces = _faces(grid, infinite_rate)

@@ -98,6 +98,32 @@ def test_slab_double_cross_closed_form(sigma_over_gap):
     assert abs(measured - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n)
 
 
+def _double_cross_for_wide_gaps(a):
+    """double_cross_probability(a, 1) as it is written for a >= 1."""
+    def f(u):
+        return (0.5 * u * math.erfc(u / math.sqrt(2.0))
+                - math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+
+    return 2.0 / a * (f(2.0 * a) - f(a))
+
+
+def test_double_cross_probability_is_a_probability_falling_with_the_gap():
+    a = np.unique(np.concatenate([np.logspace(-300, 1.7, 3000),
+                                  np.linspace(0.9, 1.1, 2001)]))
+    p = np.array([double_cross_probability(float(x), 1.0) for x in a])
+    assert np.all((0.0 <= p) & (p <= 1.0))
+    assert np.all(np.diff(p) <= 0.0)
+    wide = a >= 1.0
+    assert p[wide].tobytes() == np.array(
+        [_double_cross_for_wide_gaps(float(x)) for x in a[wide]]).tobytes()
+    # below a = 1 the cancellation-free form agrees where the other is exact
+    narrow = (a >= 1e-3) & ~wide
+    ref = [_double_cross_for_wide_gaps(float(x)) for x in a[narrow]]
+    assert np.allclose(p[narrow], ref, rtol=1e-12, atol=0.0)
+    assert double_cross_probability(1e-20, 1.0) == 1.0
+    assert double_cross_probability(1.0, math.inf) == 1.0
+
+
 def test_oversized_steps_abort():
     with pytest.raises(StepTooLargeError):
         mc_projected_tensor(slab_job(0.0, dt=10.0, n_particles=500, n_steps=50))

@@ -470,6 +470,8 @@ _BAD_NUMBER_BASE = {
     ("mc", {"particles": "2", "blocks": "2"}, "blocks"),
     ("mc", {"particles": "3", "blocks": "2"}, "blocks"),
     ("oracle", {"quad_points": "1025"}, "quad_points"),
+    ("mc", {"mu": "1e200"}, "mu"),      # 1 + mu^2 overflows
+    ("recover-channel", {"x0": "-1e308", "x1": "1e308"}, "x0"),  # width: inf
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):
@@ -515,10 +517,23 @@ def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
     ("mc", dict(z1="log(x+0.6)-3", z2="2", domain="0,1,0,1", particles="50",
                 steps="300", dt="1e-2", seed="1"),
      "non-finite value in 'log(x + 0.6)'"),
+    # the stability bound 0.2 h^2 / ||D|| underflows to 0
+    ("solve", dict(z1="0", z2="1", domain="0,1e-300,0,1", resolution="4x4",
+                   steps="3"),
+     "dt = 0 is not positive and finite (stability bound 0)"),
+    # a gap so far below the step length that P rounds to 1
+    ("mc", dict(mu="0", gap="1e-20", particles="100", steps="2"),
+     "a step crosses both surfaces with probability 1 (limit 0.001); "
+     "reduce dt"),
+    # sqrt(2 d0 dt) overflows to inf, so gap / sigma is 0
+    ("mc", dict(mu="0", d0="1e50", dt="1e300", particles="100", steps="2"),
+     "a step crosses both surfaces with probability 1 (limit 0.001); "
+     "reduce dt"),
 ], ids=["solve-masked", "solve-extreme-tilt", "recover-channel-masked",
         "planes-huge-slopes", "solve-slope-overflow",
         "recover-channel-slope-overflow",
-        "mc-step-ends-where-a-surface-is-undefined"])
+        "mc-step-ends-where-a-surface-is-undefined", "solve-step-underflows",
+        "mc-slab-tiny-gap", "mc-slab-step-overflows"])
 def test_solve_and_recover_channel_name_the_first_undefined_point(
         tmp_path, capsys, command, settings, named):
     path = write_cfg(tmp_path, "bad.cfg", **settings)
@@ -658,6 +673,7 @@ def _finite_numbers(path):
     *[("oracle-wedge", key, text) for key in ("eval_x", "eval_y")
       for text in ("1e100", "-1e100")],
     ("oracle-wedge", "fd_step", "1e-300"), ("oracle-wedge", "fd_step", "0.999"),
+    ("solve", "domain", "0,1e200,0,1e200"),   # the stability bound: inf
 ])
 def test_range_ends_give_finite_results_or_one_error_line(
         tmp_path, monkeypatch, base, key, text):

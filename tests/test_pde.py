@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from effdiff import pde
 from effdiff.geometry import ScalarField, SurfacePair
 from effdiff.pde import (
     ConfigurationError, PdeGrid, StabilityError, evolve, stability_bound,
@@ -153,6 +155,17 @@ def test_stability_bound_enforced():
         step_infinite_rate(grid, 10 * stability_bound(grid, infinite_rate=True))
 
 
+@pytest.mark.parametrize("domain", [(0, 1e200, 0, 1e200), (0, 1e-300, 0, 1)],
+                         ids=["bound-overflows", "bound-underflows"])
+def test_a_step_that_is_not_positive_and_finite_is_refused(domain):
+    grid = flat_slab(domain, 4, 4)
+    bound = stability_bound(grid)       # h * h: never an OverflowError
+    assert bound in (0.0, math.inf)
+    for dt in (None, 0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(StabilityError, match="not positive and finite"):
+            evolve(grid, dt, 3)
+
+
 def test_bad_initial_density_rejected():
     with pytest.raises(ConfigurationError):
         flat_slab((0, 1, 0, 1), 8, 8, p0=np.ones((3, 3)))
@@ -196,3 +209,64 @@ def test_evolve_matches_single_steps_and_reports_time():
     assert np.max(np.abs(one.p - out.p)) <= 1e-15 * grid.p.max()
     assert one.t == pytest.approx(out.t, rel=1e-14)
     assert grid.t == 0.0
+
+
+# The explicit step as it was written before the face slopes were shared
+# with the one-sided edge gradients; kept verbatim as the bit-for-bit
+# reference of pde._step.
+def _cell_gradients(u, hx, hy):
+    gx = np.empty_like(u)
+    gx[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2 * hx)
+    gx[0, :] = (u[1, :] - u[0, :]) / hx
+    gx[-1, :] = (u[-1, :] - u[-2, :]) / hx
+    gy = np.empty_like(u)
+    gy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * hy)
+    gy[:, 0] = (u[:, 1] - u[:, 0]) / hy
+    gy[:, -1] = (u[:, -1] - u[:, -2]) / hy
+    return gx, gy
+
+
+def _step(grid, dt, faces):
+    """Density after one explicit Euler step with face coefficients `faces`."""
+    a11, a12, a22, a21 = faces
+    hx, hy = grid.hx, grid.hy
+    u = grid.p / grid.w
+    gx_cell, gy_cell = _cell_gradients(u, hx, hy)
+
+    # face fluxes: normal difference plus averaged transverse gradient
+    fx = (a11 * ((u[1:, :] - u[:-1, :]) / hx)
+          + a12 * (0.5 * (gy_cell[:-1, :] + gy_cell[1:, :])))
+    fy = (a22 * ((u[:, 1:] - u[:, :-1]) / hy)
+          + a21 * (0.5 * (gx_cell[:, :-1] + gx_cell[:, 1:])))
+
+    fx /= hx
+    fy /= hy
+    div = np.zeros_like(grid.p)
+    div[:-1, :] += fx
+    div[1:, :] -= fx
+    div[:, :-1] += fy
+    div[:, 1:] -= fy
+    return grid.p - dt * div
+
+
+@pytest.mark.parametrize("mode", ["finite", "infinite"])
+@pytest.mark.parametrize("nx,ny", [(2, 2), (2, 7), (16, 12)])
+def test_step_is_bit_identical_to_the_reference_step(mode, nx, ny):
+    # tilted waves whose tensor has |D12| up to 0.38
+    pair = SurfacePair(ScalarField.from_expression("6*x+0.5*sin(3*y)"),
+                       ScalarField.from_expression("6*y+20+0.5*cos(3*x)"),
+                       (0, 2, 0, 2))
+    grid = PdeGrid.from_surfaces(
+        pair, MED, nx, ny, p0=lambda x, y: np.exp(-4 * (x - 1) ** 2
+                                                  - 4 * (y - 1) ** 2))
+    infinite_rate = mode == "infinite"
+    if not infinite_rate:
+        assert np.abs(grid.dten[..., 0, 1]).max() > 0.1
+    dt = 0.5 * stability_bound(grid, infinite_rate=infinite_rate)
+    faces = pde._faces(grid, infinite_rate)
+    ref = grid.p
+    for _ in range(200):
+        ref = _step(replace(grid, p=ref), dt, faces)
+    out = evolve(grid, dt, 200, mode=mode)
+    assert not np.array_equal(out.p, grid.p)
+    assert out.p.tobytes() == ref.tobytes()

@@ -48,6 +48,13 @@ RUNS = [
                                     "resolution": "12x10"}),
     ("solve-waves-infinite", "solve", {"example": "waves", "mode": "infinite",
                                        "steps": "20", "snap_every": "10"}),
+    # a pair whose tensor has off-diagonal terms up to |D12| = 0.38, at
+    # both rates
+    *[(f"solve-offdiagonal-{mode}", "solve", {
+        "z1": "6*x+0.5*sin(3*y)", "z2": "6*y+20+0.5*cos(3*x)",
+        "domain": "0,2,0,2", "resolution": "16x12", "mode": mode,
+        "steps": "20", "snap_every": "10", "p0": "exp(-4*(x-1)^2-4*(y-1)^2)"})
+      for mode in ("finite", "infinite")],
     # the one-point routes: one oracle case by psi, m1, m2 or by normals,
     # and the extreme-tilt analysis from slopes
     ("oracle-case.json", "oracle", {"psi": "0.3", "m1": "-1", "m2": "2",
