@@ -10,15 +10,15 @@ with jackknife standard errors over contiguous particle blocks.
 
 Two geometries:
 
-* Slab: two parallel planes n.r in [d1, d2].  Reflection off a plane only
-  folds the normal coordinate with the triangle wave T of period 2 gap.
-  Because T(T(a) + xi) = T(+-a + xi) and each step xi is symmetric, the
-  final normal coordinate of the walk has exactly the law of T(s0 + a),
-  where a is the sum of the normal increments; the in-plane increments are
-  independent of it.  So each walker is sampled exactly from one isotropic
-  Gaussian 3-vector with per-axis variance 2 D0 T: the estimate depends on
-  dt and n_steps only through T.  Quantitatively trustworthy: the tensor is
-  position independent.
+* Slab: the planes z = mu x and z = mu x + gap.  Reflection off a plane
+  only folds the normal coordinate with the triangle wave T of period 2 d2
+  (d2 = gap / sqrt(1 + mu^2) the width).  Because T(T(a) + xi) = T(+-a + xi)
+  and each step xi is symmetric, the final normal coordinate of the walk
+  has exactly the law of T(s0 + a), where a is the sum of the normal
+  increments; the in-plane increments are independent of it.  So each
+  walker is sampled exactly from one isotropic Gaussian 3-vector with
+  per-axis variance 2 D0 T: the estimate depends on dt and n_steps only
+  through T.  Quantitatively trustworthy: the tensor is position independent.
 * SurfacePair: general curved surfaces.  A step that ends outside the
   region is cut where the margin min(z - z1, z2 - z) changes sign, and the
   rest is reflected about the normal of the surface hit there (up to
@@ -47,7 +47,7 @@ single buffer.  Repeated runs with one seed are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,29 +69,29 @@ class StepTooLargeError(BrownianError):
 
 @dataclass(frozen=True)
 class Slab:
-    """Region between parallel planes: d1 <= normal . r <= d2."""
+    """Region between the planes z = mu x and z = mu x + gap (gap measured
+    vertically), d1 <= normal . r <= d2; refused unless 0 < d2 < inf."""
 
-    normal: np.ndarray
-    d1: float
-    d2: float
+    mu: float = 0.0
+    gap: float = 1.0
+    normal: np.ndarray = field(init=False, repr=False, compare=False)
+    d2: float = field(init=False, repr=False, compare=False)
+    d1 = 0.0
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        norm = float(np.linalg.norm(n))
-        if norm < 1e-300:
-            raise BrownianError("slab normal must be non-zero")
-        object.__setattr__(self, "normal", n / norm)
-        if not self.d2 > self.d1:
-            raise BrownianError("slab needs d2 > d1")
-
-    @staticmethod
-    def from_slope(mu: float, gap: float = 1.0) -> "Slab":
-        """Slab between z = mu x and z = mu x + gap (gap measured
-        vertically)."""
-        if gap <= 0:
-            raise BrownianError("gap must be positive")
-        s = math.sqrt(1.0 + mu * mu)
-        return Slab(np.array([-mu, 0.0, 1.0]) / s, 0.0, gap / s)
+        if not 0 < self.gap < math.inf:
+            raise BrownianError(f"gap must be positive and finite, got {self.gap!r}")
+        s = math.sqrt(1.0 + self.mu * self.mu)
+        if not math.isfinite(s):
+            raise BrownianError(f"mu must have 1 + mu^2 finite, got {self.mu!r}")
+        if not self.gap / s > 0:
+            raise BrownianError(f"gap {self.gap!r} is too thin for mu {self.mu!r}: "
+                                "the width gap / sqrt(1 + mu^2) underflows to 0")
+        # (-mu, 0, 1) / s, divided once more by its computed norm (a few
+        # ulp from 1), whose rounding every seeded slab output carries
+        n = np.array([-self.mu, 0.0, 1.0]) / s
+        object.__setattr__(self, "normal", n / np.linalg.norm(n))
+        object.__setattr__(self, "d2", self.gap / s)
 
     def coordinate(self, r):
         return r @ self.normal

@@ -26,6 +26,7 @@ from .expr import ExprError
 from .geometry import (
     DegenerateConfigError, Domain, GeometryError, GridField, PlaneConfig,
     ScalarField, SurfacePair, frame_field, frame_for_planes, frame_from_slopes,
+    unit_vector,
 )
 from .pde import PdeError, PdeGrid, evolve
 from .quadrature import OracleError, WedgeQuadratureJob, quadrature_tensor
@@ -152,8 +153,18 @@ _finite = _parser(float, math.isfinite, "a finite number")
 _positive = _parser(float, lambda v: 0 < v < math.inf, "positive and finite")
 # coordinates and slopes whose spans, squares and 5% paddings stay finite
 _moderate = _parser(float, lambda v: abs(v) <= 1e100, "in [-1e100, 1e100]")
-_normal = _parser(_numbers, lambda v: len(v) == 3 and any(v),
-                  "a finite non-zero vector x,y,z")
+_vector = _parser(_numbers, lambda v: len(v) == 3, "three finite numbers x,y,z")
+
+
+def _normal(key, text):
+    """A vector that PlaneConfig accepts, refused even where it is unused."""
+    v = _vector(key, text)
+    try:
+        unit_vector(key, v)
+    except GeometryError as exc:
+        raise ConfigError(str(exc)) from None
+    return v
+
 
 _PARSERS = {
     "d0": _parser(float, lambda v: 1e-50 <= v <= 1e50, "in [1e-50, 1e50]"),
@@ -172,8 +183,7 @@ _PARSERS = {
                       "x0,x1,y0,y1 with finite x1 - x0 > 0 and y1 - y0 > 0"),
     "resolution": _parser(_sizes, lambda n: len(n) == 2 and min(n) >= 2,
                           "NXxNY with NX and NY >= 2"),
-    "start": _parser(_numbers, lambda v: len(v) == 3, "a finite point x,y,z"),
-    "n1": _normal, "n2": _normal, "zdir": _normal,
+    "start": _vector, "n1": _normal, "n2": _normal, "zdir": _normal,
     "z1": _expression, "z2": _expression, "p0": _expression,
     "z1_grid": _grid, "z2_grid": _grid,
     "mode": _one_of("finite", "infinite"), "tilt_sign": _one_of("+", "-"),
@@ -237,6 +247,14 @@ def resolve_config(command, args):
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     return cfg, _Settings((key, _PARSERS[key](key, text))
                           for key, text in cfg.items())
+
+
+def _set(opt, *keys, **renamed):
+    """Keyword arguments for a library type: each of its keys that is set,
+    under its own name or the one `renamed` gives it; an unset key keeps
+    the library's default."""
+    fields = {**dict(zip(keys, keys)), **renamed}
+    return {field: opt[key] for key, field in fields.items() if key in opt}
 
 
 def load_grid_field(path):
@@ -311,13 +329,6 @@ def _fmts(values):
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def _header_lines(cfg):
-    lines = [f"# effdiff {__version__}"]
-    for key in sorted(cfg):
-        lines.append(f"# {key}={cfg[key]}")
-    return lines
-
-
 def _write(path, text):
     """Write text to the file at path, or to stdout when path is None."""
     if path is None:
@@ -331,11 +342,10 @@ def _write(path, text):
 
 
 def write_csv(path, cfg, columns, rows, extra_header=()):
-    out = _header_lines(cfg) + list(extra_header)
-    out.append(",".join(columns))
-    out.extend(map(",".join, rows))
-    out.append("")  # the final newline, without copying the text again
-    _write(path, "\n".join(out))
+    # the version and config, then the table; "" gives the final newline
+    _write(path, "\n".join([
+        f"# effdiff {__version__}", *(f"# {k}={cfg[k]}" for k in sorted(cfg)),
+        *extra_header, ",".join(columns), *map(",".join, rows), ""]))
 
 
 def write_json(path, cfg, payload):
@@ -343,10 +353,6 @@ def write_json(path, cfg, payload):
                          "config": dict(sorted(cfg.items()))}}
     document.update(payload)
     _write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-
-def _matrix(m):
-    return [[float(m[0, 0]), float(m[0, 1])], [float(m[1, 0]), float(m[1, 1])]]
 
 
 # ---------------------------------------------------------------------------
@@ -400,45 +406,35 @@ def cmd_tensor(cfg, opt):
 
 def _normals_frame(opt):
     """The frame of the planes with normals n1 and n2, seen along zdir."""
-    return frame_for_planes(PlaneConfig(
-        np.array(opt["n1"]), np.array(opt["n2"]),
-        np.array(opt.get("zdir", (0.0, 0.0, 1.0)))))
+    return frame_for_planes(
+        PlaneConfig(opt["n1"], opt["n2"], **_set(opt, "zdir")))
 
 
 def _plane_report(opt):
+    """Two planes given by normals n1 and n2, or the extreme-tilt analysis
+    of slopes m1 and m2."""
     med = MediumParams(opt["d0"])
-    if "n1" in opt or "n2" in opt:
-        fr = _normals_frame(opt)
-        rho, omega = rho_omega(fr.m1, fr.m2)
-        tensor = effective_tensor(frame_from_slopes(fr.psi, fr.m1, fr.m2), med)
+    fr = _normals_frame(opt) if "n1" in opt or "n2" in opt else None
+    m1, m2 = (fr.m1, fr.m2) if fr else (opt["m1"], opt["m2"])
+    rho, omega = rho_omega(m1, m2)      # refuses the slopes before the tensor
+    mu = 0.5 * (m1 + m2)
+    if fr:
+        tensor = effective_tensor(frame_from_slopes(fr.psi, m1, m2), med)
         ell = polar_decompose(tensor)
-        return {
-            "psi": fr.psi, "m1": fr.m1, "m2": fr.m2,
-            "mu": 0.5 * (fr.m1 + fr.m2), "rho": rho, "omega": omega,
+        details = {
             "parallel": fr.parallel,
-            "frame": {"xhat": list(fr.xhat), "yhat": list(fr.yhat),
-                      "zhat": list(fr.zhat)},
-            "tensor_frame": _matrix(tensor.coeffs),
-            "ellipsoid": {
-                "lambda1": ell.lambda1, "lambda2": ell.lambda2,
-                "f1": list(ell.f1), "f2": list(ell.f2),
-                "degenerate": ell.degenerate,
-            },
-            "response_lines": {"e1": list(ell.e1), "e2": list(ell.e2)},
-        }
-    # explicit extreme-tilt analysis from the slopes
-    m1, m2 = opt["m1"], opt["m2"]
-    tensor, endpoints = extreme_tilt_tensor(m1, m2, opt.get("tilt_sign", "+"),
-                                            med)
-    rho, omega = rho_omega(m1, m2)
-    return {
-        "psi": tensor.psi, "m1": m1, "m2": m2, "mu": 0.5 * (m1 + m2),
-        "rho": rho, "omega": omega, "extreme_tilt": True,
-        "tensor_frame": _matrix(tensor.coeffs),
-        "eigenvalues": [0.0, med.d0 * (0.5 * (m1 + m2) * rho + omega)],
-        "segment_endpoints": [list(map(float, endpoints[0])),
-                              list(map(float, endpoints[1]))],
-    }
+            "frame": {k: list(getattr(fr, k)) for k in ("xhat", "yhat", "zhat")},
+            "ellipsoid": {"lambda1": ell.lambda1, "lambda2": ell.lambda2,
+                          "f1": list(ell.f1), "f2": list(ell.f2),
+                          "degenerate": ell.degenerate},
+            "response_lines": {"e1": list(ell.e1), "e2": list(ell.e2)}}
+    else:
+        tensor, ends = extreme_tilt_tensor(m1, m2, opt.get("tilt_sign", "+"), med)
+        details = {"extreme_tilt": True,
+                   "eigenvalues": [0.0, med.d0 * (mu * rho + omega)],
+                   "segment_endpoints": [list(map(float, e)) for e in ends]}
+    return {"psi": tensor.psi, "m1": m1, "m2": m2, "mu": mu, "rho": rho,
+            "omega": omega, "tensor_frame": tensor.coeffs.tolist(), **details}
 
 
 def cmd_planes(cfg, opt):
@@ -482,9 +478,7 @@ def _oracle_records(cases, med, setup):
 
 def cmd_oracle(cfg, opt):
     med = MediumParams(opt["d0"])
-    setup = {"eval_point": (opt.get("eval_x", 1.0), opt.get("eval_y", 0.0)),
-             "points": opt.get("quad_points", 128),
-             "fd_step": opt.get("fd_step", 1e-5)}
+    setup = _set(opt, "eval_x", "eval_y", "fd_step", quad_points="points")
     count = opt.get("count", 0)
 
     if count > 0:
@@ -519,26 +513,21 @@ def cmd_oracle(cfg, opt):
     return 0
 
 
-_MC_FIELDS = {"dt": "dt", "particles": "n_particles", "steps": "n_steps",
-              "seed": "seed", "start": "start", "blocks": "jackknife_blocks"}
-
-
 def cmd_mc(cfg, opt):
-    if ("z1" in opt or "z2" in opt) and "mu" not in opt and "gap" not in opt:
-        geometry, mode = _surface_pair(opt), "surfaces (report only)"
-    else:
-        geometry = Slab.from_slope(opt.get("mu", 0.0), opt.get("gap", 1.0))
-        mode = "slab"
+    slab = _set(opt, "mu", "gap")
+    surfaces = not slab and ("z1" in opt or "z2" in opt)
     try:
-        job = McJob(geometry, d0=opt["d0"], **{
-            field: opt[key] for key, field in _MC_FIELDS.items() if key in opt})
+        geometry = _surface_pair(opt) if surfaces else Slab(**slab)
+        job = McJob(geometry, d0=opt["d0"], **_set(
+            opt, "dt", "seed", "start", particles="n_particles",
+            steps="n_steps", blocks="jackknife_blocks"))
     except BrownianError as exc:
         raise ConfigError(str(exc)) from None
     result = mc_projected_tensor(job)
     write_json(opt.get("out"), cfg, {
-        "mode": mode,
-        "estimate": _matrix(result.estimate),
-        "stderr": _matrix(result.stderr),
+        "mode": "surfaces (report only)" if surfaces else "slab",
+        "estimate": result.estimate.tolist(),
+        "stderr": result.stderr.tolist(),
         "total_time": result.total_time,
         "seed": job.seed,
         "start": list(job.start),
@@ -574,8 +563,7 @@ def cmd_solve(cfg, opt):
 
     snapshot(0, grid)
     # no dt: evolve takes half the stability bound
-    evolve(grid, opt.get("dt"), steps, mode=opt.get("mode", "finite"),
-           callback=snapshot)
+    evolve(grid, opt.get("dt"), steps, callback=snapshot, **_set(opt, "mode"))
     sys.stderr.write(f"wrote {len(written)} snapshots: "
                      f"{written[0]} .. {written[-1]}\n")
     return 0

@@ -19,7 +19,7 @@ SurfacePair.sample supplies its inputs together with a mask of the points
 where the width or a gradient cannot be evaluated.
 
 The same quantities are available for a pure two-plane configuration given by
-unit normals (frame_for_planes); there the tilt is the angle between the
+normals (frame_for_planes); there the tilt is the angle between the
 plane intersection line and the projection plane.
 """
 
@@ -322,7 +322,7 @@ class FrameData:
 
 @dataclass(frozen=True)
 class PlaneConfig:
-    """Two planes given by unit normals, plus the projection direction."""
+    """Two planes given by their normals, plus the projection direction."""
 
     n1: np.ndarray
     n2: np.ndarray
@@ -330,11 +330,18 @@ class PlaneConfig:
 
     def __post_init__(self):
         for name in ("n1", "n2", "zdir"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            norm = float(np.linalg.norm(v))
-            if norm < 1e-300:
-                raise GeometryError(f"{name} must be a non-zero vector")
-            object.__setattr__(self, name, v / norm)
+            object.__setattr__(self, name, unit_vector(name, getattr(self, name)))
+
+
+def unit_vector(name, v):
+    """v / |v|; a GeometryError naming `name` unless |v| is positive and finite."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):    # an overflow is refused below
+        norm = float(np.linalg.norm(v))
+    if not 0 < norm < math.inf:
+        raise GeometryError(f"{name} must be a vector of positive finite "
+                            f"length, got {tuple(v.tolist())}")
+    return v / norm
 
 
 @dataclass(frozen=True)

@@ -200,12 +200,15 @@ def evolve(grid: PdeGrid, dt, n_steps: int, mode="finite",
            callback=None) -> PdeGrid:
     """Run n_steps of the chosen mode; callback(k, grid) after each step.
 
+    mode is "finite" or "infinite"; any other raises ConfigurationError.
     dt=None takes half the stability bound; a dt above the bound, or one
     that is not positive and finite, raises StabilityError.  The step is
     decided and checked, and the face coefficients are built, once per
     call; the grid after step k has time t0 + k dt.
     """
-    infinite_rate = mode != "finite"
+    if mode not in ("finite", "infinite"):
+        raise ConfigurationError(f"mode must be finite or infinite, got {mode!r}")
+    infinite_rate = mode == "infinite"
     bound = stability_bound(grid, infinite_rate=infinite_rate)
     if dt is None:
         dt = 0.5 * bound

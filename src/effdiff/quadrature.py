@@ -54,7 +54,8 @@ class WedgeQuadratureJob:
     psi: float
     m1: float
     m2: float
-    eval_point: tuple = (1.0, 0.0)
+    eval_x: float = 1.0
+    eval_y: float = 0.0
     points: int = 128
     fd_step: float = 1e-5
 
@@ -71,7 +72,7 @@ def quadrature_tensor(job: WedgeQuadratureJob,
     """
     one = np.ndim(job.psi) == 0
     psi, m1, m2 = np.atleast_1d(job.psi, job.m1, job.m2)
-    x, y = float(job.eval_point[0]), float(job.eval_point[1])
+    x, y = float(job.eval_x), float(job.eval_y)
     h = job.fd_step * max(1.0, abs(x), abs(y))
     # the evaluation point, then x + h, x - h, y + h and y - h
     px, py = np.array([[x, x + h, x - h, x, x], [y, y, y, y + h, y - h]])

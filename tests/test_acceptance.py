@@ -81,7 +81,7 @@ def test_criterion_02_parallel_plane_monte_carlo():
     failures = []
     details = []
     for k, mu in enumerate((0.0, 0.5, 1.0, 2.0)):
-        slab = Slab.from_slope(mu)
+        slab = Slab(mu)
         job = McJob(slab, d0=1.0, dt=1e-3, n_particles=100_000,
                     n_steps=10_000, seed=20260810 + k, start=(0.0, 0.0, 0.5))
         res = mc_projected_tensor(job)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ def slab_job(mu, **kw):
     defaults = dict(d0=1.0, dt=1e-3, n_particles=10000, n_steps=1000,
                     seed=42, start=(0.0, 0.0, 0.4))
     defaults.update(kw)
-    return McJob(Slab.from_slope(mu), **defaults)
+    return McJob(Slab(mu), **defaults)
 
 
 def test_flat_slab_is_isotropic_within_errors():
@@ -131,7 +131,7 @@ def test_oversized_steps_abort():
 
 def test_start_must_be_inside():
     # refused when the job is built, before any sampling; on a wall is out
-    slab = Slab.from_slope(0.5)
+    slab = Slab(0.5)
     pair = SurfacePair(ScalarField.from_expression("cos(x)"),
                        ScalarField.from_expression("cos(y)+5/2"), (0, 6, 0, 6))
     for geometry, start, message in (
@@ -164,7 +164,7 @@ def test_a_start_where_a_surface_is_undefined_is_refused_as_outside():
 
 
 def test_a_job_without_a_start_starts_at_the_geometry_s_own():
-    slab = Slab.from_slope(0.7, gap=2.0)
+    slab = Slab(0.7, gap=2.0)
     start = McJob(slab).start
     assert start == tuple(slab.midpoint_start())
     assert all(type(c) is float for c in start)
@@ -210,7 +210,7 @@ def test_curved_path_affine_slab_matches_parallel_plane_value():
     assert res.estimate[0, 0] == pytest.approx(0.5, abs=4 * res.stderr[0, 0])
     assert res.estimate[1, 1] == pytest.approx(1.0, abs=4 * res.stderr[1, 1])
     # the same slab through the exact sampler agrees with the stepper
-    slab = mc_projected_tensor(replace(job, geometry=Slab.from_slope(1.0)))
+    slab = mc_projected_tensor(replace(job, geometry=Slab(1.0)))
     se = np.hypot(slab.stderr[0, 0], res.stderr[0, 0])
     assert abs(slab.estimate[0, 0] - res.estimate[0, 0]) < 4 * se
 
@@ -534,7 +534,7 @@ def test_grazing_chain_under_a_crest_is_a_rejected_step(monkeypatch):
 
 
 def test_every_jackknife_replicate_keeps_two_particles():
-    slab = Slab.from_slope(0.0)
+    slab = Slab(0.0)
     for n, blocks in ((2, 2), (3, 2), (5, 6)):
         with pytest.raises(BrownianError):
             McJob(slab, n_particles=n, jackknife_blocks=blocks)
@@ -544,12 +544,31 @@ def test_every_jackknife_replicate_keeps_two_particles():
         assert np.all(np.isfinite(res.stderr))
 
 
-def test_slab_from_slope_geometry():
-    slab = Slab.from_slope(2.0, gap=1.0)
+def test_slab_geometry():
+    slab = Slab(2.0, gap=1.0)
     # the plane z = 2x contains (1, 0, 2); the upper one is one unit above
     assert slab.coordinate(np.array([1.0, 0.0, 2.0])) == pytest.approx(0.0, abs=1e-15)
     assert slab.coordinate(np.array([1.0, 0.0, 3.0])) == pytest.approx(slab.d2, abs=1e-15)
     assert slab.normal @ slab.normal == pytest.approx(1.0, abs=1e-15)
+
+
+def test_a_slab_is_its_slope_and_gap():
+    assert [f.name for f in fields(Slab) if f.init] == ["mu", "gap"]
+    assert Slab() == Slab(0.0, 1.0) and Slab(2.0).d2 == 1.0 / math.sqrt(5.0)
+    # the start's last bits: half the width over a rounded normal
+    assert tuple(Slab(1.0, 1.0).midpoint_start()) == (
+        0.0, 0.0, 0.49999999999999994)
+    # steeper than |normal_z| <= 1e-12: half-way along the normal
+    assert tuple(Slab(1e13, 1e13).midpoint_start()) == (-0.5, 0.0, 5e-14)
+
+
+@pytest.mark.parametrize("mu,gap,named", [
+    (0.0, 0.0, "gap"), (0.0, -1.0, "gap"), (0.0, math.inf, "gap"),
+    (0.0, math.nan, "gap"), (1e200, 1.0, "mu"), (math.inf, 1.0, "mu"),
+    (math.nan, 1.0, "mu"), (1e100, 1e-300, "gap")])
+def test_a_slab_without_a_finite_positive_width_is_refused(mu, gap, named):
+    with pytest.raises(BrownianError, match=f"^{named} "):
+        Slab(mu, gap)
 
 
 # ---------------------------------------------------------------------------

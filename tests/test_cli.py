@@ -320,6 +320,39 @@ def test_mc_defaults_written_out_give_the_same_result(tmp_path, geometry):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("command,keys,defaults", [
+    ("oracle", dict(example="wedge"),
+     dict(eval_x="1.0", eval_y="0.0", quad_points="128", fd_step="1e-5")),
+    ("oracle", dict(count="20", seed="3", eval_y="0.5"),
+     dict(eval_x="1", quad_points="128", fd_step="0.00001")),
+    ("planes", dict(example="wedge"), dict(zdir="0,0,1")),
+    ("mc", dict(particles="500", seed="2"), dict(mu="0", gap="1")),
+    ("mc", dict(mu="0.5", particles="500"), dict(gap="1.0")),
+    ("solve", dict(z1="0", z2="1+0.3*sin(x)", domain="0,2,0,1",
+                   resolution="6x4", steps="8", p0="1+x"), dict(mode="finite")),
+], ids=["oracle-case", "oracle-sweep", "planes", "slab", "slab-mu", "solve"])
+def test_library_defaults_written_out_give_the_same_result(
+        tmp_path, command, keys, defaults):
+    # the library's defaults, written out, change nothing but the echoed
+    # config lines
+    outputs = []
+    for name, cfg in (("omitted", keys), ("written", {**keys, **defaults})):
+        path = write_cfg(tmp_path, f"{name}.cfg", **cfg)
+        assert run(tmp_path, command, "--config", path,
+                   "--out", str(tmp_path / name)) == 0
+        echoed = tuple(f"# {key}=" for key in [*cfg, "out"])
+        outputs.append([
+            (p.name.replace(name, ""), [ln for ln in p.read_text().splitlines()
+                                        if not ln.startswith(echoed)])
+            for p in sorted(tmp_path.glob(f"{name}*")) if p.suffix != ".cfg"])
+        if command != "solve":
+            [(_, text)] = outputs[-1]
+            doc = json.loads("\n".join(text))
+            del doc["meta"]["config"]
+            outputs[-1] = doc
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
 def test_solve_snapshots_conserve_mass(tmp_path):
     cfg = write_cfg(tmp_path, "solve.cfg", z1="0", z2="2+sin(x)",
                     domain="0,6.283185307179586,0,1", resolution="24x3",
@@ -472,6 +505,11 @@ _BAD_NUMBER_BASE = {
     ("oracle", {"quad_points": "1025"}, "quad_points"),
     ("mc", {"mu": "1e200"}, "mu"),      # 1 + mu^2 overflows
     ("recover-channel", {"x0": "-1e308", "x1": "1e308"}, "x0"),  # width: inf
+    ("mc", {"mu": "1e100", "gap": "1e-300"}, "gap"),  # width underflows
+    # a normal whose computed length underflows or overflows, used or not
+    ("planes", {"n1": "1e-320,0,0", "n2": "0,0,1"}, "n1"),
+    ("planes", {"n1": "1e308,0,1e308", "n2": "0,0.5,1"}, "n1"),
+    ("oracle", {"n1": "0,0,-1", "n2": "0,0,1", "zdir": "1e-320,0,0"}, "zdir"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):

@@ -64,6 +64,15 @@ def test_planes_vertical_parallel_is_degenerate():
     assert abs(err.value.psi) == pytest.approx(math.pi / 2)
 
 
+@pytest.mark.parametrize("vector", [(0.0, 0.0, 0.0), (1e-320, 0.0, 0.0),
+                                    (1e308, 0.0, 1e308), (math.nan, 0.0, 1.0)])
+@pytest.mark.parametrize("name", ["n1", "n2", "zdir"])
+def test_a_vector_without_a_positive_finite_length_is_refused(name, vector):
+    planes = dict(n1=(0.0, 0.0, 1.0), n2=(0.0, 0.5, 1.0), zdir=(0.0, 0.0, 1.0))
+    with pytest.raises(GeometryError, match=f"^{name} must be a vector"):
+        PlaneConfig(**{**planes, name: np.array(vector)})
+
+
 def test_planes_vertical_intersection_is_degenerate():
     # both planes contain the horizontal y-axis only; intersection is zhat
     n1 = np.array([1.0, 0.0, 0.0])

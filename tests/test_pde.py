@@ -166,6 +166,12 @@ def test_a_step_that_is_not_positive_and_finite_is_refused(domain):
             evolve(grid, dt, 3)
 
 
+def test_an_unknown_mode_is_refused():
+    grid = flat_slab((0, 1, 0, 1), 4, 4)
+    with pytest.raises(ConfigurationError, match="'finit'"):
+        evolve(grid, None, 3, mode="finit")
+
+
 def test_bad_initial_density_rejected():
     with pytest.raises(ConfigurationError):
         flat_slab((0, 1, 0, 1), 8, 8, p0=np.ones((3, 3)))

@@ -74,9 +74,9 @@ def test_job_from_plane_config():
 
 def test_apex_proximity_and_interior_checks():
     with pytest.raises(ApexProximityError):
-        quadrature_tensor(WedgeQuadratureJob(0.0, 0.0, 1.0, eval_point=(1e-9, 0.0)))
+        quadrature_tensor(WedgeQuadratureJob(0.0, 0.0, 1.0, eval_x=1e-9, eval_y=0.0))
     with pytest.raises(OracleError):
-        quadrature_tensor(WedgeQuadratureJob(0.0, 1.0, 0.0, eval_point=(1.0, 0.0)))
+        quadrature_tensor(WedgeQuadratureJob(0.0, 1.0, 0.0, eval_x=1.0, eval_y=0.0))
     with pytest.raises(OracleError):
         quadrature_tensor(WedgeQuadratureJob(math.pi / 2, 0.0, 1.0))
 
@@ -99,7 +99,7 @@ def reference_tensor(job, med=MED):
     if math.pi / 2 - abs(psi) < EPS_PSI:
         raise OracleError("extreme tilt: wedge coordinates are undefined")
 
-    x, y = float(job.eval_point[0]), float(job.eval_point[1])
+    x, y = float(job.eval_x), float(job.eval_y)
     if abs(m2 - m1) <= EPS_M * (1.0 + abs(m1) + abs(m2)):
         family, z_bounds = _reference_slab_family(0.5 * (m1 + m2))
     else:
@@ -218,7 +218,7 @@ def same_bits(a, b):
 def test_reference_agrees_with_the_one_case_call():
     for job in (WedgeQuadratureJob(0.5, -1.0, 2.0),
                 WedgeQuadratureJob(-1.2, 0.5, 7.0, points=256),
-                WedgeQuadratureJob(0.3, 1.0, 1.0, eval_point=(2.0, -1.0))):
+                WedgeQuadratureJob(0.3, 1.0, 1.0, eval_x=2.0, eval_y=-1.0)):
         assert reference_tensor(job).tobytes() == quadrature_tensor(job).tobytes()
 
 
@@ -252,7 +252,7 @@ def test_sweep_across_block_boundaries_is_bit_equal(tmp_path, count):
     got = _oracle_sweep(tmp_path, count, 7, **settings)
     assert len(got) == count
     assert same_bits(got, reference_records(
-        sweep_cases(count, 7), points=24, eval_point=(1.5, -0.5)))
+        sweep_cases(count, 7), points=24, eval_x=1.5, eval_y=-0.5))
 
 
 def test_slab_family_rows_are_bit_equal():
@@ -261,7 +261,7 @@ def test_slab_family_rows_are_bit_equal():
     m2 = m1.copy()
     m2[::2] += 1e-9 * (1.0 + np.abs(m1[::2]))   # within EPS_M: still a slab
     psi = rng.uniform(-1.4, 1.4, 40)
-    for settings in ({}, {"eval_point": (-3.0, 2.0), "fd_step": 1e-3}):
+    for settings in ({}, {"eval_x": -3.0, "eval_y": 2.0, "fd_step": 1e-3}):
         stack = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2, **settings),
                                   MediumParams(2.5))
         for k in range(40):
@@ -283,7 +283,8 @@ _NAN_SLOPE = _MIXED[:6] + [(0.4, math.nan, 1.0)] + _MIXED[6:]
                          ids=["nan-rows", "nan-slope"])
 @pytest.mark.parametrize("eval_point", [(1.0, 0.0), (1e-9, 0.0)])
 def test_mixed_batch_gives_the_reference_records_in_order(eval_point, cases):
-    settings = {"eval_point": eval_point, "points": 32, "fd_step": 1e-5}
+    settings = {"eval_x": eval_point[0], "eval_y": eval_point[1],
+                "points": 32, "fd_step": 1e-5}
     got = _oracle_records(np.array(cases), MED, settings)
     want = reference_records(cases, **settings)
     kinds = [r["error"]["kind"] for r in want if "error" in r]
@@ -318,7 +319,7 @@ def test_single_failing_case_keeps_exit_code_kind_and_message(
     out = tmp_path / "one.json"
     assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 3
     [want] = reference_records([(float(psi), m1, m2)],
-                               eval_point=(float(eval_x), 0.0))
+                               eval_x=float(eval_x), eval_y=0.0)
     [got] = json.loads(out.read_text())["cases"]
     assert same_bits(got, want)
     assert capsys.readouterr().err == f"error: {want['error']['message']}\n"

@@ -63,6 +63,19 @@ RUNS = [
                                        "n2": "-0.6,0.3,0.8", "d0": "0.7"}),
     ("planes-slopes.json", "planes", {"m1": "0.5", "m2": "3",
                                       "tilt_sign": "-", "d0": "0.7"}),
+    # tilted slabs: the benchmark's validate slab, a slab with only mu set
+    # and one so steep that it starts on its normal through the origin
+    ("mc-tilted.json", "mc", {"mu": "1", "gap": "1", "seed": "3"}),
+    ("mc-mu-only.json", "mc", {"mu": "0.5", "seed": "3"}),
+    ("mc-steep.json", "mc", {"mu": "1e13", "gap": "1e13", "seed": "3"}),
+    # oracle settings one at a time, and planes seen along a tilted zdir
+    ("oracle-eval-y.json", "oracle", {"psi": "0.3", "m1": "-1", "m2": "2",
+                                      "eval_y": "0.4"}),
+    ("oracle-resolution.json", "oracle", {"example": "wedge", "count": "20",
+                                          "seed": "5", "quad_points": "64",
+                                          "fd_step": "1e-4"}),
+    ("planes-zdir.json", "planes", {"n1": "0.1,0.2,-1", "n2": "-0.6,0.3,0.8",
+                                    "zdir": "0.2,-0.1,1"}),
 ]
 
 # input files that RUNS name, written next to their configs: a 21x21
