@@ -70,7 +70,8 @@ class StepTooLargeError(BrownianError):
 @dataclass(frozen=True)
 class Slab:
     """Region between the planes z = mu x and z = mu x + gap (gap measured
-    vertically), d1 <= normal . r <= d2; refused unless 0 < d2 < inf."""
+    vertically), d1 <= normal . r <= d2.  mu and gap are kept as floats;
+    the slab is refused unless both are and 0 < d2 < inf."""
 
     mu: float = 0.0
     gap: float = 1.0
@@ -79,6 +80,12 @@ class Slab:
     d1 = 0.0
 
     def __post_init__(self):
+        for name in ("gap", "mu"):      # floats from here on
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:
+                raise BrownianError(f"{name} must be finite, got an int too "
+                                    "large for a float") from None
         if not 0 < self.gap < math.inf:
             raise BrownianError(f"gap must be positive and finite, got {self.gap!r}")
         s = math.sqrt(1.0 + self.mu * self.mu)

@@ -72,6 +72,8 @@ EXAMPLES = {
 }
 
 _COMMON_KEYS = {"d0", "out", "example"}
+# Only tensor takes grid files (z1_grid, z2_grid): a grid-backed walk or
+# solve is library-only, though mc and solve share _surface_pair.
 _ALLOWED_KEYS = {
     "tensor": _COMMON_KEYS | {"z1", "z2", "z1_grid", "z2_grid", "domain",
                               "resolution", "seed"},
@@ -376,12 +378,11 @@ def cmd_tensor(cfg, opt):
     y, x = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))
 
     w, g1, g2, bad = pair.sample(x, y)
-    fd = frame_field(w, g1, g2)
-    tensor = effective_tensor(fd, med)
+    tensor = effective_tensor(frame_field(g1, g2), med)
+    fd = tensor.frame
     fine = ~bad & ~np.isnan(tensor.coeffs[:, 0, 0])
     ell = polar_decompose(tensor.coeffs[fine])
-    # B = [xhat yhat] as columns; a matrix product, as to_cartesian uses
-    basis = np.stack([np.stack(fd.xhat, -1), np.stack(fd.yhat, -1)], -1)[fine]
+    basis = fd.basis()[fine]    # a matrix product, as to_cartesian uses
 
     def frame_to_global(v):
         return (basis @ v[..., None])[..., 0]
@@ -417,7 +418,6 @@ def _plane_report(opt):
     fr = _normals_frame(opt) if "n1" in opt or "n2" in opt else None
     m1, m2 = (fr.m1, fr.m2) if fr else (opt["m1"], opt["m2"])
     rho, omega = rho_omega(m1, m2)      # refuses the slopes before the tensor
-    mu = 0.5 * (m1 + m2)
     if fr:
         tensor = effective_tensor(frame_from_slopes(fr.psi, m1, m2), med)
         ell = polar_decompose(tensor)
@@ -430,10 +430,11 @@ def _plane_report(opt):
             "response_lines": {"e1": list(ell.e1), "e2": list(ell.e2)}}
     else:
         tensor, ends = extreme_tilt_tensor(m1, m2, opt.get("tilt_sign", "+"), med)
-        details = {"extreme_tilt": True,
-                   "eigenvalues": [0.0, med.d0 * (mu * rho + omega)],
+        details = {"extreme_tilt": True, "eigenvalues": [
+                       0.0, med.d0 * (tensor.frame.mu * rho + omega)],
                    "segment_endpoints": [list(map(float, e)) for e in ends]}
-    return {"psi": tensor.psi, "m1": m1, "m2": m2, "mu": mu, "rho": rho,
+    fd = tensor.frame
+    return {"psi": fd.psi, "m1": fd.m1, "m2": fd.m2, "mu": fd.mu, "rho": rho,
             "omega": omega, "tensor_frame": tensor.coeffs.tolist(), **details}
 
 

@@ -295,6 +295,12 @@ class _Source:
         else:
             op, fn, args = node.op, _BINARY_IMPL[node.op], (node.left, node.right)
         operands = [self.emit(arg) for arg in args]
+        if all(name[0] == "c" for name in operands):
+            # folded by its ufunc; a non-finite one stays a step for the mask
+            with np.errstate(all="ignore"):
+                value = float(fn(*map(self.env.get, operands)))
+            if math.isfinite(value):
+                return self.emit(Const(value))
         key = (fn.__name__, *operands)
         if key not in names:
             for k in _ABSORBING.get(op, ()):

@@ -13,10 +13,10 @@ and the slopes of the two bounding tangent planes
 
     m_i = grad(z_i).grad(w) / ( (grad(z_i).gradperp(w)) sin(psi) + |grad w| cos(psi) ).
 
-frame_field evaluates these on arrays of points and flags the points where
-grad w vanishes; frame_from_gradients is its one-point form, and
-SurfacePair.sample supplies its inputs together with a mask of the points
-where the width or a gradient cannot be evaluated.
+frame_field evaluates these from the surface gradients on arrays of points
+into one FrameData and flags the points where grad w vanishes;
+frame_from_gradients is its one-point form, and SurfacePair.sample supplies
+its inputs with a mask of the points where the width or a gradient is undefined.
 
 The same quantities are available for a pure two-plane configuration given by
 normals (frame_for_planes); there the tilt is the angle between the
@@ -26,6 +26,7 @@ plane intersection line and the projection plane.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -301,16 +302,12 @@ class SurfacePair:
 
 @dataclass(frozen=True)
 class FrameData:
-    """Geometric bundle of a surface pair at one point or at many.
+    """Frame of a surface pair at one point or at many: unit vectors xhat
+    along grad w and yhat along gradperp w, tilt psi, slopes m1, m2 and
+    their mean mu.  At one point the fields are floats, pairs of floats and
+    a bool; from frame_field they are arrays of one shape (pairs of arrays
+    for the vectors), and the flag is a boolean mask."""
 
-    At one point the fields are floats, pairs of floats and a bool.  From
-    frame_field they are arrays of one common shape (pairs of arrays for
-    the vectors), and the flag is a boolean mask.
-    """
-
-    w: float
-    gradw: tuple
-    gradperpw: tuple
     xhat: tuple
     yhat: tuple
     psi: float
@@ -318,6 +315,10 @@ class FrameData:
     m2: float
     mu: float
     degenerate_frame: bool = False
+
+    def basis(self):
+        """B = [xhat yhat] as columns: one 2x2 matrix or a (..., 2, 2) stack."""
+        return np.stack([np.stack(self.xhat, -1), np.stack(self.yhat, -1)], -1)
 
 
 @dataclass(frozen=True)
@@ -334,14 +335,16 @@ class PlaneConfig:
 
 
 def unit_vector(name, v):
-    """v / |v|; a GeometryError naming `name` unless |v| is positive and finite."""
+    """v / sqrt(v.v), as np.linalg.norm computes it; a GeometryError naming
+    `name` unless v.v is a normal float (a subnormal one has lost digits)."""
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):    # an overflow is refused below
-        norm = float(np.linalg.norm(v))
-    if not 0 < norm < math.inf:
-        raise GeometryError(f"{name} must be a vector of positive finite "
-                            f"length, got {tuple(v.tolist())}")
-    return v / norm
+        square = float(v.dot(v))
+    if not sys.float_info.min <= square < math.inf:
+        raise GeometryError(f"{name} must be a vector whose squared length is "
+                            f"in [{sys.float_info.min!r}, inf), got "
+                            f"{tuple(v.tolist())}")
+    return v / math.sqrt(square)
 
 
 @dataclass(frozen=True)
@@ -430,9 +433,9 @@ def _unit_clip(v):
     return np.where(v > -1.0, v, -1.0)
 
 
-def frame_field(w, g1, g2) -> FrameData:
-    """Frame bundles from surface gradients g1 = (g1x, g1y), g2 = (g2x, g2y)
-    and widths w, given as arrays of one shape (or broadcastable to one).
+def frame_field(g1, g2) -> FrameData:
+    """Frame bundles from surface gradients g1 = (g1x, g1y), g2 = (g2x, g2y),
+    given as arrays of one shape (or broadcastable to one).
 
     Where |grad w| < EPS_GRAD the frame along grad w is unreliable; the
     tangent planes are parallel there, so the frame is built from grad z1,
@@ -441,7 +444,6 @@ def frame_field(w, g1, g2) -> FrameData:
     cross12^2/(s1 s2) + |grad w| cos(psi) > 0.  Whether the tensor is
     defined is decided by effective_tensor from psi alone.
     """
-    w = np.asarray(w, dtype=float)
     g1x, g1y = (np.asarray(c, dtype=float) for c in g1)
     g2x, g2y = (np.asarray(c, dtype=float) for c in g2)
     with np.errstate(all="ignore"):
@@ -457,7 +459,6 @@ def frame_field(w, g1, g2) -> FrameData:
 
         # generic frame along grad w
         xhat = (gwx / norm_gw, gwy / norm_gw)
-        yhat = (gperp[0] / norm_gw, gperp[1] / norm_gw)
         cp = np.cos(psi)
         slopes = []
         for gx, gy in ((g1x, g1y), (g2x, g2y)):
@@ -472,22 +473,20 @@ def frame_field(w, g1, g2) -> FrameData:
         along_g1 = n1 > EPS_GRAD
         pxhat = (np.where(along_g1, g1x / n1, 1.0),
                  np.where(along_g1, g1y / n1, 0.0))
-        pyhat = (-pxhat[1], pxhat[0])
         pslopes = [gx * pxhat[0] + gy * pxhat[1]
                    for gx, gy in ((g1x, g1y), (g2x, g2y))]
 
         xhat = tuple(np.where(parallel, p, g) for p, g in zip(pxhat, xhat))
-        yhat = tuple(np.where(parallel, p, g) for p, g in zip(pyhat, yhat))
+        yhat = (-xhat[1], xhat[0])     # xhat turned by pi/2
         m1, m2 = (np.where(parallel, p, g) for p, g in zip(pslopes, slopes))
         psi = np.where(parallel, 0.0, psi)
         mu = 0.5 * (m1 + m2)
-    return FrameData(w, (gwx, gwy), gperp, xhat, yhat, psi, m1, m2, mu,
-                     degenerate_frame=parallel)
+    return FrameData(xhat, yhat, psi, m1, m2, mu, degenerate_frame=parallel)
 
 
-def frame_from_gradients(w, g1, g2) -> FrameData:
+def frame_from_gradients(g1, g2) -> FrameData:
     """Frame bundle at one point: frame_field on scalars."""
-    fd = frame_field(w, g1, g2)
+    fd = frame_field(g1, g2)
     return FrameData(*(tuple(c.item() for c in v) if isinstance(v, tuple)
                        else v.item()
                        for v in (getattr(fd, f.name) for f in fields(fd))))
@@ -495,8 +494,7 @@ def frame_from_gradients(w, g1, g2) -> FrameData:
 
 def frame_from_slopes(psi, m1, m2) -> FrameData:
     """Frame bundle of a plane pair given directly by its tilt and slopes,
-    in the unit frame (xhat, yhat) = (x axis, y axis) at unit width."""
+    in the unit frame (xhat, yhat) = (x axis, y axis)."""
     with np.errstate(over="ignore"):  # an overflow: rho_omega marks the point
         mu = 0.5 * (m1 + m2)
-    return FrameData(1.0, (1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0),
-                     psi, m1, m2, mu)
+    return FrameData((1.0, 0.0), (0.0, 1.0), psi, m1, m2, mu)

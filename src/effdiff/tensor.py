@@ -24,11 +24,12 @@ with eigenvalues {0, D0 (mu rho + omega)}.  The image of the unit circle
 under a non-degenerate D is an ellipse whose axes come from the symmetric
 factor of the polar decomposition D = S R (S symmetric PSD, R orthogonal).
 
-effective_tensor takes a one-point frame bundle or a frame_field bundle of
-arrays; polar_decompose and to_cartesian take one 2x2 matrix or a
-(..., 2, 2) stack.  The tensor is undefined at an extreme tilt, at a
-non-finite slope and where rho or omega overflows.  On arrays such a point
-gets NaN coefficients and nothing raises; at one point it raises.
+effective_tensor takes a one-point FrameData or a frame_field one of arrays
+and returns an EffectiveTensor: the coefficients, that FrameData and the
+extreme-tilt flag.  polar_decompose takes one 2x2 matrix or a (..., 2, 2)
+stack, to_cartesian one tensor or a stacked one.  The tensor is undefined
+at an extreme tilt, at a non-finite slope and where rho or omega overflows.
+On arrays such a point gets NaN coefficients; at one point it raises.
 sample_tensor runs sample, frame and tensor for a surface pair and refuses
 the first undefined point by name.
 """
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FrameData, GeometryError, frame_field
+from .geometry import FrameData, GeometryError, frame_field, frame_from_slopes
 
 EPS_M = 1e-7        # relative switch to the coincident-slope limit
 EPS_PSI = 1e-9      # margin on pi/2 - |psi| for the extreme-tilt guard
@@ -69,19 +70,12 @@ class MediumParams:
 
 @dataclass(frozen=True)
 class EffectiveTensor:
-    """2x2 operator matrix in the (xhat, yhat) frame, flux = coeffs @ grad.
-
-    Built from a frame_field bundle, coeffs is a (..., 2, 2) stack, the
-    other fields are those of the bundle and extreme_tilt is a mask.
-    """
+    """2x2 operator matrix, flux = coeffs @ grad, in `frame`: the FrameData
+    it was built from.  From a frame_field bundle, coeffs is a (..., 2, 2)
+    stack and extreme_tilt a mask."""
 
     coeffs: np.ndarray
-    xhat: tuple
-    yhat: tuple
-    psi: float
-    m1: float
-    m2: float
-    degenerate_frame: bool = False
+    frame: FrameData
     extreme_tilt: bool = False
 
 
@@ -171,9 +165,7 @@ def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
         coeffs[..., 1, 1] = d0 * (cp * cp + mu * rho * sp * sp)
     if coeffs.ndim > 2:
         coeffs[extreme | ~(np.isfinite(rho) & np.isfinite(omega))] = np.nan
-    return EffectiveTensor(coeffs, fd.xhat, fd.yhat, fd.psi, fd.m1, fd.m2,
-                           degenerate_frame=fd.degenerate_frame,
-                           extreme_tilt=extreme if psi.ndim else False)
+    return EffectiveTensor(coeffs, fd, extreme if psi.ndim else False)
 
 
 def _refuse_first(mask, x, y, error, what):
@@ -195,7 +187,7 @@ def sample_tensor(pair, x, y, med: MediumParams):
     w, g1, g2, bad = pair.sample(x, y)
     _refuse_first(bad, x, y, GeometryError,
                   "width or surface gradient undefined")
-    tensor = effective_tensor(frame_field(w, g1, g2), med)
+    tensor = effective_tensor(frame_field(g1, g2), med)
     _refuse_first(tensor.extreme_tilt, x, y, ExtremeTiltError,
                   "tensor undefined (extreme tilt)")
     _refuse_first(np.isnan(tensor.coeffs).any(axis=(-2, -1)), x, y,
@@ -206,7 +198,8 @@ def sample_tensor(pair, x, y, med: MediumParams):
 def extreme_tilt_tensor(m1: float, m2: float, sign: str, med: MediumParams):
     """Rank-1 tensors at tilt = sign * pi/2, plus the degenerate ellipse.
 
-    Returns (EffectiveTensor, (endpoint_plus, endpoint_minus)) where the
+    Returns (EffectiveTensor, (endpoint_plus, endpoint_minus)): the tensor
+    is in the unit frame of frame_from_slopes(sign * pi/2, m1, m2), and the
     endpoints are +-D0 (mu rho + omega)/sqrt(omega^2+rho^2) * (omega, -+rho),
     the diametrically opposite ends of the collapsed ellipse.
     """
@@ -214,20 +207,14 @@ def extreme_tilt_tensor(m1: float, m2: float, sign: str, med: MediumParams):
         raise TensorError("sign must be '+' or '-'")
     d0 = med.d0
     rho, omega = rho_omega(m1, m2)
-    mu = 0.5 * (m1 + m2)
-    if sign == "-":
-        coeffs = d0 * np.array([[omega, mu * omega], [rho, mu * rho]])
-        direction = np.array([omega, rho])
-        psi = -math.pi / 2
-    else:
-        coeffs = d0 * np.array([[omega, -mu * omega], [-rho, mu * rho]])
-        direction = np.array([omega, -rho])
-        psi = math.pi / 2
+    s = 1.0 if sign == "+" else -1.0
+    frame = frame_from_slopes(s * math.pi / 2, m1, m2)
+    mu = frame.mu
+    coeffs = d0 * np.array([[omega, -s * mu * omega], [-s * rho, mu * rho]])
+    direction = np.array([omega, -s * rho])
     scale = d0 * (mu * rho + omega) / math.hypot(omega, rho)
     endpoints = (scale * direction, -scale * direction)
-    tensor = EffectiveTensor(coeffs, (1.0, 0.0), (0.0, 1.0), psi, m1, m2,
-                             extreme_tilt=True)
-    return tensor, endpoints
+    return EffectiveTensor(coeffs, frame, extreme_tilt=True), endpoints
 
 
 def channel_recovery(z1, z2, x, med: MediumParams) -> np.ndarray:
@@ -321,9 +308,9 @@ def polar_decompose(tensor) -> EllipsoidData:
 
 def to_cartesian(tensor: EffectiveTensor) -> np.ndarray:
     """Operator matrix in global (x, y) components: B M B^T with
-    B = [xhat yhat] as columns; a (..., 2, 2) stack for a stacked tensor.
+    B = FrameData.basis(); a (..., 2, 2) stack for a stacked tensor.
     Fails on an undefined frame."""
-    b = np.stack([np.stack(tensor.xhat, -1), np.stack(tensor.yhat, -1)], -1)
+    b = tensor.frame.basis()
     if not np.all(np.isfinite(b)):
         raise TensorError("frame is degenerate; no Cartesian components")
     return b @ tensor.coeffs @ _t(b)

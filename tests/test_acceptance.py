@@ -34,8 +34,7 @@ def report(num, desc, ok, detail=""):
 
 
 def plain_frame(psi, m1, m2):
-    return FrameData(1.0, (1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0),
-                     psi, m1, m2, 0.5 * (m1 + m2))
+    return FrameData((1.0, 0.0), (0.0, 1.0), psi, m1, m2, 0.5 * (m1 + m2))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +121,7 @@ def test_criterion_04_radial_example():
     x, y, r = x[keep], y[keep], r[keep]
     _, _, _, tensor = sample_tensor(pair, x, y, MED)
     t = tensor.coeffs
-    worst_psi = float(np.abs(tensor.psi).max())
+    worst_psi = float(np.abs(tensor.frame.psi).max())
     worst_off = float(np.abs(t[:, [0, 1], [1, 0]]).max())
     d22_exact = bool(np.all(t[:, 1, 1] == 1.0))
     # zero tilt: omega of the slopes f1'(r), f2'(r) along grad w
@@ -146,8 +145,8 @@ def test_criterion_05_waves_example():
     x = np.concatenate([[math.pi / 2], lines, along])
     y = np.concatenate([[math.pi / 2], along, lines])
     _, _, _, tensor = sample_tensor(pair, x, y, MED)
-    center_ok = abs(tensor.psi[0] + math.asin(0.5)) <= 1e-12
-    worst_line = float(np.abs(tensor.psi[1:]).max())
+    center_ok = abs(tensor.frame.psi[0] + math.asin(0.5)) <= 1e-12
+    worst_line = float(np.abs(tensor.frame.psi[1:]).max())
     report(5, "waves: psi(pi/2,pi/2) = -arcsin(1/2); psi vanishes on the "
               "lattice lines", center_ok and worst_line <= 1e-10,
            f"line max |psi|={worst_line:.2g}")

@@ -565,7 +565,10 @@ def test_a_slab_is_its_slope_and_gap():
 @pytest.mark.parametrize("mu,gap,named", [
     (0.0, 0.0, "gap"), (0.0, -1.0, "gap"), (0.0, math.inf, "gap"),
     (0.0, math.nan, "gap"), (1e200, 1.0, "mu"), (math.inf, 1.0, "mu"),
-    (math.nan, 1.0, "mu"), (1e100, 1e-300, "gap")])
+    (math.nan, 1.0, "mu"), (1e100, 1e-300, "gap"),
+    # ints: too large for a float, or with 1 + mu^2 too large for one
+    (10**400, 1.0, "mu"), (1.0, 10**400, "gap"), (10**200, 1.0, "mu"),
+    (-10**400, 1, "mu"), (0, -10**400, "gap")])
 def test_a_slab_without_a_finite_positive_width_is_refused(mu, gap, named):
     with pytest.raises(BrownianError, match=f"^{named} "):
         Slab(mu, gap)

@@ -510,6 +510,11 @@ _BAD_NUMBER_BASE = {
     ("planes", {"n1": "1e-320,0,0", "n2": "0,0,1"}, "n1"),
     ("planes", {"n1": "1e308,0,1e308", "n2": "0,0.5,1"}, "n1"),
     ("oracle", {"n1": "0,0,-1", "n2": "0,0,1", "zdir": "1e-320,0,0"}, "zdir"),
+    # a normal whose squared length is subnormal: 2e-320
+    ("planes", {"n1": "1e-160,0,1e-160", "n2": "0,0.5,1"}, "n1"),
+    # grid-backed walks and solves are library-only
+    ("mc", {"z1_grid": "z1.grid"}, "unknown config keys"),
+    ("solve", {"z1_grid": "z1.grid"}, "unknown config keys"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from effdiff.cli import main
 from effdiff.expr import (
     _BINARY_IMPL, _CONSTANTS, _FUNCTIONS, _UNARY_IMPL, MAX_DEPTH, Binary,
-    Compiled, Const, EvalDomainError, ParseError, Unary, Var,
+    Compiled, Const, EvalDomainError, ParseError, Unary, Var, _Source,
     differentiate, evaluate, parse, to_text,
 )
 
@@ -196,6 +196,27 @@ def test_evaluate_masked_marks_exactly_the_failing_elements():
     assert bad.shape == xs.shape and bad.all()
     (values,), bad = Compiled(parse("x*y")).evaluate_masked((1.5, 2.0))
     assert (values, bad.tolist()) == (3.0, False)
+
+
+def test_constant_only_nodes_are_folded_once_at_generation():
+    # the waves pair as SurfacePair.surfaces compiles it: the 5/2 of z2 is
+    # computed while generating, by the ufunc its step would have run
+    src = _Source()
+    for text in ("cos(x)", "cos(y)+5/2"):
+        tree = parse(text)
+        for t in (tree, differentiate(tree, "x"), differentiate(tree, "y")):
+            src.emit(t)
+    assert src.steps
+    for _, call, reads, _ in src.steps:
+        assert any(name[0] != "c" for name in reads), call
+    assert np.divide(5.0, 2.0) in src.env.values()
+    # a non-finite constant node keeps its step, for the mask and the trace
+    src = _Source()
+    src.emit(parse("x + log(0)"))
+    assert [call for _, call, _, _ in src.steps][0] == "log(c0)"
+    with pytest.raises(EvalDomainError) as err:
+        evaluate(parse("x + log(0)"), (1.0, 2.0))
+    assert err.value.expr_text == "log(0.0)"
 
 
 def test_an_overflowing_finiteness_sum_is_only_a_false_alarm():

@@ -22,9 +22,9 @@ def make_pair(z1, z2, domain=(-3, 3, -3, 3), **kw):
 def surface_frames(pair, x, y):
     """Frame bundles of the pair at the points (x, y), all defined there,
     with the sampled surface gradients."""
-    w, g1, g2, bad = pair.sample(x, y)
+    _, g1, g2, bad = pair.sample(x, y)
     assert not np.any(bad)
-    return frame_field(w, g1, g2), g1, g2
+    return frame_field(g1, g2), g1, g2
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +65,20 @@ def test_planes_vertical_parallel_is_degenerate():
 
 
 @pytest.mark.parametrize("vector", [(0.0, 0.0, 0.0), (1e-320, 0.0, 0.0),
-                                    (1e308, 0.0, 1e308), (math.nan, 0.0, 1.0)])
+                                    (1e308, 0.0, 1e308), (math.nan, 0.0, 1.0),
+                                    # a subnormal squared length: 2e-320
+                                    # and just below 2.2250738585072014e-308
+                                    (1e-160, 0.0, 1e-160),
+                                    (1.05e-154, 0.0, 1.05e-154)])
 @pytest.mark.parametrize("name", ["n1", "n2", "zdir"])
 def test_a_vector_without_a_positive_finite_length_is_refused(name, vector):
     planes = dict(n1=(0.0, 0.0, 1.0), n2=(0.0, 0.5, 1.0), zdir=(0.0, 0.0, 1.0))
     with pytest.raises(GeometryError, match=f"^{name} must be a vector"):
         PlaneConfig(**{**planes, name: np.array(vector)})
+    # just above the threshold: a squared length of 2.2472e-308
+    c = PlaneConfig(**{**planes, name: np.array([1.06e-154, 0.0, 1.06e-154])})
+    np.testing.assert_allclose(getattr(c, name), [SQ2 / 2, 0.0, SQ2 / 2],
+                               rtol=1e-15)
 
 
 def test_planes_vertical_intersection_is_degenerate():
@@ -177,8 +185,8 @@ def test_surfaces_frame_orthonormal_and_perp_rotation():
     np.testing.assert_allclose(xx * yx + xy * yy, 0.0, atol=1e-12)
     np.testing.assert_allclose(np.hypot(xx, xy), 1.0, atol=1e-12)
     np.testing.assert_allclose(np.hypot(yx, yy), 1.0, atol=1e-12)
-    assert np.array_equal(fd.gradperpw[0], -fd.gradw[1])
-    assert np.array_equal(fd.gradperpw[1], fd.gradw[0])
+    assert np.array_equal(fd.yhat[0], -fd.xhat[1])
+    assert np.array_equal(fd.yhat[1], fd.xhat[0])
     assert np.all(np.abs(fd.psi) <= math.pi / 2)
 
 
@@ -256,15 +264,6 @@ def test_routes_tilt_relation_general():
             np.linalg.norm(cross) * math.sin(fr.psi), abs=1e-12)
         assert np.allclose(fr.xhat[:2], (fd.xhat[0][k], fd.xhat[1][k]),
                            atol=1e-10)
-
-
-def test_gradw_equals_gradient_difference():
-    pair = make_pair("sin(x)*cos(y)", "4+x*y/4")
-    p = np.random.default_rng(2).uniform(-2.5, 2.5, size=(30, 2))
-    fd, g1, g2 = surface_frames(pair, p[:, 0], p[:, 1])
-    for k in range(2):
-        np.testing.assert_allclose(fd.gradw[k], g2[k] - g1[k], rtol=0,
-                                   atol=1e-12)
 
 
 def test_tilt_vanishes_for_functionally_dependent_surfaces():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from effdiff import pde
-from effdiff.geometry import ScalarField, SurfacePair
+from effdiff.geometry import FrameData, ScalarField, SurfacePair
 from effdiff.pde import (
     ConfigurationError, PdeGrid, StabilityError, evolve, stability_bound,
     step_finite_rate, step_infinite_rate, to_cartesian,
@@ -44,8 +44,8 @@ def test_flat_slab_grid_is_unit_width_and_isotropic():
 
 def test_to_cartesian_is_similarity_transform():
     s = 1 / math.sqrt(2)
-    t = EffectiveTensor(np.array([[1.0, 0.2], [-0.3, 0.8]]), (s, s), (-s, s),
-                        0.1, 0.0, 1.0)
+    t = EffectiveTensor(np.array([[1.0, 0.2], [-0.3, 0.8]]),
+                        FrameData((s, s), (-s, s), 0.1, 0.0, 1.0, 0.5))
     b = np.array([[s, -s], [s, s]])
     assert np.allclose(to_cartesian(t), b @ t.coeffs @ b.T, atol=1e-15)
 

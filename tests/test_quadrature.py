@@ -22,8 +22,7 @@ SQ2 = math.sqrt(2.0)
 
 
 def closed_form(psi, m1, m2, d0=1.0):
-    fd = FrameData(1.0, (1, 0), (0, 1), (1.0, 0.0), (0.0, 1.0), psi, m1, m2,
-                   0.5 * (m1 + m2))
+    fd = FrameData((1.0, 0.0), (0.0, 1.0), psi, m1, m2, 0.5 * (m1 + m2))
     return effective_tensor(fd, MediumParams(d0)).coeffs
 
 

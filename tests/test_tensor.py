@@ -1,12 +1,13 @@
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from effdiff.geometry import (
-    ScalarField, SurfacePair, frame_field, frame_from_gradients,
+    FrameData, ScalarField, SurfacePair, frame_field, frame_from_gradients,
     frame_from_slopes,
 )
 from effdiff.tensor import (
@@ -19,9 +20,7 @@ MED = MediumParams(1.0)
 
 
 def frame(psi, m1, m2, xhat=(1.0, 0.0), yhat=(0.0, 1.0)):
-    from effdiff.geometry import FrameData
-    return FrameData(1.0, (1.0, 0.0), (0.0, 1.0), xhat, yhat, psi, m1, m2,
-                     0.5 * (m1 + m2))
+    return FrameData(xhat, yhat, psi, m1, m2, 0.5 * (m1 + m2))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +342,13 @@ def test_full_pipeline_matches_zero_tilt_omega_on_radial_surfaces():
 
 
 def test_to_cartesian_frames():
-    t = EffectiveTensor(np.diag([2.0, 3.0]), (1.0, 0.0), (0.0, 1.0), 0.0, 0, 0)
+    t = EffectiveTensor(np.diag([2.0, 3.0]), frame(0.0, 0, 0))
     assert np.allclose(to_cartesian(t), np.diag([2.0, 3.0]), atol=1e-15)
-    t = EffectiveTensor(np.diag([2.0, 3.0]), (0.0, 1.0), (-1.0, 0.0), 0.0, 0, 0)
+    t = EffectiveTensor(np.diag([2.0, 3.0]),
+                        frame(0.0, 0, 0, (0.0, 1.0), (-1.0, 0.0)))
     assert np.allclose(to_cartesian(t), np.diag([3.0, 2.0]), atol=1e-15)
     s = 1 / math.sqrt(2)
-    t = EffectiveTensor(np.diag([1.0, 0.0]), (s, s), (-s, s), 0.0, 0, 0)
+    t = EffectiveTensor(np.diag([1.0, 0.0]), frame(0.0, 0, 0, (s, s), (-s, s)))
     assert np.allclose(to_cartesian(t), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
@@ -454,7 +454,7 @@ def test_frame_and_tensor_kernel_match_the_per_point_reference():
     g2 = np.array([c[1] for c in cases])
     d0 = 1.7
     refs = [_reference_point(a, b, d0) for a, b in cases]
-    fd = frame_field(np.ones(len(cases)), g1.T, g2.T)
+    fd = frame_field(g1.T, g2.T)
     t = effective_tensor(fd, MediumParams(d0))
     assert len(cases) == 635 and not any(r[6] for r in refs)
     assert fd.degenerate_frame.tolist() == [r[5] for r in refs]
@@ -505,7 +505,7 @@ _ROUNDING_SLIVER = ((-0.4568666139712401, -0.8895351719284916),
 def test_frame_field_matches_the_reference_on_generated_gradients(pair):
     g1, g2 = pair
     psi, m1, m2, xhat, yhat, degenerate, extreme, coeffs = _reference_point(g1, g2)
-    fd = frame_field(np.ones(1), np.array(g1)[:, None], np.array(g2)[:, None])
+    fd = frame_field(np.array(g1)[:, None], np.array(g2)[:, None])
     t = effective_tensor(fd, MED)
     assert degenerate or not extreme      # no zero slope denominator
     assert fd.degenerate_frame[0] == degenerate
@@ -528,10 +528,10 @@ def test_scalar_calls_are_one_element_kernel_calls():
     cases = _gradient_cases()[::7]
     g1 = np.array([c[0] for c in cases])
     g2 = np.array([c[1] for c in cases])
-    fd = frame_field(np.ones(len(cases)), g1.T, g2.T)
+    fd = frame_field(g1.T, g2.T)
     t = effective_tensor(fd, MED)
     for k, (a, b) in enumerate(cases):
-        one = frame_from_gradients(1.0, a, b)
+        one = frame_from_gradients(a, b)
         assert isinstance(one.psi, float)
         assert isinstance(one.degenerate_frame, bool)
         assert one.degenerate_frame == fd.degenerate_frame[k]
@@ -545,9 +545,36 @@ def test_scalar_calls_are_one_element_kernel_calls():
             assert _close(effective_tensor(one, MED).coeffs, t.coeffs[k])
 
 
+def test_a_tensor_holds_the_frame_it_was_built_from():
+    assert [f.name for f in fields(FrameData)] == [
+        "xhat", "yhat", "psi", "m1", "m2", "mu", "degenerate_frame"]
+    assert [f.name for f in fields(EffectiveTensor)] == [
+        "coeffs", "frame", "extreme_tilt"]
+    one = frame_from_gradients((0.3, -0.2), (0.1, 0.5))
+    many = frame_field(np.array([[0.3, 0.0]]).T, np.array([[0.1, 0.0]]).T)
+    for fd in (one, many):
+        assert effective_tensor(fd, MED).frame is fd
+    for sign, psi in (("+", math.pi / 2), ("-", -math.pi / 2)):
+        t, _ = extreme_tilt_tensor(0.5, 3.0, sign, MED)
+        assert t.frame == frame_from_slopes(psi, 0.5, 3.0) and t.extreme_tilt
+
+
+def test_basis_has_xhat_and_yhat_as_columns():
+    s = 1 / math.sqrt(2)
+    assert np.array_equal(frame(0.0, 0, 0, (s, s), (-s, s)).basis(),
+                          [[s, -s], [s, s]])
+    fd = frame_field((np.array([1.0, 0.0]), np.zeros(2)),
+                     (np.array([2.0, 0.0]), np.array([0.0, 3.0])))
+    b = fd.basis()
+    assert b.shape == (2, 2, 2)
+    for k in range(2):
+        assert np.array_equal(b[k], [[fd.xhat[0][k], fd.yhat[0][k]],
+                                     [fd.xhat[1][k], fd.yhat[1][k]]])
+
+
 def test_frame_from_slopes_is_the_unit_frame():
     fd = frame_from_slopes(0.3, -1.0, 2.0)
-    assert (fd.xhat, fd.yhat, fd.w, fd.mu) == ((1.0, 0.0), (0.0, 1.0), 1.0, 0.5)
+    assert (fd.xhat, fd.yhat, fd.mu) == ((1.0, 0.0), (0.0, 1.0), 0.5)
     assert np.array_equal(effective_tensor(fd, MED).coeffs,
                           effective_tensor(frame(0.3, -1.0, 2.0), MED).coeffs)
 
@@ -587,7 +614,7 @@ def test_polar_and_cartesian_accept_stacks_of_any_shape():
     assert np.allclose(ell.S @ ell.R, d, atol=1e-12)
     angle = rng.uniform(0.0, 2 * math.pi, size=(3, 4))
     c, s = np.cos(angle), np.sin(angle)
-    t = EffectiveTensor(d, (c, s), (-s, c), 0.0, 0.0, 0.0)
+    t = EffectiveTensor(d, frame(0.0, 0.0, 0.0, (c, s), (-s, c)))
     b = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
     assert np.allclose(to_cartesian(t), b @ d @ np.swapaxes(b, -1, -2), atol=1e-15)
     with pytest.raises(TensorError):

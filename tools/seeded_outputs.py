@@ -76,6 +76,14 @@ RUNS = [
                                           "fd_step": "1e-4"}),
     ("planes-zdir.json", "planes", {"n1": "0.1,0.2,-1", "n2": "-0.6,0.3,0.8",
                                     "zdir": "0.2,-0.1,1"}),
+    # tensor rows without numbers: a domain_error node (the radial origin)
+    # and slope_overflow nodes beside a degenerate frame, for each z2
+    ("tensor-domain-error.csv", "tensor", {"example": "radial",
+                                           "resolution": "3x3"}),
+    *[(f"tensor-slope-overflow-{k}.csv", "tensor", {
+        "z1": "-1e200*x^2", "z2": z2, "domain": domain, "resolution": "3x2"})
+      for k, (z2, domain) in enumerate([("1", "0,1,0,1"),
+                                        ("1e200*x^2+1", "0,0.2,0,1")])],
 ]
 
 # input files that RUNS name, written next to their configs: a 21x21
