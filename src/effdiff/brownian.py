@@ -11,8 +11,8 @@ with jackknife standard errors over contiguous particle blocks.
 Two geometries:
 
 * Slab: the planes z = mu x and z = mu x + gap.  Reflection off a plane
-  only folds the normal coordinate with the triangle wave T of period 2 d2
-  (d2 = gap / sqrt(1 + mu^2) the width).  Because T(T(a) + xi) = T(+-a + xi)
+  only folds the normal coordinate with the triangle wave T of period
+  2 width (width = gap / sqrt(1 + mu^2)).  Because T(T(a) + xi) = T(+-a + xi)
   and each step xi is symmetric, the final normal coordinate of the walk
   has exactly the law of T(s0 + a), where a is the sum of the normal
   increments; the in-plane increments are independent of it.  So each
@@ -57,6 +57,7 @@ MAX_BOUNCES = 8
 NEWTON_TOL = 1e-14           # crossing search: step or bracket in t
 NEWTON_MAX_ITER = 100        # termination bound; searches end far sooner
 DOUBLE_CROSS_LIMIT = 1e-3    # abort above this fraction of steps
+ROUNDING_MARGIN = 1e6        # least step, in ulp: rounding moves it <= 1e-6
 
 
 class BrownianError(Exception):
@@ -70,14 +71,13 @@ class StepTooLargeError(BrownianError):
 @dataclass(frozen=True)
 class Slab:
     """Region between the planes z = mu x and z = mu x + gap (gap measured
-    vertically), d1 <= normal . r <= d2.  mu and gap are kept as floats;
-    the slab is refused unless both are and 0 < d2 < inf."""
+    vertically), 0 <= normal . r <= width.  mu and gap are kept as floats;
+    the slab is refused unless both are and 0 < width < inf."""
 
     mu: float = 0.0
     gap: float = 1.0
     normal: np.ndarray = field(init=False, repr=False, compare=False)
-    d2: float = field(init=False, repr=False, compare=False)
-    d1 = 0.0
+    width: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("gap", "mu"):      # floats from here on
@@ -98,22 +98,25 @@ class Slab:
         # ulp from 1), whose rounding every seeded slab output carries
         n = np.array([-self.mu, 0.0, 1.0]) / s
         object.__setattr__(self, "normal", n / np.linalg.norm(n))
-        object.__setattr__(self, "d2", self.gap / s)
+        object.__setattr__(self, "width", self.gap / s)
 
     def coordinate(self, r):
         return r @ self.normal
 
     def midpoint_start(self):
-        continuous = 0.5 * (self.d1 + self.d2)
-        return np.array([0.0, 0.0, continuous / self.normal[2]]) \
-            if abs(self.normal[2]) > 1e-12 else continuous * self.normal
+        half = 0.5 * self.width
+        return np.array([0.0, 0.0, half / self.normal[2]]) \
+            if abs(self.normal[2]) > 1e-12 else half * self.normal
 
 
 @dataclass(frozen=True)
 class McJob:
     """One Monte Carlo run; one that cannot run is refused here.  Its start
     defaults to the geometry's own: a slab's `midpoint_start`, a surface
-    pair's domain centre, half-way between the surfaces."""
+    pair's domain centre, half-way between the surfaces.  A dt whose steps
+    are lost to rounding is refused: sqrt(2 D0 dt) (for a slab, one step of
+    sqrt(2 D0 T)) must exceed ROUNDING_MARGIN ulp of the largest start
+    coordinate (of a slab's width, where the fold rounds)."""
 
     geometry: object              # Slab or SurfacePair
     d0: float = 1.0
@@ -139,6 +142,13 @@ class McJob:
                                 f"({n})] and leave at least 2 particles "
                                 f"outside each block, got {blocks}")
         object.__setattr__(self, "start", _start(self.geometry, self.start))
+        slab = isinstance(self.geometry, Slab)
+        sigma = math.sqrt(2.0 * self.d0 * (self.n_steps if slab else 1) * self.dt)
+        scale = self.geometry.width if slab else max(map(abs, self.start))
+        if not sigma > ROUNDING_MARGIN * math.ulp(scale):
+            raise BrownianError(f"dt = {self.dt:.3g} is too small: a step of "
+                                f"{sigma:.3g} is lost to rounding at coordinates "
+                                f"of {scale:.3g}")
 
 
 def _start(geometry, start):
@@ -147,9 +157,9 @@ def _start(geometry, start):
     if isinstance(geometry, Slab):
         start = geometry.midpoint_start() if start is None else start
         s0 = float(geometry.coordinate(np.asarray(start, dtype=float)))
-        if not (geometry.d1 < s0 < geometry.d2):
+        if not (0.0 < s0 < geometry.width):
             raise BrownianError(f"start coordinate {s0:.6g} is not strictly "
-                                f"inside [{geometry.d1:.6g}, {geometry.d2:.6g}]")
+                                f"inside [0, {geometry.width:.6g}]")
     elif isinstance(geometry, SurfacePair):
         d = geometry.domain
         x, y, z = ((0.5 * (d.x0 + d.x1), 0.5 * (d.y0 + d.y1), None)
@@ -172,8 +182,6 @@ class McResult:
     total_time: float
     n_particles: int
     n_steps: int
-    dt: float
-    seed: int
     double_cross_fraction: float
     rejected_steps: int
     max_overshoot: float          # 0: no kept position lies outside
@@ -229,25 +237,25 @@ def mc_projected_tensor(job: McJob) -> McResult:
     total_time = job.n_steps * job.dt
     estimate, se = _jackknife(disp, total_time, job.jackknife_blocks)
     return McResult(estimate, se, total_time, job.n_particles, job.n_steps,
-                    job.dt, job.seed, frac, stats["rejected"], 0.0)
+                    frac, stats["rejected"], 0.0)
 
 
 # ---------------------------------------------------------------------------
 # slab geometry: exact sampling of the folded walk
 # ---------------------------------------------------------------------------
 
-def double_cross_probability(gap, sigma):
+def double_cross_probability(width, sigma):
     """Probability that one Gaussian step of per-axis deviation sigma,
-    taken from a point uniform across a slab of width gap, crosses both
-    walls: P(|floor((s + xi - d1) / gap)| >= 2).
+    taken from a point s uniform across a slab of width `width`, crosses
+    both walls: P(|floor((s + xi) / width)| >= 2).
 
-    With a = gap / sigma, Q the upper normal tail and
+    With a = width / sigma, Q the upper normal tail and
     F(u) = u Q(u) - phi(u) (an antiderivative of Q), this is
     (2 / a) (F(2a) - F(a)).  Below a = 1, where those terms cancel, it is
     1 - (2 erf(a sqrt 2) - erf(a / sqrt 2) + (2 / a) phi(0) e^(-a^2/2)
     expm1(-3a^2/2)), the bracket summed first; 1 at a = 0 (sigma = inf).
     """
-    a = gap / sigma
+    a = width / sigma
     if a < 1.0:
         phi_terms = (2.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * a * a)
                      * math.expm1(-1.5 * a * a) / a) if a else 0.0
@@ -261,18 +269,17 @@ def double_cross_probability(gap, sigma):
     return 2.0 / a * (f(2.0 * a) - f(a))
 
 
-def _fold(s, d1, gap):
-    """Triangle wave of period 2 gap mapping s into [d1, d1 + gap]."""
-    v = np.mod((s - d1) / gap, 2.0)
-    return d1 + gap * np.where(v <= 1.0, v, 2.0 - v)
+def _fold(s, width):
+    """Triangle wave of period 2 width mapping s into [0, width]."""
+    v = np.mod(s / width, 2.0)
+    return width * np.where(v <= 1.0, v, 2.0 - v)
 
 
 def _run_slab(job):
     slab = job.geometry
     n = slab.normal
-    gap = slab.d2 - slab.d1
     s0 = float(slab.coordinate(np.asarray(job.start, dtype=float)))
-    frac = double_cross_probability(gap, math.sqrt(2.0 * job.d0 * job.dt))
+    frac = double_cross_probability(slab.width, math.sqrt(2.0 * job.d0 * job.dt))
     if frac > DOUBLE_CROSS_LIMIT:
         raise StepTooLargeError(
             f"a step crosses both surfaces with probability {frac:.3g} "
@@ -281,7 +288,7 @@ def _run_slab(job):
     raw = np.random.default_rng(job.seed).standard_normal((job.n_particles, 3))
     raw *= math.sqrt(2.0 * job.d0 * job.n_steps * job.dt)
     unfolded = s0 + raw @ n
-    delta = raw + (_fold(unfolded, slab.d1, gap) - unfolded)[:, None] * n
+    delta = raw + (_fold(unfolded, slab.width) - unfolded)[:, None] * n
     return delta[:, :2], frac
 
 

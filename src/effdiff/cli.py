@@ -132,8 +132,11 @@ def _is_rectangle(v):
             and 0 < v[3] - v[2] < math.inf)
 
 
-def _at_least(minimum):
-    return _parser(int, lambda n: n >= minimum, f"an integer >= {minimum}")
+_MAX_COUNT = 10**15  # 24 PB of (x, y, z) floats; numpy refuses far more by size
+
+
+def _integer(lo, hi=_MAX_COUNT):
+    return _parser(int, lambda n: lo <= n <= hi, f"an integer in [{lo}, {hi}]")
 
 
 def _one_of(*options):
@@ -153,7 +156,7 @@ def _grid(key, text):
 
 _finite = _parser(float, math.isfinite, "a finite number")
 _positive = _parser(float, lambda v: 0 < v < math.inf, "positive and finite")
-# coordinates and slopes whose spans, squares and 5% paddings stay finite
+# coordinates and slopes whose spans and squares stay finite
 _moderate = _parser(float, lambda v: abs(v) <= 1e100, "in [-1e100, 1e100]")
 _vector = _parser(_numbers, lambda v: len(v) == 3, "three finite numbers x,y,z")
 
@@ -176,15 +179,15 @@ _PARSERS = {
     "psi": _parser(float, lambda v: abs(v) <= math.pi / 2,
                    "a tilt in [-pi/2, pi/2]"),
     "eval_x": _moderate, "eval_y": _moderate,
-    "seed": _at_least(0), "count": _at_least(0), "steps": _at_least(0),
-    "quad_points": _parser(int, lambda n: 1 <= n <= 1024,
-                           "an integer in [1, 1024]"),
-    "snap_every": _at_least(1),
-    "samples": _at_least(1), "particles": _at_least(2), "blocks": _at_least(2),
+    "seed": _parser(int, lambda n: n >= 0, "an integer >= 0"),
+    "count": _integer(0), "steps": _integer(0), "quad_points": _integer(1, 1024),
+    "snap_every": _integer(1),
+    "samples": _integer(1), "particles": _integer(2), "blocks": _integer(2),
     "domain": _parser(_numbers, _is_rectangle,
                       "x0,x1,y0,y1 with finite x1 - x0 > 0 and y1 - y0 > 0"),
-    "resolution": _parser(_sizes, lambda n: len(n) == 2 and min(n) >= 2,
-                          "NXxNY with NX and NY >= 2"),
+    "resolution": _parser(_sizes, lambda n: len(n) == 2 and min(n) >= 2
+                          and n[0] * n[1] <= _MAX_COUNT,
+                          f"NXxNY with NX and NY >= 2 and NX * NY <= {_MAX_COUNT}"),
     "start": _vector, "n1": _normal, "n2": _normal, "zdir": _normal,
     "z1": _expression, "z2": _expression, "p0": _expression,
     "z1_grid": _grid, "z2_grid": _grid,
@@ -280,15 +283,13 @@ def load_grid_field(path):
     except ValueError:
         raise ConfigError(f"{path}: origin and spacing must be finite "
                           f"numbers, got '{header}'") from None
-    if len(origin) != 2 or len(spacing) != 2 or min(spacing) <= 0:
-        raise ConfigError(f"{path}: needs origin=<x0>,<y0> and a positive "
+    if len(origin) != 2 or len(spacing) != 2:
+        raise ConfigError(f"{path}: needs origin=<x0>,<y0> and "
                           f"spacing=<hx>,<hy>, got '{header}'")
     values = []
     for lineno, row in rows:
         try:
-            samples = [float(v) for v in row.split(",")]
-            if not all(map(math.isfinite, samples)):
-                raise ValueError
+            samples = _numbers(row)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: samples must be finite "
                               f"numbers, got '{row}'") from None
@@ -296,10 +297,10 @@ def load_grid_field(path):
             raise ConfigError(f"{path}:{lineno}: expected {len(values[0])} "
                               f"samples, got {len(samples)}")
         values.append(samples)
-    if len(values) < 3 or len(values[0]) < 3:
-        raise ConfigError(f"{path}: needs at least 3 rows of at least 3 "
-                          f"samples, got {len(values)} rows")
-    return GridField(origin, spacing, np.array(values))
+    try:
+        return GridField(origin, spacing, np.array(values))
+    except GeometryError as exc:    # a lattice or corner GridField refuses
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _surface_pair(opt):
@@ -575,14 +576,12 @@ def cmd_recover_channel(cfg, opt):
     x0, x1 = opt.get("x0", 0.0), opt.get("x1", _TWO_PI)
     if not x1 > x0:
         raise ConfigError(f"x0 and x1 must have x1 > x0, got {x0!r} and {x1!r}")
-    z1, z2 = opt["z1"], opt["z2"]
-    margin = 0.05 * (x1 - x0)
-    pair = SurfacePair(z1, z2, Domain(x0 - margin, x1 + margin, -1.0, 1.0))
+    pair = SurfacePair(opt["z1"], opt["z2"], Domain(x0, x1, -1.0, 1.0))
 
     x = np.linspace(x0, x1, opt.get("samples", 100))
     _, g1, g2, tensor = sample_tensor(pair, x, np.zeros_like(x), med)
     pipeline = tensor.coeffs
-    formula = channel_recovery(z1, z2, x, med)
+    formula = channel_recovery(g1[0], g2[0], med)
     err = np.abs(pipeline - formula).max(axis=(-2, -1))
     columns = [x, g1[0], g2[0], *pipeline.reshape(-1, 4).T, formula[:, 0, 0], err]
     rows = zip(*map(_fmts, columns))
@@ -644,7 +643,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except (GeometryError, TensorError, OracleError, BrownianError, PdeError,
-            ExprError) as exc:
+            ExprError, MemoryError) as exc:  # numpy: "Unable to allocate ..."
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

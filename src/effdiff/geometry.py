@@ -120,12 +120,12 @@ class ExpressionField(ScalarField):
 
 
 class GridField(ScalarField):
-    """Uniform lattice of samples; queries must stay inside the hull."""
+    """Uniform lattice of finite samples; queries must stay inside the hull."""
 
     def __init__(self, origin, spacing, values):
         self.x0, self.y0 = float(origin[0]), float(origin[1])
         self.hx, self.hy = float(spacing[0]), float(spacing[1])
-        if self.hx <= 0 or self.hy <= 0:
+        if not (self.hx > 0 and self.hy > 0):
             raise GeometryError("grid spacing must be positive")
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 2 or min(self.values.shape) < 3:
@@ -133,6 +133,10 @@ class GridField(ScalarField):
         self.nx, self.ny = self.values.shape
         self.x1 = self.x0 + (self.nx - 1) * self.hx
         self.y1 = self.y0 + (self.ny - 1) * self.hy
+        if not np.isfinite([self.x0, self.y0, self.x1, self.y1]).all():
+            raise GeometryError("grid corners (origin and far end) must be finite")
+        if not np.all(np.isfinite(self.values)):
+            raise GeometryError("grid samples must be finite")
         self._dx = self._nodal_derivative(axis=0) / self.hx
         self._dy = self._nodal_derivative(axis=1) / self.hy
 
@@ -385,30 +389,26 @@ def frame_for_planes(cfg: PlaneConfig) -> PlaneFrame:
     cross = np.cross(n1, n2)
     norm_cross = float(np.linalg.norm(cross))
 
-    if norm_cross < EPS_PARALLEL:
+    parallel = norm_cross < EPS_PARALLEL
+    if parallel:
         # parallel planes; align the normals before reading components
         nc = n2 if float(np.dot(n1, n2)) >= 0 else -n2
         c = float(np.dot(nc, z))
         if abs(c) < EPS_PARALLEL:
             raise DegenerateConfigError(
                 "parallel planes contain the projection direction", psi=math.pi / 2)
-        horiz = nc - c * z
-        hnorm = float(np.linalg.norm(horiz))
-        if hnorm > EPS_PARALLEL:
+        if float(np.linalg.norm(nc - c * z)) > EPS_PARALLEL:
             n = np.cross(z, nc) / float(np.linalg.norm(np.cross(z, nc)))
         else:
             n = _perp_to(z)
-        psi = math.asin(max(-1.0, min(1.0, float(np.dot(n, z)))))
-        parallel = True
     else:
         n = cross / norm_cross
-        sinpsi = max(-1.0, min(1.0, float(np.dot(n, z))))
-        psi = math.asin(sinpsi)
-        if float(np.linalg.norm(np.cross(n, z))) < EPS_PARALLEL:
-            raise DegenerateConfigError(
-                "intersection line parallel to the projection direction",
-                psi=math.copysign(math.pi / 2, sinpsi))
-        parallel = False
+    sinpsi = max(-1.0, min(1.0, float(np.dot(n, z))))
+    psi = math.asin(sinpsi)
+    if not parallel and float(np.linalg.norm(np.cross(n, z))) < EPS_PARALLEL:
+        raise DegenerateConfigError(
+            "intersection line parallel to the projection direction",
+            psi=math.copysign(math.pi / 2, sinpsi))
 
     xhat = np.cross(n, z)
     xhat = xhat / float(np.linalg.norm(xhat))

@@ -101,7 +101,7 @@ class PdeGrid:
         gx, gy = np.meshgrid(xc, yc, indexing="ij")
         w, _, _, tensor = sample_tensor(pair, gx, gy, med)
         dten = to_cartesian(tensor)
-        p = _initial_density(p0, xc, yc, w)
+        p = _initial_density(p0, gx, gy, w)
         return PdeGrid(dom, nx, ny, hx, hy, xc, yc, w, dten, p, med.d0)
 
 
@@ -115,14 +115,10 @@ def _cells(dom, nx, ny):
     return xc, yc, hx, hy
 
 
-def _initial_density(p0, xc, yc, w):
+def _initial_density(p0, gx, gy, w):
     if p0 is None:
         return w.copy()
-    if callable(p0):
-        gx, gy = np.meshgrid(xc, yc, indexing="ij")
-        p = np.asarray(p0(gx, gy), dtype=float)
-    else:
-        p = np.array(p0, dtype=float)
+    p = np.array(p0(gx, gy) if callable(p0) else p0, dtype=float)
     if p.shape != w.shape:
         raise ConfigurationError("initial density has the wrong shape")
     if np.any(p < 0):

@@ -31,7 +31,7 @@ stack, to_cartesian one tensor or a stacked one.  The tensor is undefined
 at an extreme tilt, at a non-finite slope and where rho or omega overflows.
 On arrays such a point gets NaN coefficients; at one point it raises.
 sample_tensor runs sample, frame and tensor for a surface pair and refuses
-the first undefined point by name.
+the first undefined point by name; no other function here reads surfaces.
 """
 
 from __future__ import annotations
@@ -217,20 +217,16 @@ def extreme_tilt_tensor(m1: float, m2: float, sign: str, med: MediumParams):
     return EffectiveTensor(coeffs, frame, extreme_tilt=True), endpoints
 
 
-def channel_recovery(z1, z2, x, med: MediumParams) -> np.ndarray:
-    """Planar-channel matrix for surfaces depending on x only:
+def channel_recovery(z1p, z2p, med: MediumParams) -> np.ndarray:
+    """Planar-channel matrix of the wall slopes z1', z2' of surfaces that
+    depend on x only:
 
         D = D0 diag( (arctan z2' - arctan z1')/(z2' - z1'), 1 ),
 
-    with the 1/(1 + z1'^2) limit at the points where z2' = z1'.  A scalar
-    x gives a 2x2 matrix, an array of x a (..., 2, 2) stack."""
-    x = np.asarray(x, dtype=float)
-    y = np.zeros_like(x)
-    shut = z2.value_array(x, y) <= z1.value_array(x, y)
-    if np.any(shut):
-        raise TensorError(f"channel is not open at x = {float(x[shut][0])}")
-    omega = rho_omega(z1.gradient_array(x, y)[0], z2.gradient_array(x, y)[0])[1]
-    d = np.zeros(x.shape + (2, 2))
+    with the 1/(1 + z1'^2) limit where z2' = z1'.  Two slopes give a 2x2
+    matrix, two arrays of slopes a (..., 2, 2) stack."""
+    omega = rho_omega(z1p, z2p)[1]
+    d = np.zeros(np.shape(omega) + (2, 2))
     d[..., 0, 0] = med.d0 * omega
     d[..., 1, 1] = med.d0
     return d

@@ -146,6 +146,32 @@ def test_start_must_be_inside():
         McJob(object())
 
 
+@pytest.mark.parametrize("kind", ["slab", "pair"])
+def test_a_step_lost_to_rounding_is_refused(kind):
+    # the least step deviation: ROUNDING_MARGIN ulp of the slab's width,
+    # over the whole run, or of the largest start coordinate, per step
+    steps = 10
+    if kind == "slab":
+        geometry, start = Slab(2.0), (0.0, 0.0, 0.5)
+        least, per_run = brownian.ROUNDING_MARGIN * math.ulp(geometry.width), steps
+    else:
+        geometry = SurfacePair(ScalarField.from_expression("cos(x)"),
+                               ScalarField.from_expression("cos(y)+5/2"),
+                               (0, 6, 0, 6))
+        start = (3.0, 0.5, 1.5)
+        least, per_run = brownian.ROUNDING_MARGIN * math.ulp(3.0), 1
+    for factor in (1.01, 0.99):
+        job = dict(dt=(factor * least) ** 2 / (2.0 * per_run), start=start,
+                   n_particles=20, n_steps=steps, jackknife_blocks=4)
+        if factor < 1:
+            with pytest.raises(BrownianError, match="^dt = .* is too small"):
+                McJob(geometry, **job)
+        else:
+            res = mc_projected_tensor(McJob(geometry, **job))
+            assert np.all(np.isfinite(res.stderr))
+            assert np.all(np.diag(res.estimate) > 0)
+
+
 def test_a_start_where_a_surface_is_undefined_is_refused_as_outside():
     xs = np.linspace(0, 2, 21)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
@@ -548,13 +574,14 @@ def test_slab_geometry():
     slab = Slab(2.0, gap=1.0)
     # the plane z = 2x contains (1, 0, 2); the upper one is one unit above
     assert slab.coordinate(np.array([1.0, 0.0, 2.0])) == pytest.approx(0.0, abs=1e-15)
-    assert slab.coordinate(np.array([1.0, 0.0, 3.0])) == pytest.approx(slab.d2, abs=1e-15)
+    assert slab.coordinate(np.array([1.0, 0.0, 3.0])) == pytest.approx(slab.width, abs=1e-15)
     assert slab.normal @ slab.normal == pytest.approx(1.0, abs=1e-15)
 
 
 def test_a_slab_is_its_slope_and_gap():
     assert [f.name for f in fields(Slab) if f.init] == ["mu", "gap"]
-    assert Slab() == Slab(0.0, 1.0) and Slab(2.0).d2 == 1.0 / math.sqrt(5.0)
+    assert Slab() == Slab(0.0, 1.0) and Slab(2.0).width == 1.0 / math.sqrt(5.0)
+    assert not hasattr(Slab, "d1") and not hasattr(Slab(), "d2")
     # the start's last bits: half the width over a rounded normal
     assert tuple(Slab(1.0, 1.0).midpoint_start()) == (
         0.0, 0.0, 0.49999999999999994)

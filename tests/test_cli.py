@@ -396,6 +396,20 @@ def test_recover_channel_matches_formula(tmp_path):
     assert max(float(r[i]) for r in data) <= 1e-10
 
 
+def test_recover_channel_compares_on_exactly_x0_to_x1(tmp_path):
+    # z2 = x is open on [0.01, 1] and shut at x <= 0, just outside it
+    out = tmp_path / "chan.csv"
+    cfg = write_cfg(tmp_path, "chan.cfg", z1="0", z2="x", x0="0.01", x1="1",
+                    samples="5")
+    assert run(tmp_path, "recover-channel", "--config", cfg,
+               "--out", str(out)) == 0
+    header, data = read_csv(out)
+    assert [float(r[0]) for r in (data[0], data[-1])] == [0.01, 1.0]
+    i = header.index("D11_channel")
+    assert all(float(r[i]) == pytest.approx(math.pi / 4, abs=1e-15)
+               for r in data)
+
+
 def test_outputs_embed_version_and_resolved_config(tmp_path):
     out = tmp_path / "radial.csv"
     assert run(tmp_path, "tensor", "--example", "radial", "--out", str(out)) == 0
@@ -515,6 +529,19 @@ _BAD_NUMBER_BASE = {
     # grid-backed walks and solves are library-only
     ("mc", {"z1_grid": "z1.grid"}, "unknown config keys"),
     ("solve", {"z1_grid": "z1.grid"}, "unknown config keys"),
+    # a slab run moved by 4.5e-149, far below the rounding of its width
+    ("mc", {"mu": "2", "start": "0,0,0.5", "dt": "1e-300"},
+     "dt = 1e-300 is too small"),
+    # counts past 10^15: far past memory, or past what numpy can size
+    ("mc", {"particles": str(10**18)}, "particles"),
+    ("mc", {"steps": str(10**400)}, "steps"),   # too large for a float
+    ("oracle", {"count": str(10**16)}, "count"),
+    ("recover-channel", {"samples": str(10**16)}, "samples"),
+    ("tensor", {"z2": "1", "resolution": "100000000x100000000"}, "resolution"),
+    # a grid whose far corner 2e308 overflows
+    ("tensor", {"z2_grid": "# grid origin=0,0 spacing=1e308,0.5\n"
+                           "1,1,1\n1,1,1\n1,1,1\n"},
+     "z2.grid: grid corners"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):
@@ -584,6 +611,30 @@ def test_solve_and_recover_channel_name_the_first_undefined_point(
                "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("command,settings,named", [
+    # a step of 1.4e-20 added to coordinates of about pi: lost to rounding
+    ("mc", dict(example="waves", particles="50", steps="5", dt="1e-40"),
+     "config error: dt = 1e-40 is too small"),
+    # arrays of 0.7 to 2.1 PiB, more than any address space holds
+    ("mc", dict(example="slab", particles=str(10**14)),
+     "error: Unable to allocate "),
+    ("oracle", dict(count=str(10**14)), "error: Unable to allocate "),
+    ("recover-channel", dict(z1="0", z2="1", samples=str(10**14)),
+     "error: Unable to allocate "),
+    ("tensor", dict(example="radial", resolution=f"3x{10**14}"),
+     "error: Unable to allocate "),
+], ids=["mc-curved-tiny-dt", "mc-slab-particles", "oracle-count",
+        "recover-channel-samples", "tensor-resolution"])
+def test_a_run_too_fine_or_too_large_ends_in_one_line(tmp_path, command,
+                                                      settings, named):
+    path = write_cfg(tmp_path, "big.cfg", **settings,
+                     out=str(tmp_path / "out"))
+    code, err = _run_quietly([command, "--config", path])
+    assert code == (2 if named.startswith("config error") else 3)
+    assert err.startswith(named) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["tensor", "solve"])

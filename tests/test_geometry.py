@@ -303,6 +303,24 @@ def test_grid_field_second_order_gradients():
     assert errs[0] / errs[1] > 2.5
 
 
+@pytest.mark.parametrize("origin,spacing,bad,named", [
+    ((0, 0), (math.nan, 0.1), None, "spacing"),
+    ((0, 0), (0.1, 0.0), None, "spacing"),
+    ((math.nan, 0), (0.1, 0.1), None, "corners"),
+    ((0, -math.inf), (0.1, 0.1), None, "corners"),
+    ((0, 0), (1e308, 0.1), None, "corners"),     # x1 = 4e308 overflows
+    ((0, 0), (0.1, 0.1), math.nan, "samples"),
+    ((0, 0), (0.1, 0.1), -math.inf, "samples"),
+])
+def test_a_grid_without_finite_corners_and_samples_is_refused(origin, spacing,
+                                                              bad, named):
+    values = np.ones((5, 5))
+    if bad is not None:
+        values[2, 3] = bad
+    with pytest.raises(GeometryError, match=f"^grid {named} "):
+        GridField(origin, spacing, values)
+
+
 def test_grid_field_bilinear_value_and_hull():
     exact, grid = _sampled("x*y", 0, 1, 0, 1, 11)
     assert grid.value((0.53, 0.71)) == pytest.approx(0.53 * 0.71, abs=1e-12)

@@ -304,23 +304,23 @@ def test_varying_tilt_minor_axis_collapses():
 # ---------------------------------------------------------------------------
 
 def test_channel_recovery_wedge():
-    z1 = ScalarField.from_expression("0")
-    z2 = ScalarField.from_expression("x")
-    d = channel_recovery(z1, z2, 1.0, MED)
+    # z1 = 0 and z2 = x: slopes 0 and 1
+    d = channel_recovery(0.0, 1.0, MED)
     assert np.allclose(d, np.diag([math.pi / 4, 1.0]), atol=1e-15)
 
 
 def test_channel_recovery_flat():
-    z1 = ScalarField.from_expression("0")
-    z2 = ScalarField.from_expression("1")
-    assert np.array_equal(channel_recovery(z1, z2, 0.3, MED), np.eye(2))
+    assert np.array_equal(channel_recovery(0.0, 0.0, MED), np.eye(2))
 
 
 def test_channel_recovery_common_slope_limit():
-    z1 = ScalarField.from_expression("x")
-    z2 = ScalarField.from_expression("x+1")
-    d = channel_recovery(z1, z2, 0.0, MED)
+    # z1 = x and z2 = x + 1: one slope, 1
+    d = channel_recovery(1.0, 1.0, MED)
     assert np.allclose(d, np.diag([0.5, 1.0]), atol=1e-15)
+    # arrays of slopes give a stack
+    d = channel_recovery(np.array([0.0, 1.0]), np.array([1.0, 1.0]), MED)
+    assert d.shape == (2, 2, 2)
+    assert np.allclose(d[:, 0, 0], [math.pi / 4, 0.5], atol=1e-15)
 
 
 def test_full_pipeline_matches_zero_tilt_omega_on_radial_surfaces():

@@ -68,6 +68,8 @@ RUNS = [
     ("mc-tilted.json", "mc", {"mu": "1", "gap": "1", "seed": "3"}),
     ("mc-mu-only.json", "mc", {"mu": "0.5", "seed": "3"}),
     ("mc-steep.json", "mc", {"mu": "1e13", "gap": "1e13", "seed": "3"}),
+    # a slab fold from a start off the midpoint
+    ("mc-slab-offset.json", "mc", {"mu": "2", "start": "0,0,0.5", "seed": "3"}),
     # oracle settings one at a time, and planes seen along a tilted zdir
     ("oracle-eval-y.json", "oracle", {"psi": "0.3", "m1": "-1", "m2": "2",
                                       "eval_y": "0.4"}),
