@@ -47,6 +47,7 @@ single buffer.  Repeated runs with one seed are byte-identical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,7 @@ NEWTON_TOL = 1e-14           # crossing search: step or bracket in t
 NEWTON_MAX_ITER = 100        # termination bound; searches end far sooner
 DOUBLE_CROSS_LIMIT = 1e-3    # abort above this fraction of steps
 ROUNDING_MARGIN = 1e6        # least step, in ulp: rounding moves it <= 1e-6
+MAX_COUNT = 10**15           # 24 PB of (x, y, z) floats; numpy refuses far more
 
 
 class BrownianError(Exception):
@@ -111,12 +113,13 @@ class Slab:
 
 @dataclass(frozen=True)
 class McJob:
-    """One Monte Carlo run; one that cannot run is refused here.  Its start
-    defaults to the geometry's own: a slab's `midpoint_start`, a surface
-    pair's domain centre, half-way between the surfaces.  A dt whose steps
-    are lost to rounding is refused: sqrt(2 D0 dt) (for a slab, one step of
-    sqrt(2 D0 T)) must exceed ROUNDING_MARGIN ulp of the largest start
-    coordinate (of a slab's width, where the fold rounds)."""
+    """One Monte Carlo run; one that cannot run is refused here.  The
+    counts are integers up to MAX_COUNT and the seed an integer >= 0.  Its
+    start defaults to the geometry's own: a slab's `midpoint_start`, a
+    surface pair's domain centre, half-way between the surfaces.  A dt
+    whose steps are lost to rounding is refused: `deviation` (for a slab,
+    of one step of T = n_steps dt) must exceed ROUNDING_MARGIN ulp of the
+    largest start coordinate (of a slab's width, where the fold rounds)."""
 
     geometry: object              # Slab or SurfacePair
     d0: float = 1.0
@@ -133,22 +136,28 @@ class McJob:
         if not (self.d0 > 0 and math.isfinite(self.d0)):
             raise BrownianError("D0 must be positive and finite")
         n, blocks = self.n_particles, self.jackknife_blocks
-        if n < 2 or self.n_steps < 1:
-            raise BrownianError(f"need at least 2 particles and 1 step, got "
-                                f"particles {n} and steps {self.n_steps}")
-        if not (2 <= blocks <= n
-                and n - np.diff(_block_bounds(n, blocks)).max() >= 2):
-            raise BrownianError(f"jackknife blocks must be in [2, particles "
-                                f"({n})] and leave at least 2 particles "
-                                f"outside each block, got {blocks}")
+        for name, lo, hi in (("n_particles", 2, MAX_COUNT),
+                             ("n_steps", 1, MAX_COUNT),
+                             ("jackknife_blocks", 2, n), ("seed", 0, math.inf)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and lo <= value <= hi):
+                raise BrownianError(f"{name} must be an integer in [{lo}, "
+                                    f"{hi}], got {value!r}")
+        if n - np.diff(_block_bounds(n, blocks)).max() < 2:
+            raise BrownianError(f"jackknife blocks must leave at least 2 of "
+                                f"{n} particles outside each block, got {blocks}")
         object.__setattr__(self, "start", _start(self.geometry, self.start))
         slab = isinstance(self.geometry, Slab)
-        sigma = math.sqrt(2.0 * self.d0 * (self.n_steps if slab else 1) * self.dt)
+        sigma = self.deviation(self.n_steps if slab else 1)
         scale = self.geometry.width if slab else max(map(abs, self.start))
         if not sigma > ROUNDING_MARGIN * math.ulp(scale):
             raise BrownianError(f"dt = {self.dt:.3g} is too small: a step of "
                                 f"{sigma:.3g} is lost to rounding at coordinates "
                                 f"of {scale:.3g}")
+
+    def deviation(self, steps=1):
+        """Per-axis deviation sqrt(2 D0 steps dt) of `steps` summed steps."""
+        return math.sqrt(2.0 * self.d0 * steps * self.dt)
 
 
 def _start(geometry, start):
@@ -279,14 +288,14 @@ def _run_slab(job):
     slab = job.geometry
     n = slab.normal
     s0 = float(slab.coordinate(np.asarray(job.start, dtype=float)))
-    frac = double_cross_probability(slab.width, math.sqrt(2.0 * job.d0 * job.dt))
+    frac = double_cross_probability(slab.width, job.deviation())
     if frac > DOUBLE_CROSS_LIMIT:
         raise StepTooLargeError(
             f"a step crosses both surfaces with probability {frac:.3g} "
             f"(limit {DOUBLE_CROSS_LIMIT:g}); reduce dt")
 
     raw = np.random.default_rng(job.seed).standard_normal((job.n_particles, 3))
-    raw *= math.sqrt(2.0 * job.d0 * job.n_steps * job.dt)
+    raw *= job.deviation(job.n_steps)
     unfolded = s0 + raw @ n
     delta = raw + (_fold(unfolded, slab.width) - unfolded)[:, None] * n
     return delta[:, :2], frac
@@ -299,7 +308,7 @@ def _run_slab(job):
 def _run_surfaces(job):
     pair = job.geometry
     start = np.asarray(job.start, dtype=float)
-    sigma = math.sqrt(2.0 * job.d0 * job.dt)
+    sigma = job.deviation()
     rng = np.random.default_rng(job.seed)
     stats = {"double_cross": 0, "rejected": 0}
     r = np.tile(start, (job.n_particles, 1))

@@ -21,7 +21,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .brownian import BrownianError, McJob, Slab, mc_projected_tensor
+from .brownian import (
+    MAX_COUNT, BrownianError, McJob, Slab, mc_projected_tensor,
+)
 from .expr import ExprError
 from .geometry import (
     DegenerateConfigError, Domain, GeometryError, GridField, PlaneConfig,
@@ -127,15 +129,15 @@ def _sizes(text):
     return tuple(map(int, text.lower().split("x")))
 
 
-def _is_rectangle(v):
-    return (len(v) == 4 and 0 < v[1] - v[0] < math.inf
-            and 0 < v[3] - v[2] < math.inf)
+def _rectangle(text):
+    """The Domain x0,x1,y0,y1; a ValueError for any text it refuses."""
+    try:
+        return Domain(*_numbers(text))
+    except (TypeError, GeometryError):     # not four numbers, or refused
+        raise ValueError(text) from None
 
 
-_MAX_COUNT = 10**15  # 24 PB of (x, y, z) floats; numpy refuses far more by size
-
-
-def _integer(lo, hi=_MAX_COUNT):
+def _integer(lo, hi=MAX_COUNT):
     return _parser(int, lambda n: lo <= n <= hi, f"an integer in [{lo}, {hi}]")
 
 
@@ -183,11 +185,11 @@ _PARSERS = {
     "count": _integer(0), "steps": _integer(0), "quad_points": _integer(1, 1024),
     "snap_every": _integer(1),
     "samples": _integer(1), "particles": _integer(2), "blocks": _integer(2),
-    "domain": _parser(_numbers, _is_rectangle,
+    "domain": _parser(_rectangle, lambda domain: True,
                       "x0,x1,y0,y1 with finite x1 - x0 > 0 and y1 - y0 > 0"),
     "resolution": _parser(_sizes, lambda n: len(n) == 2 and min(n) >= 2
-                          and n[0] * n[1] <= _MAX_COUNT,
-                          f"NXxNY with NX and NY >= 2 and NX * NY <= {_MAX_COUNT}"),
+                          and n[0] * n[1] <= MAX_COUNT,
+                          f"NXxNY with NX and NY >= 2 and NX * NY <= {MAX_COUNT}"),
     "start": _vector, "n1": _normal, "n2": _normal, "zdir": _normal,
     "z1": _expression, "z2": _expression, "p0": _expression,
     "z1_grid": _grid, "z2_grid": _grid,
@@ -306,7 +308,7 @@ def load_grid_field(path):
 def _surface_pair(opt):
     """z1 and z2 over the domain; a sampled-grid file wins over an
     expression, and its hull (to its own tolerance) must hold the domain."""
-    domain = Domain(*opt["domain"])
+    domain = opt["domain"]
     corners = np.meshgrid(*domain.lattice(2, 2))
     for key in ("z1_grid", "z2_grid"):
         grid = opt.get(key)
@@ -399,8 +401,8 @@ def cmd_tensor(cfg, opt):
         frame_to_global(ell.e1), frame_to_global(ell.e2)])
     cells[fine, 4:18] = np.reshape(_fmts(values), values.shape)
     cells[:, 18] = np.select(
-        [bad, fd.degenerate_frame, tensor.extreme_tilt, ~fine],
-        ["domain_error", "degenerate_frame", "extreme_tilt", "slope_overflow"],
+        [bad, tensor.extreme_tilt, ~fine, fd.degenerate_frame],
+        ["domain_error", "extreme_tilt", "slope_overflow", "degenerate_frame"],
         "")
     write_csv(opt.get("out"), cfg, TENSOR_COLUMNS, cells.tolist())
     return 0
@@ -563,8 +565,8 @@ def cmd_solve(cfg, opt):
                   extra_header=[f"# step={step}", f"# time={_fmt(g.t)}"])
         written.append(path)
 
-    snapshot(0, grid)
-    # no dt: evolve takes half the stability bound
+    # no dt: evolve takes half the stability bound; it calls snapshot(0, grid)
+    # only once it has checked the step, so a refused run writes no file
     evolve(grid, opt.get("dt"), steps, callback=snapshot, **_set(opt, "mode"))
     sys.stderr.write(f"wrote {len(written)} snapshots: "
                      f"{written[0]} .. {written[-1]}\n")

@@ -193,8 +193,11 @@ class Domain:
     y1: float
 
     def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise GeometryError("domain rectangle is empty")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            spans = self.x1 - self.x0, self.y1 - self.y0
+        if not all(0 < span < math.inf for span in spans):  # corners finite
+            raise GeometryError("domain needs x1 - x0 and y1 - y0 positive "
+                                "and finite")
 
     def contains(self, p):
         """Whether p = (x, y) lies in the rectangle; elementwise on arrays."""

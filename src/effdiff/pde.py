@@ -194,7 +194,8 @@ def step_infinite_rate(grid: PdeGrid, dt: float) -> PdeGrid:
 
 def evolve(grid: PdeGrid, dt, n_steps: int, mode="finite",
            callback=None) -> PdeGrid:
-    """Run n_steps of the chosen mode; callback(k, grid) after each step.
+    """Run n_steps of the chosen mode; callback(k, grid) with the grid as
+    given (k = 0) once the step is checked, then after each step k.
 
     mode is "finite" or "infinite"; any other raises ConfigurationError.
     dt=None takes half the stability bound; a dt above the bound, or one
@@ -216,6 +217,8 @@ def evolve(grid: PdeGrid, dt, n_steps: int, mode="finite",
             f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
     faces = _faces(grid, infinite_rate)
     t0 = grid.t
+    if callback is not None:
+        callback(0, grid)
     for k in range(1, n_steps + 1):
         grid = replace(grid, p=_step(grid, dt, faces), t=t0 + k * dt)
         if callback is not None:

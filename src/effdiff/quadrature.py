@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import EPS_M, EPS_PSI, MediumParams
+from .tensor import MediumParams, coincident, extreme_tilt, too_large
 
 APEX_THRESHOLD = 1e-6
 
@@ -65,9 +65,10 @@ def quadrature_tensor(job: WedgeQuadratureJob,
     """Effective tensor of the wedge, reconstructed numerically.
 
     One case raises, first to last in `checks`: OracleError (non-finite
-    parameters, extreme tilt), ApexProximityError, OracleError (outside the
-    wedge interior), SingularSystemError when the two gradient columns do
-    not determine the matrix, OracleError (non-finite result).  N cases
+    parameters, then tensor.extreme_tilt, then tensor.too_large slopes),
+    ApexProximityError, OracleError (outside the wedge interior),
+    SingularSystemError when the two gradient columns do not determine the
+    matrix, OracleError (non-finite result).  N cases
     give an (N, 2, 2) stack with NaN rows where one case would raise.
     """
     one = np.ndim(job.psi) == 0
@@ -77,12 +78,14 @@ def quadrature_tensor(job: WedgeQuadratureJob,
     # the evaluation point, then x + h, x - h, y + h and y - h
     px, py = np.array([[x, x + h, x - h, x, x], [y, y, y, y + h, y - h]])
     with np.errstate(all="ignore"):
-        slab = np.abs(m2 - m1) <= EPS_M * (1.0 + np.abs(m1) + np.abs(m2))
+        slab = coincident(m1, m2)
         checks = [
             (~np.isfinite([psi, m1, m2]).all(axis=0),
              OracleError, "non-finite wedge parameters"),
-            (np.pi / 2 - np.abs(psi) < EPS_PSI,
+            (extreme_tilt(psi),
              OracleError, "extreme tilt: wedge coordinates are undefined"),
+            (too_large(m1, m2),
+             OracleError, "slopes are too large: 1 + m^2 overflows"),
             (~slab & (x < APEX_THRESHOLD * max(1.0, abs(y))), ApexProximityError,
              f"evaluation point x = {x:.3g} is too close to the apex"),
             (~slab & ((m2 - m1) * x <= 0),

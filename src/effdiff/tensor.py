@@ -27,9 +27,10 @@ factor of the polar decomposition D = S R (S symmetric PSD, R orthogonal).
 effective_tensor takes a one-point FrameData or a frame_field one of arrays
 and returns an EffectiveTensor: the coefficients, that FrameData and the
 extreme-tilt flag.  polar_decompose takes one 2x2 matrix or a (..., 2, 2)
-stack, to_cartesian one tensor or a stacked one.  The tensor is undefined
-at an extreme tilt, at a non-finite slope and where rho or omega overflows.
-On arrays such a point gets NaN coefficients; at one point it raises.
+stack, to_cartesian one tensor or a stacked one.  The wedge regimes of the
+closed form and the oracle are decided here alone: coincident slopes, and
+an extreme tilt or too-large slopes (1 + m^2 not finite), where the tensor
+is undefined: on arrays NaN coefficients, at one point a raise.
 sample_tensor runs sample, frame and tensor for a surface pair and refuses
 the first undefined point by name; no other function here reads surfaces.
 """
@@ -104,14 +105,28 @@ class EllipsoidData:
 # scalar building blocks
 # ---------------------------------------------------------------------------
 
+def coincident(m1, m2):
+    """Slopes that take the coincident-slope limit (the oracle's slab)."""
+    return np.abs(m2 - m1) <= EPS_M * (1.0 + np.abs(m1) + np.abs(m2))
+
+
+def extreme_tilt(psi):
+    """Tilts within eps_psi of |psi| = pi/2, where no tensor is defined."""
+    return np.pi / 2 - np.abs(psi) < EPS_PSI
+
+
+def too_large(m1, m2):
+    """Slopes without a tensor: 1 + m^2 not finite (|m| > ~1.34e154)."""
+    return ~(np.isfinite(1.0 + m1 * m1) & np.isfinite(1.0 + m2 * m2))
+
+
 def rho_omega(m1, m2) -> tuple:
     """Real and imaginary parts of log((1+i m2)/(1+i m1))/(m2-m1).
 
-    Below |m2-m1| <= eps_m (1+|m1|+|m2|) the coincident-slope limit
-    (mu/(1+mu^2), 1/(1+mu^2)) with mu = (m1+m2)/2 is returned.  Arrays give
-    arrays, with NaN or inf where a slope is not finite or rho or omega
-    overflows, and never raise.  Two floats give floats and raise
-    TensorError in those two cases.
+    For coincident slopes the limit (mu/(1+mu^2), 1/(1+mu^2)) with
+    mu = (m1+m2)/2 is returned.  Arrays give arrays, NaN where the slopes
+    are too large (or not finite), and never raise.  Two floats give
+    floats and raise TensorError in those two cases.
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
@@ -119,17 +134,18 @@ def rho_omega(m1, m2) -> tuple:
         dm = m2 - m1
         mu = 0.5 * (m1 + m2)
         den = 1.0 + mu * mu
-        close = np.abs(dm) <= EPS_M * (1.0 + np.abs(m1) + np.abs(m2))
+        close = coincident(m1, m2)
+        large = too_large(m1, m2)
         dm_far = np.where(close, 1.0, dm)     # dm == 0 only where close
         omega = np.arctan2(dm, 1.0 + m1 * m2) / dm_far
         rho = 0.5 * np.log((1.0 + m2 * m2) / (1.0 + m1 * m1)) / dm_far
-        rho = np.where(close, mu / den, rho)
-        omega = np.where(close, 1.0 / den, omega)
+        rho = np.where(large, np.nan, np.where(close, mu / den, rho))
+        omega = np.where(large, np.nan, np.where(close, 1.0 / den, omega))
     if rho.ndim:
         return rho, omega
     if not (np.isfinite(m1) and np.isfinite(m2)):
         raise TensorError(f"slopes must be finite, got ({m1}, {m2})")
-    if not (np.isfinite(rho) and np.isfinite(omega)):
+    if large:
         raise TensorError(f"slopes ({m1:.6g}, {m2:.6g}) are too large: "
                           "rho or omega overflows")
     return float(rho), float(omega)
@@ -144,13 +160,13 @@ def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
 
     On a frame_field bundle the coefficients are a (..., 2, 2) stack, NaN
     wherever the tensor is undefined, and nothing raises: points within
-    EPS_PSI of |psi| = pi/2 also get the extreme_tilt flag, and the other
-    NaN points are those where rho_omega marks a non-finite slope or an
-    overflow.  At one point an extreme tilt raises ExtremeTiltError, and
-    then rho_omega raises its TensorError.
+    EPS_PSI of |psi| = pi/2 (extreme_tilt) also get the extreme_tilt flag,
+    and the other NaN points are those whose slopes are too_large.  At one
+    point an extreme tilt raises ExtremeTiltError, and then rho_omega
+    raises its TensorError.
     """
     psi = np.asarray(fd.psi, dtype=float)
-    extreme = np.pi / 2 - np.abs(psi) < EPS_PSI
+    extreme = extreme_tilt(psi)
     if psi.ndim == 0 and extreme:
         raise ExtremeTiltError(f"tilt {fd.psi:.12g} is within {EPS_PSI} of pi/2")
     d0 = med.d0
@@ -163,8 +179,8 @@ def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
         coeffs[..., 0, 1] = -d0 * omega * mu * sp
         coeffs[..., 1, 0] = -d0 * rho * sp
         coeffs[..., 1, 1] = d0 * (cp * cp + mu * rho * sp * sp)
-    if coeffs.ndim > 2:
-        coeffs[extreme | ~(np.isfinite(rho) & np.isfinite(omega))] = np.nan
+    if coeffs.ndim > 2:     # too-large slopes: rho and omega are NaN
+        coeffs[extreme] = np.nan
     return EffectiveTensor(coeffs, fd, extreme if psi.ndim else False)
 
 
@@ -181,8 +197,7 @@ def sample_tensor(pair, x, y, med: MediumParams):
     Refuses undefined points by name: first the points that
     SurfacePair.sample masks (GeometryError), then those within EPS_PSI of
     |psi| = pi/2 (ExtremeTiltError), then the other points where the
-    tensor is NaN: a slope that is not finite or whose rho or omega
-    overflows (TensorError).
+    tensor is NaN: slopes that are too_large (TensorError).
     """
     w, g1, g2, bad = pair.sample(x, y)
     _refuse_first(bad, x, y, GeometryError,

@@ -601,6 +601,18 @@ def test_a_slab_without_a_finite_positive_width_is_refused(mu, gap, named):
         Slab(mu, gap)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_steps", 10**400), ("n_particles", 10**400), ("n_steps", 10**15 + 1),
+    ("jackknife_blocks", 2.5), ("n_particles", 100.5), ("n_steps", 2.5),
+    ("seed", -1), ("seed", 1.5), ("jackknife_blocks", 101)],
+    ids=["steps-1e400", "particles-1e400", "steps-1e15+1", "blocks-2.5",
+         "particles-100.5", "steps-2.5", "seed-minus-1", "seed-1.5",
+         "blocks-above-particles"])
+def test_a_job_with_a_count_or_seed_it_cannot_run_is_refused(key, value):
+    with pytest.raises(BrownianError, match=f"^{key} must be an integer in "):
+        McJob(Slab(), **{"n_particles": 100, key: value})
+
+
 # ---------------------------------------------------------------------------
 # A walk that reads the surfaces through Compiled.evaluate_masked (full
 # arrays, a full mask and an np.errstate of its own on every call) and keeps

@@ -117,18 +117,24 @@ def test_tensor_grid_backed_surface(tmp_path):
         assert float(row[5]) == pytest.approx(0.5, abs=1e-6)   # m2
 
 
-@pytest.mark.parametrize("z2,domain", [("1", "0,1,0,1"),
-                                       ("1e200*x^2+1", "0,0.2,0,1")])
-def test_tensor_flags_slope_overflow_per_node(tmp_path, capsys, z2, domain):
+@pytest.mark.parametrize("z1,z2,domain,flags", [
+    ("-1e200*x^2", "1", "0,1,0,1", "degenerate_frame"),
+    ("-1e200*x^2", "1e200*x^2+1", "0,0.2,0,1", "degenerate_frame"),
+    # parallel tangent planes whose common slope 1e155 is too large
+    ("1e155*x", "1e155*x+1e142", "0,1,0,1", "slope_overflow")],
+    ids=["1-0,1,0,1", "1e200*x^2+1-0,0.2,0,1", "steep-parallel"])
+def test_tensor_flags_slope_overflow_per_node(tmp_path, capsys, z1, z2, domain,
+                                              flags):
     # z1's slope overflows to -inf at every x > 0 (and z2's to +inf in the
-    # second pair); at x = 0 the gradients cancel: the degenerate frame
+    # second pair); at x = 0 the gradients cancel: the degenerate frame,
+    # which has a tensor unless its slope is too large, as in the third
     out = tmp_path / "steep.csv"
-    cfg = write_cfg(tmp_path, "steep.cfg", z1="-1e200*x^2", z2=z2,
+    cfg = write_cfg(tmp_path, "steep.cfg", z1=z1, z2=z2,
                     domain=domain, resolution="3x2")
     assert run(tmp_path, "tensor", "--config", cfg, "--out", str(out)) == 0
     assert capsys.readouterr().err == ""
     _, data = read_csv(out)
-    assert [row[-1] for row in data] == ["degenerate_frame", "slope_overflow",
+    assert [row[-1] for row in data] == [flags, "slope_overflow",
                                          "slope_overflow"] * 2
     for row in data:
         assert all(row[:4])                     # x, y, w and psi
@@ -576,6 +582,16 @@ def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
      "width or surface gradient undefined at (1, 0)"),
     ("planes", dict(m1="1e300", m2="-1e300"),
      "slopes (1e+300, -1e+300) are too large: rho or omega overflows"),
+    # coincident slopes whose 1 + m^2 overflows, and slopes whose spacing
+    # overflows
+    ("planes", dict(m1="1e155", m2="1e155"),
+     "slopes (1e+155, 1e+155) are too large: rho or omega overflows"),
+    ("planes", dict(m1="-1e308", m2="1e308"),
+     "slopes (-1e+308, 1e+308) are too large: rho or omega overflows"),
+    # parallel tangent planes whose common slope is too large
+    ("solve", dict(z1="1e155*x", z2="1e155*x+1e142", domain="0,1,0,1",
+                   resolution="4x4", steps="1"),
+     "tensor undefined (slope overflow) at (0.125, 0.125)"),
     # every slope of z1 but at x = 0 overflows to -inf
     ("solve", dict(z1="-1e200*x^2", z2="1", domain="0,1,0,1",
                    resolution="4x4", steps="1"),
@@ -599,11 +615,15 @@ def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
     ("mc", dict(mu="0", d0="1e50", dt="1e300", particles="100", steps="2"),
      "a step crosses both surfaces with probability 1 (limit 0.001); "
      "reduce dt"),
+    # a step above the stability bound, refused before any snapshot
+    ("solve", dict(example="waves", resolution="8x8", steps="3", dt="10"),
+     "dt = 10 exceeds the stability bound 0.125"),
 ], ids=["solve-masked", "solve-extreme-tilt", "recover-channel-masked",
-        "planes-huge-slopes", "solve-slope-overflow",
-        "recover-channel-slope-overflow",
+        "planes-huge-slopes", "planes-coincident-huge-slopes",
+        "planes-spacing-overflows", "solve-steep-parallel-planes",
+        "solve-slope-overflow", "recover-channel-slope-overflow",
         "mc-step-ends-where-a-surface-is-undefined", "solve-step-underflows",
-        "mc-slab-tiny-gap", "mc-slab-step-overflows"])
+        "mc-slab-tiny-gap", "mc-slab-step-overflows", "solve-unstable-dt"])
 def test_solve_and_recover_channel_name_the_first_undefined_point(
         tmp_path, capsys, command, settings, named):
     path = write_cfg(tmp_path, "bad.cfg", **settings)
@@ -611,6 +631,7 @@ def test_solve_and_recover_channel_name_the_first_undefined_point(
                "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err == f"error: {named}\n"
+    assert not list(tmp_path.glob("out*"))      # no output file, not one
 
 
 @pytest.mark.parametrize("command,settings,named", [

@@ -321,6 +321,15 @@ def test_a_grid_without_finite_corners_and_samples_is_refused(origin, spacing,
         GridField(origin, spacing, values)
 
 
+@pytest.mark.parametrize("corners", [
+    (0, 1, 1, 0), (0, math.inf, 0, 1), (-math.inf, 0, 0, 1),
+    (0, 1, math.nan, 1), (-1.7e308, 1.7e308, 0, 1),
+    (np.float64(0), np.float64(1), np.float64(-1e308), np.float64(1e308))])
+def test_a_domain_without_finite_positive_spans_is_refused(corners):
+    with pytest.raises(GeometryError, match="^domain needs x1 - x0 and y1 - y0"):
+        Domain(*corners)
+
+
 def test_grid_field_bilinear_value_and_hull():
     exact, grid = _sampled("x*y", 0, 1, 0, 1, 11)
     assert grid.value((0.53, 0.71)) == pytest.approx(0.53 * 0.71, abs=1e-12)

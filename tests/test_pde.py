@@ -207,8 +207,10 @@ def test_evolve_matches_single_steps_and_reports_time():
                                  p0=lambda x, y: np.exp(-0.1 * (x * x + y * y)))
     dt = 0.4 * stability_bound(grid)
     seen = []
-    out = evolve(grid, dt, 30, callback=lambda k, g: seen.append((k, g.t)))
-    assert seen == [(k, k * dt) for k in range(1, 31)]
+    out = evolve(grid, dt, 30, callback=lambda k, g: seen.append((k, g)))
+    # the grid as given, once the step is checked, then after each step
+    assert seen[0][1] is grid
+    assert [(k, g.t) for k, g in seen] == [(k, k * dt) for k in range(31)]
     one = grid
     for _ in range(30):
         one = step_finite_rate(one, dt)

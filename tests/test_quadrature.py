@@ -309,7 +309,8 @@ def test_mixed_batch_gives_the_reference_records_in_order(eval_point, cases):
     ((0.0, 0.0, 1.0), "1e-9"), ((0.0, 1.0, 0.0), "1e-9"),
     ((0.0, 1.0, 0.0), "1"),
     (("1.5707963267948966", 0.0, 1.0), "1"), ((1.0, 0.0, 1e20), "1"),
-    ((0.0, 1e300, -1e300), "1"), ((0.0, 1e308, 1e308), "1")])
+    ((0.0, 1e300, -1e300), "1"), ((0.0, 1e308, 1e308), "1"),
+    ((0.0, -1e308, 1e308), "1")])   # m2 - m1 overflows
 def test_single_failing_case_keeps_exit_code_kind_and_message(
         tmp_path, capsys, case, eval_x):
     psi, m1, m2 = case
@@ -322,6 +323,22 @@ def test_single_failing_case_keeps_exit_code_kind_and_message(
     [got] = json.loads(out.read_text())["cases"]
     assert same_bits(got, want)
     assert capsys.readouterr().err == f"error: {want['error']['message']}\n"
+
+
+def test_too_large_slopes_are_refused_as_the_closed_form_refuses_them():
+    # too large for 1 + m^2: coincident, with an overflowing spacing, and
+    # one of two; then the steepest slab kept, whose width rounds to zero
+    cases = [(0.0, 1e155, 1e155), (0.0, -1e308, 1e308), (0.3, 0.0, 1e200),
+             (0.0, 1e150, 1e150), (0.5, -1.0, 2.0)]
+    for case in cases[:3]:
+        with pytest.raises(OracleError, match="^slopes are too large"):
+            quadrature_tensor(WedgeQuadratureJob(*case))
+    with pytest.raises(OracleError, match="not finite"):
+        quadrature_tensor(WedgeQuadratureJob(*cases[3]))
+    psi, m1, m2 = np.array(cases).T
+    stack = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2))
+    assert np.isnan(stack[:4]).all() and np.isfinite(stack[4]).all()
+    assert np.isnan(closed_form(psi, m1, m2)[:3]).all()
 
 
 def test_a_slab_too_thin_to_resolve_is_an_error_not_a_crash():

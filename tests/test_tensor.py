@@ -93,18 +93,24 @@ def test_rho_omega_rejects_non_finite():
 
 
 def test_rho_omega_marks_undefined_points_on_arrays_and_raises_on_floats():
-    m1 = np.array([0.0, np.nan, 0.0, 1e300, 2.0])
-    m2 = np.array([1.0, 1.0, np.inf, -1e300, 2.0])
+    # 1 + m^2 overflows past |m| ~ 1.34e154, also where the slopes coincide
+    # or their spacing overflows; 1e150 is the steepest pair kept here
+    m1 = np.array([0.0, np.nan, 0.0, 1e300, 2.0, 1e155, -1e308, 1e150])
+    m2 = np.array([1.0, 1.0, np.inf, -1e300, 2.0, 1e155, 1e308, 1e150])
     rho, omega = rho_omega(m1, m2)
     undefined = ~(np.isfinite(rho) & np.isfinite(omega))
-    assert undefined.tolist() == [False, True, True, True, False]
-    for k in (0, 4):
+    assert undefined.tolist() == [False, True, True, True, False, True, True,
+                                  False]
+    for k in (0, 4, 7):
         assert (rho[k], omega[k]) == rho_omega(float(m1[k]), float(m2[k]))
     with pytest.raises(TensorError, match=r"^slopes must be finite, got "
                        r"\(nan, 1\.0\)$"):
         rho_omega(float("nan"), 1.0)
-    with pytest.raises(TensorError, match=r"^slopes \(1e\+300, -1e\+300\) "
-                       r"are too large: rho or omega overflows$"):
+    for k in (3, 5, 6):
+        with pytest.raises(TensorError, match=r"^slopes \(.*\) are too "
+                           r"large: rho or omega overflows$"):
+            rho_omega(float(m1[k]), float(m2[k]))
+    with pytest.raises(TensorError, match=r"^slopes \(1e\+300, -1e\+300\) "):
         rho_omega(1e300, -1e300)
 
 
@@ -158,16 +164,17 @@ def test_tensor_refuses_extreme_tilt():
 
 
 def test_effective_tensor_marks_every_undefined_point_on_arrays():
-    # valid rows, then an extreme tilt, a NaN slope and overflowing slopes
+    # valid rows, then an extreme tilt, a NaN slope and too-large slopes:
+    # overflowing, coincident, and with a spacing that overflows
     cases = [(0.3, -1.0, 2.0), (0.0, 1.0, 1.0), (-1.2, 0.5, 7.0),
              (math.pi / 2 - 1e-12, 0.0, 1.0), (0.4, math.nan, 1.0),
-             (0.0, 1e300, -1e300)]
+             (0.0, 1e300, -1e300), (0.0, 1e155, 1e155), (0.2, -1e308, 1e308)]
     psi, m1, m2 = np.array(cases).T
     t = effective_tensor(frame(psi, m1, m2), MediumParams(2.5))
     undefined = np.isnan(t.coeffs).any(axis=(1, 2))
-    assert undefined.tolist() == [False] * 3 + [True] * 3
+    assert undefined.tolist() == [False] * 3 + [True] * 5
     assert np.isnan(t.coeffs[3:]).all()
-    assert t.extreme_tilt.tolist() == [False] * 3 + [True, False, False]
+    assert t.extreme_tilt.tolist() == [False] * 3 + [True] + [False] * 4
     for k, case in enumerate(cases[:3]):
         one = effective_tensor(frame(*case), MediumParams(2.5)).coeffs
         assert one.tobytes() == t.coeffs[k].tobytes()
@@ -176,8 +183,10 @@ def test_effective_tensor_marks_every_undefined_point_on_arrays():
     with pytest.raises(TensorError, match=r"^slopes must be finite, got "
                        r"\(nan, 1\.0\)$"):
         effective_tensor(frame(*cases[4]), MED)
-    with pytest.raises(TensorError, match="too large: rho or omega overflows"):
-        effective_tensor(frame(*cases[5]), MED)
+    for case in cases[5:]:
+        with pytest.raises(TensorError,
+                           match="too large: rho or omega overflows"):
+            effective_tensor(frame(*case), MED)
 
 
 # ---------------------------------------------------------------------------

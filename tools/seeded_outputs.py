@@ -63,6 +63,8 @@ RUNS = [
                                        "n2": "-0.6,0.3,0.8", "d0": "0.7"}),
     ("planes-slopes.json", "planes", {"m1": "0.5", "m2": "3",
                                       "tilt_sign": "-", "d0": "0.7"}),
+    # the steepest coincident slopes that have a tensor: 1 + m^2 is finite
+    ("planes-steep.json", "planes", {"m1": "1e150", "m2": "1e150"}),
     # tilted slabs: the benchmark's validate slab, a slab with only mu set
     # and one so steep that it starts on its normal through the origin
     ("mc-tilted.json", "mc", {"mu": "1", "gap": "1", "seed": "3"}),
