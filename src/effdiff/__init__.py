@@ -15,7 +15,7 @@ from .geometry import (
 from .tensor import (
     EffectiveTensor, EllipsoidData, ExtremeTiltError, MediumParams,
     TensorError, channel_recovery, effective_tensor, extreme_tilt_tensor,
-    polar_decompose, rho_omega, sample_tensor, to_cartesian,
+    polar_decompose, rho_omega, sample_tensor, tensor_field, to_cartesian,
 )
 from .quadrature import (
     ApexProximityError, OracleError, SingularSystemError, WedgeQuadratureJob,

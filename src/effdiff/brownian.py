@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SurfacePair
+from .geometry import SurfacePair, real, store_reals
 
 MAX_BOUNCES = 8
 NEWTON_TOL = 1e-14           # crossing search: step or bracket in t
@@ -82,12 +82,7 @@ class Slab:
     width: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("gap", "mu"):      # floats from here on
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except OverflowError:
-                raise BrownianError(f"{name} must be finite, got an int too "
-                                    "large for a float") from None
+        store_reals(self, BrownianError, "gap", "mu")
         if not 0 < self.gap < math.inf:
             raise BrownianError(f"gap must be positive and finite, got {self.gap!r}")
         s = math.sqrt(1.0 + self.mu * self.mu)
@@ -131,6 +126,10 @@ class McJob:
     jackknife_blocks: int = 25
 
     def __post_init__(self):
+        store_reals(self, BrownianError, "dt", "d0")
+        if self.start is not None:
+            object.__setattr__(self, "start", tuple(
+                real(BrownianError, "start", v) for v in self.start))
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise BrownianError("dt must be positive and finite")
         if not (self.d0 > 0 and math.isfinite(self.d0)):

@@ -27,15 +27,14 @@ from .brownian import (
 from .expr import ExprError
 from .geometry import (
     DegenerateConfigError, Domain, GeometryError, GridField, PlaneConfig,
-    ScalarField, SurfacePair, frame_field, frame_for_planes, frame_from_slopes,
-    unit_vector,
+    ScalarField, SurfacePair, frame_for_planes, frame_from_slopes, unit_vector,
 )
 from .pde import PdeError, PdeGrid, evolve
 from .quadrature import OracleError, WedgeQuadratureJob, quadrature_tensor
 from .tensor import (
-    ExtremeTiltError, MediumParams, TensorError, channel_recovery,
+    UNDEFINED, ExtremeTiltError, MediumParams, TensorError, channel_recovery,
     effective_tensor, extreme_tilt_tensor, polar_decompose, rho_omega,
-    sample_tensor,
+    sample_tensor, tensor_field,
 )
 # Not called here; bound by name so that perfbench/spans.py can trace them
 # through this module.
@@ -371,19 +370,16 @@ TENSOR_COLUMNS = ["x", "y", "w", "psi", "m1", "m2", "D11", "D12", "D21", "D22",
 
 def cmd_tensor(cfg, opt):
     """Tensor field CSV, one row per lattice node, scanlines y outer and x
-    fastest.  A node where the width or a gradient is undefined (see
-    SurfacePair.sample) gets the domain_error flag and no numbers; a node
-    with an undefined tensor gets w and psi and the extreme_tilt or the
-    slope_overflow flag."""
+    fastest.  A node without a tensor gets the flag of its kind (see
+    tensor.UNDEFINED) and no tensor numbers, nor w and psi where the
+    surfaces could not be read (the first kind)."""
     pair = _surface_pair(opt)
-    med = MediumParams(opt["d0"])
     xs, ys = pair.domain.lattice(*opt["resolution"])
     y, x = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))
 
-    w, g1, g2, bad = pair.sample(x, y)
-    tensor = effective_tensor(frame_field(g1, g2), med)
+    w, _, _, tensor, kind = tensor_field(pair, x, y, MediumParams(opt["d0"]))
     fd = tensor.frame
-    fine = ~bad & ~np.isnan(tensor.coeffs[:, 0, 0])
+    fine, read = kind == 0, kind != 1
     ell = polar_decompose(tensor.coeffs[fine])
     basis = fd.basis()[fine]    # a matrix product, as to_cartesian uses
 
@@ -393,17 +389,15 @@ def cmd_tensor(cfg, opt):
     cells = np.full((x.size, len(TENSOR_COLUMNS)), "", dtype=object)
     cells[:, 0] = _fmts(x)
     cells[:, 1] = _fmts(y)
-    cells[~bad, 2] = _fmts(w[~bad])
-    cells[~bad, 3] = _fmts(fd.psi[~bad])
+    cells[read, 2] = _fmts(w[read])
+    cells[read, 3] = _fmts(fd.psi[read])
     values = np.column_stack([
         fd.m1[fine], fd.m2[fine], tensor.coeffs[fine].reshape(-1, 4),
         ell.lambda1, ell.lambda2, frame_to_global(ell.f1),
         frame_to_global(ell.e1), frame_to_global(ell.e2)])
     cells[fine, 4:18] = np.reshape(_fmts(values), values.shape)
-    cells[:, 18] = np.select(
-        [bad, tensor.extreme_tilt, ~fine, fd.degenerate_frame],
-        ["domain_error", "extreme_tilt", "slope_overflow", "degenerate_frame"],
-        "")
+    cells[:, 18] = np.array(["", *(f for f, _, _ in UNDEFINED)], object)[kind]
+    cells[fine & fd.degenerate_frame, 18] = "degenerate_frame"
     write_csv(opt.get("out"), cfg, TENSOR_COLUMNS, cells.tolist())
     return 0
 

@@ -26,6 +26,7 @@ plane intersection line and the projection plane.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -57,6 +58,24 @@ class DegenerateConfigError(GeometryError):
     def __init__(self, message, psi=None):
         super().__init__(message)
         self.psi = psi
+
+
+def real(error, name, value):
+    """float(value), or `error` naming `name` unless value is a real number
+    that a float can hold (an int too large for one is not)."""
+    if not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} must be finite, got an int too large for a "
+                    "float") from None
+
+
+def store_reals(record, error, *names):
+    """Store each named field of a frozen dataclass as its real(...)."""
+    for name in names:
+        object.__setattr__(record, name, real(error, name, getattr(record, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +142,8 @@ class GridField(ScalarField):
     """Uniform lattice of finite samples; queries must stay inside the hull."""
 
     def __init__(self, origin, spacing, values):
-        self.x0, self.y0 = float(origin[0]), float(origin[1])
-        self.hx, self.hy = float(spacing[0]), float(spacing[1])
+        self.x0, self.y0 = (real(GeometryError, "grid origin", v) for v in origin)
+        self.hx, self.hy = (real(GeometryError, "grid spacing", v) for v in spacing)
         if not (self.hx > 0 and self.hy > 0):
             raise GeometryError("grid spacing must be positive")
         self.values = np.asarray(values, dtype=float)
@@ -193,8 +212,8 @@ class Domain:
     y1: float
 
     def __post_init__(self):
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            spans = self.x1 - self.x0, self.y1 - self.y0
+        store_reals(self, GeometryError, "x0", "x1", "y0", "y1")
+        spans = self.x1 - self.x0, self.y1 - self.y0     # floats: no raise
         if not all(0 < span < math.inf for span in spans):  # corners finite
             raise GeometryError("domain needs x1 - x0 and y1 - y0 positive "
                                 "and finite")

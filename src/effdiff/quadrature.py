@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import store_reals
 from .tensor import MediumParams, coincident, extreme_tilt, too_large
 
 APEX_THRESHOLD = 1e-6
@@ -59,6 +60,9 @@ class WedgeQuadratureJob:
     points: int = 128
     fd_step: float = 1e-5
 
+    def __post_init__(self):    # psi, m1 and m2 may be arrays
+        store_reals(self, OracleError, "eval_x", "eval_y", "fd_step")
+
 
 def quadrature_tensor(job: WedgeQuadratureJob,
                       med: MediumParams = MediumParams(1.0)) -> np.ndarray:
@@ -73,7 +77,7 @@ def quadrature_tensor(job: WedgeQuadratureJob,
     """
     one = np.ndim(job.psi) == 0
     psi, m1, m2 = np.atleast_1d(job.psi, job.m1, job.m2)
-    x, y = float(job.eval_x), float(job.eval_y)
+    x, y = job.eval_x, job.eval_y
     h = job.fd_step * max(1.0, abs(x), abs(y))
     # the evaluation point, then x + h, x - h, y + h and y - h
     px, py = np.array([[x, x + h, x - h, x, x], [y, y, y, y + h, y - h]])

@@ -31,8 +31,8 @@ stack, to_cartesian one tensor or a stacked one.  The wedge regimes of the
 closed form and the oracle are decided here alone: coincident slopes, and
 an extreme tilt or too-large slopes (1 + m^2 not finite), where the tensor
 is undefined: on arrays NaN coefficients, at one point a raise.
-sample_tensor runs sample, frame and tensor for a surface pair and refuses
-the first undefined point by name; no other function here reads surfaces.
+tensor_field gives each point of a surface pair its kind from UNDEFINED,
+and sample_tensor refuses through it; no other function here reads surfaces.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FrameData, GeometryError, frame_field, frame_from_slopes
+from .geometry import (
+    FrameData, GeometryError, frame_field, frame_from_slopes, store_reals,
+)
 
 EPS_M = 1e-7        # relative switch to the coincident-slope limit
 EPS_PSI = 1e-9      # margin on pi/2 - |psi| for the extreme-tilt guard
@@ -65,6 +67,7 @@ class MediumParams:
     d0: float = 1.0
 
     def __post_init__(self):
+        store_reals(self, TensorError, "d0")
         if not (self.d0 > 0 and math.isfinite(self.d0)):
             raise TensorError(f"D0 must be positive and finite, got {self.d0}")
 
@@ -184,29 +187,35 @@ def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
     return EffectiveTensor(coeffs, fd, extreme if psi.ndim else False)
 
 
-def _refuse_first(mask, x, y, error, what):
-    if np.any(mask):
-        k = np.unravel_index(np.argmax(mask), mask.shape)
-        raise error(f"{what} at ({x[k]:.6g}, {y[k]:.6g})")
+# Points without a tensor, in the order a point takes them: (CSV flag,
+# error, refusal).  tensor_field's kind k > 0 is entry k - 1.
+UNDEFINED = (
+    ("domain_error", GeometryError, "width or surface gradient undefined"),
+    ("extreme_tilt", ExtremeTiltError, "tensor undefined (extreme tilt)"),
+    ("slope_overflow", TensorError, "tensor undefined (slope overflow)"),
+)
+
+
+def tensor_field(pair, x, y, med: MediumParams):
+    """(w, g1, g2, EffectiveTensor, kind) of a SurfacePair on arrays of
+    points x, y; never raises.  kind (int8) is 0 where the tensor is
+    defined, else 1 + the index in UNDEFINED of the point's first kind."""
+    w, g1, g2, bad = pair.sample(x, y)
+    tensor = effective_tensor(frame_field(g1, g2), med)
+    nan = np.isnan(tensor.coeffs).any(axis=(-2, -1))   # too_large slopes
+    kind = np.select([bad, tensor.extreme_tilt, nan], [1, 2, 3], 0)
+    return w, g1, g2, tensor, kind.astype(np.int8)
 
 
 def sample_tensor(pair, x, y, med: MediumParams):
-    """Width, surface gradients and effective tensor of a SurfacePair on
-    arrays of points x, y: (w, g1, g2, EffectiveTensor).
-
-    Refuses undefined points by name: first the points that
-    SurfacePair.sample masks (GeometryError), then those within EPS_PSI of
-    |psi| = pi/2 (ExtremeTiltError), then the other points where the
-    tensor is NaN: slopes that are too_large (TensorError).
-    """
-    w, g1, g2, bad = pair.sample(x, y)
-    _refuse_first(bad, x, y, GeometryError,
-                  "width or surface gradient undefined")
-    tensor = effective_tensor(frame_field(g1, g2), med)
-    _refuse_first(tensor.extreme_tilt, x, y, ExtremeTiltError,
-                  "tensor undefined (extreme tilt)")
-    _refuse_first(np.isnan(tensor.coeffs).any(axis=(-2, -1)), x, y,
-                  TensorError, "tensor undefined (slope overflow)")
+    """tensor_field without the kind, refusing the first point of the first
+    kind in UNDEFINED that is present with that entry's error."""
+    w, g1, g2, tensor, kind = tensor_field(pair, x, y, med)
+    if kind.any():      # the first point of the lowest kind > 0
+        rank = np.where(kind > 0, kind, len(UNDEFINED) + 1)
+        k = np.unravel_index(np.argmin(rank), kind.shape)
+        _, error, what = UNDEFINED[kind[k] - 1]
+        raise error(f"{what} at ({x[k]:.6g}, {y[k]:.6g})")
     return w, g1, g2, tensor
 
 

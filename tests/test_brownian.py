@@ -613,6 +613,16 @@ def test_a_job_with_a_count_or_seed_it_cannot_run_is_refused(key, value):
         McJob(Slab(), **{"n_particles": 100, key: value})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("dt", 10**400), ("d0", 10**400), ("start", (0, 0, 10**400)),
+    ("dt", "1e-3"), ("d0", None), ("start", (0, 0, "0.5"))],
+    ids=["dt-1e400", "d0-1e400", "start-1e400", "dt-text", "d0-none",
+         "start-text"])
+def test_a_job_with_a_real_a_float_cannot_hold_is_refused(key, value):
+    with pytest.raises(BrownianError, match=f"^{key} must be "):
+        McJob(Slab(), **{"n_particles": 100, key: value})
+
+
 # ---------------------------------------------------------------------------
 # A walk that reads the surfaces through Compiled.evaluate_masked (full
 # arrays, a full mask and an np.errstate of its own on every call) and keeps

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effdiff.cli import _ALLOWED_KEYS, build_parser, main
+from effdiff.cli import EXAMPLES, _ALLOWED_KEYS, build_parser, main
+from effdiff.geometry import ScalarField, SurfacePair
+from effdiff.tensor import UNDEFINED, MediumParams, sample_tensor, tensor_field
 
 
 def run(tmp_path, *argv):
@@ -140,6 +142,39 @@ def test_tensor_flags_slope_overflow_per_node(tmp_path, capsys, z1, z2, domain,
         assert all(row[:4])                     # x, y, w and psi
         assert all(row[4:18]) == (row[-1] == "degenerate_frame")
         assert any(row[4:18]) == (row[-1] == "degenerate_frame")
+
+
+@pytest.mark.parametrize("z1,z2,domain,resolution,kind", [
+    (EXAMPLES["radial"]["z1"], EXAMPLES["radial"]["z2"],
+     EXAMPLES["radial"]["domain"], "3x3", "domain_error"),     # the origin
+    ("1e155*x", "1e155*x+1e142", "0,1,0,1", "3x2", "slope_overflow"),
+    ("2e9*x", "2e9*y+1", "0,1,2,3", "3x2", "extreme_tilt")],
+    ids=["domain-error", "slope-overflow", "extreme-tilt"])
+def test_tensor_flags_and_refusals_read_one_table_of_kinds(
+        tmp_path, z1, z2, domain, resolution, kind):
+    out = tmp_path / "kinds.csv"
+    cfg = write_cfg(tmp_path, "kinds.cfg", z1=z1, z2=z2, domain=domain,
+                    resolution=resolution)
+    assert run(tmp_path, "tensor", "--config", cfg, "--out", str(out)) == 0
+    _, data = read_csv(out)
+    x, y = (np.array([float(row[i]) for row in data]) for i in (0, 1))
+    pair = SurfacePair(ScalarField.from_expression(z1),
+                       ScalarField.from_expression(z2),
+                       tuple(map(float, domain.split(","))))
+    kinds = tensor_field(pair, x, y, MediumParams())[-1]
+    assert kinds.dtype == np.int8
+    assert kind in [UNDEFINED[k - 1][0] for k in kinds.tolist() if k]
+    for row, k in zip(data, kinds.tolist()):
+        assert row[-1] in (("", "degenerate_frame") if k == 0
+                           else (UNDEFINED[k - 1][0],))
+    # sample_tensor refuses the first point of the first kind present
+    first = min(set(kinds.tolist()) - {0})
+    i = kinds.tolist().index(first)
+    _, error, what = UNDEFINED[first - 1]
+    with pytest.raises(error) as refused:
+        sample_tensor(pair, x, y, MediumParams())
+    assert refused.type is error
+    assert str(refused.value) == f"{what} at ({x[i]:.6g}, {y[i]:.6g})"
 
 
 @pytest.mark.parametrize("domain,code", [

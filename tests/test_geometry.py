@@ -311,6 +311,8 @@ def test_grid_field_second_order_gradients():
     ((0, 0), (1e308, 0.1), None, "corners"),     # x1 = 4e308 overflows
     ((0, 0), (0.1, 0.1), math.nan, "samples"),
     ((0, 0), (0.1, 0.1), -math.inf, "samples"),
+    ((10**400, 0), (0.1, 0.1), None, "origin"),     # too large for a float
+    ((0, 0), (0.1, 10**400), None, "spacing"),
 ])
 def test_a_grid_without_finite_corners_and_samples_is_refused(origin, spacing,
                                                               bad, named):
@@ -328,6 +330,20 @@ def test_a_grid_without_finite_corners_and_samples_is_refused(origin, spacing,
 def test_a_domain_without_finite_positive_spans_is_refused(corners):
     with pytest.raises(GeometryError, match="^domain needs x1 - x0 and y1 - y0"):
         Domain(*corners)
+
+
+@pytest.mark.parametrize("build,named", [
+    (lambda: Domain(0, 10**400, 0, 1), "x1"),
+    (lambda: Domain(-10**400, 0, 0, 1), "x0"),
+    (lambda: Domain(0, 1, "0", 1), "y0"),
+    (lambda: make_pair("0", "1", domain=(0, 10**400, 0, 1)), "x1"),
+    (lambda: make_pair("0", "1", domain=(0, 1, 0, 1j)), "y1")],
+    ids=["domain-int-1e400", "domain-minus-int-1e400", "domain-text",
+         "pair-int-1e400", "pair-complex"])
+def test_a_domain_corner_a_float_cannot_hold_is_refused_by_name(build, named):
+    # each corner is a float from the start, or the domain is refused
+    with pytest.raises(GeometryError, match=f"^{named} must be "):
+        build()
 
 
 def test_grid_field_bilinear_value_and_hull():

@@ -341,6 +341,16 @@ def test_too_large_slopes_are_refused_as_the_closed_form_refuses_them():
     assert np.isnan(closed_form(psi, m1, m2)[:3]).all()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("eval_x", 10**400), ("eval_y", -10**400), ("fd_step", 10**400),
+    ("eval_x", "1"), ("fd_step", None)],
+    ids=["eval-x-1e400", "eval-y-minus-1e400", "fd-step-1e400", "eval-x-text",
+         "fd-step-none"])
+def test_a_job_with_a_real_a_float_cannot_hold_is_refused(key, value):
+    with pytest.raises(OracleError, match=f"^{key} must be "):
+        quadrature_tensor(WedgeQuadratureJob(0.1, 0.0, 1.0, **{key: value}))
+
+
 def test_a_slab_too_thin_to_resolve_is_an_error_not_a_crash():
     # mu x + 1 rounds to mu x: the width at the evaluation point is zero
     job = WedgeQuadratureJob(0.0, 1e16, 1e16)

@@ -158,6 +158,13 @@ def test_tensor_determinant_identity_and_psd_symmetric_factor():
         assert ell.lambda2 >= -1e-12
 
 
+@pytest.mark.parametrize("d0", [10**400, "1", None],
+                         ids=["int-1e400", "text", "none"])
+def test_a_medium_whose_d0_a_float_cannot_hold_is_refused(d0):
+    with pytest.raises(TensorError, match="^d0 must be "):
+        MediumParams(d0)
+
+
 def test_tensor_refuses_extreme_tilt():
     with pytest.raises(ExtremeTiltError):
         effective_tensor(frame(math.pi / 2 - 1e-12, 0.0, 1.0), MED)

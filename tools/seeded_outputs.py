@@ -14,7 +14,8 @@ are identical:
 
 effdiff is imported from --src (default: the `src/` next to this file), so
 the tool can run against a tree that does not contain it.  It takes a few
-seconds on one core and is not part of the test suite.
+seconds on one core.  tests/test_seeded_outputs.py runs RUNS in the test
+suite and checks that each exits 0 and writes its output, not the hashes.
 """
 
 from __future__ import annotations
@@ -88,6 +89,11 @@ RUNS = [
         "z1": "-1e200*x^2", "z2": z2, "domain": domain, "resolution": "3x2"})
       for k, (z2, domain) in enumerate([("1", "0,1,0,1"),
                                         ("1e200*x^2+1", "0,0.2,0,1")])],
+    # planes so steep and so crossed that every node is within EPS_PSI of
+    # |psi| = pi/2: extreme_tilt rows
+    ("tensor-extreme-tilt.csv", "tensor", {"z1": "2e9*x", "z2": "2e9*y+1",
+                                           "domain": "0,1,2,3",
+                                           "resolution": "3x2"}),
 ]
 
 # input files that RUNS name, written next to their configs: a 21x21
