@@ -30,7 +30,9 @@ from .geometry import (
     ScalarField, SurfacePair, frame_for_planes, frame_from_slopes, unit_vector,
 )
 from .pde import PdeError, PdeGrid, evolve
-from .quadrature import OracleError, WedgeQuadratureJob, quadrature_tensor
+from .quadrature import (
+    MAX_POINTS, OracleError, WedgeQuadratureJob, quadrature_tensor,
+)
 from .tensor import (
     UNDEFINED, ExtremeTiltError, MediumParams, TensorError, channel_recovery,
     effective_tensor, extreme_tilt_tensor, polar_decompose, rho_omega,
@@ -181,7 +183,8 @@ _PARSERS = {
                    "a tilt in [-pi/2, pi/2]"),
     "eval_x": _moderate, "eval_y": _moderate,
     "seed": _parser(int, lambda n: n >= 0, "an integer >= 0"),
-    "count": _integer(0), "steps": _integer(0), "quad_points": _integer(1, 1024),
+    "count": _integer(0), "steps": _integer(0),
+    "quad_points": _integer(1, MAX_POINTS),
     "snap_every": _integer(1),
     "samples": _integer(1), "particles": _integer(2), "blocks": _integer(2),
     "domain": _parser(_rectangle, lambda domain: True,
@@ -451,8 +454,9 @@ def cmd_planes(cfg, opt):
 def _oracle_records(cases, med, setup):
     """Records of an (n, 3) array of cases psi, m1, m2, by one array call
     each of the closed form and the quadrature, which mark a case that fails
-    with NaN.  Each NaN case is re-run alone, on floats, so that its error
-    raises (the closed form's first) and is recorded."""
+    with NaN.  Each NaN case is re-run alone through the quadrature, whose
+    refusals begin with the closed form's, so that its error raises and is
+    recorded."""
     psi, m1, m2 = cases.T
     closed = effective_tensor(frame_from_slopes(psi, m1, m2), med).coeffs
     quad = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2, **setup), med)
@@ -466,7 +470,6 @@ def _oracle_records(cases, med, setup):
     for k in np.flatnonzero(np.isnan(abs_err)):
         case = dict(zip(("psi", "m1", "m2"), cases[k].tolist()))
         try:
-            effective_tensor(frame_from_slopes(**case), med)
             quadrature_tensor(WedgeQuadratureJob(**case, **setup), med)
         except (OracleError, TensorError) as exc:
             records[k] = {**case, "error": {

@@ -29,6 +29,7 @@ can undershoot (documented limitation).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,8 +122,9 @@ def _initial_density(p0, gx, gy, w):
     p = np.array(p0(gx, gy) if callable(p0) else p0, dtype=float)
     if p.shape != w.shape:
         raise ConfigurationError("initial density has the wrong shape")
-    if np.any(p < 0):
-        raise ConfigurationError("initial density must be non-negative")
+    if not np.all((p >= 0) & (p < math.inf)):     # NaN fails both
+        raise ConfigurationError("initial density must be finite and "
+                                 "non-negative")
     return p
 
 
@@ -197,12 +199,16 @@ def evolve(grid: PdeGrid, dt, n_steps: int, mode="finite",
     """Run n_steps of the chosen mode; callback(k, grid) with the grid as
     given (k = 0) once the step is checked, then after each step k.
 
-    mode is "finite" or "infinite"; any other raises ConfigurationError.
+    mode is "finite" or "infinite" and n_steps an integer >= 0; anything
+    else raises ConfigurationError.
     dt=None takes half the stability bound; a dt above the bound, or one
     that is not positive and finite, raises StabilityError.  The step is
     decided and checked, and the face coefficients are built, once per
     call; the grid after step k has time t0 + k dt.
     """
+    if not (isinstance(n_steps, numbers.Integral) and n_steps >= 0):
+        raise ConfigurationError(
+            f"n_steps must be an integer >= 0, got {n_steps!r}")
     if mode not in ("finite", "infinite"):
         raise ConfigurationError(f"mode must be finite or infinite, got {mode!r}")
     infinite_rate = mode == "infinite"

@@ -25,14 +25,16 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import store_reals
-from .tensor import MediumParams, coincident, extreme_tilt, too_large
+from .tensor import UNDEFINED, MediumParams, coincident, extreme_tilt, too_large
 
 APEX_THRESHOLD = 1e-6
+MAX_POINTS = 1024      # Gauss-Legendre nodes per integral
 
 
 class OracleError(Exception):
@@ -62,18 +64,22 @@ class WedgeQuadratureJob:
 
     def __post_init__(self):    # psi, m1 and m2 may be arrays
         store_reals(self, OracleError, "eval_x", "eval_y", "fd_step")
+        if not (isinstance(self.points, numbers.Integral)
+                and 1 <= self.points <= MAX_POINTS):
+            raise OracleError(f"points must be an integer in [1, {MAX_POINTS}]"
+                              f", got {self.points!r}")
 
 
 def quadrature_tensor(job: WedgeQuadratureJob,
                       med: MediumParams = MediumParams(1.0)) -> np.ndarray:
     """Effective tensor of the wedge, reconstructed numerically.
 
-    One case raises, first to last in `checks`: OracleError (non-finite
-    parameters, then tensor.extreme_tilt, then tensor.too_large slopes),
-    ApexProximityError, OracleError (outside the wedge interior),
-    SingularSystemError when the two gradient columns do not determine the
-    matrix, OracleError (non-finite result).  N cases
-    give an (N, 2, 2) stack with NaN rows where one case would raise.
+    One case raises, first to last in `checks`: the closed form's refusals,
+    tensor.UNDEFINED's extreme_tilt then slope_overflow entry, then
+    ApexProximityError (|x| near the apex), OracleError (outside the wedge
+    interior), SingularSystemError when the two gradient columns do not
+    determine the matrix, OracleError (non-finite result).  N cases give an
+    (N, 2, 2) stack with NaN rows where one case would raise.
     """
     one = np.ndim(job.psi) == 0
     psi, m1, m2 = np.atleast_1d(job.psi, job.m1, job.m2)
@@ -83,14 +89,11 @@ def quadrature_tensor(job: WedgeQuadratureJob,
     px, py = np.array([[x, x + h, x - h, x, x], [y, y, y, y + h, y - h]])
     with np.errstate(all="ignore"):
         slab = coincident(m1, m2)
-        checks = [
-            (~np.isfinite([psi, m1, m2]).all(axis=0),
-             OracleError, "non-finite wedge parameters"),
-            (extreme_tilt(psi),
-             OracleError, "extreme tilt: wedge coordinates are undefined"),
-            (too_large(m1, m2),
-             OracleError, "slopes are too large: 1 + m^2 overflows"),
-            (~slab & (x < APEX_THRESHOLD * max(1.0, abs(y))), ApexProximityError,
+        checks = [      # (mask, error, text); first the closed form's
+            (extreme_tilt(psi), *UNDEFINED[1][1:]),
+            (too_large(m1, m2), *UNDEFINED[2][1:]),
+            (~slab & (abs(x) < APEX_THRESHOLD * max(1.0, abs(y))),
+             ApexProximityError,
              f"evaluation point x = {x:.3g} is too close to the apex"),
             (~slab & ((m2 - m1) * x <= 0),
              OracleError, "evaluation point is outside the wedge interior"),

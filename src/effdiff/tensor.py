@@ -25,12 +25,12 @@ under a non-degenerate D is an ellipse whose axes come from the symmetric
 factor of the polar decomposition D = S R (S symmetric PSD, R orthogonal).
 
 effective_tensor takes a one-point FrameData or a frame_field one of arrays
-and returns an EffectiveTensor: the coefficients, that FrameData and the
-extreme-tilt flag.  polar_decompose takes one 2x2 matrix or a (..., 2, 2)
-stack, to_cartesian one tensor or a stacked one.  The wedge regimes of the
-closed form and the oracle are decided here alone: coincident slopes, and
-an extreme tilt or too-large slopes (1 + m^2 not finite), where the tensor
-is undefined: on arrays NaN coefficients, at one point a raise.
+and returns an EffectiveTensor: the coefficients and that FrameData.
+polar_decompose takes one 2x2 matrix or a (..., 2, 2) stack, to_cartesian
+one tensor or a stacked one.  The wedge regimes of the closed form and the
+oracle are decided here alone: coincident slopes, and an extreme tilt or
+too-large slopes (1 + m^2 not finite), where the tensor is undefined: on
+arrays NaN coefficients, at one point the refusal of its UNDEFINED entry.
 tensor_field gives each point of a surface pair its kind from UNDEFINED,
 and sample_tensor refuses through it; no other function here reads surfaces.
 """
@@ -56,8 +56,8 @@ class TensorError(Exception):
 
 
 class ExtremeTiltError(TensorError):
-    """|psi| is at (or numerically indistinguishable from) pi/2; use
-    extreme_tilt_tensor with the slopes instead."""
+    """|psi| is at (or numerically indistinguishable from) pi/2, or is not
+    a number; at pi/2 use extreme_tilt_tensor with the slopes instead."""
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,10 @@ class MediumParams:
 class EffectiveTensor:
     """2x2 operator matrix, flux = coeffs @ grad, in `frame`: the FrameData
     it was built from.  From a frame_field bundle, coeffs is a (..., 2, 2)
-    stack and extreme_tilt a mask."""
+    stack."""
 
     coeffs: np.ndarray
     frame: FrameData
-    extreme_tilt: bool = False
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,9 @@ def coincident(m1, m2):
 
 
 def extreme_tilt(psi):
-    """Tilts within eps_psi of |psi| = pi/2, where no tensor is defined."""
-    return np.pi / 2 - np.abs(psi) < EPS_PSI
+    """Tilts within eps_psi of |psi| = pi/2, or not a number, where no
+    tensor is defined."""
+    return ~(np.pi / 2 - np.abs(psi) >= EPS_PSI)
 
 
 def too_large(m1, m2):
@@ -123,13 +123,28 @@ def too_large(m1, m2):
     return ~(np.isfinite(1.0 + m1 * m1) & np.isfinite(1.0 + m2 * m2))
 
 
+# Points without a tensor, in the order a point takes them: (CSV flag,
+# error, refusal).  tensor_field's kind k > 0 is entry k - 1.
+UNDEFINED = (
+    ("domain_error", GeometryError, "width or surface gradient undefined"),
+    ("extreme_tilt", ExtremeTiltError, "tensor undefined (extreme tilt)"),
+    ("slope_overflow", TensorError, "tensor undefined (slope overflow)"),
+)
+
+
+def refusal(kind, where=""):
+    """The error of kind > 0: its UNDEFINED entry's, with its text + where."""
+    _, error, what = UNDEFINED[kind - 1]
+    return error(what + where)
+
+
 def rho_omega(m1, m2) -> tuple:
     """Real and imaginary parts of log((1+i m2)/(1+i m1))/(m2-m1).
 
     For coincident slopes the limit (mu/(1+mu^2), 1/(1+mu^2)) with
     mu = (m1+m2)/2 is returned.  Arrays give arrays, NaN where the slopes
-    are too large (or not finite), and never raise.  Two floats give
-    floats and raise TensorError in those two cases.
+    are too_large, and never raise.  Two floats give floats, and too_large
+    ones raise the slope-overflow refusal.
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
@@ -146,11 +161,8 @@ def rho_omega(m1, m2) -> tuple:
         omega = np.where(large, np.nan, np.where(close, 1.0 / den, omega))
     if rho.ndim:
         return rho, omega
-    if not (np.isfinite(m1) and np.isfinite(m2)):
-        raise TensorError(f"slopes must be finite, got ({m1}, {m2})")
     if large:
-        raise TensorError(f"slopes ({m1:.6g}, {m2:.6g}) are too large: "
-                          "rho or omega overflows")
+        raise refusal(3)
     return float(rho), float(omega)
 
 
@@ -162,38 +174,27 @@ def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
     """Effective diffusion matrix in the frame carried by `fd`.
 
     On a frame_field bundle the coefficients are a (..., 2, 2) stack, NaN
-    wherever the tensor is undefined, and nothing raises: points within
-    EPS_PSI of |psi| = pi/2 (extreme_tilt) also get the extreme_tilt flag,
-    and the other NaN points are those whose slopes are too_large.  At one
-    point an extreme tilt raises ExtremeTiltError, and then rho_omega
-    raises its TensorError.
+    wherever the tensor is undefined (an extreme_tilt, or too_large
+    slopes), and nothing raises.  At one point the first of the two raises
+    its refusal.
     """
     psi = np.asarray(fd.psi, dtype=float)
     extreme = extreme_tilt(psi)
     if psi.ndim == 0 and extreme:
-        raise ExtremeTiltError(f"tilt {fd.psi:.12g} is within {EPS_PSI} of pi/2")
+        raise refusal(2)
     d0 = med.d0
     rho, omega = rho_omega(fd.m1, fd.m2)
     mu = fd.mu
-    sp, cp = np.sin(psi), np.cos(psi)
     coeffs = np.empty(np.broadcast(psi, rho, mu).shape + (2, 2))
     with np.errstate(invalid="ignore", over="ignore"):  # only where marked
+        sp, cp = np.sin(psi), np.cos(psi)   # an infinite tilt is marked
         coeffs[..., 0, 0] = d0 * omega
         coeffs[..., 0, 1] = -d0 * omega * mu * sp
         coeffs[..., 1, 0] = -d0 * rho * sp
         coeffs[..., 1, 1] = d0 * (cp * cp + mu * rho * sp * sp)
     if coeffs.ndim > 2:     # too-large slopes: rho and omega are NaN
         coeffs[extreme] = np.nan
-    return EffectiveTensor(coeffs, fd, extreme if psi.ndim else False)
-
-
-# Points without a tensor, in the order a point takes them: (CSV flag,
-# error, refusal).  tensor_field's kind k > 0 is entry k - 1.
-UNDEFINED = (
-    ("domain_error", GeometryError, "width or surface gradient undefined"),
-    ("extreme_tilt", ExtremeTiltError, "tensor undefined (extreme tilt)"),
-    ("slope_overflow", TensorError, "tensor undefined (slope overflow)"),
-)
+    return EffectiveTensor(coeffs, fd)
 
 
 def tensor_field(pair, x, y, med: MediumParams):
@@ -203,7 +204,7 @@ def tensor_field(pair, x, y, med: MediumParams):
     w, g1, g2, bad = pair.sample(x, y)
     tensor = effective_tensor(frame_field(g1, g2), med)
     nan = np.isnan(tensor.coeffs).any(axis=(-2, -1))   # too_large slopes
-    kind = np.select([bad, tensor.extreme_tilt, nan], [1, 2, 3], 0)
+    kind = np.select([bad, extreme_tilt(tensor.frame.psi), nan], [1, 2, 3], 0)
     return w, g1, g2, tensor, kind.astype(np.int8)
 
 
@@ -214,8 +215,7 @@ def sample_tensor(pair, x, y, med: MediumParams):
     if kind.any():      # the first point of the lowest kind > 0
         rank = np.where(kind > 0, kind, len(UNDEFINED) + 1)
         k = np.unravel_index(np.argmin(rank), kind.shape)
-        _, error, what = UNDEFINED[kind[k] - 1]
-        raise error(f"{what} at ({x[k]:.6g}, {y[k]:.6g})")
+        raise refusal(kind[k], f" at ({x[k]:.6g}, {y[k]:.6g})")
     return w, g1, g2, tensor
 
 
@@ -238,7 +238,7 @@ def extreme_tilt_tensor(m1: float, m2: float, sign: str, med: MediumParams):
     direction = np.array([omega, -s * rho])
     scale = d0 * (mu * rho + omega) / math.hypot(omega, rho)
     endpoints = (scale * direction, -scale * direction)
-    return EffectiveTensor(coeffs, frame, extreme_tilt=True), endpoints
+    return EffectiveTensor(coeffs, frame), endpoints
 
 
 def channel_recovery(z1p, z2p, med: MediumParams) -> np.ndarray:

@@ -179,6 +179,24 @@ def test_bad_initial_density_rejected():
         flat_slab((0, 1, 0, 1), 8, 8, p0=lambda x, y: np.sin(x) - 2.0)
 
 
+@pytest.mark.parametrize("p0", [
+    np.full((4, 4), np.nan), lambda x, y: np.where(x > 0.5, np.inf, 1.0),
+    lambda x, y: np.full_like(x, -np.inf)],
+    ids=["nan-array", "infinite-callable", "minus-infinite-callable"])
+def test_an_initial_density_that_is_not_finite_is_refused(p0):
+    with pytest.raises(ConfigurationError,
+                       match="^initial density must be finite and non-negative$"):
+        flat_slab((0, 1, 0, 1), 4, 4, p0=p0)
+
+
+@pytest.mark.parametrize("n_steps", [-1, 2.5, "3", None],
+                         ids=["minus-1", "fraction", "text", "none"])
+def test_a_step_count_that_is_not_an_integer_from_0_is_refused(n_steps):
+    grid = flat_slab((0, 1, 0, 1), 4, 4)
+    with pytest.raises(ConfigurationError, match="^n_steps must be an integer"):
+        evolve(grid, None, n_steps)
+
+
 def test_evolve_checks_the_stability_bound_once(monkeypatch):
     import effdiff.pde as pde
     calls = []

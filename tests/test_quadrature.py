@@ -14,7 +14,8 @@ from effdiff.quadrature import (
     WedgeQuadratureJob, _gauss_legendre, quadrature_tensor,
 )
 from effdiff.tensor import (
-    EPS_M, EPS_PSI, MediumParams, TensorError, effective_tensor,
+    EPS_M, EPS_PSI, UNDEFINED, ExtremeTiltError, MediumParams, TensorError,
+    effective_tensor,
 )
 
 MED = MediumParams(1.0)
@@ -76,8 +77,16 @@ def test_apex_proximity_and_interior_checks():
         quadrature_tensor(WedgeQuadratureJob(0.0, 0.0, 1.0, eval_x=1e-9, eval_y=0.0))
     with pytest.raises(OracleError):
         quadrature_tensor(WedgeQuadratureJob(0.0, 1.0, 0.0, eval_x=1.0, eval_y=0.0))
-    with pytest.raises(OracleError):
+    with pytest.raises(ExtremeTiltError):
         quadrature_tensor(WedgeQuadratureJob(math.pi / 2, 0.0, 1.0))
+    # at x < 0 the wedge with m1 > m2 is not empty, and the one with
+    # m1 < m2 is outside: neither is the apex
+    for psi, m1, m2, x, y in ((0.3, 2.0, -1.0, -1.0, 0.0),
+                              (-1.2, 7.0, -3.0, -2.5, -0.4)):
+        d = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2, x, y))
+        assert np.max(np.abs(d - closed_form(psi, m1, m2))) < 1e-9
+    with pytest.raises(OracleError, match="^evaluation point is outside"):
+        quadrature_tensor(WedgeQuadratureJob(0.3, -1.0, 2.0, eval_x=-1.0))
 
 
 def test_d0_scaling():
@@ -93,16 +102,16 @@ def test_d0_scaling():
 
 def reference_tensor(job, med=MED):
     psi, m1, m2 = job.psi, job.m1, job.m2
-    if not all(map(math.isfinite, (psi, m1, m2))):
-        raise OracleError("non-finite wedge parameters")
-    if math.pi / 2 - abs(psi) < EPS_PSI:
-        raise OracleError("extreme tilt: wedge coordinates are undefined")
+    if not math.pi / 2 - abs(psi) >= EPS_PSI:      # a NaN tilt too
+        raise ExtremeTiltError("tensor undefined (extreme tilt)")
+    if not all(math.isfinite(1.0 + m * m) for m in (m1, m2)):
+        raise TensorError("tensor undefined (slope overflow)")
 
     x, y = float(job.eval_x), float(job.eval_y)
     if abs(m2 - m1) <= EPS_M * (1.0 + abs(m1) + abs(m2)):
         family, z_bounds = _reference_slab_family(0.5 * (m1 + m2))
     else:
-        if x < APEX_THRESHOLD * max(1.0, abs(y)):
+        if abs(x) < APEX_THRESHOLD * max(1.0, abs(y)):
             raise ApexProximityError(
                 f"evaluation point x = {x:.3g} is too close to the apex")
         if (m2 - m1) * x <= 0:
@@ -299,7 +308,7 @@ def test_mixed_batch_gives_the_reference_records_in_order(eval_point, cases):
     for k, case in enumerate(cases):
         try:
             want = reference_tensor(WedgeQuadratureJob(*case, **settings))
-        except OracleError:
+        except (OracleError, TensorError):
             assert np.isnan(stack[k]).all()
         else:
             assert stack[k].tobytes() == want.tobytes()
@@ -331,7 +340,8 @@ def test_too_large_slopes_are_refused_as_the_closed_form_refuses_them():
     cases = [(0.0, 1e155, 1e155), (0.0, -1e308, 1e308), (0.3, 0.0, 1e200),
              (0.0, 1e150, 1e150), (0.5, -1.0, 2.0)]
     for case in cases[:3]:
-        with pytest.raises(OracleError, match="^slopes are too large"):
+        with pytest.raises(TensorError,
+                           match=r"^tensor undefined \(slope overflow\)$"):
             quadrature_tensor(WedgeQuadratureJob(*case))
     with pytest.raises(OracleError, match="not finite"):
         quadrature_tensor(WedgeQuadratureJob(*cases[3]))
@@ -343,9 +353,11 @@ def test_too_large_slopes_are_refused_as_the_closed_form_refuses_them():
 
 @pytest.mark.parametrize("key,value", [
     ("eval_x", 10**400), ("eval_y", -10**400), ("fd_step", 10**400),
-    ("eval_x", "1"), ("fd_step", None)],
+    ("eval_x", "1"), ("fd_step", None),
+    ("points", 0), ("points", -1), ("points", 2.5), ("points", 1025)],
     ids=["eval-x-1e400", "eval-y-minus-1e400", "fd-step-1e400", "eval-x-text",
-         "fd-step-none"])
+         "fd-step-none", "points-0", "points-minus-1", "points-2.5",
+         "points-1025"])
 def test_a_job_with_a_real_a_float_cannot_hold_is_refused(key, value):
     with pytest.raises(OracleError, match=f"^{key} must be "):
         quadrature_tensor(WedgeQuadratureJob(0.1, 0.0, 1.0, **{key: value}))
@@ -361,3 +373,39 @@ def test_a_slab_too_thin_to_resolve_is_an_error_not_a_crash():
     stack = quadrature_tensor(WedgeQuadratureJob(
         np.zeros(2), np.array([1e16, 0.0]), np.array([1e16, 1.0])))
     assert np.isnan(stack[0]).all() and np.isfinite(stack[1]).all()
+
+
+@pytest.mark.parametrize("case,flag", [
+    ((math.nan, 0.0, 1.0), "extreme_tilt"), ((math.inf, 0.0, 1.0), "extreme_tilt"),
+    ((math.pi / 2, 0.0, 1.0), "extreme_tilt"),
+    ((0.3, math.nan, 1.0), "slope_overflow"),
+    ((0.3, 1e300, -1e300), "slope_overflow"),
+    ((0.0, 1e155, 1e155), "slope_overflow")],
+    ids=["nan-tilt", "infinite-tilt", "tilt-pi-over-2", "nan-slope",
+         "huge-slopes", "coincident-huge-slopes"])
+def test_a_wedge_without_a_tensor_is_refused_through_one_table(
+        tmp_path, capsys, case, flag):
+    [(error, text)] = [(e, t) for f, e, t in UNDEFINED if f == flag]
+    # the closed form at one point and the quadrature of one case
+    for call in (lambda: effective_tensor(frame_from_slopes(*case), MED),
+                 lambda: quadrature_tensor(WedgeQuadratureJob(*case))):
+        with pytest.raises(TensorError) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == text
+    # the oracle command, for the wedges its config accepts
+    if all(map(math.isfinite, case)) and abs(case[0]) <= math.pi / 2:
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("".join(f"{k}={v!r}\n"
+                               for k, v in zip(("psi", "m1", "m2"), case)))
+        out = tmp_path / "one.json"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 3
+        [got] = json.loads(out.read_text())["cases"]
+        assert got["error"] == {"kind": error.__name__, "message": text}
+        assert capsys.readouterr().err == f"error: {text}\n"
+    # on arrays, beside a wedge that has a tensor: the same NaN rows
+    psi, m1, m2 = np.array([case, (0.3, -1.0, 2.0)]).T
+    closed = closed_form(psi, m1, m2)
+    quad = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2))
+    for stack in (closed, quad):
+        assert np.isnan(stack).all(axis=(1, 2)).tolist() == [True, False]
+        assert np.isfinite(stack[1]).all()

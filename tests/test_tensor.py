@@ -12,8 +12,8 @@ from effdiff.geometry import (
 )
 from effdiff.tensor import (
     EffectiveTensor, ExtremeTiltError, MediumParams, TensorError,
-    channel_recovery, effective_tensor, extreme_tilt_tensor, polar_decompose,
-    rho_omega, sample_tensor, to_cartesian,
+    channel_recovery, effective_tensor, extreme_tilt, extreme_tilt_tensor,
+    polar_decompose, rho_omega, sample_tensor, to_cartesian,
 )
 
 MED = MediumParams(1.0)
@@ -103,14 +103,14 @@ def test_rho_omega_marks_undefined_points_on_arrays_and_raises_on_floats():
                                   False]
     for k in (0, 4, 7):
         assert (rho[k], omega[k]) == rho_omega(float(m1[k]), float(m2[k]))
-    with pytest.raises(TensorError, match=r"^slopes must be finite, got "
-                       r"\(nan, 1\.0\)$"):
+    with pytest.raises(TensorError,
+                       match=r"^tensor undefined \(slope overflow\)$"):
         rho_omega(float("nan"), 1.0)
     for k in (3, 5, 6):
-        with pytest.raises(TensorError, match=r"^slopes \(.*\) are too "
-                           r"large: rho or omega overflows$"):
+        with pytest.raises(TensorError,
+                           match=r"^tensor undefined \(slope overflow\)$"):
             rho_omega(float(m1[k]), float(m2[k]))
-    with pytest.raises(TensorError, match=r"^slopes \(1e\+300, -1e\+300\) "):
+    with pytest.raises(TensorError, match=r"^tensor undefined \(slope "):
         rho_omega(1e300, -1e300)
 
 
@@ -181,18 +181,19 @@ def test_effective_tensor_marks_every_undefined_point_on_arrays():
     undefined = np.isnan(t.coeffs).any(axis=(1, 2))
     assert undefined.tolist() == [False] * 3 + [True] * 5
     assert np.isnan(t.coeffs[3:]).all()
-    assert t.extreme_tilt.tolist() == [False] * 3 + [True] + [False] * 4
+    assert extreme_tilt(t.frame.psi).tolist() == [False] * 3 + [True] + [False] * 4
     for k, case in enumerate(cases[:3]):
         one = effective_tensor(frame(*case), MediumParams(2.5)).coeffs
         assert one.tobytes() == t.coeffs[k].tobytes()
-    with pytest.raises(ExtremeTiltError, match="is within"):
+    with pytest.raises(ExtremeTiltError,
+                       match=r"^tensor undefined \(extreme tilt\)$"):
         effective_tensor(frame(*cases[3]), MED)
-    with pytest.raises(TensorError, match=r"^slopes must be finite, got "
-                       r"\(nan, 1\.0\)$"):
+    with pytest.raises(TensorError,
+                       match=r"^tensor undefined \(slope overflow\)$"):
         effective_tensor(frame(*cases[4]), MED)
     for case in cases[5:]:
         with pytest.raises(TensorError,
-                           match="too large: rho or omega overflows"):
+                           match=r"^tensor undefined \(slope overflow\)$"):
             effective_tensor(frame(*case), MED)
 
 
@@ -474,15 +475,15 @@ def test_frame_and_tensor_kernel_match_the_per_point_reference():
     t = effective_tensor(fd, MediumParams(d0))
     assert len(cases) == 635 and not any(r[6] for r in refs)
     assert fd.degenerate_frame.tolist() == [r[5] for r in refs]
-    assert t.extreme_tilt.tolist() == [r[7] is None for r in refs]
+    assert extreme_tilt(t.frame.psi).tolist() == [r[7] is None for r in refs]
     assert fd.degenerate_frame.sum() >= 80
-    assert t.extreme_tilt.sum() >= 5
+    assert extreme_tilt(t.frame.psi).sum() >= 5
     for k, name in enumerate(("psi", "m1", "m2")):
         assert _close(getattr(fd, name), [r[k] for r in refs]), name
     for k, name in ((3, "xhat"), (4, "yhat")):
         for axis in (0, 1):
             assert _close(getattr(fd, name)[axis], [r[k][axis] for r in refs])
-    defined = ~t.extreme_tilt
+    defined = ~extreme_tilt(t.frame.psi)
     want = np.array([r[7] for r in refs if r[7] is not None])
     assert _close(t.coeffs[defined], want)
     assert np.all(np.isnan(t.coeffs[~defined]))
@@ -530,12 +531,12 @@ def test_frame_field_matches_the_reference_on_generated_gradients(pair):
         # cross12: the tilt is below 1e-10, not extreme, and the kernel
         # takes the parallel frame from grad z1
         assert abs(psi) < 1e-9
-        assert fd.psi[0] == 0.0 and not t.extreme_tilt[0]
+        assert fd.psi[0] == 0.0 and not extreme_tilt(t.frame.psi[0])
         assert _close([fd.xhat[0][0], fd.xhat[1][0]], np.divide(g1, math.hypot(*g1)))
         return
     assert _close([fd.psi[0], fd.m1[0], fd.m2[0], fd.xhat[0][0], fd.xhat[1][0],
                    fd.yhat[0][0], fd.yhat[1][0]], [psi, m1, m2, *xhat, *yhat])
-    assert t.extreme_tilt[0] == (coeffs is None)
+    assert extreme_tilt(t.frame.psi[0]) == (coeffs is None)
     if coeffs is not None:
         assert _close(t.coeffs[0], coeffs)
 
@@ -554,7 +555,7 @@ def test_scalar_calls_are_one_element_kernel_calls():
         assert _close([one.psi, one.m1, one.m2, *one.xhat, *one.yhat],
                       [fd.psi[k], fd.m1[k], fd.m2[k], fd.xhat[0][k],
                        fd.xhat[1][k], fd.yhat[0][k], fd.yhat[1][k]])
-        if t.extreme_tilt[k]:
+        if extreme_tilt(t.frame.psi[k]):
             with pytest.raises(ExtremeTiltError):
                 effective_tensor(one, MED)
         else:
@@ -565,14 +566,14 @@ def test_a_tensor_holds_the_frame_it_was_built_from():
     assert [f.name for f in fields(FrameData)] == [
         "xhat", "yhat", "psi", "m1", "m2", "mu", "degenerate_frame"]
     assert [f.name for f in fields(EffectiveTensor)] == [
-        "coeffs", "frame", "extreme_tilt"]
+        "coeffs", "frame"]
     one = frame_from_gradients((0.3, -0.2), (0.1, 0.5))
     many = frame_field(np.array([[0.3, 0.0]]).T, np.array([[0.1, 0.0]]).T)
     for fd in (one, many):
         assert effective_tensor(fd, MED).frame is fd
     for sign, psi in (("+", math.pi / 2), ("-", -math.pi / 2)):
         t, _ = extreme_tilt_tensor(0.5, 3.0, sign, MED)
-        assert t.frame == frame_from_slopes(psi, 0.5, 3.0) and t.extreme_tilt
+        assert t.frame == frame_from_slopes(psi, 0.5, 3.0)
 
 
 def test_basis_has_xhat_and_yhat_as_columns():

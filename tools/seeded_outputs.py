@@ -5,8 +5,10 @@
 Runs every command on built-in examples and a few small configs at fixed
 seeds (the list RUNS below, whose input files are INPUTS), in a temporary
 directory, and prints one `sha256  file` line per output file (the format
-of `sha256sum`).  Two trees give byte-identical outputs when their lines
-are identical:
+of `sha256sum`).  Then it runs the configs of REFUSED, which must exit
+non-zero, and prints one `exit <code>  <name>: <stderr line>` line for
+each.  Two trees give byte-identical outputs and the same refusals when
+their lines are identical:
 
     python3 tools/seeded_outputs.py --src ../parent/src > parent.txt
     python3 tools/seeded_outputs.py > change.txt
@@ -14,8 +16,10 @@ are identical:
 
 effdiff is imported from --src (default: the `src/` next to this file), so
 the tool can run against a tree that does not contain it.  It takes a few
-seconds on one core.  tests/test_seeded_outputs.py runs RUNS in the test
-suite and checks that each exits 0 and writes its output, not the hashes.
+seconds on one core.  tests/test_seeded_outputs.py runs RUNS and REFUSED
+in the test suite and checks that each run of RUNS exits 0 and writes its
+output, and each of REFUSED exits 2 or 3 with one line; not the hashes or
+the texts.
 """
 
 from __future__ import annotations
@@ -96,6 +100,25 @@ RUNS = [
                                            "resolution": "3x2"}),
 ]
 
+# (name, command, config keys) of configs that must be refused: exit 2 or 3
+# with a one-line message, printed after the hashes
+REFUSED = [
+    ("planes-huge-slopes", "planes", {"m1": "1e300", "m2": "-1e300"}),
+    ("oracle-tilt-pi-over-2", "oracle", {"psi": "1.5707963267948966",
+                                         "m1": "0", "m2": "1"}),
+    # x < 0 with m1 < m2: outside the wedge, not at its apex
+    ("oracle-outside", "oracle", {"psi": "0.3", "m1": "-1", "m2": "2",
+                                  "eval_x": "-1"}),
+    ("solve-extreme-tilt", "solve", {"z1": "1e10*x", "z2": "1e10*y+1e11",
+                                     "domain": "0,1,0,1", "resolution": "4x4",
+                                     "steps": "1"}),
+    # walkers reach x < -0.6, where z1 is undefined
+    ("mc-undefined-surface", "mc", {"z1": "log(x+0.6)-3", "z2": "2",
+                                    "domain": "0,1,0,1", "particles": "50",
+                                    "steps": "300", "dt": "1e-2",
+                                    "seed": "1"}),
+]
+
 # input files that RUNS name, written next to their configs: a 21x21
 # sampled upper surface 1 + 0.1 (x + y^2) over [0, 2]^2
 INPUTS = {
@@ -105,20 +128,32 @@ INPUTS = {
 }
 
 
+def _run(cli, name, command, keys):
+    """(exit code, stderr) of one config run in the current directory."""
+    Path(f"{name}.cfg").write_text(
+        "".join(f"{k}={v}\n" for k, v in {**keys, "out": name}.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", f"{name}.cfg"])
+    return code, err.getvalue()
+
+
 def run_all(cli):
     """Run RUNS in the current directory; the failures, one line each."""
     failed = []
     for name, text in INPUTS.items():
         Path(name).write_text(text)
     for name, command, keys in RUNS:
-        Path(f"{name}.cfg").write_text(
-            "".join(f"{k}={v}\n" for k, v in {**keys, "out": name}.items()))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = cli.main([command, "--config", f"{name}.cfg"])
+        code, err = _run(cli, name, command, keys)
         if code != 0:
-            failed.append(f"{name}: exit {code}: {err.getvalue().strip()}")
+            failed.append(f"{name}: exit {code}: {err.strip()}")
     return failed
+
+
+def run_refused(cli):
+    """Run REFUSED in the current directory: (name, exit code, stderr) each."""
+    return [(name, *_run(cli, name, command, keys))
+            for name, command, keys in REFUSED]
 
 
 def main(argv=None):
@@ -138,12 +173,17 @@ def main(argv=None):
         os.chdir(tmp)   # relative out names: the headers embed them
         try:
             failed = run_all(cli)
+            for path in sorted(Path(tmp).glob("*")):
+                if path.suffix != ".cfg" and path.name not in INPUTS:
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    print(f"{digest}  {path.name}")
+            refused = run_refused(cli)  # after the hashes: some write records
         finally:
             os.chdir(cwd)
-        for path in sorted(Path(tmp).glob("*")):
-            if path.suffix != ".cfg" and path.name not in INPUTS:
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {path.name}")
+    for name, code, err in refused:
+        print(f"exit {code}  {name}: {err.strip()}")
+        if code == 0:
+            failed.append(f"{name}: exit 0, where a refusal is expected")
     for line in failed:
         print(f"failed: {line}", file=sys.stderr)
     return 1 if failed else 0
