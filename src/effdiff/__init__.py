@@ -8,9 +8,9 @@ from .expr import (
 )
 from .geometry import (
     DegenerateConfigError, Domain, ExpressionField, FrameData, GeometryError,
-    GridField, OutsideDomainError, PlaneConfig, PlaneFrame, ScalarField,
-    SurfacePair, SurfaceValidationError, frame_field, frame_for_planes,
-    frame_from_gradients, frame_from_slopes,
+    GridField, InputError, OutsideDomainError, PlaneConfig, PlaneFrame,
+    ScalarField, SurfacePair, SurfaceValidationError, frame_field,
+    frame_for_planes, frame_from_gradients, frame_from_slopes,
 )
 from .tensor import (
     EffectiveTensor, EllipsoidData, ExtremeTiltError, MediumParams,

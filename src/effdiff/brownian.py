@@ -47,19 +47,18 @@ single buffer.  Repeated runs with one seed are byte-identical.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SurfacePair, real, store_reals
+from .geometry import InputError, SurfacePair, integer, real, store_reals
+from .tensor import MediumParams
 
 MAX_BOUNCES = 8
 NEWTON_TOL = 1e-14           # crossing search: step or bracket in t
 NEWTON_MAX_ITER = 100        # termination bound; searches end far sooner
 DOUBLE_CROSS_LIMIT = 1e-3    # abort above this fraction of steps
 ROUNDING_MARGIN = 1e6        # least step, in ulp: rounding moves it <= 1e-6
-MAX_COUNT = 10**15           # 24 PB of (x, y, z) floats; numpy refuses far more
 
 
 class BrownianError(Exception):
@@ -82,15 +81,15 @@ class Slab:
     width: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        store_reals(self, BrownianError, "gap", "mu")
+        store_reals(self, "gap", "mu")
         if not 0 < self.gap < math.inf:
-            raise BrownianError(f"gap must be positive and finite, got {self.gap!r}")
+            raise InputError("gap", f"must be positive and finite, got {self.gap!r}")
         s = math.sqrt(1.0 + self.mu * self.mu)
         if not math.isfinite(s):
-            raise BrownianError(f"mu must have 1 + mu^2 finite, got {self.mu!r}")
+            raise InputError("mu", f"must have 1 + mu^2 finite, got {self.mu!r}")
         if not self.gap / s > 0:
-            raise BrownianError(f"gap {self.gap!r} is too thin for mu {self.mu!r}: "
-                                "the width gap / sqrt(1 + mu^2) underflows to 0")
+            raise InputError("gap", f"{self.gap!r} is too thin for mu {self.mu!r}: "
+                             "the width gap / sqrt(1 + mu^2) underflows to 0")
         # (-mu, 0, 1) / s, divided once more by its computed norm (a few
         # ulp from 1), whose rounding every seeded slab output carries
         n = np.array([-self.mu, 0.0, 1.0]) / s
@@ -126,33 +125,28 @@ class McJob:
     jackknife_blocks: int = 25
 
     def __post_init__(self):
-        store_reals(self, BrownianError, "dt", "d0")
+        store_reals(self, "dt")
+        object.__setattr__(self, "d0", MediumParams(self.d0).d0)
         if self.start is not None:
             object.__setattr__(self, "start", tuple(
-                real(BrownianError, "start", v) for v in self.start))
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise BrownianError("dt must be positive and finite")
-        if not (self.d0 > 0 and math.isfinite(self.d0)):
-            raise BrownianError("D0 must be positive and finite")
-        n, blocks = self.n_particles, self.jackknife_blocks
-        for name, lo, hi in (("n_particles", 2, MAX_COUNT),
-                             ("n_steps", 1, MAX_COUNT),
-                             ("jackknife_blocks", 2, n), ("seed", 0, math.inf)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and lo <= value <= hi):
-                raise BrownianError(f"{name} must be an integer in [{lo}, "
-                                    f"{hi}], got {value!r}")
+                real("start", v) for v in self.start))
+        if not 0 < self.dt < math.inf:
+            raise InputError("dt", f"= {self.dt:.3g} is not positive and finite")
+        n = integer("n_particles", self.n_particles, 2)
+        integer("n_steps", self.n_steps, 1)
+        blocks = integer("jackknife_blocks", self.jackknife_blocks, 2, n)
+        integer("seed", self.seed, 0, math.inf)
         if n - np.diff(_block_bounds(n, blocks)).max() < 2:
-            raise BrownianError(f"jackknife blocks must leave at least 2 of "
-                                f"{n} particles outside each block, got {blocks}")
+            raise InputError("jackknife_blocks", f"must leave at least 2 of {n} "
+                             f"particles outside each block, got {blocks}")
         object.__setattr__(self, "start", _start(self.geometry, self.start))
         slab = isinstance(self.geometry, Slab)
         sigma = self.deviation(self.n_steps if slab else 1)
         scale = self.geometry.width if slab else max(map(abs, self.start))
         if not sigma > ROUNDING_MARGIN * math.ulp(scale):
-            raise BrownianError(f"dt = {self.dt:.3g} is too small: a step of "
-                                f"{sigma:.3g} is lost to rounding at coordinates "
-                                f"of {scale:.3g}")
+            raise InputError("dt", f"= {self.dt:.3g} is too small: a step of "
+                             f"{sigma:.3g} is lost to rounding at coordinates "
+                             f"of {scale:.3g}")
 
     def deviation(self, steps=1):
         """Per-axis deviation sqrt(2 D0 steps dt) of `steps` summed steps."""
@@ -166,8 +160,8 @@ def _start(geometry, start):
         start = geometry.midpoint_start() if start is None else start
         s0 = float(geometry.coordinate(np.asarray(start, dtype=float)))
         if not (0.0 < s0 < geometry.width):
-            raise BrownianError(f"start coordinate {s0:.6g} is not strictly "
-                                f"inside [0, {geometry.width:.6g}]")
+            raise InputError("start", f"coordinate {s0:.6g} is not strictly "
+                             f"inside [0, {geometry.width:.6g}]")
     elif isinstance(geometry, SurfacePair):
         d = geometry.domain
         x, y, z = ((0.5 * (d.x0 + d.x1), 0.5 * (d.y0 + d.y1), None)
@@ -177,9 +171,10 @@ def _start(geometry, start):
         z1, z2 = np.ravel(z1)[0], np.ravel(z2)[0]    # a constant is a scalar
         start = x, y, 0.5 * (z1 + z2) if z is None else z
         if not (z1 < start[2] < z2) or (bad is not None and np.any(bad)):
-            raise BrownianError("start must lie strictly between the surfaces")
+            raise InputError("start", "must lie strictly between the surfaces")
     else:
-        raise BrownianError(f"unsupported geometry {type(geometry).__name__}")
+        raise InputError("geometry", "must be a Slab or a SurfacePair: "
+                         f"unsupported geometry {type(geometry).__name__}")
     return tuple(map(float, start))
 
 

@@ -3,7 +3,9 @@
 Subcommands: tensor, planes, oracle, mc, solve, recover-channel.
 Settings come from a flat key=value config file (--config), overridden by
 command-line flags; --example loads a named built-in configuration first.
-Every value is parsed by its key's entry in _PARSERS before a command runs.
+_PARSERS converts the text of every value before a command runs; the
+library records (and evolve) that receive the values check their ranges,
+and _PARSERS only those that no record checks.
 Every output file embeds the tool version and the fully resolved config,
 and repeated runs with the same config and seed are byte-identical.
 
@@ -21,18 +23,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .brownian import (
-    MAX_COUNT, BrownianError, McJob, Slab, mc_projected_tensor,
-)
+from .brownian import BrownianError, McJob, Slab, mc_projected_tensor
 from .expr import ExprError
 from .geometry import (
-    DegenerateConfigError, Domain, GeometryError, GridField, PlaneConfig,
-    ScalarField, SurfacePair, frame_for_planes, frame_from_slopes, unit_vector,
+    MAX_COUNT, DegenerateConfigError, Domain, GeometryError, GridField,
+    InputError, PlaneConfig, ScalarField, SurfacePair, frame_for_planes,
+    frame_from_slopes, unit_vector,
 )
 from .pde import PdeError, PdeGrid, evolve
-from .quadrature import (
-    MAX_POINTS, OracleError, WedgeQuadratureJob, quadrature_tensor,
-)
+from .quadrature import OracleError, WedgeQuadratureJob, quadrature_tensor
 from .tensor import (
     UNDEFINED, ExtremeTiltError, MediumParams, TensorError, channel_recovery,
     effective_tensor, extreme_tilt_tensor, polar_decompose, rho_omega,
@@ -44,8 +43,9 @@ from .geometry import frame_from_gradients  # noqa: F401
 from .pde import stability_bound  # noqa: F401
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(InputError):
+    def __init__(self, message):    # config text that does not parse
+        super().__init__(None, message)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +91,9 @@ _ALLOWED_KEYS = {
     "recover-channel": _COMMON_KEYS | {"z1", "z2", "x0", "x1", "samples"},
 }
 
+_FIELDS = {"particles": "n_particles", "steps": "n_steps",
+           "blocks": "jackknife_blocks", "quad_points": "points"}
+
 # Keys that can also be set by a command-line flag; a command offers the
 # flag of each key it allows.
 _FLAGS = {
@@ -109,7 +112,7 @@ def _parser(convert, accept, wanted):
     def parse(key, text):
         try:
             value = convert(text)
-        except ValueError:
+        except (TypeError, ValueError):     # InputError is a ValueError
             pass
         else:
             if accept(value):
@@ -128,14 +131,6 @@ def _numbers(text):
 
 def _sizes(text):
     return tuple(map(int, text.lower().split("x")))
-
-
-def _rectangle(text):
-    """The Domain x0,x1,y0,y1; a ValueError for any text it refuses."""
-    try:
-        return Domain(*_numbers(text))
-    except (TypeError, GeometryError):     # not four numbers, or refused
-        raise ValueError(text) from None
 
 
 def _integer(lo, hi=MAX_COUNT):
@@ -157,9 +152,10 @@ def _grid(key, text):
     return load_grid_field(text)
 
 
+_number = _parser(float, lambda v: True, "a number")
+_whole = _parser(int, lambda n: True, "an integer")
 _finite = _parser(float, math.isfinite, "a finite number")
-_positive = _parser(float, lambda v: 0 < v < math.inf, "positive and finite")
-# coordinates and slopes whose spans and squares stay finite
+# coordinates whose spans and squares stay finite
 _moderate = _parser(float, lambda v: abs(v) <= 1e100, "in [-1e100, 1e100]")
 _vector = _parser(_numbers, lambda v: len(v) == 3, "three finite numbers x,y,z")
 
@@ -167,27 +163,21 @@ _vector = _parser(_numbers, lambda v: len(v) == 3, "three finite numbers x,y,z")
 def _normal(key, text):
     """A vector that PlaneConfig accepts, refused even where it is unused."""
     v = _vector(key, text)
-    try:
-        unit_vector(key, v)
-    except GeometryError as exc:
-        raise ConfigError(str(exc)) from None
+    unit_vector(key, v)
     return v
 
 
 _PARSERS = {
-    "d0": _parser(float, lambda v: 1e-50 <= v <= 1e50, "in [1e-50, 1e50]"),
-    "dt": _positive, "gap": _positive, "x0": _moderate, "x1": _moderate,
-    "fd_step": _parser(float, lambda v: 0 < v < 1, "in (0, 1)"),
-    "mu": _moderate, "m1": _finite, "m2": _finite,
+    "d0": _number, "dt": _number, "gap": _number, "mu": _number,
+    "fd_step": _number, "eval_x": _number, "eval_y": _number,
+    "steps": _whole, "particles": _whole, "blocks": _whole, "quad_points": _whole,
+    "x0": _moderate, "x1": _moderate, "m1": _finite, "m2": _finite,
     "psi": _parser(float, lambda v: abs(v) <= math.pi / 2,
                    "a tilt in [-pi/2, pi/2]"),
-    "eval_x": _moderate, "eval_y": _moderate,
+    # the oracle sweep gives the seed to numpy, which refuses one < 0
     "seed": _parser(int, lambda n: n >= 0, "an integer >= 0"),
-    "count": _integer(0), "steps": _integer(0),
-    "quad_points": _integer(1, MAX_POINTS),
-    "snap_every": _integer(1),
-    "samples": _integer(1), "particles": _integer(2), "blocks": _integer(2),
-    "domain": _parser(_rectangle, lambda domain: True,
+    "count": _integer(0), "snap_every": _integer(1), "samples": _integer(1),
+    "domain": _parser(lambda text: Domain(*_numbers(text)), lambda domain: True,
                       "x0,x1,y0,y1 with finite x1 - x0 > 0 and y1 - y0 > 0"),
     "resolution": _parser(_sizes, lambda n: len(n) == 2 and min(n) >= 2
                           and n[0] * n[1] <= MAX_COUNT,
@@ -258,12 +248,11 @@ def resolve_config(command, args):
                           for key, text in cfg.items())
 
 
-def _set(opt, *keys, **renamed):
-    """Keyword arguments for a library type: each of its keys that is set,
-    under its own name or the one `renamed` gives it; an unset key keeps
-    the library's default."""
-    fields = {**dict(zip(keys, keys)), **renamed}
-    return {field: opt[key] for key, field in fields.items() if key in opt}
+def _set(opt, *keys):
+    """Keyword arguments for a library type: each of `keys` that is set,
+    under its field name in _FIELDS (whose errors main names by the key) or
+    its own; an unset key keeps the library's default."""
+    return {_FIELDS.get(key, key): opt[key] for key in keys if key in opt}
 
 
 def load_grid_field(path):
@@ -303,7 +292,7 @@ def load_grid_field(path):
         values.append(samples)
     try:
         return GridField(origin, spacing, np.array(values))
-    except GeometryError as exc:    # a lattice or corner GridField refuses
+    except InputError as exc:    # a lattice or corner GridField refuses
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -479,7 +468,7 @@ def _oracle_records(cases, med, setup):
 
 def cmd_oracle(cfg, opt):
     med = MediumParams(opt["d0"])
-    setup = _set(opt, "eval_x", "eval_y", "fd_step", quad_points="points")
+    setup = _set(opt, "eval_x", "eval_y", "fd_step", "quad_points")
     count = opt.get("count", 0)
 
     if count > 0:
@@ -517,13 +506,9 @@ def cmd_oracle(cfg, opt):
 def cmd_mc(cfg, opt):
     slab = _set(opt, "mu", "gap")
     surfaces = not slab and ("z1" in opt or "z2" in opt)
-    try:
-        geometry = _surface_pair(opt) if surfaces else Slab(**slab)
-        job = McJob(geometry, d0=opt["d0"], **_set(
-            opt, "dt", "seed", "start", particles="n_particles",
-            steps="n_steps", blocks="jackknife_blocks"))
-    except BrownianError as exc:
-        raise ConfigError(str(exc)) from None
+    geometry = _surface_pair(opt) if surfaces else Slab(**slab)
+    job = McJob(geometry, d0=opt["d0"], **_set(
+        opt, "dt", "seed", "start", "particles", "steps", "blocks"))
     result = mc_projected_tensor(job)
     write_json(opt.get("out"), cfg, {
         "mode": "surfaces (report only)" if surfaces else "slab",
@@ -573,8 +558,6 @@ def cmd_solve(cfg, opt):
 def cmd_recover_channel(cfg, opt):
     med = MediumParams(opt["d0"])
     x0, x1 = opt.get("x0", 0.0), opt.get("x1", _TWO_PI)
-    if not x1 > x0:
-        raise ConfigError(f"x0 and x1 must have x1 > x0, got {x0!r} and {x1!r}")
     pair = SurfacePair(opt["z1"], opt["z2"], Domain(x0, x1, -1.0, 1.0))
 
     x = np.linspace(x0, x1, opt.get("samples", 100))
@@ -638,8 +621,9 @@ def main(argv=None) -> int:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         cfg, opt = resolve_config(args.command, args)
         return _COMMANDS[args.command][0](cfg, opt)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
+    except InputError as exc:   # text that does not parse, or a record's refusal
+        key = {f: k for k, f in _FIELDS.items()}.get(exc.field)
+        sys.stderr.write(f"config error: {f'{key} {exc.rule}' if key else exc}\n")
         return 2
     except (GeometryError, TensorError, OracleError, BrownianError, PdeError,
             ExprError, MemoryError) as exc:  # numpy: "Unable to allocate ..."

@@ -37,6 +37,16 @@ from . import expr as _expr
 
 EPS_GRAD = 1e-10     # |grad w| below this: frame direction is unreliable
 EPS_PARALLEL = 1e-12  # |n1 x n2| below this: planes treated as parallel
+MAX_COUNT = 10**15    # 24 PB of (x, y, z) floats; numpy refuses far more
+
+
+class InputError(ValueError):
+    """A value refused by the record or function that receives it: its
+    `field`, then the `rule` it breaks (the rule alone if field is None)."""
+
+    def __init__(self, field, rule):
+        super().__init__(rule if field is None else f"{field} {rule}")
+        self.field, self.rule = field, rule
 
 
 class GeometryError(Exception):
@@ -60,22 +70,29 @@ class DegenerateConfigError(GeometryError):
         self.psi = psi
 
 
-def real(error, name, value):
-    """float(value), or `error` naming `name` unless value is a real number
-    that a float can hold (an int too large for one is not)."""
+def real(name, value):
+    """float(value), or an InputError naming `name` unless value is a real
+    number that a float can hold (an int too large for one is not)."""
     if not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise InputError(name, f"must be a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise error(f"{name} must be finite, got an int too large for a "
-                    "float") from None
+        raise InputError(name, "must be finite, got an int too large for a "
+                         "float") from None
 
 
-def store_reals(record, error, *names):
+def store_reals(record, *names):
     """Store each named field of a frozen dataclass as its real(...)."""
     for name in names:
-        object.__setattr__(record, name, real(error, name, getattr(record, name)))
+        object.__setattr__(record, name, real(name, getattr(record, name)))
+
+
+def integer(name, value, lo, hi=MAX_COUNT):
+    """value, or an InputError naming `name` unless an integer in [lo, hi]."""
+    if not (isinstance(value, numbers.Integral) and lo <= value <= hi):
+        raise InputError(name, f"must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +159,20 @@ class GridField(ScalarField):
     """Uniform lattice of finite samples; queries must stay inside the hull."""
 
     def __init__(self, origin, spacing, values):
-        self.x0, self.y0 = (real(GeometryError, "grid origin", v) for v in origin)
-        self.hx, self.hy = (real(GeometryError, "grid spacing", v) for v in spacing)
+        self.x0, self.y0 = (real("grid origin", v) for v in origin)
+        self.hx, self.hy = (real("grid spacing", v) for v in spacing)
         if not (self.hx > 0 and self.hy > 0):
-            raise GeometryError("grid spacing must be positive")
+            raise InputError("grid spacing", "must be positive")
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 2 or min(self.values.shape) < 3:
-            raise GeometryError("grid backing needs at least a 3x3 lattice")
+            raise InputError("grid", "backing needs at least a 3x3 lattice")
         self.nx, self.ny = self.values.shape
         self.x1 = self.x0 + (self.nx - 1) * self.hx
         self.y1 = self.y0 + (self.ny - 1) * self.hy
         if not np.isfinite([self.x0, self.y0, self.x1, self.y1]).all():
-            raise GeometryError("grid corners (origin and far end) must be finite")
+            raise InputError("grid corners", "(origin and far end) must be finite")
         if not np.all(np.isfinite(self.values)):
-            raise GeometryError("grid samples must be finite")
+            raise InputError("grid samples", "must be finite")
         self._dx = self._nodal_derivative(axis=0) / self.hx
         self._dy = self._nodal_derivative(axis=1) / self.hy
 
@@ -212,11 +229,10 @@ class Domain:
     y1: float
 
     def __post_init__(self):
-        store_reals(self, GeometryError, "x0", "x1", "y0", "y1")
+        store_reals(self, "x0", "x1", "y0", "y1")
         spans = self.x1 - self.x0, self.y1 - self.y0     # floats: no raise
         if not all(0 < span < math.inf for span in spans):  # corners finite
-            raise GeometryError("domain needs x1 - x0 and y1 - y0 positive "
-                                "and finite")
+            raise InputError("domain", "needs x1 - x0 and y1 - y0 positive and finite")
 
     def contains(self, p):
         """Whether p = (x, y) lies in the rectangle; elementwise on arrays."""
@@ -361,15 +377,15 @@ class PlaneConfig:
 
 
 def unit_vector(name, v):
-    """v / sqrt(v.v), as np.linalg.norm computes it; a GeometryError naming
+    """v / sqrt(v.v), as np.linalg.norm computes it; an InputError naming
     `name` unless v.v is a normal float (a subnormal one has lost digits)."""
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):    # an overflow is refused below
         square = float(v.dot(v))
     if not sys.float_info.min <= square < math.inf:
-        raise GeometryError(f"{name} must be a vector whose squared length is "
-                            f"in [{sys.float_info.min!r}, inf), got "
-                            f"{tuple(v.tolist())}")
+        raise InputError(name, f"must be a vector whose squared length is in "
+                         f"[{sys.float_info.min!r}, inf), got "
+                         f"{tuple(v.tolist())}")
     return v / math.sqrt(square)
 
 

@@ -29,12 +29,13 @@ can undershoot (documented limitation).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Domain, SurfacePair, frame_from_gradients
+from .geometry import (
+    Domain, InputError, SurfacePair, frame_from_gradients, integer,
+)
 from .tensor import MediumParams, effective_tensor, sample_tensor, to_cartesian
 
 # frame_from_gradients, effective_tensor and to_cartesian are re-exported:
@@ -199,23 +200,22 @@ def evolve(grid: PdeGrid, dt, n_steps: int, mode="finite",
     """Run n_steps of the chosen mode; callback(k, grid) with the grid as
     given (k = 0) once the step is checked, then after each step k.
 
-    mode is "finite" or "infinite" and n_steps an integer >= 0; anything
-    else raises ConfigurationError.
-    dt=None takes half the stability bound; a dt above the bound, or one
-    that is not positive and finite, raises StabilityError.  The step is
-    decided and checked, and the face coefficients are built, once per
-    call; the grid after step k has time t0 + k dt.
+    mode is "finite" or "infinite", n_steps an integer in [0, MAX_COUNT]
+    and a given dt positive and finite; anything else raises InputError.
+    dt=None takes half the stability bound; a dt above the bound, or a
+    half bound that is not positive and finite, raises StabilityError.
+    The step is decided and checked, and the face coefficients are built,
+    once per call; the grid after step k has time t0 + k dt.
     """
-    if not (isinstance(n_steps, numbers.Integral) and n_steps >= 0):
-        raise ConfigurationError(
-            f"n_steps must be an integer >= 0, got {n_steps!r}")
+    integer("n_steps", n_steps, 0)
     if mode not in ("finite", "infinite"):
-        raise ConfigurationError(f"mode must be finite or infinite, got {mode!r}")
+        raise InputError("mode", f"must be finite or infinite, got {mode!r}")
+    if dt is not None and not 0 < dt < math.inf:
+        raise InputError("dt", f"= {dt:.3g} is not positive and finite")
     infinite_rate = mode == "infinite"
     bound = stability_bound(grid, infinite_rate=infinite_rate)
-    if dt is None:
-        dt = 0.5 * bound
-    if not 0 < dt < math.inf:
+    dt = 0.5 * bound if dt is None else dt
+    if not 0 < dt < math.inf:       # half a bound that under- or overflowed
         raise StabilityError(f"dt = {dt:.3g} is not positive and finite "
                              f"(stability bound {bound:.3g})")
     if dt > bound * (1 + 1e-12):

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import store_reals
+from .geometry import InputError, integer, store_reals
 from .tensor import UNDEFINED, MediumParams, coincident, extreme_tilt, too_large
 
 APEX_THRESHOLD = 1e-6
@@ -52,7 +51,7 @@ class SingularSystemError(OracleError):
 @dataclass(frozen=True)
 class WedgeQuadratureJob:
     """Oracle evaluations: wedge frames (floats for one case, equal-length
-    arrays for many), evaluation point, resolution."""
+    arrays for many), evaluation point in [-1e100, 1e100]^2, resolution."""
 
     psi: float
     m1: float
@@ -63,11 +62,13 @@ class WedgeQuadratureJob:
     fd_step: float = 1e-5
 
     def __post_init__(self):    # psi, m1 and m2 may be arrays
-        store_reals(self, OracleError, "eval_x", "eval_y", "fd_step")
-        if not (isinstance(self.points, numbers.Integral)
-                and 1 <= self.points <= MAX_POINTS):
-            raise OracleError(f"points must be an integer in [1, {MAX_POINTS}]"
-                              f", got {self.points!r}")
+        store_reals(self, "eval_x", "eval_y", "fd_step")
+        integer("points", self.points, 1, MAX_POINTS)
+        for name, value in (("eval_x", self.eval_x), ("eval_y", self.eval_y)):
+            if not abs(value) <= 1e100:
+                raise InputError(name, f"must be in [-1e100, 1e100], got {value!r}")
+        if not 0 < self.fd_step < 1:
+            raise InputError("fd_step", f"must be in (0, 1), got {self.fd_step!r}")
 
 
 def quadrature_tensor(job: WedgeQuadratureJob,

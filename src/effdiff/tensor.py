@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    FrameData, GeometryError, frame_field, frame_from_slopes, store_reals,
+    FrameData, GeometryError, InputError, frame_field, frame_from_slopes,
+    store_reals,
 )
 
 EPS_M = 1e-7        # relative switch to the coincident-slope limit
@@ -67,9 +68,9 @@ class MediumParams:
     d0: float = 1.0
 
     def __post_init__(self):
-        store_reals(self, TensorError, "d0")
-        if not (self.d0 > 0 and math.isfinite(self.d0)):
-            raise TensorError(f"D0 must be positive and finite, got {self.d0}")
+        store_reals(self, "d0")
+        if not 1e-50 <= self.d0 <= 1e50:    # D D^T of a tensor stays normal
+            raise InputError("d0", f"must be in [1e-50, 1e50], got {self.d0!r}")
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,9 @@ def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
     psi = np.asarray(fd.psi, dtype=float)
     extreme = extreme_tilt(psi)
     if psi.ndim == 0 and extreme:
-        raise refusal(2)
+        error = refusal(2)
+        error.psi = float(psi)      # for the error record of a plane pair
+        raise error
     d0 = med.d0
     rho, omega = rho_omega(fd.m1, fd.m2)
     mu = fd.mu

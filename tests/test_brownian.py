@@ -12,7 +12,7 @@ from effdiff.brownian import (
 )
 from effdiff.expr import Compiled
 from effdiff.geometry import (
-    ExpressionField, GridField, ScalarField, SurfacePair,
+    ExpressionField, GridField, InputError, ScalarField, SurfacePair,
 )
 
 
@@ -140,10 +140,12 @@ def test_start_must_be_inside():
             (pair, (0.0, 0.0, 1.0), "strictly between the surfaces"),
             (pair, (0.0, 0.0, 3.6), "strictly between the surfaces"),
             (pair, (0.0, 0.0, math.nan), "strictly between the surfaces")):
-        with pytest.raises(BrownianError, match=message):
+        with pytest.raises(InputError, match=message) as info:
             McJob(geometry, start=start)
-    with pytest.raises(BrownianError, match="unsupported geometry"):
+        assert info.value.field == "start"
+    with pytest.raises(InputError, match="unsupported geometry") as info:
         McJob(object())
+    assert info.value.field == "geometry"
 
 
 @pytest.mark.parametrize("kind", ["slab", "pair"])
@@ -164,8 +166,9 @@ def test_a_step_lost_to_rounding_is_refused(kind):
         job = dict(dt=(factor * least) ** 2 / (2.0 * per_run), start=start,
                    n_particles=20, n_steps=steps, jackknife_blocks=4)
         if factor < 1:
-            with pytest.raises(BrownianError, match="^dt = .* is too small"):
+            with pytest.raises(InputError, match="^dt = .* is too small") as info:
                 McJob(geometry, **job)
+            assert info.value.field == "dt"
         else:
             res = mc_projected_tensor(McJob(geometry, **job))
             assert np.all(np.isfinite(res.stderr))
@@ -181,9 +184,11 @@ def test_a_start_where_a_surface_is_undefined_is_refused_as_outside():
                         GridField((0, 0), (0.1, 0.1), 5 + 0 * gx), (1, 2, 0, 2))
     for pair, start in ((grid, (2.5, 1.0, 0.5)), (grid, (1.0, -0.5, 0.5)),
                         (mixed, (-1.0, 1.0, 0.0)), (mixed, (1.0, 2.5, 3.0))):
-        with pytest.raises(BrownianError,
-                           match="^start must lie strictly between the surfaces$"):
+        with pytest.raises(InputError,
+                           match="^start must lie strictly between the surfaces$"
+                           ) as info:
             McJob(pair, start=start)
+        assert info.value.field == "start"
     # inside the hull, on the same pairs, the start stands
     assert McJob(grid, start=(1.0, 1.0, 0.5)).start == (1.0, 1.0, 0.5)
     assert McJob(mixed, start=(1.5, 1.0, 3.0)).start == (1.5, 1.0, 3.0)
@@ -562,8 +567,9 @@ def test_grazing_chain_under_a_crest_is_a_rejected_step(monkeypatch):
 def test_every_jackknife_replicate_keeps_two_particles():
     slab = Slab(0.0)
     for n, blocks in ((2, 2), (3, 2), (5, 6)):
-        with pytest.raises(BrownianError):
+        with pytest.raises(InputError) as info:
             McJob(slab, n_particles=n, jackknife_blocks=blocks)
+        assert info.value.field == "jackknife_blocks"
     for n, blocks in ((4, 2), (3, 3)):
         res = mc_projected_tensor(McJob(slab, n_particles=n, n_steps=1,
                                         jackknife_blocks=blocks))
@@ -597,8 +603,9 @@ def test_a_slab_is_its_slope_and_gap():
     (10**400, 1.0, "mu"), (1.0, 10**400, "gap"), (10**200, 1.0, "mu"),
     (-10**400, 1, "mu"), (0, -10**400, "gap")])
 def test_a_slab_without_a_finite_positive_width_is_refused(mu, gap, named):
-    with pytest.raises(BrownianError, match=f"^{named} "):
+    with pytest.raises(InputError, match=f"^{named} ") as info:
         Slab(mu, gap)
+    assert info.value.field == named
 
 
 @pytest.mark.parametrize("key,value", [
@@ -609,18 +616,22 @@ def test_a_slab_without_a_finite_positive_width_is_refused(mu, gap, named):
          "particles-100.5", "steps-2.5", "seed-minus-1", "seed-1.5",
          "blocks-above-particles"])
 def test_a_job_with_a_count_or_seed_it_cannot_run_is_refused(key, value):
-    with pytest.raises(BrownianError, match=f"^{key} must be an integer in "):
+    with pytest.raises(InputError, match=f"^{key} must be an integer in ") as info:
         McJob(Slab(), **{"n_particles": 100, key: value})
+    assert info.value.field == key
 
 
 @pytest.mark.parametrize("key,value", [
     ("dt", 10**400), ("d0", 10**400), ("start", (0, 0, 10**400)),
-    ("dt", "1e-3"), ("d0", None), ("start", (0, 0, "0.5"))],
+    ("dt", "1e-3"), ("d0", None), ("start", (0, 0, "0.5")),
+    # outside MediumParams' range of d0, which McJob shares
+    ("d0", 1e300)],
     ids=["dt-1e400", "d0-1e400", "start-1e400", "dt-text", "d0-none",
-         "start-text"])
+         "start-text", "d0-1e300"])
 def test_a_job_with_a_real_a_float_cannot_hold_is_refused(key, value):
-    with pytest.raises(BrownianError, match=f"^{key} must be "):
+    with pytest.raises(InputError, match=f"^{key} must be ") as info:
         McJob(Slab(), **{"n_particles": 100, key: value})
+    assert info.value.field == key
 
 
 # ---------------------------------------------------------------------------

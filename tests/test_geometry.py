@@ -5,7 +5,7 @@ import pytest
 
 from effdiff.expr import EvalDomainError
 from effdiff.geometry import (
-    DegenerateConfigError, Domain, GeometryError, GridField,
+    DegenerateConfigError, Domain, GeometryError, GridField, InputError,
     OutsideDomainError, PlaneConfig,
     ScalarField, SurfacePair, SurfaceValidationError, frame_field,
     frame_for_planes,
@@ -73,8 +73,9 @@ def test_planes_vertical_parallel_is_degenerate():
 @pytest.mark.parametrize("name", ["n1", "n2", "zdir"])
 def test_a_vector_without_a_positive_finite_length_is_refused(name, vector):
     planes = dict(n1=(0.0, 0.0, 1.0), n2=(0.0, 0.5, 1.0), zdir=(0.0, 0.0, 1.0))
-    with pytest.raises(GeometryError, match=f"^{name} must be a vector"):
+    with pytest.raises(InputError, match=f"^{name} must be a vector") as info:
         PlaneConfig(**{**planes, name: np.array(vector)})
+    assert info.value.field == name
     # just above the threshold: a squared length of 2.2472e-308
     c = PlaneConfig(**{**planes, name: np.array([1.06e-154, 0.0, 1.06e-154])})
     np.testing.assert_allclose(getattr(c, name), [SQ2 / 2, 0.0, SQ2 / 2],
@@ -319,8 +320,9 @@ def test_a_grid_without_finite_corners_and_samples_is_refused(origin, spacing,
     values = np.ones((5, 5))
     if bad is not None:
         values[2, 3] = bad
-    with pytest.raises(GeometryError, match=f"^grid {named} "):
+    with pytest.raises(InputError, match=f"^grid {named} ") as info:
         GridField(origin, spacing, values)
+    assert info.value.field == f"grid {named}"
 
 
 @pytest.mark.parametrize("corners", [
@@ -328,8 +330,10 @@ def test_a_grid_without_finite_corners_and_samples_is_refused(origin, spacing,
     (0, 1, math.nan, 1), (-1.7e308, 1.7e308, 0, 1),
     (np.float64(0), np.float64(1), np.float64(-1e308), np.float64(1e308))])
 def test_a_domain_without_finite_positive_spans_is_refused(corners):
-    with pytest.raises(GeometryError, match="^domain needs x1 - x0 and y1 - y0"):
+    with pytest.raises(InputError,
+                       match="^domain needs x1 - x0 and y1 - y0") as info:
         Domain(*corners)
+    assert info.value.field == "domain"
 
 
 @pytest.mark.parametrize("build,named", [
@@ -342,8 +346,9 @@ def test_a_domain_without_finite_positive_spans_is_refused(corners):
          "pair-int-1e400", "pair-complex"])
 def test_a_domain_corner_a_float_cannot_hold_is_refused_by_name(build, named):
     # each corner is a float from the start, or the domain is refused
-    with pytest.raises(GeometryError, match=f"^{named} must be "):
+    with pytest.raises(InputError, match=f"^{named} must be ") as info:
         build()
+    assert info.value.field == named
 
 
 def test_grid_field_bilinear_value_and_hull():

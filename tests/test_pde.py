@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from effdiff import pde
-from effdiff.geometry import FrameData, ScalarField, SurfacePair
+from effdiff.geometry import FrameData, InputError, ScalarField, SurfacePair
 from effdiff.pde import (
     ConfigurationError, PdeGrid, StabilityError, evolve, stability_bound,
     step_finite_rate, step_infinite_rate, to_cartesian,
@@ -161,15 +161,20 @@ def test_a_step_that_is_not_positive_and_finite_is_refused(domain):
     grid = flat_slab(domain, 4, 4)
     bound = stability_bound(grid)       # h * h: never an OverflowError
     assert bound in (0.0, math.inf)
-    for dt in (None, 0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(StabilityError, match="not positive and finite"):
+    # half the bound is a numerical failure, a given step a refused input
+    with pytest.raises(StabilityError, match="not positive and finite"):
+        evolve(grid, None, 3)
+    for dt in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="not positive and finite") as info:
             evolve(grid, dt, 3)
+        assert info.value.field == "dt"
 
 
 def test_an_unknown_mode_is_refused():
     grid = flat_slab((0, 1, 0, 1), 4, 4)
-    with pytest.raises(ConfigurationError, match="'finit'"):
+    with pytest.raises(InputError, match="'finit'") as info:
         evolve(grid, None, 3, mode="finit")
+    assert info.value.field == "mode"
 
 
 def test_bad_initial_density_rejected():
@@ -189,12 +194,18 @@ def test_an_initial_density_that_is_not_finite_is_refused(p0):
         flat_slab((0, 1, 0, 1), 4, 4, p0=p0)
 
 
-@pytest.mark.parametrize("n_steps", [-1, 2.5, "3", None],
-                         ids=["minus-1", "fraction", "text", "none"])
+@pytest.mark.parametrize("n_steps", [-1, 2.5, "3", None, 10**16],
+                         ids=["minus-1", "fraction", "text", "none", "1e16"])
 def test_a_step_count_that_is_not_an_integer_from_0_is_refused(n_steps):
     grid = flat_slab((0, 1, 0, 1), 4, 4)
-    with pytest.raises(ConfigurationError, match="^n_steps must be an integer"):
-        evolve(grid, None, n_steps)
+
+    def stop(k, g):     # a count that is taken would run for years
+        if k:
+            raise RuntimeError(f"step {k} of {n_steps} ran")
+
+    with pytest.raises(InputError, match="^n_steps must be an integer") as info:
+        evolve(grid, None, n_steps, callback=stop)
+    assert info.value.field == "n_steps"
 
 
 def test_evolve_checks_the_stability_bound_once(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from effdiff import cli
 from effdiff.cli import _oracle_records, main
 from effdiff.geometry import (
-    FrameData, PlaneConfig, frame_for_planes, frame_from_slopes,
+    FrameData, InputError, PlaneConfig, frame_for_planes, frame_from_slopes,
 )
 from effdiff.quadrature import (
     APEX_THRESHOLD, ApexProximityError, OracleError, SingularSystemError,
@@ -354,13 +354,17 @@ def test_too_large_slopes_are_refused_as_the_closed_form_refuses_them():
 @pytest.mark.parametrize("key,value", [
     ("eval_x", 10**400), ("eval_y", -10**400), ("fd_step", 10**400),
     ("eval_x", "1"), ("fd_step", None),
-    ("points", 0), ("points", -1), ("points", 2.5), ("points", 1025)],
+    ("points", 0), ("points", -1), ("points", 2.5), ("points", 1025),
+    # a step of the whole point or a negative one, and a point whose
+    # shifted copies and squares overflow
+    ("fd_step", 2.0), ("fd_step", -1e-5), ("eval_x", 1e200)],
     ids=["eval-x-1e400", "eval-y-minus-1e400", "fd-step-1e400", "eval-x-text",
          "fd-step-none", "points-0", "points-minus-1", "points-2.5",
-         "points-1025"])
+         "points-1025", "fd-step-2", "fd-step-minus-1e-5", "eval-x-1e200"])
 def test_a_job_with_a_real_a_float_cannot_hold_is_refused(key, value):
-    with pytest.raises(OracleError, match=f"^{key} must be "):
+    with pytest.raises(InputError, match=f"^{key} must be ") as info:
         quadrature_tensor(WedgeQuadratureJob(0.1, 0.0, 1.0, **{key: value}))
+    assert info.value.field == key
 
 
 def test_a_slab_too_thin_to_resolve_is_an_error_not_a_crash():

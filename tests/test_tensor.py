@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from effdiff.geometry import (
-    FrameData, ScalarField, SurfacePair, frame_field, frame_from_gradients,
-    frame_from_slopes,
+    FrameData, InputError, ScalarField, SurfacePair, frame_field,
+    frame_from_gradients, frame_from_slopes,
 )
 from effdiff.tensor import (
     EffectiveTensor, ExtremeTiltError, MediumParams, TensorError,
@@ -158,11 +158,14 @@ def test_tensor_determinant_identity_and_psd_symmetric_factor():
         assert ell.lambda2 >= -1e-12
 
 
-@pytest.mark.parametrize("d0", [10**400, "1", None],
-                         ids=["int-1e400", "text", "none"])
+@pytest.mark.parametrize("d0", [10**400, "1", None, 1e300, 1e-300],
+                         ids=["int-1e400", "text", "none", "1e300", "1e-300"])
 def test_a_medium_whose_d0_a_float_cannot_hold_is_refused(d0):
-    with pytest.raises(TensorError, match="^d0 must be "):
+    # 1e300 and 1e-300: the squares of a tensor's entries overflow or
+    # underflow in polar_decompose
+    with pytest.raises(InputError, match="^d0 must be ") as info:
         MediumParams(d0)
+    assert info.value.field == "d0"
 
 
 def test_tensor_refuses_extreme_tilt():

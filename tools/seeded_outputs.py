@@ -117,6 +117,20 @@ REFUSED = [
                                     "domain": "0,1,0,1", "particles": "50",
                                     "steps": "300", "dt": "1e-2",
                                     "seed": "1"}),
+    # values that the record (or evolve) receiving them refuses: exit 2
+    *[(f"oracle-{key}-0", "oracle", {"psi": "0.3", "m1": "-1", "m2": "2",
+                                     key: "0"})
+      for key in ("quad_points", "fd_step")],
+    ("mc-particles-1", "mc", {"example": "slab", "particles": "1"}),
+    ("mc-steps-0", "mc", {"example": "slab", "steps": "0"}),
+    *[(f"solve-{key}-negative", "solve", {"z1": "0", "z2": "1",
+                                          "domain": "0,1,0,1",
+                                          "resolution": "4x4", key: value})
+      for key, value in (("steps", "-1"), ("dt", "-1e-4"))],
+    ("tensor-d0-0", "tensor", {"example": "radial", "resolution": "4x4",
+                               "d0": "0"}),
+    ("recover-channel-x1-below-x0", "recover-channel", {
+        "z1": "0", "z2": "1", "x0": "1", "x1": "-1"}),
 ]
 
 # input files that RUNS name, written next to their configs: a 21x21
