@@ -26,8 +26,8 @@ from .brownian import (
     mc_projected_tensor,
 )
 from .pde import (
-    ConfigurationError, PdeError, PdeGrid, StabilityError, evolve,
-    stability_bound, step_finite_rate, step_infinite_rate,
+    PdeError, PdeGrid, StabilityError, evolve, stability_bound,
+    step_finite_rate, step_infinite_rate,
 )
 
 __version__ = "0.1.0"

@@ -155,7 +155,7 @@ class McJob:
 
 def _start(geometry, start):
     """`start`, or the geometry's own start if it is None, as floats;
-    refused unless strictly inside (where a surface is undefined is not)."""
+    refused unless finite, strictly inside and where both surfaces are defined."""
     if isinstance(geometry, Slab):
         start = geometry.midpoint_start() if start is None else start
         s0 = float(geometry.coordinate(np.asarray(start, dtype=float)))
@@ -170,7 +170,7 @@ def _start(geometry, start):
             (z1, z2), bad = geometry.heights(*np.array([[x], [y]], dtype=float))
         z1, z2 = np.ravel(z1)[0], np.ravel(z2)[0]    # a constant is a scalar
         start = x, y, 0.5 * (z1 + z2) if z is None else z
-        if not (z1 < start[2] < z2) or (bad is not None and np.any(bad)):
+        if not z1 < start[2] < z2 or not np.isfinite(start).all() or np.any(bad):
             raise InputError("start", "must lie strictly between the surfaces")
     else:
         raise InputError("geometry", "must be a Slab or a SurfacePair: "

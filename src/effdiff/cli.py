@@ -3,9 +3,9 @@
 Subcommands: tensor, planes, oracle, mc, solve, recover-channel.
 Settings come from a flat key=value config file (--config), overridden by
 command-line flags; --example loads a named built-in configuration first.
-_PARSERS converts the text of every value before a command runs; the
-library records (and evolve) that receive the values check their ranges,
-and _PARSERS only those that no record checks.
+_lines reads config and grid files; _PARSERS converts the text of every
+value before a command runs.  The library records (and evolve) that receive
+the values check their ranges, and _PARSERS only those that no record checks.
 Every output file embeds the tool version and the fully resolved config,
 and repeated runs with the same config and seed are byte-identical.
 
@@ -92,7 +92,8 @@ _ALLOWED_KEYS = {
 }
 
 _FIELDS = {"particles": "n_particles", "steps": "n_steps",
-           "blocks": "jackknife_blocks", "quad_points": "points"}
+           "blocks": "jackknife_blocks", "quad_points": "points",
+           "z1_grid": "z1", "z2_grid": "z2"}
 
 # Keys that can also be set by a command-line flag; a command offers the
 # flag of each key it allows.
@@ -198,21 +199,27 @@ class _Settings(dict):
         raise ConfigError(f"missing required config key '{key}'")
 
 
-def read_config_file(path):
-    cfg = {}
+def _lines(path, what):
+    """(line number, text) of each non-empty line of the text file at path,
+    stripped; a file that cannot be read is one ConfigError naming `what`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                cfg[key.strip()] = value.strip()
+            return [(lineno, line.strip()) for lineno, line in enumerate(fh, 1)
+                    if line.strip()]
     except (OSError, ValueError) as exc:  # not UTF-8, or a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"cannot read config file: {path}: {reason}") from None
+        raise ConfigError(f"cannot read {what}: {path}: {reason}") from None
+
+
+def read_config_file(path):
+    cfg = {}
+    for lineno, line in _lines(path, "config file"):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        cfg[key.strip()] = value.strip()
     return cfg
 
 
@@ -258,13 +265,7 @@ def _set(opt, *keys):
 def load_grid_field(path):
     """Grid file: first line '# grid origin=<x0>,<y0> spacing=<hx>,<hy>',
     then one comma-separated row of samples per x index."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            rows = [(lineno, line.strip()) for lineno, line in enumerate(fh, 2)
-                    if line.strip()]
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise ConfigError(f"cannot read grid file: {exc}") from None
+    (_, header), *rows = _lines(path, "grid file") or [(0, "")]
     if not header.startswith("# grid"):
         raise ConfigError(f"{path}: missing '# grid ...' header line")
     fields = dict(part.split("=", 1) for part in header[7:].split() if "=" in part)
@@ -276,9 +277,6 @@ def load_grid_field(path):
     except ValueError:
         raise ConfigError(f"{path}: origin and spacing must be finite "
                           f"numbers, got '{header}'") from None
-    if len(origin) != 2 or len(spacing) != 2:
-        raise ConfigError(f"{path}: needs origin=<x0>,<y0> and "
-                          f"spacing=<hx>,<hy>, got '{header}'")
     values = []
     for lineno, row in rows:
         try:
@@ -292,24 +290,15 @@ def load_grid_field(path):
         values.append(samples)
     try:
         return GridField(origin, spacing, np.array(values))
-    except InputError as exc:    # a lattice or corner GridField refuses
+    except InputError as exc:    # GridField's own rules
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def _surface_pair(opt):
-    """z1 and z2 over the domain; a sampled-grid file wins over an
-    expression, and its hull (to its own tolerance) must hold the domain."""
-    domain = opt["domain"]
-    corners = np.meshgrid(*domain.lattice(2, 2))
-    for key in ("z1_grid", "z2_grid"):
-        grid = opt.get(key)
-        if grid is not None and grid.sample(*corners)[-1].any():
-            raise ConfigError(f"{key} covers [{grid.x0:.6g}, {grid.x1:.6g}] x "
-                              f"[{grid.y0:.6g}, {grid.y1:.6g}], which does "
-                              "not contain the domain")
+    """z1 and z2 over the domain; a sampled-grid file wins."""
     z1, z2 = (opt[f"{name}_grid"] if f"{name}_grid" in opt else opt[name]
               for name in ("z1", "z2"))
-    return SurfacePair(z1, z2, domain)
+    return SurfacePair(z1, z2, opt["domain"])
 
 
 # ---------------------------------------------------------------------------

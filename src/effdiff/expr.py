@@ -464,8 +464,6 @@ def _mul(a, b):
 def _div(a, b):
     if a == _ZERO:
         return _ZERO
-    if b == _ONE:
-        return a
     return Binary("/", a, b)
 
 

@@ -82,6 +82,15 @@ def real(name, value):
                          "float") from None
 
 
+def _real_pair(name, values):
+    """real(name, v) of each of two values; an InputError if not two."""
+    try:
+        a, b = values
+    except (TypeError, ValueError):
+        raise InputError(name, f"must be two numbers, got {values!r}") from None
+    return real(name, a), real(name, b)
+
+
 def store_reals(record, *names):
     """Store each named field of a frozen dataclass as its real(...)."""
     for name in names:
@@ -134,10 +143,7 @@ class ScalarField:
 
 class ExpressionField(ScalarField):
     def __init__(self, source):
-        if isinstance(source, str):
-            self.tree = _expr.parse(source)
-        else:
-            self.tree = source
+        self.tree = _expr.parse(source)
         self.dx = _expr.differentiate(self.tree, "x")
         self.dy = _expr.differentiate(self.tree, "y")
 
@@ -159,8 +165,8 @@ class GridField(ScalarField):
     """Uniform lattice of finite samples; queries must stay inside the hull."""
 
     def __init__(self, origin, spacing, values):
-        self.x0, self.y0 = (real("grid origin", v) for v in origin)
-        self.hx, self.hy = (real("grid spacing", v) for v in spacing)
+        self.x0, self.y0 = _real_pair("grid origin", origin)
+        self.hx, self.hy = _real_pair("grid spacing", spacing)
         if not (self.hx > 0 and self.hy > 0):
             raise InputError("grid spacing", "must be positive")
         self.values = np.asarray(values, dtype=float)
@@ -249,15 +255,22 @@ class Domain:
 class SurfacePair:
     """Ordered pair (z1, z2) of scalar fields with w = z2 - z1 > 0.
 
-    Positivity is checked on a validation lattice at construction
-    (default 64x64) and re-checked at every queried point.  Two expression
-    surfaces are compiled together on first use: one function gives both.
+    A grid's hull must hold the domain; positivity is checked on a
+    validation lattice at construction (default 64x64) and re-checked at
+    every queried point.  Two expression surfaces are compiled together on
+    first use: one function gives both.
     """
 
     def __init__(self, z1: ScalarField, z2: ScalarField, domain, validation=64):
         self.z1 = z1
         self.z2 = z2
         self.domain = domain if isinstance(domain, Domain) else Domain(*domain)
+        for name, f in (("z1", z1), ("z2", z2)):
+            if isinstance(f, GridField) and f.sample(
+                    *np.meshgrid(*self.domain.lattice(2, 2)))[-1].any():
+                raise InputError(name, f"covers [{f.x0:.6g}, {f.x1:.6g}] x "
+                                 f"[{f.y0:.6g}, {f.y1:.6g}], which does not "
+                                 "contain the domain")
         if validation:
             xs, ys = self.domain.lattice(validation, validation)
             gx, gy = np.meshgrid(xs, ys, indexing="ij")

@@ -41,7 +41,7 @@ from .tensor import MediumParams, effective_tensor, sample_tensor, to_cartesian
 # frame_from_gradients, effective_tensor and to_cartesian are re-exported:
 # perfbench/spans.py traces them through this module by name.
 __all__ = [
-    "PdeGrid", "PdeError", "StabilityError", "ConfigurationError",
+    "PdeGrid", "PdeError", "StabilityError",
     "step_finite_rate", "step_infinite_rate", "evolve", "stability_bound",
     "frame_from_gradients", "effective_tensor", "to_cartesian",
 ]
@@ -52,10 +52,6 @@ class PdeError(Exception):
 
 
 class StabilityError(PdeError):
-    pass
-
-
-class ConfigurationError(PdeError):
     pass
 
 
@@ -94,9 +90,10 @@ class PdeGrid:
                       p0=None) -> "PdeGrid":
         """Sample w and the Cartesian effective tensor at cell centers.
 
-        A cell whose width, gradients or tensor is undefined is a hard
-        error that names it (see tensor.sample_tensor): the solver never
-        invents tensor values.
+        Fewer than 2x2 cells, or a p0 (array or callable) that is not finite
+        and non-negative, is an InputError.  A cell whose width, gradients
+        or tensor is undefined is a hard error that names it (see
+        tensor.sample_tensor): the solver never invents tensor values.
         """
         dom = pair.domain
         xc, yc, hx, hy = _cells(dom, nx, ny)
@@ -109,7 +106,8 @@ class PdeGrid:
 
 def _cells(dom, nx, ny):
     if nx < 2 or ny < 2:
-        raise ConfigurationError("grid needs at least 2x2 cells")
+        raise InputError("resolution",
+                         f"must be at least 2x2 cells, got {nx}x{ny}")
     hx = (dom.x1 - dom.x0) / nx
     hy = (dom.y1 - dom.y0) / ny
     xc = dom.x0 + (np.arange(nx) + 0.5) * hx
@@ -122,10 +120,10 @@ def _initial_density(p0, gx, gy, w):
         return w.copy()
     p = np.array(p0(gx, gy) if callable(p0) else p0, dtype=float)
     if p.shape != w.shape:
-        raise ConfigurationError("initial density has the wrong shape")
+        raise InputError("p0", f"must have the grid's shape {w.shape}, "
+                         f"got {p.shape}")
     if not np.all((p >= 0) & (p < math.inf)):     # NaN fails both
-        raise ConfigurationError("initial density must be finite and "
-                                 "non-negative")
+        raise InputError("p0", "must be finite and non-negative")
     return p
 
 

@@ -134,12 +134,17 @@ def test_start_must_be_inside():
     slab = Slab(0.5)
     pair = SurfacePair(ScalarField.from_expression("cos(x)"),
                        ScalarField.from_expression("cos(y)+5/2"), (0, 6, 0, 6))
+    flat = SurfacePair(ScalarField.from_expression("0"),
+                       ScalarField.from_expression("1"), (0, 1, 0, 1))
     for geometry, start, message in (
             (slab, (0.0, 0.0, 2.0), "start coordinate .* is not strictly"),
             (slab, (0.0, 0.0, 0.0), "start coordinate 0 is not strictly"),
             (pair, (0.0, 0.0, 1.0), "strictly between the surfaces"),
             (pair, (0.0, 0.0, 3.6), "strictly between the surfaces"),
-            (pair, (0.0, 0.0, math.nan), "strictly between the surfaces")):
+            (pair, (0.0, 0.0, math.nan), "strictly between the surfaces"),
+            # constant surfaces are defined at any x, y, an infinite one too
+            (flat, (math.inf, 0.5, 0.5), "strictly between the surfaces"),
+            (flat, (0.5, -math.inf, 0.5), "strictly between the surfaces")):
         with pytest.raises(InputError, match=message) as info:
             McJob(geometry, start=start)
         assert info.value.field == "start"

@@ -213,25 +213,33 @@ def test_planes_wedge_json(tmp_path):
 
 
 def test_planes_parallel_json(tmp_path):
-    out = tmp_path / "par.json"
-    cfg = write_cfg(tmp_path, "par.cfg", n1="0,0,1", n2="0,0,1")
-    assert run(tmp_path, "planes", "--config", cfg, "--out", str(out)) == 0
-    doc = json.loads(out.read_text())
-    assert doc["parallel"] is True
-    assert doc["psi"] == 0.0 and doc["m1"] == 0.0 and doc["m2"] == 0.0
-    assert doc["tensor_frame"] == [[1.0, 0.0], [0.0, 1.0]]
+    # the common normal is zdir, so _perp_to builds the frame from the y
+    # axis, or from the x axis where zdir is the y axis
+    for zdir, xhat in (("0,0,1", [1.0, 0.0, 0.0]), ("0,1,0", [0.0, 0.0, 1.0])):
+        out = tmp_path / "par.json"
+        cfg = write_cfg(tmp_path, "par.cfg", n1=zdir, n2=zdir, zdir=zdir)
+        assert run(tmp_path, "planes", "--config", cfg, "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["parallel"] is True and doc["frame"]["xhat"] == xhat
+        assert doc["psi"] == 0.0 and doc["m1"] == 0.0 and doc["m2"] == 0.0
+        assert doc["tensor_frame"] == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_planes_vertical_config_reports_structured_error(tmp_path):
-    # vertical parallel planes, and planes whose frame has a tilt that
-    # rounds to pi/2, which the tensor refuses: each record has its tilt
-    for n1, n2 in (("0,-1,0", "0,1,0"), ("0.3,-1,1e-11", "0,1,1e-11")):
+    # vertical parallel planes, planes whose frame has a tilt that rounds
+    # to pi/2, which the tensor refuses, and crossing planes one of which
+    # contains zdir (an infinite slope): each record has its tilt
+    for n1, n2, psi in (("0,-1,0", "0,1,0", math.pi / 2),
+                        ("0.3,-1,1e-11", "0,1,1e-11", math.pi / 2),
+                        ("1,0,0", "0,0,1", 0.0)):
         out = tmp_path / "vert.json"
         cfg = write_cfg(tmp_path, "vert.cfg", n1=n1, n2=n2)
         assert run(tmp_path, "planes", "--config", cfg, "--out", str(out)) == 3
         doc = json.loads(out.read_text())
         assert doc["error"]["kind"] == "degenerate_configuration"
-        assert abs(doc["error"]["psi"]) == pytest.approx(math.pi / 2)
+        assert abs(doc["error"]["psi"]) == pytest.approx(psi)
+    assert doc["error"]["message"] == ("plane is vertical in the adapted "
+                                       "frame (infinite slope)")
 
 
 def test_planes_extreme_tilt_from_slopes(tmp_path):
@@ -586,6 +594,14 @@ _BAD_NUMBER_BASE = {
     ("tensor", {"z2_grid": "# grid origin=0,0 spacing=1e308,0.5\n"
                            "1,1,1\n1,1,1\n1,1,1\n"},
      "z2.grid: grid corners"),
+    # GridField counts the numbers of the header, not the loader
+    ("tensor", {"z2_grid": "# grid origin=0,0,0 spacing=0.5,0.5\n"
+                           "1,1,1\n1,1,1\n1,1,1\n"},
+     "z2.grid: grid origin must be two numbers, got (0.0, 0.0, 0.0)"),
+    ("tensor", {"z2_grid": "# grid origin=0,0 spacing=0.5\n"
+                           "1,1,1\n1,1,1\n1,1,1\n"},
+     "z2.grid: grid spacing must be two numbers, got (0.5,)"),
+    ("solve", {"p0": "-1"}, "p0 must be finite and non-negative"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):
@@ -853,6 +869,18 @@ def test_an_unreadable_config_file_is_one_config_error_line(tmp_path, data):
     assert code == 2
     assert err.startswith(f"config error: cannot read config file: {path}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lines,bad", [
+    (["z1=0", "oops"], 2), (["# z1=0", "", "  ", "oops", "z2=1"], 4),
+    (["", "# a comment with no equals sign", "z1=0", "", "z2 1"], 5)],
+    ids=["second", "after-comment-and-blanks", "last"])
+def test_a_config_line_without_equals_names_its_line(tmp_path, lines, bad):
+    path = tmp_path / "c.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    code, err = _run_quietly(["tensor", "--config", str(path)])
+    assert code == 2
+    assert err == f"config error: {path}:{bad}: expected key=value\n"
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -314,6 +314,9 @@ def test_grid_field_second_order_gradients():
     ((0, 0), (0.1, 0.1), -math.inf, "samples"),
     ((10**400, 0), (0.1, 0.1), None, "origin"),     # too large for a float
     ((0, 0), (0.1, 10**400), None, "spacing"),
+    ((0, 0, 0), (0.1, 0.1), None, "origin"),     # not two numbers
+    ((0, 0), (0.1,), None, "spacing"),
+    ((0, 0), 0.1, None, "spacing"),
 ])
 def test_a_grid_without_finite_corners_and_samples_is_refused(origin, spacing,
                                                               bad, named):
@@ -323,6 +326,22 @@ def test_a_grid_without_finite_corners_and_samples_is_refused(origin, spacing,
     with pytest.raises(InputError, match=f"^grid {named} ") as info:
         GridField(origin, spacing, values)
     assert info.value.field == f"grid {named}"
+
+
+@pytest.mark.parametrize("domain,named", [
+    ((0, 2, 0, 1), "z1"), ((-0.1, 1, 0, 1), "z2"), ((0, 1, 0, 1.000001), "z2")])
+@pytest.mark.parametrize("validation", [64, 0])
+def test_a_domain_outside_a_grid_s_hull_is_refused(domain, named, validation):
+    # the hull of this 3x3 grid is [0, 1]^2, read with GridField's
+    # tolerance of 1e-9 spacing; the other surface is an expression
+    grid = GridField((0, 0), (0.5, 0.5), np.ones((3, 3)))
+    level = ScalarField.from_expression("5" if named == "z1" else "-5")
+    pair = (grid, level) if named == "z1" else (level, grid)
+    with pytest.raises(InputError, match=f"^{named} covers \\[0, 1\\] x "
+                       "\\[0, 1\\], which does not contain the domain$") as info:
+        SurfacePair(*pair, domain, validation=validation)
+    assert info.value.field == named
+    SurfacePair(*pair, (0, 1.0000000001, 0.5, 1), validation=validation)
 
 
 @pytest.mark.parametrize("corners", [

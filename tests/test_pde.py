@@ -7,7 +7,7 @@ import pytest
 from effdiff import pde
 from effdiff.geometry import FrameData, InputError, ScalarField, SurfacePair
 from effdiff.pde import (
-    ConfigurationError, PdeGrid, StabilityError, evolve, stability_bound,
+    PdeGrid, StabilityError, evolve, stability_bound,
     step_finite_rate, step_infinite_rate, to_cartesian,
 )
 from effdiff.tensor import EffectiveTensor, MediumParams
@@ -178,10 +178,21 @@ def test_an_unknown_mode_is_refused():
 
 
 def test_bad_initial_density_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match=r"^p0 must have the grid's shape "
+                       r"\(8, 8\), got \(3, 3\)$") as info:
         flat_slab((0, 1, 0, 1), 8, 8, p0=np.ones((3, 3)))
-    with pytest.raises(ConfigurationError):
+    assert info.value.field == "p0"
+    with pytest.raises(InputError, match="^p0 must be finite") as info:
         flat_slab((0, 1, 0, 1), 8, 8, p0=lambda x, y: np.sin(x) - 2.0)
+    assert info.value.field == "p0"
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 4), (4, 1)])
+def test_a_grid_of_fewer_than_2x2_cells_is_refused(nx, ny):
+    with pytest.raises(InputError, match=f"^resolution must be at least 2x2 "
+                       f"cells, got {nx}x{ny}$") as info:
+        flat_slab((0, 1, 0, 1), nx, ny)
+    assert info.value.field == "resolution"
 
 
 @pytest.mark.parametrize("p0", [
@@ -189,9 +200,10 @@ def test_bad_initial_density_rejected():
     lambda x, y: np.full_like(x, -np.inf)],
     ids=["nan-array", "infinite-callable", "minus-infinite-callable"])
 def test_an_initial_density_that_is_not_finite_is_refused(p0):
-    with pytest.raises(ConfigurationError,
-                       match="^initial density must be finite and non-negative$"):
+    with pytest.raises(InputError,
+                       match="^p0 must be finite and non-negative$") as info:
         flat_slab((0, 1, 0, 1), 4, 4, p0=p0)
+    assert info.value.field == "p0"
 
 
 @pytest.mark.parametrize("n_steps", [-1, 2.5, "3", None, 10**16],

@@ -4,11 +4,12 @@
 
 Runs every command on built-in examples and a few small configs at fixed
 seeds (the list RUNS below, whose input files are INPUTS), in a temporary
-directory, and prints one `sha256  file` line per output file (the format
-of `sha256sum`).  Then it runs the configs of REFUSED, which must exit
-non-zero, and prints one `exit <code>  <name>: <stderr line>` line for
-each.  Two trees give byte-identical outputs and the same refusals when
-their lines are identical:
+directory, and prints the numpy version, then one `sha256  file` line per
+output file (the format of `sha256sum`).  Then it runs the configs of
+REFUSED, which must exit non-zero, and prints one
+`exit <code>  <name>: <stderr line>` line for each.  Two trees give
+byte-identical outputs and the same refusals when their lines are
+identical:
 
     python3 tools/seeded_outputs.py --src ../parent/src > parent.txt
     python3 tools/seeded_outputs.py > change.txt
@@ -16,10 +17,12 @@ their lines are identical:
 
 effdiff is imported from --src (default: the `src/` next to this file), so
 the tool can run against a tree that does not contain it.  It takes a few
-seconds on one core.  tests/test_seeded_outputs.py runs RUNS and REFUSED
-in the test suite and checks that each run of RUNS exits 0 and writes its
-output, and each of REFUSED exits 2 or 3 with one line; not the hashes or
-the texts.
+seconds on one core.  Its report of the tree it sits in is committed as
+tools/seeded_outputs.txt; tests/test_seeded_outputs.py runs RUNS and
+REFUSED in the test suite, checks that each run of RUNS exits 0 and writes
+its output and each of REFUSED exits 2 or 3 with one line, and compares
+their lines with that file.  A change that alters an output or a refusal
+on purpose regenerates the file and says why.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # (output name, command, config keys); every run also gets out=<name>
 RUNS = [
@@ -85,6 +90,9 @@ RUNS = [
                                           "fd_step": "1e-4"}),
     ("planes-zdir.json", "planes", {"n1": "0.1,0.2,-1", "n2": "-0.6,0.3,0.8",
                                     "zdir": "0.2,-0.1,1"}),
+    # parallel planes whose common normal is zdir: the fallback frame
+    ("planes-normal-along-zdir.json", "planes", {"n1": "0,1,0", "n2": "0,1,0",
+                                                 "zdir": "0,1,0"}),
     # tensor rows without numbers: a domain_error node (the radial origin)
     # and slope_overflow nodes beside a degenerate frame, for each z2
     ("tensor-domain-error.csv", "tensor", {"example": "radial",
@@ -131,6 +139,14 @@ REFUSED = [
                                "d0": "0"}),
     ("recover-channel-x1-below-x0", "recover-channel", {
         "z1": "0", "z2": "1", "x0": "1", "x1": "-1"}),
+    # crossing planes, one of them vertical in the adapted frame: exit 3
+    ("planes-vertical", "planes", {"n1": "1,0,0", "n2": "0,0,1"}),
+    ("solve-p0-negative", "solve", {"z1": "0", "z2": "1", "domain": "0,1,0,1",
+                                    "resolution": "4x4", "steps": "1",
+                                    "p0": "-1"}),
+    ("tensor-outside-grid-hull", "tensor", {"z1": "0", "z2_grid": "z2.grid",
+                                            "domain": "0,3,0,2",
+                                            "resolution": "3x3"}),
 ]
 
 # input files that RUNS name, written next to their configs: a 21x21
@@ -152,11 +168,15 @@ def _run(cli, name, command, keys):
     return code, err.getvalue()
 
 
-def run_all(cli):
-    """Run RUNS in the current directory; the failures, one line each."""
-    failed = []
+def _write_inputs():
     for name, text in INPUTS.items():
         Path(name).write_text(text)
+
+
+def run_all(cli):
+    """Run RUNS in the current directory; the failures, one line each."""
+    _write_inputs()
+    failed = []
     for name, command, keys in RUNS:
         code, err = _run(cli, name, command, keys)
         if code != 0:
@@ -166,8 +186,26 @@ def run_all(cli):
 
 def run_refused(cli):
     """Run REFUSED in the current directory: (name, exit code, stderr) each."""
+    _write_inputs()
     return [(name, *_run(cli, name, command, keys))
             for name, command, keys in REFUSED]
+
+
+def numpy_line():
+    """The first line of the report: the hashes depend on numpy's last bits."""
+    return f"# numpy {np.__version__}"
+
+
+def hash_lines(directory):
+    """`sha256  name` of each output file of RUNS in directory, by name."""
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+            for path in sorted(Path(directory).glob("*"))
+            if path.suffix != ".cfg" and path.name not in INPUTS]
+
+
+def refusal_lines(refused):
+    """`exit <code>  <name>: <stderr line>` of each run_refused result."""
+    return [f"exit {code}  {name}: {err.strip()}" for name, code, err in refused]
 
 
 def main(argv=None):
@@ -187,17 +225,13 @@ def main(argv=None):
         os.chdir(tmp)   # relative out names: the headers embed them
         try:
             failed = run_all(cli)
-            for path in sorted(Path(tmp).glob("*")):
-                if path.suffix != ".cfg" and path.name not in INPUTS:
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    print(f"{digest}  {path.name}")
+            hashes = hash_lines(tmp)
             refused = run_refused(cli)  # after the hashes: some write records
         finally:
             os.chdir(cwd)
-    for name, code, err in refused:
-        print(f"exit {code}  {name}: {err.strip()}")
-        if code == 0:
-            failed.append(f"{name}: exit 0, where a refusal is expected")
+    print("\n".join([numpy_line(), *hashes, *refusal_lines(refused)]))
+    failed += [f"{name}: exit 0, where a refusal is expected"
+               for name, code, _ in refused if code == 0]
     for line in failed:
         print(f"failed: {line}", file=sys.stderr)
     return 1 if failed else 0
