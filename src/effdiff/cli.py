@@ -130,10 +130,6 @@ def _numbers(text):
     return values
 
 
-def _sizes(text):
-    return tuple(map(int, text.lower().split("x")))
-
-
 def _integer(lo, hi=MAX_COUNT):
     return _parser(int, lambda n: lo <= n <= hi, f"an integer in [{lo}, {hi}]")
 
@@ -180,9 +176,8 @@ _PARSERS = {
     "count": _integer(0), "snap_every": _integer(1), "samples": _integer(1),
     "domain": _parser(lambda text: Domain(*_numbers(text)), lambda domain: True,
                       "x0,x1,y0,y1 with finite x1 - x0 > 0 and y1 - y0 > 0"),
-    "resolution": _parser(_sizes, lambda n: len(n) == 2 and min(n) >= 2
-                          and n[0] * n[1] <= MAX_COUNT,
-                          f"NXxNY with NX and NY >= 2 and NX * NY <= {MAX_COUNT}"),
+    "resolution": _parser(lambda text: tuple(map(int, text.lower().split("x"))),
+                          lambda sizes: len(sizes) == 2, "two integers NXxNY"),
     "start": _vector, "n1": _normal, "n2": _normal, "zdir": _normal,
     "z1": _expression, "z2": _expression, "p0": _expression,
     "z1_grid": _grid, "z2_grid": _grid,
@@ -208,7 +203,7 @@ def _lines(path, what):
                     if line.strip()]
     except (OSError, ValueError) as exc:  # not UTF-8, or a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"cannot read {what}: {path}: {reason}") from None
+        raise ConfigError(f"cannot read {what}: {path!r}: {reason}") from None
 
 
 def read_config_file(path):
@@ -217,7 +212,7 @@ def read_config_file(path):
         if line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
+            raise ConfigError(f"{path!r}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
         cfg[key.strip()] = value.strip()
     return cfg
@@ -267,31 +262,31 @@ def load_grid_field(path):
     then one comma-separated row of samples per x index."""
     (_, header), *rows = _lines(path, "grid file") or [(0, "")]
     if not header.startswith("# grid"):
-        raise ConfigError(f"{path}: missing '# grid ...' header line")
+        raise ConfigError(f"{path!r}: missing '# grid ...' header line")
     fields = dict(part.split("=", 1) for part in header[7:].split() if "=" in part)
     try:
         origin = _numbers(fields["origin"])
         spacing = _numbers(fields["spacing"])
     except KeyError as exc:
-        raise ConfigError(f"{path}: header lacks {exc}") from None
+        raise ConfigError(f"{path!r}: header lacks {exc}") from None
     except ValueError:
-        raise ConfigError(f"{path}: origin and spacing must be finite "
-                          f"numbers, got '{header}'") from None
+        raise ConfigError(f"{path!r}: origin and spacing must be finite "
+                          f"numbers, got {header!r}") from None
     values = []
     for lineno, row in rows:
         try:
             samples = _numbers(row)
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: samples must be finite "
-                              f"numbers, got '{row}'") from None
+            raise ConfigError(f"{path!r}:{lineno}: samples must be finite "
+                              f"numbers, got {row!r}") from None
         if values and len(samples) != len(values[0]):
-            raise ConfigError(f"{path}:{lineno}: expected {len(values[0])} "
+            raise ConfigError(f"{path!r}:{lineno}: expected {len(values[0])} "
                               f"samples, got {len(samples)}")
         values.append(samples)
     try:
         return GridField(origin, spacing, np.array(values))
     except InputError as exc:    # GridField's own rules
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path!r}: {exc}") from None
 
 
 def _surface_pair(opt):
@@ -397,7 +392,10 @@ def _plane_report(opt):
     m1, m2 = (fr.m1, fr.m2) if fr else (opt["m1"], opt["m2"])
     rho, omega = rho_omega(m1, m2)      # refuses the slopes before the tensor
     if fr:
-        tensor = effective_tensor(frame_from_slopes(fr.psi, m1, m2), med)
+        try:
+            tensor = effective_tensor(frame_from_slopes(fr.psi, m1, m2), med)
+        except ExtremeTiltError as exc:     # |psi| within EPS_PSI of pi/2
+            raise DegenerateConfigError(str(exc), fr.psi) from None
         ell = polar_decompose(tensor)
         details = {
             "parallel": fr.parallel,
@@ -419,10 +417,10 @@ def _plane_report(opt):
 def cmd_planes(cfg, opt):
     try:
         payload = _plane_report(opt)
-    except (DegenerateConfigError, ExtremeTiltError) as exc:
+    except DegenerateConfigError as exc:
         write_json(opt.get("out"), cfg, {"error": {
             "kind": "degenerate_configuration", "message": str(exc),
-            "psi": getattr(exc, "psi", None)}})
+            "psi": exc.psi}})
         sys.stderr.write(f"error: {exc}\n")
         return 3
     write_json(opt.get("out"), cfg, payload)

@@ -21,6 +21,10 @@ its inputs with a mask of the points where the width or a gradient is undefined.
 The same quantities are available for a pure two-plane configuration given by
 normals (frame_for_planes); there the tilt is the angle between the
 plane intersection line and the projection plane.
+
+Domain.lattice gives the axes of nx by ny nodes of a rectangle, corners
+included, and Domain.cells the centres and widths of nx by ny cells; both
+refuse, as `resolution`, all but two integers >= 2 with nx * ny <= MAX_COUNT.
 """
 
 from __future__ import annotations
@@ -248,8 +252,24 @@ class Domain:
                 & (self.y0 - tol <= y) & (y <= self.y1 + tol))
 
     def lattice(self, nx, ny):
+        _resolution(nx, ny)
         return (np.linspace(self.x0, self.x1, nx),
                 np.linspace(self.y0, self.y1, ny))
+
+    def cells(self, nx, ny):
+        _resolution(nx, ny)
+        hx = (self.x1 - self.x0) / nx
+        hy = (self.y1 - self.y0) / ny
+        xc = self.x0 + (np.arange(nx) + 0.5) * hx
+        yc = self.y0 + (np.arange(ny) + 0.5) * hy
+        return xc, yc, hx, hy
+
+
+def _resolution(nx, ny):
+    if not (all(isinstance(n, numbers.Integral) and n >= 2 for n in (nx, ny))
+            and int(nx) * int(ny) <= MAX_COUNT):
+        raise InputError("resolution", f"must be two integers NX, NY >= 2 with "
+                         f"NX * NY <= {MAX_COUNT}, got {nx!r}x{ny!r}")
 
 
 class SurfacePair:

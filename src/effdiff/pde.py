@@ -8,7 +8,7 @@ where D is the effective tensor in global Cartesian components (the
 infinite-rate form replaces D by D0 I).  Working in u = p/w makes p = c w
 an exact discrete steady state: every face gradient of u vanishes.
 
-Discretization: cell-centered fields, explicit Euler, face fluxes
+Discretization: fields at the Domain.cells centers, explicit Euler, face fluxes
 
     F = - w_face D_face grad_face(u)
 
@@ -90,29 +90,16 @@ class PdeGrid:
                       p0=None) -> "PdeGrid":
         """Sample w and the Cartesian effective tensor at cell centers.
 
-        Fewer than 2x2 cells, or a p0 (array or callable) that is not finite
-        and non-negative, is an InputError.  A cell whose width, gradients
-        or tensor is undefined is a hard error that names it (see
-        tensor.sample_tensor): the solver never invents tensor values.
+        The cells are pair.domain.cells(nx, ny); a bad size, or a p0 (array
+        or callable) that is not finite and non-negative, is an InputError.
+        A cell without a tensor is refused by name (tensor.sample_tensor).
         """
-        dom = pair.domain
-        xc, yc, hx, hy = _cells(dom, nx, ny)
+        xc, yc, hx, hy = pair.domain.cells(nx, ny)
         gx, gy = np.meshgrid(xc, yc, indexing="ij")
         w, _, _, tensor = sample_tensor(pair, gx, gy, med)
         dten = to_cartesian(tensor)
         p = _initial_density(p0, gx, gy, w)
-        return PdeGrid(dom, nx, ny, hx, hy, xc, yc, w, dten, p, med.d0)
-
-
-def _cells(dom, nx, ny):
-    if nx < 2 or ny < 2:
-        raise InputError("resolution",
-                         f"must be at least 2x2 cells, got {nx}x{ny}")
-    hx = (dom.x1 - dom.x0) / nx
-    hy = (dom.y1 - dom.y0) / ny
-    xc = dom.x0 + (np.arange(nx) + 0.5) * hx
-    yc = dom.y0 + (np.arange(ny) + 0.5) * hy
-    return xc, yc, hx, hy
+        return PdeGrid(pair.domain, nx, ny, hx, hy, xc, yc, w, dten, p, med.d0)
 
 
 def _initial_density(p0, gx, gy, w):

@@ -182,9 +182,7 @@ def effective_tensor(fd: FrameData, med: MediumParams) -> EffectiveTensor:
     psi = np.asarray(fd.psi, dtype=float)
     extreme = extreme_tilt(psi)
     if psi.ndim == 0 and extreme:
-        error = refusal(2)
-        error.psi = float(psi)      # for the error record of a plane pair
-        raise error
+        raise refusal(2)
     d0 = med.d0
     rho, omega = rho_omega(fd.m1, fd.m2)
     mu = fd.mu
@@ -231,7 +229,7 @@ def extreme_tilt_tensor(m1: float, m2: float, sign: str, med: MediumParams):
     the diametrically opposite ends of the collapsed ellipse.
     """
     if sign not in ("+", "-"):
-        raise TensorError("sign must be '+' or '-'")
+        raise InputError("sign", f"must be '+' or '-', got {sign!r}")
     d0 = med.d0
     rho, omega = rho_omega(m1, m2)
     s = 1.0 if sign == "+" else -1.0

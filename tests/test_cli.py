@@ -602,6 +602,20 @@ _BAD_NUMBER_BASE = {
                            "1,1,1\n1,1,1\n1,1,1\n"},
      "z2.grid: grid spacing must be two numbers, got (0.5,)"),
     ("solve", {"p0": "-1"}, "p0 must be finite and non-negative"),
+    # header and row texts are quoted by repr too: a NUL stays escaped
+    ("tensor", {"z2_grid": "# grid origin=0,0\0 spacing=0.5,0.5\n"
+                           "1,1,1\n1,1,1\n1,1,1\n"},
+     "got '# grid origin=0,0\\x00 spacing=0.5,0.5'"),
+    ("tensor", {"z2_grid": "1,1,1\n1,\0,1\n1,1,1\n"},
+     "z2.grid:3: samples must be finite numbers, got '1,\\x00,1'"),
+    # the size rule of Domain's grids, one text for both commands
+    *[(command, {"z2": "1", "resolution": size},
+       "resolution must be two integers NX, NY >= 2 with "
+       f"NX * NY <= 1000000000000000, got {size}")
+      for command, size in (("tensor", "1x4"), ("solve", "1x4"),
+                            ("solve", "100000000x100000000"))],
+    ("solve", {"resolution": "4x4x4"}, "resolution must be two integers "
+     "NXxNY, got '4x4x4'"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):
@@ -620,6 +634,8 @@ def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
     assert run(tmp_path, command, "--config", path,
                "--out", str(tmp_path / "out"), *flags) == 2
     err = capsys.readouterr().err
+    # a row names the grid file z2.grid; the error quotes its path by repr
+    named = named.replace("z2.grid", "z2.grid'")
     assert err.startswith("config error:") and named in err
     assert "Traceback" not in err and err.count("\n") == 1
 
@@ -857,17 +873,20 @@ def test_range_ends_give_finite_results_or_one_error_line(
         assert written and all(_finite_numbers(str(p)) for p in written)
 
 
-@pytest.mark.parametrize("data", [b"\xff", b"z1=x\xe9\nz2=9\n", None],
-                         ids=["0xff", "latin-1", "nul-in-path"])
-def test_an_unreadable_config_file_is_one_config_error_line(tmp_path, data):
-    path = tmp_path / "bad.cfg"
-    if data is None:
-        path = tmp_path / "bad\0.cfg"
-    else:
+@pytest.mark.parametrize("name,data", [
+    ("bad.cfg", b"\xff"), ("bad.cfg", b"z1=x\xe9\nz2=9\n"), ("bad\0.cfg", None),
+    ("no\nsuch.cfg", None)],
+    ids=["0xff", "latin-1", "nul-in-path", "newline-in-path"])
+def test_an_unreadable_config_file_is_one_config_error_line(tmp_path, name,
+                                                            data):
+    # the path is quoted as repr quotes it: a NUL or newline stays escaped
+    path = tmp_path / name
+    if data is not None:
         path.write_bytes(data)
     code, err = _run_quietly(["tensor", "--config", str(path)])
     assert code == 2
-    assert err.startswith(f"config error: cannot read config file: {path}: ")
+    assert err.startswith(
+        f"config error: cannot read config file: {str(path)!r}: ")
     assert err.count("\n") == 1
 
 
@@ -880,7 +899,7 @@ def test_a_config_line_without_equals_names_its_line(tmp_path, lines, bad):
     path.write_text("\n".join(lines) + "\n")
     code, err = _run_quietly(["tensor", "--config", str(path)])
     assert code == 2
-    assert err == f"config error: {path}:{bad}: expected key=value\n"
+    assert err == f"config error: {str(path)!r}:{bad}: expected key=value\n"
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -352,6 +352,21 @@ def test_symbolic_derivative_matches_central_difference_randomly():
     assert checked == 1000
 
 
+@pytest.mark.parametrize("var", ["z", "r", "", None])
+def test_differentiate_refuses_a_variable_other_than_x_or_y(var):
+    with pytest.raises(ValueError,
+                       match=f"^var must be 'x' or 'y', got {var!r}$"):
+        differentiate(parse("x*y"), var)
+
+
+def test_differentiate_refuses_a_function_it_has_no_rule_for():
+    # a tree built by hand: parse only makes the functions of _FUNCTIONS
+    tree = Binary("+", Const(1.0), Unary("cosh", Var("x")))
+    with pytest.raises(ValueError, match="^unsupported function 'cosh'$"):
+        differentiate(tree, "x")
+    assert differentiate(tree, "y") == Const(0.0)
+
+
 def test_mixed_partials_commute():
     rng = random.Random(7)
     checked = 0

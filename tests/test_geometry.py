@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -368,6 +369,31 @@ def test_a_domain_corner_a_float_cannot_hold_is_refused_by_name(build, named):
     with pytest.raises(InputError, match=f"^{named} must be ") as info:
         build()
     assert info.value.field == named
+
+
+def test_domain_cells_are_equal_cells_and_lattice_nodes_include_the_corners():
+    dom = Domain(-1.5, 2.0, 0.25, 1.0)
+    xc, yc, hx, hy = dom.cells(7, 3)
+    # the formula of the solver's cells, bit for bit
+    assert (hx, hy) == (3.5 / 7, 0.75 / 3)
+    assert xc.tobytes() == (-1.5 + (np.arange(7) + 0.5) * hx).tobytes()
+    assert yc.tobytes() == (0.25 + (np.arange(3) + 0.5) * hy).tobytes()
+    xs, ys = dom.lattice(np.int64(5), 2)
+    assert xs.tolist() == [-1.5, -0.625, 0.25, 1.125, 2.0]
+    assert ys.tolist() == [0.25, 1.0]
+
+
+@pytest.mark.parametrize("nx,ny", [
+    (1, 4), (4, 1), (0, 0), (-3, 4), (2.0, 4), ("4", 4), (None, 4),
+    (10**8, 10**8), (10**400, 2),
+    (np.int64(2**32), np.int64(2**32))])   # the product wraps in int64
+@pytest.mark.parametrize("grid", ["lattice", "cells"])
+def test_a_grid_size_outside_the_resolution_rule_is_refused(grid, nx, ny):
+    text = ("resolution must be two integers NX, NY >= 2 with NX * NY <= "
+            f"1000000000000000, got {nx!r}x{ny!r}")
+    with pytest.raises(InputError, match=f"^{re.escape(text)}$") as info:
+        getattr(Domain(0, 1, 0, 1), grid)(nx, ny)
+    assert info.value.field == "resolution"
 
 
 def test_grid_field_bilinear_value_and_hull():

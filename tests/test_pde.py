@@ -189,8 +189,9 @@ def test_bad_initial_density_rejected():
 
 @pytest.mark.parametrize("nx,ny", [(1, 4), (4, 1)])
 def test_a_grid_of_fewer_than_2x2_cells_is_refused(nx, ny):
-    with pytest.raises(InputError, match=f"^resolution must be at least 2x2 "
-                       f"cells, got {nx}x{ny}$") as info:
+    with pytest.raises(InputError, match=f"^resolution must be two integers "
+                       f"NX, NY >= 2 with NX \\* NY <= 1000000000000000, "
+                       f"got {nx}x{ny}$") as info:
         flat_slab((0, 1, 0, 1), nx, ny)
     assert info.value.field == "resolution"
 

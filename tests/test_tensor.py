@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -234,6 +235,14 @@ def test_extreme_tilt_random_eigenstructure():
             assert np.allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("sign", ["", "x", "++", None, 1])
+def test_extreme_tilt_tensor_refuses_a_sign_that_is_not_plus_or_minus(sign):
+    text = f"sign must be '+' or '-', got {sign!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(text)}$") as info:
+        extreme_tilt_tensor(0.0, 1.0, sign, MED)
+    assert info.value.field == "sign"
+
+
 def test_extreme_tilt_zero_mu_structure():
     t, (ep, _) = extreme_tilt_tensor(-2.0, 2.0, "+", MED)
     rho, om = rho_omega(-2.0, 2.0)
@@ -370,6 +379,19 @@ def test_to_cartesian_frames():
     s = 1 / math.sqrt(2)
     t = EffectiveTensor(np.diag([1.0, 0.0]), frame(0.0, 0, 0, (s, s), (-s, s)))
     assert np.allclose(to_cartesian(t), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+
+
+@pytest.mark.parametrize("xhat", [(math.nan, 0.0), (1.0, math.inf)])
+def test_to_cartesian_refuses_a_frame_that_is_not_finite(xhat):
+    # one tensor, and a stack whose second frame alone is not finite
+    for fd in (frame(0.0, 0, 0, xhat, (0.0, 1.0)),
+               frame(0.0, 0, 0, tuple(np.array([(1.0, 0.0), xhat]).T),
+                     (np.zeros(2), np.ones(2)))):
+        t = EffectiveTensor(np.broadcast_to(np.eye(2), np.shape(fd.xhat[0])
+                                            + (2, 2)), fd)
+        with pytest.raises(TensorError, match="^frame is degenerate; no "
+                           "Cartesian components$"):
+            to_cartesian(t)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,11 @@ REFUSED = [
     ("tensor-outside-grid-hull", "tensor", {"z1": "0", "z2_grid": "z2.grid",
                                             "domain": "0,3,0,2",
                                             "resolution": "3x3"}),
+    # the size rule of Domain's node lattice and cell grid: one line for both
+    *[(f"{command}-resolution-{name}", command, {
+        "z1": "0", "z2": "1", "domain": "0,1,0,1", "resolution": size})
+      for command in ("tensor", "solve")
+      for name, size in (("1x4", "1x4"), ("1e16", "100000000x100000000"))],
 ]
 
 # input files that RUNS name, written next to their configs: a 21x21
