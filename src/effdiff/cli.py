@@ -26,8 +26,8 @@ from . import __version__
 from .brownian import BrownianError, McJob, Slab, mc_projected_tensor
 from .expr import ExprError
 from .geometry import (
-    MAX_COUNT, DegenerateConfigError, Domain, GeometryError, GridField,
-    InputError, PlaneConfig, ScalarField, SurfacePair, frame_for_planes,
+    MAX_COUNT, DegenerateConfigError, Domain, ExpressionField, GeometryError,
+    GridField, InputError, PlaneConfig, SurfacePair, frame_for_planes,
     frame_from_slopes, unit_vector,
 )
 from .pde import PdeError, PdeGrid, evolve
@@ -140,7 +140,7 @@ def _one_of(*options):
 
 def _expression(key, text):
     try:
-        return ScalarField.from_expression(text)
+        return ExpressionField(text)
     except ExprError as exc:
         raise ConfigError(f"bad expression for {key}: {exc}") from None
 

@@ -23,9 +23,9 @@ floats or numpy arrays for the point coordinates.  Each tree is compiled
 once into one straight-line numpy function, the only evaluator: it computes
 every distinct sub-expression once and tests one sum of the values where a
 failure could hide, building the mask of the failing elements only when
-that sum is not finite.  `Compiled.run` is that function for several
-trees, and `evaluate_masked` wraps it; `evaluate` raises when the mask is
-not empty, naming the failing node found by a tracing variant of the code.
+that sum is not finite.  `generate` hands out that function for several
+trees; `evaluate` raises when the mask is not empty, naming the failing
+node found by a tracing variant of the code.
 """
 
 from __future__ import annotations
@@ -36,6 +36,15 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+
+class InputError(ValueError):
+    """A value refused by the record or function that receives it: its
+    `field`, then the `rule` it breaks (the rule alone if field is None)."""
+
+    def __init__(self, field, rule):
+        super().__init__(rule if field is None else f"{field} {rule}")
+        self.field, self.rule = field, rule
 
 
 class ExprError(Exception):
@@ -317,10 +326,11 @@ class _Source:
         return self.env.pop("run")   # leaves no cycle between run and its globals
 
 
-def _generate(trees):
+def generate(*trees):
     """One straight-line numpy function run(x, y) returning the values of
-    all `trees` and the mask of the elements at which any node is not
-    finite, or None for the mask when there is none.
+    all `trees` (a scalar for a constant) and the mask of the elements at
+    which any node is not finite, or None for the mask when there is none.
+    It takes float arrays; its caller enters np.errstate(all="ignore").
 
     Each distinct sub-expression is computed once, by the ufunc of its
     node.  A node is non-finite wherever one of its operands is, except at
@@ -386,33 +396,12 @@ def as_arrays(values, shape):
                  else np.full(shape, v, dtype=float) for v in values)
 
 
-class Compiled:
-    """Trees compiled into one function, `run(x, y)`, that evaluates them
-    together on float arrays: their values (a scalar for a constant) and
-    the mask of the elements where any leaves the real domain, or None
-    where none does.  Its caller enters np.errstate(all="ignore")."""
-
-    def __init__(self, *trees):
-        self.run = _generate(trees)
-
-    def evaluate_masked(self, point):
-        """Values of every tree at point=(x, y), floats or numpy arrays,
-        and one boolean mask of the elements at which any of them leaves
-        the real domain (where `evaluate` would raise).  Values at those
-        elements are meaningless."""
-        values, mask = _values(self.run, point)
-        bad = np.zeros(np.shape(values[0]), dtype=bool)
-        if mask is not None:
-            bad |= mask
-        return values, bad
-
-
 def _generated(e):
     """The generated function of tree `e`, built on first use and kept on
     the tree itself, so that it lives exactly as long as the tree."""
     run = e.__dict__.get("_run")
     if run is None:
-        run = _generate((e,))
+        run = generate(e)
         object.__setattr__(e, "_run", run)   # a cache, not a field
     return run
 
@@ -475,7 +464,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     abs(u)/u * u', which correctly reports a domain error at u = 0.
     """
     if var not in ("x", "y"):
-        raise ValueError(f"var must be 'x' or 'y', got {var!r}")
+        raise InputError("var", f"must be 'x' or 'y', got {var!r}")
     return _diff(e, var)
 
 

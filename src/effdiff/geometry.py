@@ -17,6 +17,7 @@ frame_field evaluates these from the surface gradients on arrays of points
 into one FrameData and flags the points where grad w vanishes;
 frame_from_gradients is its one-point form, and SurfacePair.sample supplies
 its inputs with a mask of the points where the width or a gradient is undefined.
+Two expression surfaces are read together by one function of expr.generate.
 
 The same quantities are available for a pure two-plane configuration given by
 normals (frame_for_planes); there the tilt is the angle between the
@@ -38,19 +39,11 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as _expr
+from .expr import InputError
 
 EPS_GRAD = 1e-10     # |grad w| below this: frame direction is unreliable
 EPS_PARALLEL = 1e-12  # |n1 x n2| below this: planes treated as parallel
 MAX_COUNT = 10**15    # 24 PB of (x, y, z) floats; numpy refuses far more
-
-
-class InputError(ValueError):
-    """A value refused by the record or function that receives it: its
-    `field`, then the `rule` it breaks (the rule alone if field is None)."""
-
-    def __init__(self, field, rule):
-        super().__init__(rule if field is None else f"{field} {rule}")
-        self.field, self.rule = field, rule
 
 
 class GeometryError(Exception):
@@ -116,7 +109,9 @@ class ScalarField:
     """Twice-differentiable function of (x, y).
 
     Two backings: a parsed expression (exact symbolic derivatives) or a
-    uniform grid (bilinear values, interpolated central differences).
+    uniform grid (bilinear values, interpolated central differences).  Its
+    `sample` reads value and gradient at once, masking the points where
+    `value_array` or `gradient_array` would raise.
     """
 
     def value(self, p) -> float:
@@ -128,22 +123,6 @@ class ScalarField:
         gx, gy = self.gradient_array(np.asarray(x, float), np.asarray(y, float))
         return float(gx), float(gy)
 
-    def value_array(self, x, y):
-        raise NotImplementedError
-
-    def gradient_array(self, x, y):
-        raise NotImplementedError
-
-    def sample(self, x, y):
-        """Value and both derivatives on arrays of points, from one call,
-        with a boolean mask of the points where `value_array` or
-        `gradient_array` would raise; the values there are meaningless."""
-        raise NotImplementedError
-
-    @staticmethod
-    def from_expression(source) -> "ExpressionField":
-        return ExpressionField(source)
-
 
 class ExpressionField(ScalarField):
     def __init__(self, source):
@@ -151,8 +130,7 @@ class ExpressionField(ScalarField):
         self.dx = _expr.differentiate(self.tree, "x")
         self.dy = _expr.differentiate(self.tree, "y")
 
-    _compiled = cached_property(
-        lambda self: _expr.Compiled(self.tree, self.dx, self.dy))
+    _run = cached_property(lambda self: _expr.generate(self.tree, self.dx, self.dy))
 
     def value_array(self, x, y):
         return _expr.evaluate(self.tree, (x, y))
@@ -161,8 +139,9 @@ class ExpressionField(ScalarField):
         return _expr.evaluate(self.dx, (x, y)), _expr.evaluate(self.dy, (x, y))
 
     def sample(self, x, y):
-        (value, gx, gy), bad = self._compiled.evaluate_masked((x, y))
-        return value, gx, gy, bad
+        values, mask = _expr._values(self._run, (x, y))
+        bad = np.zeros(np.shape(values[0]), dtype=bool)
+        return (*values, bad if mask is None else bad | mask)
 
 
 class GridField(ScalarField):
@@ -173,7 +152,7 @@ class GridField(ScalarField):
         self.hx, self.hy = _real_pair("grid spacing", spacing)
         if not (self.hx > 0 and self.hy > 0):
             raise InputError("grid spacing", "must be positive")
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.array(values, dtype=float)   # a copy: _dx, _dy match it
         if self.values.ndim != 2 or min(self.values.shape) < 3:
             raise InputError("grid", "backing needs at least a 3x3 lattice")
         self.nx, self.ny = self.values.shape
@@ -276,15 +255,17 @@ class SurfacePair:
     """Ordered pair (z1, z2) of scalar fields with w = z2 - z1 > 0.
 
     A grid's hull must hold the domain; positivity is checked on a
-    validation lattice at construction (default 64x64) and re-checked at
-    every queried point.  Two expression surfaces are compiled together on
-    first use: one function gives both.
+    validation lattice at construction (default 64x64, 0 for none) and
+    re-checked at every queried point.  Two expression surfaces are
+    compiled together on first use: one function gives both.
     """
 
     def __init__(self, z1: ScalarField, z2: ScalarField, domain, validation=64):
         self.z1 = z1
         self.z2 = z2
         self.domain = domain if isinstance(domain, Domain) else Domain(*domain)
+        if validation != 0:     # a lattice of validation^2 nodes, or none
+            integer("validation", validation, 2, math.isqrt(MAX_COUNT))
         for name, f in (("z1", z1), ("z2", z2)):
             if isinstance(f, GridField) and f.sample(
                     *np.meshgrid(*self.domain.lattice(2, 2)))[-1].any():
@@ -310,7 +291,7 @@ class SurfacePair:
     def _compile(self, *parts):
         pair = (self.z1, self.z2)
         if all(isinstance(f, ExpressionField) for f in pair):
-            return _expr.Compiled(*(getattr(f, p) for f in pair for p in parts))
+            return _expr.generate(*(getattr(f, p) for f in pair for p in parts))
 
     def width(self, p) -> float:
         if not self.domain.contains(p):
@@ -323,13 +304,14 @@ class SurfacePair:
 
     def heights(self, x, y):
         """((z1, z2), bad) on float arrays of points, on every kind of pair:
-        two expressions read by their compiled function, any other pair as
+        two expressions read by their generated function, any other pair as
         `surfaces` reads it.  Never raises (its caller sets np.errstate);
-        `bad` masks the points where either is undefined, or is None if none is."""
+        `bad` masks the points where either is undefined: None, or a boolean
+        array that may be all False."""
         if self._heights is None:
             (z1, _, _, z2, _, _), bad = self.surfaces(x, y)
-            return (z1, z2), bad if np.count_nonzero(bad) else None
-        return self._heights.run(x, y)
+            return (z1, z2), bad
+        return self._heights(x, y)
 
     def defined_heights(self, x, y):
         """(z1, z2) from `heights`; where either is undefined, z1 and then z2
@@ -342,14 +324,15 @@ class SurfacePair:
 
     def surfaces(self, x, y):
         """Both surfaces and their gradients on float arrays of points,
-        read as `Compiled.run` reads them when both are expressions, else
-        by each field's `sample`: ((z1, g1x, g1y, z2, g2x, g2y), bad), with
-        the values and mask of `ScalarField.sample` bit for bit."""
+        read by their one generated function when both are expressions,
+        else by each field's `sample`: ((z1, g1x, g1y, z2, g2x, g2y), bad),
+        with the values of `ScalarField.sample` bit for bit and a mask that
+        is None, or a boolean array that may be all False."""
         if self._surfaces is None:
             *s1, bad1 = self.z1.sample(x, y)
             *s2, bad2 = self.z2.sample(x, y)
             return (*s1, *s2), bad1 | bad2
-        return self._surfaces.run(x, y)
+        return self._surfaces(x, y)
 
     def sample(self, x, y):
         """Width and both surface gradients on arrays of points.

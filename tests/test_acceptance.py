@@ -13,7 +13,7 @@ import numpy as np
 import effdiff.cli as cli
 from effdiff.brownian import McJob, Slab, mc_projected_tensor
 from effdiff.geometry import (
-    FrameData, PlaneConfig, ScalarField, SurfacePair, frame_for_planes,
+    ExpressionField, FrameData, PlaneConfig, SurfacePair, frame_for_planes,
 )
 from effdiff.pde import PdeGrid, evolve, stability_bound
 from effdiff.quadrature import WedgeQuadratureJob, quadrature_tensor
@@ -98,8 +98,8 @@ def test_criterion_02_parallel_plane_monte_carlo():
 
 
 def test_criterion_03_channel_recovery():
-    z1 = ScalarField.from_expression("sin(x)-3/2")
-    z2 = ScalarField.from_expression("cos(2*x)+3/2")
+    z1 = ExpressionField("sin(x)-3/2")
+    z2 = ExpressionField("cos(2*x)+3/2")
     pair = SurfacePair(z1, z2, (-0.5, 2 * math.pi + 0.5, -1.0, 1.0))
     xs = np.concatenate([np.linspace(0.0, 2 * math.pi, 98),
                          [math.pi / 2, 3 * math.pi / 2]])
@@ -115,8 +115,8 @@ def test_criterion_03_channel_recovery():
 
 
 def test_criterion_04_radial_example():
-    pair = SurfacePair(ScalarField.from_expression("sin(r)-3/2"),
-                       ScalarField.from_expression("cos(2*r)+3/2"),
+    pair = SurfacePair(ExpressionField("sin(r)-3/2"),
+                       ExpressionField("cos(2*r)+3/2"),
                        (-8, 8, -8, 8))
     xs = np.linspace(-8, 8, 64)
     x, y = (c.ravel() for c in np.meshgrid(xs, xs, indexing="ij"))
@@ -139,8 +139,8 @@ def test_criterion_04_radial_example():
 
 
 def test_criterion_05_waves_example():
-    pair = SurfacePair(ScalarField.from_expression("cos(x)"),
-                       ScalarField.from_expression("cos(y)+5/2"),
+    pair = SurfacePair(ExpressionField("cos(x)"),
+                       ExpressionField("cos(y)+5/2"),
                        (-0.5, 2 * math.pi + 0.5, -0.5, 2 * math.pi + 0.5))
     # the centre, then the lines x = n pi and y = n pi for n = 0, 1, 2
     sweep = np.linspace(0.0, 2 * math.pi, 41)
@@ -221,8 +221,8 @@ def test_criterion_08_polar_decomposition():
 
 def test_criterion_09_pde_solver():
     # mass conservation + stationarity on the radial geometry
-    pair = SurfacePair(ScalarField.from_expression("sin(r)-3/2"),
-                       ScalarField.from_expression("cos(2*r)+3/2"),
+    pair = SurfacePair(ExpressionField("sin(r)-3/2"),
+                       ExpressionField("cos(2*r)+3/2"),
                        (-8, 8, -8, 8))
     grid = PdeGrid.from_surfaces(pair, MED, 32, 32,
                                  p0=lambda x, y: 1.0 + np.exp(-(x**2 + y**2)))
@@ -237,8 +237,8 @@ def test_criterion_09_pde_solver():
     stat_drift = float(np.max(np.abs(stat.p - p0))) / float(p0.max())
 
     # Fourier decay rate convergence on the flat slab
-    slab = SurfacePair(ScalarField.from_expression("0"),
-                       ScalarField.from_expression("1"), (0, 1, 0, 0.25))
+    slab = SurfacePair(ExpressionField("0"),
+                       ExpressionField("1"), (0, 1, 0, 0.25))
 
     def decay_error(nx):
         k = 2 * math.pi

@@ -10,9 +10,8 @@ from effdiff.brownian import (
     StepTooLargeError, _crossing, _surface_step, double_cross_probability,
     mc_projected_tensor,
 )
-from effdiff.expr import Compiled
 from effdiff.geometry import (
-    ExpressionField, GridField, InputError, ScalarField, SurfacePair,
+    ExpressionField, GridField, InputError, SurfacePair,
 )
 
 
@@ -39,8 +38,8 @@ def test_tilted_slab_damps_upslope_component():
 
 
 def test_seed_reproducibility():
-    waves = SurfacePair(ScalarField.from_expression("cos(x)"),
-                        ScalarField.from_expression("cos(y)+5/2"),
+    waves = SurfacePair(ExpressionField("cos(x)"),
+                        ExpressionField("cos(y)+5/2"),
                         (-60, 60, -60, 60))
     for job in (slab_job(0.5, n_particles=2000, n_steps=200),
                 McJob(waves, dt=1e-2, n_particles=300, n_steps=50, seed=3,
@@ -54,8 +53,8 @@ def test_seed_reproducibility():
 def test_curved_walk_draws_every_step_for_all_walkers_from_one_generator():
     # steps too short to reach a wall: the walk is the running sum of one
     # (n, 3) block per step from default_rng(seed)
-    pair = SurfacePair(ScalarField.from_expression("0"),
-                       ScalarField.from_expression("1"), (-1, 1, -1, 1))
+    pair = SurfacePair(ExpressionField("0"),
+                       ExpressionField("1"), (-1, 1, -1, 1))
     n, steps, dt, seed = 400, 6, 1e-8, 21
     job = McJob(pair, dt=dt, n_particles=n, n_steps=steps, seed=seed,
                 start=(0.0, 0.0, 0.5))
@@ -132,10 +131,10 @@ def test_oversized_steps_abort():
 def test_start_must_be_inside():
     # refused when the job is built, before any sampling; on a wall is out
     slab = Slab(0.5)
-    pair = SurfacePair(ScalarField.from_expression("cos(x)"),
-                       ScalarField.from_expression("cos(y)+5/2"), (0, 6, 0, 6))
-    flat = SurfacePair(ScalarField.from_expression("0"),
-                       ScalarField.from_expression("1"), (0, 1, 0, 1))
+    pair = SurfacePair(ExpressionField("cos(x)"),
+                       ExpressionField("cos(y)+5/2"), (0, 6, 0, 6))
+    flat = SurfacePair(ExpressionField("0"),
+                       ExpressionField("1"), (0, 1, 0, 1))
     for geometry, start, message in (
             (slab, (0.0, 0.0, 2.0), "start coordinate .* is not strictly"),
             (slab, (0.0, 0.0, 0.0), "start coordinate 0 is not strictly"),
@@ -162,8 +161,8 @@ def test_a_step_lost_to_rounding_is_refused(kind):
         geometry, start = Slab(2.0), (0.0, 0.0, 0.5)
         least, per_run = brownian.ROUNDING_MARGIN * math.ulp(geometry.width), steps
     else:
-        geometry = SurfacePair(ScalarField.from_expression("cos(x)"),
-                               ScalarField.from_expression("cos(y)+5/2"),
+        geometry = SurfacePair(ExpressionField("cos(x)"),
+                               ExpressionField("cos(y)+5/2"),
                                (0, 6, 0, 6))
         start = (3.0, 0.5, 1.5)
         least, per_run = brownian.ROUNDING_MARGIN * math.ulp(3.0), 1
@@ -185,7 +184,7 @@ def test_a_start_where_a_surface_is_undefined_is_refused_as_outside():
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     grid = SurfacePair(GridField((0, 0), (0.1, 0.1), 0.1 * gx),
                        GridField((0, 0), (0.1, 0.1), 1 + 0.1 * gy), (0, 2, 0, 2))
-    mixed = SurfacePair(ScalarField.from_expression("log(x)"),
+    mixed = SurfacePair(ExpressionField("log(x)"),
                         GridField((0, 0), (0.1, 0.1), 5 + 0 * gx), (1, 2, 0, 2))
     for pair, start in ((grid, (2.5, 1.0, 0.5)), (grid, (1.0, -0.5, 0.5)),
                         (mixed, (-1.0, 1.0, 0.0)), (mixed, (1.0, 2.5, 3.0))):
@@ -209,8 +208,8 @@ def test_a_job_without_a_start_starts_at_the_geometry_s_own():
     low = 0.3 * np.sin(gx) * np.cos(gy)
     grid = (GridField((-1, -1), (0.1, 0.1), low),
             GridField((-1, -1), (0.1, 0.1), low + 0.5 + 0.1 * gx))
-    expressions = (ScalarField.from_expression("cos(x)"),
-                   ScalarField.from_expression("cos(y)+5/2"))
+    expressions = (ExpressionField("cos(x)"),
+                   ExpressionField("cos(y)+5/2"))
     for z1, z2, domain in ((*expressions, (0, 2 * math.pi, 0, 2 * math.pi)),
                            (*expressions, (-0.3, 1.9, 0.1, 0.7)),
                            (*grid, (-0.9, 1.7, -0.4, 1.3))):
@@ -227,8 +226,8 @@ def test_a_job_without_a_start_starts_at_the_geometry_s_own():
 
 
 def test_curved_path_flat_pair_matches_identity():
-    pair = SurfacePair(ScalarField.from_expression("0"),
-                       ScalarField.from_expression("1"), (-60, 60, -60, 60))
+    pair = SurfacePair(ExpressionField("0"),
+                       ExpressionField("1"), (-60, 60, -60, 60))
     job = McJob(pair, d0=1.0, dt=1e-3, n_particles=3000, n_steps=300,
                 seed=9, start=(0.0, 0.0, 0.5))
     res = mc_projected_tensor(job)
@@ -238,8 +237,8 @@ def test_curved_path_flat_pair_matches_identity():
 
 
 def test_curved_path_affine_slab_matches_parallel_plane_value():
-    pair = SurfacePair(ScalarField.from_expression("x"),
-                       ScalarField.from_expression("x+1"), (-60, 60, -60, 60))
+    pair = SurfacePair(ExpressionField("x"),
+                       ExpressionField("x+1"), (-60, 60, -60, 60))
     job = McJob(pair, d0=1.0, dt=2e-3, n_particles=2000, n_steps=800,
                 seed=5, start=(0.0, 0.0, 0.5))
     res = mc_projected_tensor(job)
@@ -252,8 +251,8 @@ def test_curved_path_affine_slab_matches_parallel_plane_value():
 
 
 def test_curved_reflection_keeps_walkers_confined():
-    pair = SurfacePair(ScalarField.from_expression("sin(r)-3/2"),
-                       ScalarField.from_expression("cos(2*r)+3/2"),
+    pair = SurfacePair(ExpressionField("sin(r)-3/2"),
+                       ExpressionField("cos(2*r)+3/2"),
                        (-40, 40, -40, 40))
     job = McJob(pair, d0=1.0, dt=2e-3, n_particles=500, n_steps=400,
                 seed=13, start=(2.0, 0.0, 0.0))
@@ -313,7 +312,7 @@ def test_surface_step_reflects_like_a_per_walker_loop():
     # steps of deviation 0.5 across a gap of 0.3 to 0.9 on walls of slope
     # up to 6: walkers bounce many times, some touch both surfaces and
     # some are still outside after MAX_BOUNCES reflections
-    pair = SurfacePair(*(ScalarField.from_expression(src)
+    pair = SurfacePair(*(ExpressionField(src)
                          for src, *_ in _STEEP), (-3, 3, -3, 3))
     n = 200
     rng = np.random.default_rng(5)
@@ -382,14 +381,14 @@ def _assert_crossing_matches_halvings(pair, k, r0, delta):
 
 def _far_above(z1, domain):
     """z1 paired with z2 = 10, which the segments here never reach."""
-    return SurfacePair(z1, ScalarField.from_expression("10"), domain)
+    return SurfacePair(z1, ExpressionField("10"), domain)
 
 
 def test_crossing_search_starts_clear_of_the_surface_it_left():
     # segments that start on z1 = cos(x) near its valley, heading inward at
     # phi'(0) = 0.2, and leave through the same surface further on: t = 0
     # is a root too, and the search must find the other one
-    z1 = ScalarField.from_expression("cos(x)")
+    z1 = ExpressionField("cos(x)")
     x0 = np.linspace(2.6, 3.7, 12)
     y0 = np.linspace(-1.0, 1.0, 12)
     r0 = np.stack([x0, y0, z1.value_array(x0, y0)], axis=1)
@@ -403,7 +402,7 @@ def test_crossing_search_starts_clear_of_the_surface_it_left():
 def test_crossing_search_on_near_tangent_segments():
     # horizontal segments from the axis of z1 = x^2, eps above it: they
     # leave at t = 1/2 at an angle of 2 sqrt(eps)
-    z1 = ScalarField.from_expression("x^2")
+    z1 = ExpressionField("x^2")
     eps = np.array([1e-2, 1e-4, 1e-6, 1e-8])
     r0 = np.stack([np.zeros(4), np.ones(4), eps], axis=1)
     delta = np.stack([2.0 * np.sqrt(eps), np.full(4, 0.3), np.zeros(4)], axis=1)
@@ -415,7 +414,7 @@ def test_crossing_search_on_near_tangent_segments():
 def _steep_walkers(n):
     """The pair of _STEEP, and n walkers between its surfaces with steps of
     deviation 0.5 across a gap of 0.3 to 0.9."""
-    pair = SurfacePair(*(ScalarField.from_expression(src)
+    pair = SurfacePair(*(ExpressionField(src)
                          for src, *_ in _STEEP), (-3, 3, -3, 3))
     rng = np.random.default_rng(5)
     x, y = rng.uniform(-3, 3, (2, n))
@@ -439,8 +438,8 @@ def test_crossing_search_beyond_both_surfaces_and_on_a_tie():
     # beyond that line can end below z1 and above z2 at once, and must stop
     # at its first crossing.  Both margins are bit-equal everywhere on
     # z = 0, so a segment there hits both at once, and z1 wins.
-    pair = SurfacePair(ScalarField.from_expression("x-0.5+0.2*sin(3*y)"),
-                       ScalarField.from_expression("0.5-x-0.2*sin(3*y)"),
+    pair = SurfacePair(ExpressionField("x-0.5+0.2*sin(3*y)"),
+                       ExpressionField("0.5-x-0.2*sin(3*y)"),
                        (-1, 0.25, -1, 1))
     n = 300
     rng = np.random.default_rng(3)
@@ -484,8 +483,8 @@ def test_each_bounce_searches_once_over_the_walkers_still_outside(monkeypatch):
 def test_crossing_search_through_an_undefined_strip_names_the_point():
     # z2 = sqrt(x^2 - 0.01) is undefined for |x| < 0.1; the segment from
     # x = -0.5 (inside) to x = 0.5 (outside) first bisects onto x = 0
-    pair = SurfacePair(ScalarField.from_expression("-10"),
-                       ScalarField.from_expression("sqrt(x^2-0.01)"),
+    pair = SurfacePair(ExpressionField("-10"),
+                       ExpressionField("sqrt(x^2-0.01)"),
                        (-1, 1, -1, 1), validation=0)
     r0 = np.array([[-0.5, 0.0, 0.0]])
     delta = np.array([[1.0, 0.0, 1.0]])
@@ -540,8 +539,8 @@ def test_grazing_chain_under_a_crest_is_a_rejected_step(monkeypatch):
     # convex there, so each reflected segment meets z2 again after a few
     # percent of what is left, and MAX_BOUNCES bounces use up only about a
     # third of the step.
-    pair = SurfacePair(ScalarField.from_expression("cos(x)"),
-                       ScalarField.from_expression("cos(y)+5/2"),
+    pair = SurfacePair(ExpressionField("cos(x)"),
+                       ExpressionField("cos(y)+5/2"),
                        (0, 2 * math.pi, 0, 2 * math.pi))
     r = np.array([[2.7187423386019685, -0.05675369601387542,
                    3.4983826226733856]])
@@ -640,31 +639,43 @@ def test_a_job_with_a_real_a_float_cannot_hold_is_refused(key, value):
 
 
 # ---------------------------------------------------------------------------
-# A walk that reads the surfaces through Compiled.evaluate_masked (full
-# arrays, a full mask and an np.errstate of its own on every call) and keeps
-# one (walkers, 2) record of the surfaces hit per step: the reference that
-# brownian's walk must reproduce bit for bit.
+# A walk that reads the surfaces through expr.generate's function, filling
+# in full arrays and a full mask under an np.errstate of its own on every
+# call, and keeps one (walkers, 2) record of the surfaces hit per step: the
+# reference that brownian's walk must reproduce bit for bit.
 # ---------------------------------------------------------------------------
 
+def _full_read(run, x, y):
+    """The values of generated function `run` at float arrays (x, y), each
+    a full array, and its mask as a full boolean array."""
+    with np.errstate(all="ignore"):
+        values, mask = run(x, y)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    bad = np.zeros(shape, dtype=bool)
+    if mask is not None:
+        bad |= mask
+    return expr.as_arrays(values, shape), bad
+
+
 class _FullReads:
-    """A surface pair read through Compiled.evaluate_masked, counting the
+    """A surface pair read through expr.generate's function, counting the
     reads of the heights and of the surfaces."""
 
     def __init__(self, pair):
         self.z1, self.z2 = pair.z1, pair.z2
         self.reads = {"heights": 0, "surfaces": 0}
         exprs = all(isinstance(f, ExpressionField) for f in (self.z1, self.z2))
-        self._heights = exprs and Compiled(self.z1.tree, self.z2.tree)
-        self._surfaces = exprs and Compiled(*(getattr(f, part)
-                                              for f in (self.z1, self.z2)
-                                              for part in ("tree", "dx", "dy")))
+        self._heights = exprs and expr.generate(self.z1.tree, self.z2.tree)
+        self._surfaces = exprs and expr.generate(
+            *(getattr(f, part) for f in (self.z1, self.z2)
+              for part in ("tree", "dx", "dy")))
 
     def heights(self, x, y):
         self.reads["heights"] += 1
         if not self._heights:
             z1, z2 = self.z1.value_array(x, y), self.z2.value_array(x, y)
             return z1, z2, np.zeros(np.shape(z1), dtype=bool)
-        (z1, z2), bad = self._heights.evaluate_masked((x, y))
+        (z1, z2), bad = _full_read(self._heights, x, y)
         return z1, z2, bad
 
     def surfaces(self, x, y):
@@ -673,7 +684,7 @@ class _FullReads:
             *s1, bad1 = self.z1.sample(x, y)
             *s2, bad2 = self.z2.sample(x, y)
             return (*s1, *s2), bad1 | bad2
-        return self._surfaces.evaluate_masked((x, y))
+        return _full_read(self._surfaces, x, y)
 
 
 def _ref_gap_margins(pair, r):
@@ -789,8 +800,8 @@ def _ref_walk(job):
 
 
 def _waves_job():
-    waves = SurfacePair(ScalarField.from_expression("cos(x)"),
-                        ScalarField.from_expression("cos(y)+5/2"),
+    waves = SurfacePair(ExpressionField("cos(x)"),
+                        ExpressionField("cos(y)+5/2"),
                         (-60, 60, -60, 60))
     return McJob(waves, dt=1e-2, n_particles=300, n_steps=60, seed=3,
                  start=(0.0, 0.0, 1.5))
@@ -809,8 +820,8 @@ def _grid_job():
 def _thin_channel_job():
     # a gap of 0.15 to 0.35 against steps of deviation 0.063: some steps
     # cross both walls
-    pair = SurfacePair(ScalarField.from_expression("0.3*sin(x)"),
-                       ScalarField.from_expression("0.3*sin(x)+0.25+0.1*cos(y)"),
+    pair = SurfacePair(ExpressionField("0.3*sin(x)"),
+                       ExpressionField("0.3*sin(x)+0.25+0.1*cos(y)"),
                        (0, 2 * math.pi, 0, 2 * math.pi))
     return McJob(pair, dt=2e-3, n_particles=500, n_steps=200, seed=4,
                  start=(1.0, 1.0, 0.3 * math.sin(1.0) + 0.12))
@@ -839,17 +850,17 @@ def test_walk_reads_the_compiled_surfaces_as_often_as_the_reference(
     _, _, want = _ref_walk(job)
     assert want["surfaces"] > want["heights"] > job.n_steps
 
-    generate, reads = expr._generate, {}
+    generate, reads = expr.generate, {}
 
-    def counting(trees):
-        run = generate(trees)
+    def counting(*trees):
+        run = generate(*trees)
 
         def counted(x, y):
             reads[len(trees)] = reads.get(len(trees), 0) + 1
             return run(x, y)
         return counted
 
-    monkeypatch.setattr(expr, "_generate", counting)
+    monkeypatch.setattr(expr, "generate", counting)
     job = _waves_job()      # compiled on first use, through `counting`
     reads.clear()           # the validation lattice's and the start's reads
     brownian._run_surfaces(job)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from effdiff.cli import EXAMPLES, _ALLOWED_KEYS, build_parser, main
-from effdiff.geometry import ScalarField, SurfacePair
+from effdiff.geometry import ExpressionField, SurfacePair
 from effdiff.tensor import UNDEFINED, MediumParams, sample_tensor, tensor_field
 
 
@@ -158,8 +158,8 @@ def test_tensor_flags_and_refusals_read_one_table_of_kinds(
     assert run(tmp_path, "tensor", "--config", cfg, "--out", str(out)) == 0
     _, data = read_csv(out)
     x, y = (np.array([float(row[i]) for row in data]) for i in (0, 1))
-    pair = SurfacePair(ScalarField.from_expression(z1),
-                       ScalarField.from_expression(z2),
+    pair = SurfacePair(ExpressionField(z1),
+                       ExpressionField(z2),
                        tuple(map(float, domain.split(","))))
     kinds = tensor_field(pair, x, y, MediumParams())[-1]
     assert kinds.dtype == np.int8

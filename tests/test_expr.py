@@ -10,9 +10,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from effdiff.cli import main
 from effdiff.expr import (
     _BINARY_IMPL, _CONSTANTS, _FUNCTIONS, _UNARY_IMPL, MAX_DEPTH, Binary,
-    Compiled, Const, EvalDomainError, ParseError, Unary, Var, _Source,
-    differentiate, evaluate, parse, to_text,
+    Const, EvalDomainError, InputError, ParseError, Unary, Var, _Source,
+    differentiate, evaluate, generate, parse, to_text,
 )
+from effdiff.geometry import ExpressionField
 
 
 def central_diff(e, point, var, h=1e-6):
@@ -82,12 +83,12 @@ _NESTINGS = {
 
 @pytest.mark.parametrize("kind", sorted(_NESTINGS))
 def test_texts_nested_to_the_depth_limit_run_everywhere(kind):
-    tree = parse(_NESTINGS[kind](MAX_DEPTH - 1))
+    field = ExpressionField(_NESTINGS[kind](MAX_DEPTH - 1))
+    tree, dx = field.tree, field.dx
     assert parse(to_text(tree)) == tree
-    dx, dy = differentiate(tree, "x"), differentiate(tree, "y")
     to_text(dx)   # the deepest tree printed: about three levels per level
     x, y = np.array([0.5, 0.0]), np.zeros(2)
-    values, bad = Compiled(tree, dx, dy).evaluate_masked((x, y))
+    *values, bad = field.sample(x, y)
     assert bad.tolist() == [False, True]
     assert np.all(np.isfinite(values[0][:1]) & np.isfinite(values[1][:1]))
     # at x = 0 the message names the first failing node, children first
@@ -178,24 +179,34 @@ def test_evaluate_vectorized_domain_error():
         evaluate(e, (np.array([1.0, -1.0]), np.array([0.0, 0.0])))
 
 
-def test_evaluate_masked_marks_exactly_the_failing_elements():
+def _run(run, x, y):
+    """What run, a generated function, returns at float arrays (x, y)."""
+    with np.errstate(all="ignore"):
+        return run(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+def test_generated_mask_marks_exactly_the_failing_elements():
     xs = np.array([2.0, 0.0, -1.0, 1.0, 0.5])
     ys = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     # log(0) = -inf and 0^0 = 1: the mask keeps an element bad even where a
     # later node makes its value finite again
     e = parse("(log(x))^y + sqrt(1-y)")
-    (values,), bad = Compiled(e).evaluate_masked((xs, ys))
+    (values,), bad = _run(generate(e), xs, ys)
     assert bad.tolist() == [False, True, True, False, False]
     for k in np.flatnonzero(~bad):
         assert values[k] == evaluate(e, (float(xs[k]), float(ys[k])))
     with pytest.raises(EvalDomainError) as err:
         evaluate(e, (xs, ys))
     assert err.value.expr_text == "log(x)"
-    # constant subtrees broadcast their failure to every element
-    (values,), bad = Compiled(parse("x + log(0)")).evaluate_masked((xs, ys))
+    # all finite: no mask, and a constant root stays a scalar
+    assert _run(generate(e, parse("2")), xs + 3, ys)[1] is None
+    assert _run(generate(parse("2")), xs, ys) == ((2.0,), None)
+    # ExpressionField.sample fills the mask in: constant subtrees broadcast
+    # their failure to every element
+    *values, bad = ExpressionField("x + log(0)").sample(xs, ys)
     assert bad.shape == xs.shape and bad.all()
-    (values,), bad = Compiled(parse("x*y")).evaluate_masked((1.5, 2.0))
-    assert (values, bad.tolist()) == (3.0, False)
+    *values, bad = ExpressionField("x*y").sample(1.5, 2.0)
+    assert (values, bad.tolist()) == ([3.0, 2.0, 1.5], False)
 
 
 def test_constant_only_nodes_are_folded_once_at_generation():
@@ -222,22 +233,32 @@ def test_constant_only_nodes_are_folded_once_at_generation():
 def test_an_overflowing_finiteness_sum_is_only_a_false_alarm():
     # every value is finite, but their sum overflows: the generated function
     # then builds the exact mask, which flags nothing
-    c = Compiled(parse("1e308+0*x"), parse("1e308+0*y"))
+    run = generate(parse("1e308+0*x"), parse("1e308+0*y"))
     xs, ys = np.linspace(-1.0, 1.0, 5), np.arange(5.0)
+    # a field whose value and slope at pi/4 are finite and sum past the
+    # largest float; ExpressionField.sample reads them with a full mask
+    field = ExpressionField("1.5e308*sin(x)")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with np.errstate(all="ignore"):
-            assert not c.run(xs, ys)[1].any()
         for point, shape in (((xs, ys), (5,)), ((0.5, 2.0), ())):
-            (a, b), bad = c.evaluate_masked(point)
+            (a, b), bad = _run(run, *point)
             assert np.shape(a) == np.shape(b) == np.shape(bad) == shape
             assert np.all(a == 1e308) and np.all(b == 1e308)
+            assert bad is not None and not bad.any()
+            at = (np.full(shape, np.pi / 4) if shape else np.pi / 4, point[1])
+            value, gx, gy, bad = field.sample(*at)
+            assert np.shape(value) == np.shape(gx) == np.shape(bad) == shape
+            assert np.array_equal(value, evaluate(field.tree, at))
+            assert np.array_equal(gx, evaluate(field.dx, at))
+            assert np.all(gy == 0)
+            with np.errstate(over="ignore"):
+                assert np.all(value + gx == np.inf)
             assert not bad.any()
         assert evaluate(parse("1e308+0*x"), (xs, ys)).tolist() == [1e308] * 5
         # an overflowing sum with one element also really undefined: a mask
         # taken from the sum alone would flag both
-        (a, b), bad = Compiled(parse("1e308+0*x"), parse("1e308+log(y)")) \
-            .evaluate_masked((np.zeros(2), np.array([1.0, 0.0])))
+        (a, b), bad = _run(generate(parse("1e308+0*x"), parse("1e308+log(y)")),
+                           np.zeros(2), np.array([1.0, 0.0]))
         assert bad.tolist() == [False, True]
         assert a.tolist() == [1e308, 1e308] and b[0] == 1e308
 
@@ -250,6 +271,13 @@ def test_derivative_of_sin_is_cos():
     d = differentiate(parse("sin(x)"), "x")
     for x in (0.0, 0.7, -2.0):
         assert evaluate(d, (x, 0.0)) == pytest.approx(math.cos(x), abs=1e-15)
+
+
+def test_derivative_of_tan_is_one_over_cos_squared():
+    d = differentiate(parse("tan(x)"), "x")
+    for x in (0.0, 0.7, -1.2):
+        assert evaluate(d, (x, 0.0)) == pytest.approx(1 / math.cos(x) ** 2,
+                                                      rel=1e-15)
 
 
 def test_derivative_radial_wave():
@@ -355,8 +383,9 @@ def test_symbolic_derivative_matches_central_difference_randomly():
 @pytest.mark.parametrize("var", ["z", "r", "", None])
 def test_differentiate_refuses_a_variable_other_than_x_or_y(var):
     with pytest.raises(ValueError,
-                       match=f"^var must be 'x' or 'y', got {var!r}$"):
+                       match=f"^var must be 'x' or 'y', got {var!r}$") as info:
         differentiate(parse("x*y"), var)
+    assert type(info.value) is InputError and info.value.field == "var"
 
 
 def test_differentiate_refuses_a_function_it_has_no_rule_for():
@@ -495,6 +524,14 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+def _full(run, x, y, shape):
+    """The values of generated function `run` at (x, y) broadcast to
+    `shape`, and its mask (None for no element) as a full boolean array."""
+    values, mask = _run(run, x, y)
+    return ([np.broadcast_to(v, shape) for v in values],
+            np.zeros(shape, dtype=bool) | (False if mask is None else mask))
+
+
 _ANY_LEAVES = st.one_of(
     st.sampled_from([Var("x"), Var("y")]),
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -8.0, 1.0 / 3.0, 1e308])
@@ -551,13 +588,13 @@ def test_compiled_evaluation_matches_the_tree_walk(e, points):
             got = evaluate(e, (x, y))
             assert np.shape(got) == shape
             assert np.array_equal(_bits(got), _bits(want))
-        (values,), bad = Compiled(e).evaluate_masked((x, y))
+        (values,), bad = _full(generate(e), x, y, shape)
         assert np.array_equal(bad, want_bad)
         assert np.array_equal(_bits(values)[~bad], _bits(want)[~bad])
 
         # value and derivative from one function, as ExpressionField uses it
         d = differentiate(e, "x")
-        (v, g), both_bad = Compiled(e, d).evaluate_masked((x, y))
+        (v, g), both_bad = _full(generate(e, d), x, y, shape)
         want_d, d_bad = _walk_mask(d, x, y, shape)
         assert np.array_equal(both_bad, want_bad | d_bad)
         assert np.array_equal(_bits(v)[~both_bad], _bits(want)[~both_bad])

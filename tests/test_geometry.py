@@ -6,18 +6,17 @@ import pytest
 
 from effdiff.expr import EvalDomainError
 from effdiff.geometry import (
-    DegenerateConfigError, Domain, GeometryError, GridField, InputError,
-    OutsideDomainError, PlaneConfig,
-    ScalarField, SurfacePair, SurfaceValidationError, frame_field,
-    frame_for_planes,
+    DegenerateConfigError, Domain, ExpressionField, GeometryError, GridField,
+    InputError, OutsideDomainError, PlaneConfig, SurfacePair,
+    SurfaceValidationError, frame_field, frame_for_planes,
 )
 
 SQ2 = math.sqrt(2.0)
 
 
 def make_pair(z1, z2, domain=(-3, 3, -3, 3), **kw):
-    return SurfacePair(ScalarField.from_expression(z1),
-                       ScalarField.from_expression(z2), domain, **kw)
+    return SurfacePair(ExpressionField(z1),
+                       ExpressionField(z2), domain, **kw)
 
 
 def surface_frames(pair, x, y):
@@ -281,7 +280,7 @@ def test_tilt_vanishes_for_functionally_dependent_surfaces():
 # ---------------------------------------------------------------------------
 
 def _sampled(expr_text, x0, x1, y0, y1, n):
-    f = ScalarField.from_expression(expr_text)
+    f = ExpressionField(expr_text)
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -336,13 +335,33 @@ def test_a_domain_outside_a_grid_s_hull_is_refused(domain, named, validation):
     # the hull of this 3x3 grid is [0, 1]^2, read with GridField's
     # tolerance of 1e-9 spacing; the other surface is an expression
     grid = GridField((0, 0), (0.5, 0.5), np.ones((3, 3)))
-    level = ScalarField.from_expression("5" if named == "z1" else "-5")
+    level = ExpressionField("5" if named == "z1" else "-5")
     pair = (grid, level) if named == "z1" else (level, grid)
     with pytest.raises(InputError, match=f"^{named} covers \\[0, 1\\] x "
                        "\\[0, 1\\], which does not contain the domain$") as info:
         SurfacePair(*pair, domain, validation=validation)
     assert info.value.field == named
     SurfacePair(*pair, (0, 1.0000000001, 0.5, 1), validation=validation)
+
+
+@pytest.mark.parametrize("validation", [1, -1, 2.5, None, True, 31622777])
+def test_a_validation_lattice_size_outside_its_rule_is_refused_by_name(
+        validation):
+    # refused before any lattice is built; 0 reads none
+    with pytest.raises(InputError, match="^validation must be an integer in "
+                       f"\\[2, 31622776\\], got {validation!r}$") as info:
+        make_pair("0", "1", validation=validation)
+    assert info.value.field == "validation"
+    for n in (0, 2):
+        make_pair("0", "1", validation=n)
+
+
+def test_a_grid_field_keeps_its_own_copy_of_the_samples():
+    v = np.zeros((4, 4))
+    g = GridField((0, 0), (1, 1), v)
+    v[1, 1] = 100
+    value, gx, gy, bad = g.sample(1.0, 1.0)
+    assert (value, gx, gy, bad) == (0.0, 0.0, 0.0, False)
 
 
 @pytest.mark.parametrize("corners", [
@@ -456,7 +475,7 @@ _PAIRS = {
     "grid": lambda: SurfacePair(_sampled("sin(x)*cos(y)", -3, 3, -3, 3, 31)[1],
                                 _sampled("2+x*y/9", -3, 3, -3, 3, 31)[1],
                                 (-3, 3, -3, 3)),
-    "mixed": lambda: SurfacePair(ScalarField.from_expression("sqrt(x^2-0.01)-4"),
+    "mixed": lambda: SurfacePair(ExpressionField("sqrt(x^2-0.01)-4"),
                                  _sampled("2+x*y/9", -3, 3, -3, 3, 31)[1],
                                  (-3, 3, -3, 3), validation=0),
 }
@@ -504,13 +523,28 @@ def test_pair_reads_both_surfaces_bit_for_bit_as_each_field_does(kind):
         (z1, z2), hbad = pair.heights(x[fine], y[fine])
     assert _bits(*_as_read((z1, z2), x[fine].shape)) \
         == _bits(s1[0][fine], s2[0][fine])
-    assert hbad is None
+    assert hbad is None or not hbad.any()
+    if kind in ("grid", "mixed"):    # read by each field's sample
+        assert hbad.shape == x[fine].shape
     if kind == "undefined strip":
         with np.errstate(all="ignore"):
             (z1, z2), hbad = pair.heights(x, y)
         assert _bits(z1[~hbad], z2[~hbad]) == _bits(s1[0][~hbad], s2[0][~hbad])
         # both surfaces lose value and gradient at the same points
         assert np.array_equal(hbad, bad)
+
+
+def test_heights_mask_is_none_or_a_boolean_array_that_may_be_all_false():
+    # finite heights whose finiteness sum overflows: the generated function
+    # builds its exact mask, which flags nothing
+    pair = make_pair("1e308+0*x", "1.5e308+0*y")
+    x, y = np.array([0.5, -1.0]), np.array([1.0, 2.0])
+    with np.errstate(all="ignore"):
+        (z1, z2), bad = pair.heights(x, y)
+        defined = pair.defined_heights(x, y)
+    assert bad.tolist() == [False, False]
+    assert z1.tolist() == [1e308, 1e308] and z2.tolist() == [1.5e308] * 2
+    assert [z.tolist() for z in defined] == [[1e308] * 2, [1.5e308] * 2]
 
 
 @pytest.mark.parametrize("kind", ["grid", "mixed"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from effdiff import pde
-from effdiff.geometry import FrameData, InputError, ScalarField, SurfacePair
+from effdiff.geometry import ExpressionField, FrameData, InputError, SurfacePair
 from effdiff.pde import (
     PdeGrid, StabilityError, evolve, stability_bound,
     step_finite_rate, step_infinite_rate, to_cartesian,
@@ -16,21 +16,21 @@ MED = MediumParams(1.0)
 
 
 def radial_pair():
-    return SurfacePair(ScalarField.from_expression("sin(r)-3/2"),
-                       ScalarField.from_expression("cos(2*r)+3/2"),
+    return SurfacePair(ExpressionField("sin(r)-3/2"),
+                       ExpressionField("cos(2*r)+3/2"),
                        (-8, 8, -8, 8))
 
 
 def channel_pair(ylen=1.0):
-    return SurfacePair(ScalarField.from_expression("0"),
-                       ScalarField.from_expression("2+sin(x)"),
+    return SurfacePair(ExpressionField("0"),
+                       ExpressionField("2+sin(x)"),
                        (0, 2 * math.pi, 0, ylen))
 
 
 def flat_slab(domain, nx, ny, p0=None, med=MED):
     """Grid of the flat slab z1 = 0, z2 = 1 over domain."""
-    pair = SurfacePair(ScalarField.from_expression("0"),
-                       ScalarField.from_expression("1"), domain)
+    pair = SurfacePair(ExpressionField("0"),
+                       ExpressionField("1"), domain)
     return PdeGrid.from_surfaces(pair, med, nx, ny, p0=p0)
 
 
@@ -303,8 +303,8 @@ def _step(grid, dt, faces):
 @pytest.mark.parametrize("nx,ny", [(2, 2), (2, 7), (16, 12)])
 def test_step_is_bit_identical_to_the_reference_step(mode, nx, ny):
     # tilted waves whose tensor has |D12| up to 0.38
-    pair = SurfacePair(ScalarField.from_expression("6*x+0.5*sin(3*y)"),
-                       ScalarField.from_expression("6*y+20+0.5*cos(3*x)"),
+    pair = SurfacePair(ExpressionField("6*x+0.5*sin(3*y)"),
+                       ExpressionField("6*y+20+0.5*cos(3*x)"),
                        (0, 2, 0, 2))
     grid = PdeGrid.from_surfaces(
         pair, MED, nx, ny, p0=lambda x, y: np.exp(-4 * (x - 1) ** 2

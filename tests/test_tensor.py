@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from effdiff.geometry import (
-    FrameData, InputError, ScalarField, SurfacePair, frame_field,
+    ExpressionField, FrameData, InputError, SurfacePair, frame_field,
     frame_from_gradients, frame_from_slopes,
 )
 from effdiff.tensor import (
@@ -355,8 +355,8 @@ def test_channel_recovery_common_slope_limit():
 def test_full_pipeline_matches_zero_tilt_omega_on_radial_surfaces():
     # z_i = f_i(r): zero tilt, and omega of the slopes f1'(r), f2'(r)
     # along grad w
-    pair = SurfacePair(ScalarField.from_expression("sin(r)-3/2"),
-                       ScalarField.from_expression("cos(2*r)+3/2"),
+    pair = SurfacePair(ExpressionField("sin(r)-3/2"),
+                       ExpressionField("cos(2*r)+3/2"),
                        (-8, 8, -8, 8))
     p = np.random.default_rng(9).uniform(-6, 6, size=(70, 2))
     r = np.hypot(p[:, 0], p[:, 1])

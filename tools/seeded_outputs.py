@@ -56,6 +56,13 @@ RUNS = [
     ("tensor-mixed.csv", "tensor", {"z1": "0.3*sin(x)*cos(y)",
                                     "z2_grid": "z2.grid", "domain": "0,2,0,2",
                                     "resolution": "12x10"}),
+    # mixed pairs read by ExpressionField.sample: a constant z1, whose
+    # function returns scalars and no mask, and a kink at x = 1, where the
+    # 3 nodes without a gradient are domain_error rows
+    *[(f"tensor-mixed-{name}.csv", "tensor", {
+        "z1": z1, "z2_grid": "z2.grid", "domain": "0,2,0,2",
+        "resolution": "5x3"})
+      for name, z1 in (("constant", "0"), ("kink", "abs(x-1)-1"))],
     ("solve-waves-infinite", "solve", {"example": "waves", "mode": "infinite",
                                        "steps": "20", "snap_every": "10"}),
     # a pair whose tensor has off-diagonal terms up to |D12| = 0.38, at
