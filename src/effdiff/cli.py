@@ -429,28 +429,23 @@ def cmd_planes(cfg, opt):
 
 def _oracle_records(cases, med, setup):
     """Records of an (n, 3) array of cases psi, m1, m2, by one array call
-    each of the closed form and the quadrature, which mark a case that fails
-    with NaN.  Each NaN case is re-run alone through the quadrature, whose
-    refusals begin with the closed form's, so that its error raises and is
-    recorded."""
+    each of the closed form and the quadrature.  The quadrature's refusals
+    begin with the closed form's, so a case it refuses is recorded with its
+    error and the others with both tensors."""
     psi, m1, m2 = cases.T
     closed = effective_tensor(frame_from_slopes(psi, m1, m2), med).coeffs
-    quad = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2, **setup), med)
+    quad, errors = quadrature_tensor(
+        WedgeQuadratureJob(psi, m1, m2, **setup), med)
     abs_err = np.abs(closed - quad).max(axis=(1, 2))
     # relative to the largest entry: a zero entry has no relative error
     rel_err = abs_err / np.abs(closed).max(axis=(1, 2))
     columns = dict(psi=psi, m1=m1, m2=m2, closed_form=closed, quadrature=quad,
                    max_abs_err=abs_err, max_rel_err=rel_err)
-    records = [dict(zip(columns, row))
-               for row in zip(*(c.tolist() for c in columns.values()))]
-    for k in np.flatnonzero(np.isnan(abs_err)):
-        case = dict(zip(("psi", "m1", "m2"), cases[k].tolist()))
-        try:
-            quadrature_tensor(WedgeQuadratureJob(**case, **setup), med)
-        except (OracleError, TensorError) as exc:
-            records[k] = {**case, "error": {
+    rows = zip(*(c.tolist() for c in columns.values()))
+    return [dict(zip(columns, row)) if exc is None else
+            {**dict(zip(columns, row[:3])), "error": {
                 "kind": type(exc).__name__, "message": str(exc)}}
-    return records
+            for row, exc in zip(rows, errors)]
 
 
 def cmd_oracle(cfg, opt):

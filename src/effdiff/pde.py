@@ -33,9 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (
-    Domain, InputError, SurfacePair, frame_from_gradients, integer,
-)
+from .geometry import InputError, SurfacePair, frame_from_gradients, integer
 from .tensor import MediumParams, effective_tensor, sample_tensor, to_cartesian
 
 # frame_from_gradients, effective_tensor and to_cartesian are re-exported:
@@ -60,7 +58,6 @@ class PdeGrid:
     """Cell-centered state at time t: density p, width w, Cartesian tensor
     field."""
 
-    domain: Domain
     nx: int
     ny: int
     hx: float
@@ -99,7 +96,7 @@ class PdeGrid:
         w, _, _, tensor = sample_tensor(pair, gx, gy, med)
         dten = to_cartesian(tensor)
         p = _initial_density(p0, gx, gy, w)
-        return PdeGrid(pair.domain, nx, ny, hx, hy, xc, yc, w, dten, p, med.d0)
+        return PdeGrid(nx, ny, hx, hy, xc, yc, w, dten, p, med.d0)
 
 
 def _initial_density(p0, gx, gy, w):

@@ -72,15 +72,16 @@ class WedgeQuadratureJob:
 
 
 def quadrature_tensor(job: WedgeQuadratureJob,
-                      med: MediumParams = MediumParams(1.0)) -> np.ndarray:
+                      med: MediumParams = MediumParams(1.0)):
     """Effective tensor of the wedge, reconstructed numerically.
 
-    One case raises, first to last in `checks`: the closed form's refusals,
-    tensor.UNDEFINED's extreme_tilt then slope_overflow entry, then
-    ApexProximityError (|x| near the apex), OracleError (outside the wedge
-    interior), SingularSystemError when the two gradient columns do not
-    determine the matrix, OracleError (non-finite result).  N cases give an
-    (N, 2, 2) stack with NaN rows where one case would raise.
+    One case gives a 2x2 matrix or raises the first error of `checks`: the
+    closed form's refusals, tensor.UNDEFINED's extreme_tilt then
+    slope_overflow entry, then ApexProximityError (|x| near the apex),
+    OracleError (outside the wedge interior), SingularSystemError when the
+    two gradient columns do not determine the matrix, OracleError
+    (non-finite result).  N cases give (stack, errors): an (N, 2, 2) stack
+    with NaN rows, and per case None or the error that it alone would raise.
     """
     one = np.ndim(job.psi) == 0
     psi, m1, m2 = np.atleast_1d(job.psi, job.m1, job.m2)
@@ -112,10 +113,14 @@ def quadrature_tensor(job: WedgeQuadratureJob,
                 "gradient columns are linearly dependent"),
                (~np.isfinite(tensor).all(axis=(1, 2)),
                 OracleError, "quadrature result is not finite")]
-    failed = [error(text) for mask, error, text in checks if one and mask[0]]
-    if failed:
-        raise failed[0]
-    return tensor[0] if one else tensor
+    masks = np.array([mask for mask, _, _ in checks])
+    errors = [None] * len(psi)
+    for k in np.flatnonzero(masks.any(axis=0)):   # its first check's error
+        _, error, text = checks[masks[:, k].argmax()]
+        errors[k] = error(text)
+    if one and errors[0] is not None:
+        raise errors[0]
+    return tensor[0] if one else (tensor, errors)
 
 
 def _reconstruct(z1, z2, integrands, rule, h, d0):

@@ -616,6 +616,12 @@ _BAD_NUMBER_BASE = {
                             ("solve", "100000000x100000000"))],
     ("solve", {"resolution": "4x4x4"}, "resolution must be two integers "
      "NXxNY, got '4x4x4'"),
+    # a file without a header line, and a header without a spacing
+    ("tensor", {"z2_grid": "# grd origin=0,0 spacing=0.5,0.5\n"
+                           "1,1,1\n1,1,1\n1,1,1\n"},
+     "z2.grid: missing '# grid ...' header line"),
+    ("tensor", {"z2_grid": "# grid origin=0,0\n1,1,1\n1,1,1\n1,1,1\n"},
+     "z2.grid: header lacks 'spacing'"),
 ])
 def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
                                                      settings, named):
@@ -626,7 +632,7 @@ def test_bad_numbers_and_grid_rows_are_config_errors(tmp_path, capsys, command,
     if "z2_grid" in cfg:
         grid = tmp_path / "z2.grid"
         text = cfg["z2_grid"]
-        if not text.startswith("# grid"):
+        if not text.startswith("#"):
             text = "# grid origin=0,0 spacing=0.5,0.5\n" + text
         grid.write_text(text)
         cfg["z2_grid"] = str(grid)

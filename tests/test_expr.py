@@ -60,6 +60,16 @@ def test_parse_error_trailing_garbage():
     assert err.value.column == 7
 
 
+@pytest.mark.parametrize("text,message", [
+    ("x $ y", "unexpected character '$' (column 3)"),
+    ("1.2.3", "malformed number '1.2.3' (column 1)"),
+    ("sin x", "expected '(' after function 'sin' (column 5)")])
+def test_parse_error_names_the_token_and_its_column(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_parse_error_number_out_of_range():
     # a literal that overflows would be an infinite constant, which
     # evaluate does not flag at the root of a tree
@@ -278,6 +288,15 @@ def test_derivative_of_tan_is_one_over_cos_squared():
     for x in (0.0, 0.7, -1.2):
         assert evaluate(d, (x, 0.0)) == pytest.approx(1 / math.cos(x) ** 2,
                                                       rel=1e-15)
+
+
+@pytest.mark.parametrize("fn,closed", [
+    ("asin", lambda x: 1 / math.sqrt(1 - x * x)),
+    ("acos", lambda x: -1 / math.sqrt(1 - x * x))])
+def test_derivatives_of_asin_and_acos_match_their_closed_forms(fn, closed):
+    d = differentiate(parse(f"{fn}(x)"), "x")
+    for x in (0.0, 0.6, -0.8):
+        assert evaluate(d, (x, 0.0)) == pytest.approx(closed(x), rel=1e-15)
 
 
 def test_derivative_radial_wave():

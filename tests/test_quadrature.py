@@ -243,8 +243,8 @@ def test_seeded_sweep_is_bit_equal_to_the_one_case_reference(tmp_path):
     cases = sweep_cases(200, 1)
     assert same_bits(_oracle_sweep(tmp_path, 200, 1), reference_records(cases))
     psi, m1, m2 = np.array(cases).T
-    stack = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2))
-    assert stack.shape == (200, 2, 2)
+    stack, errors = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2))
+    assert stack.shape == (200, 2, 2) and errors == [None] * 200
     assert all(stack[k].tobytes() == reference_tensor(
         WedgeQuadratureJob(*case)).tobytes() for k, case in enumerate(cases))
 
@@ -252,15 +252,24 @@ def test_seeded_sweep_is_bit_equal_to_the_one_case_reference(tmp_path):
 _BLOCK = cli._ORACLE_BLOCK
 
 
-@pytest.mark.parametrize("count", sorted({
-    1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK,
-    2 * _BLOCK + 1, 65}))
-def test_sweep_across_block_boundaries_is_bit_equal(tmp_path, count):
-    settings = dict(quad_points=24, eval_x=1.5, eval_y=-0.5)
+_COUNTS = sorted({1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1,
+                  2 * _BLOCK, 2 * _BLOCK + 1, 65})
+
+
+# each count at the default step, then at a step so small that 13 of the
+# 65 cases, from case 7 on, are singular
+@pytest.mark.parametrize("count,step", [
+    *[pytest.param(n, {}, id=f"{n}") for n in _COUNTS],
+    *[pytest.param(n, {"fd_step": 3e-16}, id=f"{n}-singular-step")
+      for n in _COUNTS]])
+def test_sweep_across_block_boundaries_is_bit_equal(tmp_path, count, step):
+    settings = dict(quad_points=24, eval_x=1.5, eval_y=-0.5, **step)
     got = _oracle_sweep(tmp_path, count, 7, **settings)
     assert len(got) == count
+    refused = [k for k, r in enumerate(got) if "error" in r]
+    assert bool(refused) == (bool(step) and count > 7)
     assert same_bits(got, reference_records(
-        sweep_cases(count, 7), points=24, eval_x=1.5, eval_y=-0.5))
+        sweep_cases(count, 7), points=24, eval_x=1.5, eval_y=-0.5, **step))
 
 
 def test_slab_family_rows_are_bit_equal():
@@ -270,8 +279,8 @@ def test_slab_family_rows_are_bit_equal():
     m2[::2] += 1e-9 * (1.0 + np.abs(m1[::2]))   # within EPS_M: still a slab
     psi = rng.uniform(-1.4, 1.4, 40)
     for settings in ({}, {"eval_x": -3.0, "eval_y": 2.0, "fd_step": 1e-3}):
-        stack = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2, **settings),
-                                  MediumParams(2.5))
+        stack, _ = quadrature_tensor(
+            WedgeQuadratureJob(psi, m1, m2, **settings), MediumParams(2.5))
         for k in range(40):
             want = reference_tensor(WedgeQuadratureJob(
                 psi[k], m1[k], m2[k], **settings), MediumParams(2.5))
@@ -302,15 +311,24 @@ def test_mixed_batch_gives_the_reference_records_in_order(eval_point, cases):
     assert ("ApexProximityError" in kinds) == apex
     assert ("OracleError" in kinds) == ("SingularSystemError" in kinds) != apex
     assert same_bits(got, want)
-    # the quadrature alone: NaN exactly where the one-case call raises
+    # the quadrature alone: NaN and the error of the one-case call exactly
+    # where that call raises
     psi, m1, m2 = np.array(cases).T
-    stack = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2, **settings))
+    stack, errors = quadrature_tensor(
+        WedgeQuadratureJob(psi, m1, m2, **settings))
+    assert len(errors) == len(cases)
     for k, case in enumerate(cases):
+        job = WedgeQuadratureJob(*case, **settings)
         try:
-            want = reference_tensor(WedgeQuadratureJob(*case, **settings))
+            want = reference_tensor(job)
         except (OracleError, TensorError):
             assert np.isnan(stack[k]).all()
+            with pytest.raises((OracleError, TensorError)) as info:
+                quadrature_tensor(job)
+            assert type(errors[k]) is type(info.value)
+            assert str(errors[k]) == str(info.value)
         else:
+            assert errors[k] is None
             assert stack[k].tobytes() == want.tobytes()
 
 
@@ -346,7 +364,7 @@ def test_too_large_slopes_are_refused_as_the_closed_form_refuses_them():
     with pytest.raises(OracleError, match="not finite"):
         quadrature_tensor(WedgeQuadratureJob(*cases[3]))
     psi, m1, m2 = np.array(cases).T
-    stack = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2))
+    stack, _ = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2))
     assert np.isnan(stack[:4]).all() and np.isfinite(stack[4]).all()
     assert np.isnan(closed_form(psi, m1, m2)[:3]).all()
 
@@ -374,7 +392,7 @@ def test_a_slab_too_thin_to_resolve_is_an_error_not_a_crash():
         quadrature_tensor(job)
     with pytest.raises(ZeroDivisionError):
         reference_tensor(job)
-    stack = quadrature_tensor(WedgeQuadratureJob(
+    stack, _ = quadrature_tensor(WedgeQuadratureJob(
         np.zeros(2), np.array([1e16, 0.0]), np.array([1e16, 1.0])))
     assert np.isnan(stack[0]).all() and np.isfinite(stack[1]).all()
 
@@ -409,7 +427,7 @@ def test_a_wedge_without_a_tensor_is_refused_through_one_table(
     # on arrays, beside a wedge that has a tensor: the same NaN rows
     psi, m1, m2 = np.array([case, (0.3, -1.0, 2.0)]).T
     closed = closed_form(psi, m1, m2)
-    quad = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2))
+    quad, _ = quadrature_tensor(WedgeQuadratureJob(psi, m1, m2))
     for stack in (closed, quad):
         assert np.isnan(stack).all(axis=(1, 2)).tolist() == [True, False]
         assert np.isfinite(stack[1]).all()

@@ -95,6 +95,11 @@ RUNS = [
     ("oracle-resolution.json", "oracle", {"example": "wedge", "count": "20",
                                           "seed": "5", "quad_points": "64",
                                           "fd_step": "1e-4"}),
+    # a step so small that 5 of the 20 cases, in both blocks of the sweep,
+    # are recorded as SingularSystemError
+    ("oracle-sweep-singular.json", "oracle", {"example": "wedge",
+                                              "count": "20", "seed": "5",
+                                              "fd_step": "3e-16"}),
     ("planes-zdir.json", "planes", {"n1": "0.1,0.2,-1", "n2": "-0.6,0.3,0.8",
                                     "zdir": "0.2,-0.1,1"}),
     # parallel planes whose common normal is zdir: the fallback frame
