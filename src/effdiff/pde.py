@@ -6,7 +6,7 @@ The projected density p(x, y, t) evolves by
 
 where D is the effective tensor in global Cartesian components (the
 infinite-rate form replaces D by D0 I).  Working in u = p/w makes p = c w
-an exact discrete steady state: every face gradient of u vanishes.
+a discrete steady state, to rounding: every face gradient of u vanishes.
 
 Discretization: fields at the Domain.cells centers, explicit Euler, face fluxes
 
@@ -15,11 +15,13 @@ Discretization: fields at the Domain.cells centers, explicit Euler, face fluxes
 with arithmetic-mean face values for w and D.  The normal part of
 grad_face(u) is the face slope (the difference across the face over h); the
 transverse part averages the centered cell gradients on either side, which
-at the outer rows/columns are one-sided: the inner face's slope, computed
-once.  Outer boundary faces carry zero flux, so total mass telescopes exactly.
+at the outer rows/columns are one-sided: the inner face's slope.  Outer
+boundary faces carry zero flux, so total mass telescopes, to rounding.
 
-The face coefficients w_face D_face do not change in time; evolve builds
-them, and checks the time step against the stability bound, once per run.
+The divergence is a 3x3 stencil in u: c[di, dj][i, j] weighs u[i+di, j+dj].
+evolve builds the nine weights once per run, in closed form and with dt folded
+in (w - dt c_00, -dt c_k).  It holds p row-padded, flat nx x (ny+2) with zero
+weights on the pads, so each of a step's nine multiply-adds reads one slice.
 
 Stability (explicit scheme): dt <= 0.2 min(hx, hy)^2 / max ||D||, 0 < dt < inf.
 Off-diagonal tensors get no positivity fix; strongly anisotropic cells
@@ -144,27 +146,31 @@ def _faces(grid, infinite_rate):
             wy * dy[..., 1, 1], wy * dy[..., 1, 0])
 
 
-def _step(grid, dt, faces):
-    """Density after one explicit Euler step with face coefficients `faces`."""
+def _add_axis(c, an, at, h, ht, s):
+    """Add to c s times the weights of the fluxes across the faces normal to
+    axis 0: an/h^2 times the face slope plus at/2h times the cell gradients."""
+    an = np.pad(an * (s / h / h), ((1, 1), (0, 0)))   # an / h^2 can overflow
+    at = np.pad(at * (s / (2 * h) / ht), ((1, 1), (0, 0)))  # walls: no flux
+    g = np.zeros((3, 1, an.shape[1]))   # u[., j-1], u[., j], u[., j+1] in grad
+    g[0], g[2] = -0.5, 0.5              # centered, one-sided at the edges
+    g[:, 0, 0], g[:, 0, -1] = (0, -1, 1), (-1, 1, 0)
+    e = np.array([0.0, 1.0, 0.0])[:, None, None]
+    hi, lo = at * g + an * e, at * g - an * e   # a face's weights per side
+    c[2] += hi[:, 1:]
+    c[1] += lo[:, 1:] - hi[:, :-1]
+    c[0] -= lo[:, :-1]
+
+
+def _stencil(grid, faces, dt):
+    """The step's weights, (9, nx * (ny+2)) and zero on the pad columns: row
+    3 (di+1) + dj+1 weighs u[i+di, j+dj] in p after one step."""
     a11, a12, a22, a21 = faces
-    hx, hy = grid.hx, grid.hy
-    u = grid.p / grid.w
-    sx = np.diff(u, axis=0) / hx
-    sy = np.diff(u, axis=1) / hy
-    # centered cell gradients; one-sided (the inner face's slope) at the edges
-    gx_cell = np.concatenate(
-        [sx[:1], (u[2:, :] - u[:-2, :]) / (2 * hx), sx[-1:]], axis=0)
-    gy_cell = np.concatenate(
-        [sy[:, :1], (u[:, 2:] - u[:, :-2]) / (2 * hy), sy[:, -1:]], axis=1)
-    # face fluxes (normal slope plus averaged transverse gradient) over h
-    fx = (a11 * sx + a12 * (0.5 * (gy_cell[:-1, :] + gy_cell[1:, :]))) / hx
-    fy = (a22 * sy + a21 * (0.5 * (gx_cell[:, :-1] + gx_cell[:, 1:]))) / hy
-    div = np.zeros_like(grid.p)
-    div[:-1, :] += fx
-    div[1:, :] -= fx
-    div[:, :-1] += fy
-    div[:, 1:] -= fy
-    return grid.p - dt * div
+    c = np.zeros((3, 3, grid.nx, grid.ny + 2))
+    _add_axis(c[..., 1:-1], a11, a12, grid.hx, grid.hy, -dt)
+    _add_axis(c[..., 1:-1].transpose(1, 0, 3, 2), a22.T, a21.T, grid.hy,
+              grid.hx, -dt)
+    c[1, 1, :, 1:-1] += grid.w
+    return c.reshape(9, -1)
 
 
 def step_finite_rate(grid: PdeGrid, dt: float) -> PdeGrid:
@@ -186,8 +192,8 @@ def evolve(grid: PdeGrid, dt, n_steps: int, mode="finite",
     and a given dt positive and finite; anything else raises InputError.
     dt=None takes half the stability bound; a dt above the bound, or a
     half bound that is not positive and finite, raises StabilityError.
-    The step is decided and checked, and the face coefficients are built,
-    once per call; the grid after step k has time t0 + k dt.
+    The step is decided and checked, and its nine weights are built, once
+    per call; the grid after step k has time t0 + k dt, and a p of its own.
     """
     integer("n_steps", n_steps, 0)
     if mode not in ("finite", "infinite"):
@@ -203,12 +209,21 @@ def evolve(grid: PdeGrid, dt, n_steps: int, mode="finite",
     if dt > bound * (1 + 1e-12):
         raise StabilityError(
             f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
-    faces = _faces(grid, infinite_rate)
+    b = _stencil(grid, _faces(grid, infinite_rate), dt)
+    nx, row, n = grid.nx, grid.ny + 2, b.shape[1]
+    u = np.zeros(n + 2 * row + 2)   # a zero row and one more zero at each end
+    reads = [u[a * row + d:a * row + d + n] for a in range(3) for d in range(3)]
+    w = np.pad(grid.w, ((0, 0), (1, 1)), constant_values=1).ravel()
+    p = np.pad(grid.p, ((0, 0), (1, 1))).ravel()
     t0 = grid.t
     if callback is not None:
         callback(0, grid)
     for k in range(1, n_steps + 1):
-        grid = replace(grid, p=_step(grid, dt, faces), t=t0 + k * dt)
+        np.divide(p, w, out=reads[4])
+        p = b[0] * reads[0]
+        for bk, uk in zip(b[1:], reads[1:]):
+            p += bk * uk
+        grid = replace(grid, p=p.reshape(nx, row)[:, 1:-1], t=t0 + k * dt)
         if callback is not None:
             callback(k, grid)
-    return grid
+    return replace(grid, p=np.ascontiguousarray(grid.p))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -170,6 +171,13 @@ def test_a_step_that_is_not_positive_and_finite_is_refused(domain):
         assert info.value.field == "dt"
 
 
+def test_a_domain_whose_h_squared_is_subnormal_stays_stationary():
+    # h = 2.5e-160: h^2 and the step are subnormal, the weights are not
+    grid = flat_slab((0, 1e-159, 0, 1e-159), 4, 4)
+    out = evolve(grid, None, 3)
+    assert np.abs(out.p - grid.p).max() <= 1e-15
+
+
 def test_an_unknown_mode_is_refused():
     grid = flat_slab((0, 1, 0, 1), 4, 4)
     with pytest.raises(InputError, match="'finit'") as info:
@@ -261,9 +269,9 @@ def test_evolve_matches_single_steps_and_reports_time():
     assert grid.t == 0.0
 
 
-# The explicit step as it was written before the face slopes were shared
-# with the one-sided edge gradients; kept verbatim as the bit-for-bit
-# reference of pde._step.
+# The matrix-free explicit step as it was written before the face slopes
+# were shared with the one-sided edge gradients; kept verbatim as the
+# reference of evolve's nine-weight step.
 def _cell_gradients(u, hx, hy):
     gx = np.empty_like(u)
     gx[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2 * hx)
@@ -299,19 +307,71 @@ def _step(grid, dt, faces):
     return grid.p - dt * div
 
 
-@pytest.mark.parametrize("mode", ["finite", "infinite"])
-@pytest.mark.parametrize("nx,ny", [(2, 2), (2, 7), (16, 12)])
-def test_step_is_bit_identical_to_the_reference_step(mode, nx, ny):
-    # tilted waves whose tensor has |D12| up to 0.38
+def _probe(grid, dt, faces):
+    """The reference step's nine weights, b[di + 1, dj + 1][i, j] on
+    u[i + di, j + dj], from nine colourings: u = 1 where i % 3 and j % 3
+    take one pair of values, else 0.  Of a cell's nine neighbours exactly
+    one has each colour, and one off the grid reads 0, its weight."""
+    i, j = np.indices(grid.p.shape)
+    b = np.zeros((3, 3) + grid.p.shape)
+    for ci, cj in itertools.product(range(3), repeat=2):
+        colour = (i % 3 == ci) & (j % 3 == cj)
+        out = _step(replace(grid, p=grid.w * colour), dt, faces)  # u = colour
+        for di, dj in itertools.product((-1, 0, 1), repeat=2):
+            hit = ((i + di) % 3 == ci) & ((j + dj) % 3 == cj)
+            b[di + 1, dj + 1][hit] = out[hit]
+    return b
+
+
+def _bump(x, y):
+    return np.exp(-4 * (x - 1) ** 2 - 4 * (y - 1) ** 2)
+
+
+def tilted_grid(nx, ny, p0=_bump):
+    """Tilted waves whose tensor has |D12| up to 0.38."""
     pair = SurfacePair(ExpressionField("6*x+0.5*sin(3*y)"),
                        ExpressionField("6*y+20+0.5*cos(3*x)"),
                        (0, 2, 0, 2))
-    grid = PdeGrid.from_surfaces(
-        pair, MED, nx, ny, p0=lambda x, y: np.exp(-4 * (x - 1) ** 2
-                                                  - 4 * (y - 1) ** 2))
+    return PdeGrid.from_surfaces(pair, MED, nx, ny, p0=p0)
+
+
+def waves_grid(nx, ny):
+    """The waves example, with the solve example's bump."""
+    pair = SurfacePair(ExpressionField("cos(x)"), ExpressionField("cos(y)+5/2"),
+                       (0, 2 * math.pi, 0, 2 * math.pi))
+    return PdeGrid.from_surfaces(
+        pair, MED, nx, ny, p0=lambda x, y: np.exp(-(x - 3) ** 2 - (y - 3) ** 2))
+
+
+REFERENCE_CASES = [
+    pytest.param(make, nx, ny, mode, id=f"{make.__name__}-{nx}x{ny}-{mode}")
+    for make in (tilted_grid, waves_grid)
+    for nx, ny in [(2, 2), (2, 7), (3, 3), (16, 12)]
+    for mode in ("finite", "infinite")]
+
+
+@pytest.mark.parametrize("make,nx,ny,mode", REFERENCE_CASES)
+def test_the_nine_weights_are_a_probe_of_the_reference_step(make, nx, ny, mode):
+    grid = make(nx, ny)
     infinite_rate = mode == "infinite"
-    if not infinite_rate:
+    if make is tilted_grid and not infinite_rate:
         assert np.abs(grid.dten[..., 0, 1]).max() > 0.1
+    dt = 0.5 * stability_bound(grid, infinite_rate=infinite_rate)
+    faces = pde._faces(grid, infinite_rate)
+    weights = pde._stencil(grid, faces, dt).reshape(3, 3, nx, ny + 2)
+    assert not weights[..., [0, -1]].any()          # the pad columns
+    probe = _probe(grid, dt, faces)
+    for k in np.ndindex(3, 3):
+        err = np.abs(weights[k][:, 1:-1] - probe[k]).max()
+        assert err <= 1e-14 * np.abs(probe[k]).max()
+
+
+@pytest.mark.parametrize("make,nx,ny,mode", REFERENCE_CASES)
+def test_evolve_follows_the_reference_step_to_rounding(make, nx, ny, mode):
+    # the nine weights sum the divergence in another order than the
+    # face fluxes do, so the two runs part in the last bits only
+    grid = make(nx, ny)
+    infinite_rate = mode == "infinite"
     dt = 0.5 * stability_bound(grid, infinite_rate=infinite_rate)
     faces = pde._faces(grid, infinite_rate)
     ref = grid.p
@@ -319,4 +379,30 @@ def test_step_is_bit_identical_to_the_reference_step(mode, nx, ny):
         ref = _step(replace(grid, p=ref), dt, faces)
     out = evolve(grid, dt, 200, mode=mode)
     assert not np.array_equal(out.p, grid.p)
-    assert out.p.tobytes() == ref.tobytes()
+    assert np.abs(out.p - ref).max() <= 1e-13 * ref.max()
+
+
+def test_a_grid_handed_to_the_callback_keeps_its_density():
+    grid = tilted_grid(9, 7)
+    seen = []
+    out = evolve(grid, None, 12,
+                 callback=lambda k, g: seen.append((g, g.p.copy())))
+    assert len(seen) == 13
+    for g, p in seen:       # no later step wrote into a density handed out
+        assert np.array_equal(g.p, p)
+    assert np.array_equal(out.p, seen[-1][1])
+    assert out.p.shape == (9, 7) and out.p.flags.c_contiguous
+
+
+@pytest.mark.parametrize("mode", ["finite", "infinite"])
+def test_criterion_9_holds_off_the_diagonal(mode):
+    # criterion 9's mass and stationarity bounds, on a tensor with |D12|
+    # up to 0.38 (the criterion itself runs the radial pair, whose D12 = 0)
+    grid = tilted_grid(32, 32, p0=lambda x, y: 1.0 + np.exp(-(x**2 + y**2)))
+    infinite_rate = mode == "infinite"
+    dt = 0.5 * stability_bound(grid, infinite_rate=infinite_rate)
+    out = evolve(grid, dt, 1000, mode=mode)
+    assert abs(out.mass() - grid.mass()) / grid.mass() <= 1e-12
+    stat = tilted_grid(32, 32, p0=None)     # p0 = w
+    out = evolve(stat, dt, 1000, mode=mode)
+    assert np.abs(out.p - stat.p).max() <= 1e-13 * stat.p.max()
