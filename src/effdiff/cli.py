@@ -305,8 +305,27 @@ def _fmt(value):
 
 
 def _fmts(values):
-    """_fmt of every element of an array, in C order."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+    """_fmt of every element of an array, in C order.
+
+    `repr` is the reference; one orjson call prints the whole array with
+    the same shortest round-trip digits.  orjson spells a number in another
+    way outside 1e-4 <= |v| < 1e16 (0.00001, 1e16 where repr writes 1e-05,
+    1e+16) and writes nan and inf as null, so those values, zero aside, are
+    masked out and printed by repr.  orjson is imported here, not at module
+    level, to keep it out of the CLI's import time.
+    """
+    import orjson
+
+    a = np.asarray(values, dtype=float).ravel()
+    if not a.size:
+        return []
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = text[1:-1].decode().split(",")
+    mag = np.abs(a)
+    odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16) | (a == 0)))
+    for i, v in zip(odd.tolist(), a[odd].tolist()):
+        text[i] = repr(v)
+    return text
 
 
 def _write(path, text):

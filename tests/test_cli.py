@@ -4,14 +4,19 @@ import csv
 import io
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from effdiff.cli import EXAMPLES, _ALLOWED_KEYS, build_parser, main
+import effdiff
+from effdiff.cli import EXAMPLES, _ALLOWED_KEYS, _fmts, build_parser, main
 from effdiff.geometry import ExpressionField, SurfacePair
 from effdiff.tensor import UNDEFINED, MediumParams, sample_tensor, tensor_field
 
@@ -460,6 +465,44 @@ def test_recover_channel_compares_on_exactly_x0_to_x1(tmp_path):
     i = header.index("D11_channel")
     assert all(float(r[i]) == pytest.approx(math.pi / 4, abs=1e-15)
                for r in data)
+
+
+def _around(*values):
+    """Each value with its two float neighbours."""
+    v = np.array(values)
+    return np.concatenate([np.nextafter(v, 0), v, np.nextafter(v, np.inf)])
+
+
+# any float64 bit pattern: subnormals, both zeros, NaN payloads, both infinities
+_FLOAT_BITS = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(values=st.lists(st.one_of(_FLOAT_BITS, st.floats(),
+                                 st.floats(-1e16, 1e16)),
+                       max_size=40).map(np.array))
+@example(values=_around(1e-5, 1e-4, 1e16, -1e-5, -1e-4, -1e16))
+@example(values=np.ldexp(1.0, np.arange(-1074, 1024)))
+@example(values=np.array([5e-324, 1.7976931348623157e308, 0.0, -0.0,
+                          math.nan, math.inf, -math.inf]))
+@example(values=np.array([]))
+@example(values=np.arange(12.0).reshape(3, 4) / 7)
+@example(values=np.asfortranarray(np.arange(12.0).reshape(3, 4) * 1e15))
+def test_numbers_are_written_as_repr_writes_them(values):
+    assert _fmts(values) == list(map(repr, values.ravel().tolist()))
+
+
+def test_importing_the_cli_loads_neither_orjson_nor_scipy():
+    # both are imported where they are used, so neither adds to import time
+    src = str(Path(effdiff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import effdiff.cli, sys; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('orjson', 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_outputs_embed_version_and_resolved_config(tmp_path):
